@@ -3,12 +3,10 @@
 from .arcs import Arc, ArcPresentation, incident_levels, presentation, validate_presentation
 from .assembly import (
     LatticeEmbedding,
-    MergePlan,
     apply_merges,
     assemble,
     build_full,
     normalize,
-    plan_merges,
     straighten_arcs,
 )
 from .bounds import (
@@ -19,7 +17,7 @@ from .bounds import (
     construction_count,
     crossing_stick_bound,
 )
-from .build import build_arc_diagram, add_columns, build_component, side_slide
+from .build import build_arc_diagram, build_component, side_slide
 from .graph import (
     ComponentClass,
     ComponentSpec,

@@ -18,21 +18,20 @@ from math import lcm
 from .build import ComponentBuild, build_component
 from .errors import (
     AssemblyCollision,
-    LatticeStickError,
     MergeCollision,
     NoFreeDirection,
     ReconstructionMismatch,
 )
 from .geom import Stick, Vec3, point, stick, transform, transform_point
-from .graph import (
-    ComponentClass,
-    CutTree,
-    SpatialGraphSpec,
-    build_cut_tree,
-    census,
-    derive_edges,
+from .graph import ComponentClass, CutTree, GraphCensus, SpatialGraphSpec, build_cut_tree, census
+from .validate import (
+    BoundReport,
+    StickCounts,
+    check_bound,
+    check_self_avoiding,
+    full_audit,
+    walk_edges,
 )
-from .validate import check_self_avoiding, full_audit, walk_edges
 
 Axis2 = tuple[Fraction, Fraction]
 
@@ -50,11 +49,17 @@ class Assembly:
     knot_corners: dict[str, Vec3]
     markers: dict[str, Vec3] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
+    merge_plans: list[VertexPlan] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
 class LatticeEmbedding:
-    """Final integer-coordinate embedding; minima are zero on every axis."""
+    """Final integer-coordinate embedding; minima are zero on every axis.
+
+    ``sticks`` are the fused sticks, one per counted stick, read off the
+    edge ``traces`` in edge id order, whether the embedding was built or
+    loaded from a document.
+    """
 
     sticks: tuple[Stick, ...]
     markers: dict[str, Vec3]
@@ -194,11 +199,6 @@ class VertexPlan:
     old_top: Fraction
     new_top: Fraction
     steps: tuple[MergeStep, ...]
-
-
-@dataclass(frozen=True)
-class MergePlan:
-    vertices: tuple[VertexPlan, ...]
 
 
 def _attachments(sticks: list[Stick], axis: Axis2, zrange: tuple[Fraction, Fraction]):
@@ -382,37 +382,14 @@ def _apply_vertex_plan(
     return kept
 
 
-def plan_merges(spec: SpatialGraphSpec, asm: Assembly) -> MergePlan:
-    """First valid plan per high-degree vertex, preference order respected."""
-    degrees = census(spec).degrees
-    units = _vertex_units(spec, asm)
-    plans = []
-    for label in sorted(degrees):
-        if degrees[label] < 4:
-            continue
-        plans.append(
-            next(
-                _vertex_plans(
-                    asm.sticks,
-                    label,
-                    asm.vertex_axis[label],
-                    asm.vertex_zrange[label],
-                    degrees[label],
-                    units[label],
-                )
-            )
-        )
-    return MergePlan(tuple(plans))
-
-
-def apply_merges(spec: SpatialGraphSpec, asm: Assembly) -> Assembly:
+def apply_merges(spec: SpatialGraphSpec, cens: GraphCensus, asm: Assembly) -> Assembly:
     """Merge every vertex of degree >= 4, then place all vertex markers.
 
     Each vertex tries its candidate plans in preference order and keeps the
-    first one whose result stays intersection-free; exhausting all of them
-    raises MergeCollision.
+    first one whose result stays intersection-free, recording it in
+    ``asm.merge_plans``; exhausting all of them raises MergeCollision.
     """
-    degrees = census(spec).degrees
+    degrees = cens.degrees
     units = _vertex_units(spec, asm)
     sticks = asm.sticks
     for label in sorted(degrees):
@@ -434,6 +411,7 @@ def apply_merges(spec: SpatialGraphSpec, asm: Assembly) -> Assembly:
         if committed is None:
             raise MergeCollision(f"all merge moves collide at vertex {label}")
         sticks, plan = committed
+        asm.merge_plans.append(plan)
         asm.markers[label] = point(plan.axis[0], plan.axis[1], plan.pivot_level)
     asm.sticks = sticks
 
@@ -592,16 +570,16 @@ def _simplify(polyline: list[Vec3], marker_points: set[Vec3]) -> list[Vec3]:
 
 
 def derive_traces(
-    spec: SpatialGraphSpec, sticks: list[Stick], markers: dict[str, Vec3]
+    cens: GraphCensus, sticks: list[Stick], markers: dict[str, Vec3]
 ) -> dict[str, list[Vec3]]:
     """Walk the final geometry and assign each path its input edge id."""
     walked, problems = walk_edges(sticks, markers)
     if problems:
         raise ReconstructionMismatch("cannot trace edges", problems)
     pools: dict[tuple[str, tuple[str, str]], list[str]] = {}
-    for comp in spec.components:
-        for tr in derive_edges(comp):
-            key = (comp.id, tuple(sorted((tr.v_start, tr.v_end))))
+    for comp_id, edges in cens.edges.items():
+        for tr in edges:
+            key = (comp_id, tuple(sorted((tr.v_start, tr.v_end))))
             pools.setdefault(key, []).append(tr.edge_id)
     marker_points = set(markers.values())
     traces: dict[str, list[Vec3]] = {}
@@ -628,60 +606,57 @@ def normalize(
     traces: dict[str, list[Vec3]],
     warnings: tuple[str, ...] = (),
 ) -> LatticeEmbedding:
-    """Clear denominators by their lcm and translate minima to the origin."""
+    """Clear denominators by their lcm, translate minima to the origin and
+    fuse each trace into one stick per straight run.
+
+    The scale and the minima come from the construction sticks, not the
+    fused ones: a collinear joint that fusion drops may carry the largest
+    denominator, and dropping it would change the output coordinates.
+    """
     denoms = [c.denominator for s in sticks for p in s.ends() for c in p]
     denoms += [c.denominator for p in markers.values() for c in p]
     scale = Fraction(lcm(*denoms)) if denoms else Fraction(1)
-    mins = point(
-        min(p[0] for s in sticks for p in s.ends()),
-        min(p[1] for s in sticks for p in s.ends()),
-        min(p[2] for s in sticks for p in s.ends()),
-    )
+    ends = [p for s in sticks for p in s.ends()]
+    mins = point(*(min(p[i] for p in ends) for i in range(3)))
+    maxs = point(*(max(p[i] for p in ends) for i in range(3)))
     off = tuple(-scale * m for m in mins)
-    new_sticks = tuple(transform(s, scale, off) for s in sticks)
     new_markers = {k: transform_point(p, scale, off) for k, p in markers.items()}
     new_traces = {
         eid: [transform_point(p, scale, off) for p in line] for eid, line in traces.items()
     }
-    for s in new_sticks:
+    fused = tuple(
+        stick(a, b)
+        for eid in sorted(new_traces)
+        for a, b in zip(new_traces[eid], new_traces[eid][1:])
+    )
+    for s in fused:
         for p in s.ends():
             assert all(c.denominator == 1 and c >= 0 for c in p)
-    bbox_hi = point(
-        max(p[0] for s in new_sticks for p in s.ends()),
-        max(p[1] for s in new_sticks for p in s.ends()),
-        max(p[2] for s in new_sticks for p in s.ends()),
-    )
     return LatticeEmbedding(
-        sticks=new_sticks,
+        sticks=fused,
         markers=new_markers,
         traces=new_traces,
-        bbox=(point(0, 0, 0), bbox_hi),
+        bbox=(point(0, 0, 0), transform_point(maxs, scale, off)),
         warnings=warnings,
     )
 
 
-def build_full(spec: SpatialGraphSpec) -> LatticeEmbedding:
+def build_full(spec: SpatialGraphSpec) -> tuple[LatticeEmbedding, StickCounts, BoundReport]:
     """Run the whole pipeline and certify the result before returning it.
 
     Raises on any validation failure: the returned embedding always passes
-    the full audit and the closed-form stick bound.
+    the full audit and the closed-form stick bound, whose counts and report
+    are returned with it.
     """
-    from .graph import validate_spec
-    from .validate import check_bound
-
-    problems = validate_spec(spec)
-    if problems:
-        raise LatticeStickError("invalid input: " + "; ".join(problems))
-
-    tree = build_cut_tree(spec)
-    builds = {c.id: build_component(spec, c) for c in spec.components}
+    cens = census(spec)
+    tree = build_cut_tree(spec, cens)
+    builds = {c.id: build_component(c, cens.classes[c.id]) for c in spec.components}
     asm = assemble(spec, tree, builds)
-    asm = apply_merges(spec, asm)
+    asm = apply_merges(spec, cens, asm)
     asm = straighten_arcs(spec, tree, builds, asm)
-    traces = derive_traces(spec, asm.sticks, asm.markers)
+    traces = derive_traces(cens, asm.sticks, asm.markers)
     emb = normalize(asm.sticks, asm.markers, traces, tuple(asm.warnings))
 
-    cens = census(spec)
     report = full_audit(list(emb.sticks), emb.markers, spec, cens.degrees)
     if not report.clean:
         raise AssemblyCollision(
@@ -689,5 +664,5 @@ def build_full(spec: SpatialGraphSpec) -> LatticeEmbedding:
             f"violations={report.violations[:3]} junctions={report.unmarked_junctions[:3]} "
             f"markers={report.marker_problems[:3]} diff={report.reconstruction_diff[:3]}"
         )
-    check_bound(report.counts, cens, cens.alpha_total, spec.declared_crossings)
-    return emb
+    bounds = check_bound(report.counts, cens, cens.alpha_total, spec.declared_crossings)
+    return emb, report.counts, bounds

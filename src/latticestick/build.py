@@ -24,7 +24,7 @@ from fractions import Fraction
 from .arcs import ArcPresentation, incident_levels
 from .errors import LatticeStickError
 from .geom import Stick, Vec3, point, stick
-from .graph import ComponentClass, ComponentSpec, SpatialGraphSpec, classify_component
+from .graph import ComponentClass, ComponentSpec
 from .validate import check_self_avoiding
 
 
@@ -94,24 +94,17 @@ class ComponentBuild:
         return point(arc.hi, arc.lo, arc.page)
 
 
-def build_arc_diagram(spec: SpatialGraphSpec, comp: ComponentSpec) -> ComponentBuild:
-    """Stack each arc's elbow on the z-level given by its page number."""
-    cls = classify_component(spec, comp)
+def build_arc_diagram(comp: ComponentSpec, cls: ComponentClass) -> ComponentBuild:
+    """Stack each arc's elbow on the z-level given by its page number; the
+    binding columns are implied by the parametric state."""
     pres = comp.presentation
-    build = ComponentBuild(
+    return ComponentBuild(
         comp_id=comp.id,
         pres=pres,
         cls=cls,
         col_x={i: Fraction(i) for i in range(1, pres.beta + 1)},
         col_y={i: Fraction(i) for i in range(1, pres.beta + 1)},
     )
-    return build
-
-
-def add_columns(build: ComponentBuild) -> ComponentBuild:
-    """Columns are implied by the parametric state; kept as a pipeline stage
-    so the intermediate stick lists match the construction's steps."""
-    return build
 
 
 def _slide_ok(build: ComponentBuild) -> bool:
@@ -151,9 +144,8 @@ def side_slide(build: ComponentBuild) -> ComponentBuild:
     return build
 
 
-def build_component(spec: SpatialGraphSpec, comp: ComponentSpec) -> ComponentBuild:
-    build = add_columns(build_arc_diagram(spec, comp))
-    build = side_slide(build)
+def build_component(comp: ComponentSpec, cls: ComponentClass) -> ComponentBuild:
+    build = side_slide(build_arc_diagram(comp, cls))
     if not _slide_ok(build):
         raise LatticeStickError(f"component {comp.id} is not self-avoiding after slides")
     return build

@@ -12,40 +12,22 @@ import sys
 
 from .assembly import build_full
 from .bounds import arc_index_upper, binding_point_count, construction_count, crossing_stick_bound
-from .errors import LatticeStickError, NotACycle
+from .errors import BoundViolated, DocumentError, InvalidSpec, LatticeStickError
 from .fixtures import DEMOS
-from .graph import census, derive_edges, validate_spec
+from .graph import census
 from .invariants import crossing_count, extract_knot_cycle, knot_determinant, project_generic
-from .io import (
-    DocumentError,
-    embedding_to_document,
-    export_obj,
-    load_embedding,
-    load_spec,
-)
-from .validate import check_bound, count_sticks, full_audit
+from .io import embedding_to_document, export_obj, load_embedding, load_spec
+from .validate import check_bound, full_audit
+
+
+class UsageError(Exception):
+    """An option value names nothing the command knows."""
 
 
 def cmd_build(args) -> int:
-    try:
-        spec = load_spec(args.input)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    problems = validate_spec(spec)
-    if problems:
-        for p in problems:
-            print(f"invalid: {p}", file=sys.stderr)
-        return 1
-    try:
-        emb = build_full(spec)
-    except LatticeStickError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    cens = census(spec)
-    counts = count_sticks(list(emb.sticks), emb.markers)
-    bounds = check_bound(counts, cens, cens.alpha_total, spec.declared_crossings)
-    doc = embedding_to_document(emb, counts, bounds, cens.alpha_total)
+    spec = load_spec(args.input)
+    emb, counts, bounds = build_full(spec)
+    doc = embedding_to_document(emb, counts, bounds)
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -60,17 +42,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        emb, counts = load_embedding(args.embedding)
-        spec = load_spec(args.input)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    problems = validate_spec(spec)
-    if problems:
-        for p in problems:
-            print(f"invalid input: {p}", file=sys.stderr)
-        return 1
+    emb, counts = load_embedding(args.embedding)
+    spec = load_spec(args.input)
     cens = census(spec)
     report = full_audit(list(emb.sticks), emb.markers, spec, cens.degrees)
     print(f"self-avoiding: {report.self_avoiding}")
@@ -86,23 +59,14 @@ def cmd_validate(args) -> int:
     try:
         bounds = check_bound(report.counts, cens, cens.alpha_total, spec.declared_crossings)
         print(f"stick count {report.counts.total} <= bound {bounds.construction_bound}")
-    except LatticeStickError as exc:
+    except BoundViolated as exc:
         print(f"bound violated: {exc}")
         ok = False
     return 0 if ok else 1
 
 
 def cmd_bound(args) -> int:
-    try:
-        spec = load_spec(args.input)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    problems = validate_spec(spec)
-    if problems:
-        for p in problems:
-            print(f"invalid: {p}", file=sys.stderr)
-        return 1
+    spec = load_spec(args.input)
     cens = census(spec)
     print(
         f"census: e={cens.e} v={cens.v} s={cens.s} b={cens.b} k={cens.k} "
@@ -110,8 +74,7 @@ def cmd_bound(args) -> int:
     )
     for comp in spec.components:
         pres = comp.presentation
-        e_k = len(derive_edges(comp))
-        beta = binding_point_count(pres.alpha, len(pres.labels), e_k)
+        beta = binding_point_count(pres.alpha, len(pres.labels), len(cens.edges[comp.id]))
         marker = "ok" if beta == pres.beta else f"MISMATCH (actual {pres.beta})"
         print(f"component {comp.id}: alpha={pres.alpha} binding points={beta} [{marker}]")
     print(
@@ -129,17 +92,9 @@ def cmd_bound(args) -> int:
 
 
 def cmd_invariant(args) -> int:
-    try:
-        emb, _ = load_embedding(args.embedding)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        diagram = project_generic(emb, {args.component})
-        gauss = extract_knot_cycle(diagram, args.component)
-    except NotACycle as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    emb, _ = load_embedding(args.embedding)
+    diagram = project_generic(emb, {args.component})
+    gauss = extract_knot_cycle(diagram, args.component)
     print(f"projection crossings: {crossing_count(diagram)}")
     print(f"determinant: {knot_determinant(gauss)}")
     return 0
@@ -147,13 +102,8 @@ def cmd_invariant(args) -> int:
 
 def cmd_export(args) -> int:
     if args.format != "obj":
-        print(f"error: unknown format {args.format}", file=sys.stderr)
-        return 2
-    try:
-        emb, _ = load_embedding(args.embedding)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown format {args.format}")
+    emb, _ = load_embedding(args.embedding)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(export_obj(emb))
     print(f"wrote {args.output}")
@@ -162,11 +112,7 @@ def cmd_export(args) -> int:
 
 def cmd_demo(args) -> int:
     if args.name not in DEMOS:
-        print(
-            f"error: unknown demo {args.name}; choose from {', '.join(sorted(DEMOS))}",
-            file=sys.stderr,
-        )
-        return 2
+        raise UsageError(f"unknown demo {args.name}; choose from {', '.join(sorted(DEMOS))}")
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(DEMOS[args.name], fh, indent=2)
         fh.write("\n")
@@ -216,7 +162,18 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidSpec as exc:
+        for p in exc.problems:
+            print(f"invalid: {p}", file=sys.stderr)
+        return 1
+    except (DocumentError, UsageError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except LatticeStickError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -5,6 +5,18 @@ class LatticeStickError(Exception):
     """Base class for all package errors."""
 
 
+class DocumentError(LatticeStickError):
+    """Malformed document: syntax, schema or internal inconsistency."""
+
+
+class InvalidSpec(LatticeStickError):
+    """The input failed ``validate_spec``; ``problems`` lists every violation."""
+
+    def __init__(self, problems):
+        super().__init__("invalid input: " + "; ".join(problems))
+        self.problems = list(problems)
+
+
 class UnlabeledEndpoint(LatticeStickError):
     """An edge walk terminated at an unlabeled binding point of degree != 2."""
 

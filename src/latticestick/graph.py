@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arcs import ArcPresentation, validate_presentation
-from .errors import NoValidRoot, UnlabeledEndpoint
+from .errors import InvalidSpec, NoValidRoot, UnlabeledEndpoint
 
 
 class ComponentClass(enum.Enum):
@@ -100,13 +100,21 @@ class CutTree:
 
 @dataclass(frozen=True)
 class GraphCensus:
+    """Everything the build needs to know about a valid input, derived once.
+
+    ``edges`` and ``classes`` are keyed by component id in input order;
+    ``degrees`` maps each vertex label to its total degree.
+    """
+
     e: int
     v: int
     s: int
     b: int
     k: int
     alpha_total: int
-    degrees: dict[str, int] = field(default_factory=dict)
+    degrees: dict[str, int]
+    edges: dict[str, tuple[EdgeTrace, ...]]
+    classes: dict[str, ComponentClass]
 
 
 def derive_edges(comp: ComponentSpec) -> list[EdgeTrace]:
@@ -176,15 +184,17 @@ def total_degrees(spec: SpatialGraphSpec) -> dict[str, int]:
     return dict(degrees)
 
 
-def classify_component(spec: SpatialGraphSpec, comp: ComponentSpec) -> ComponentClass:
-    """Classify one component; the knot case requires total degree 2."""
-    edges = derive_edges(comp)
+def classify_component(
+    comp: ComponentSpec, edges: list[EdgeTrace], degrees: dict[str, int]
+) -> ComponentClass:
+    """Classify one component from its derived edges and the total vertex
+    degrees; the knot case requires total degree 2."""
     vertices = set(comp.presentation.labels.values())
     loops = [e for e in edges if e.is_loop]
     if len(edges) == 1 and not loops and len(vertices) == 2:
         return ComponentClass.ARC
     if len(vertices) == 1 and len(loops) == len(edges):
-        if len(edges) == 1 and total_degrees(spec)[next(iter(vertices))] == 2:
+        if len(edges) == 1 and degrees[next(iter(vertices))] == 2:
             return ComponentClass.KNOT
         return ComponentClass.BOUQUET
     if len(vertices) == 2 and not loops and len(edges) >= 2:
@@ -207,9 +217,9 @@ def validate_spec(spec: SpatialGraphSpec) -> list[str]:
 
     comp_by_id = {c.id: c for c in spec.components}
     label_points: dict[str, dict[str, int]] = {}
+    edges: dict[str, list[EdgeTrace]] = {}
     for comp in spec.components:
         pres = comp.presentation
-        edge_count = None
         pres_problems = validate_presentation(pres)
         if not pres_problems:
             if not pres.labels:
@@ -218,13 +228,13 @@ def validate_spec(spec: SpatialGraphSpec) -> list[str]:
                 pres_problems.append(f"component {comp.id} is not connected")
             else:
                 try:
-                    edge_count = len(derive_edges(comp))
+                    edges[comp.id] = derive_edges(comp)
                 except UnlabeledEndpoint as exc:
                     pres_problems.append(str(exc))
-        if edge_count is not None:
+        if comp.id in edges:
             pres_problems.extend(
                 f"component {comp.id}: {p}"
-                for p in validate_presentation(pres, edge_count)
+                for p in validate_presentation(pres, len(edges[comp.id]))
             )
         else:
             pres_problems = [
@@ -308,7 +318,7 @@ def validate_spec(spec: SpatialGraphSpec) -> list[str]:
     knot_vertices = {
         next(iter(comp.presentation.labels.values()))
         for comp in spec.components
-        if classify_component(spec, comp) is ComponentClass.KNOT
+        if classify_component(comp, edges[comp.id], degrees) is ComponentClass.KNOT
     }
     for label, d in sorted(degrees.items()):
         if d == 2 and label in knot_vertices:
@@ -318,7 +328,7 @@ def validate_spec(spec: SpatialGraphSpec) -> list[str]:
     return problems
 
 
-def build_cut_tree(spec: SpatialGraphSpec) -> CutTree:
+def build_cut_tree(spec: SpatialGraphSpec, cens: GraphCensus) -> CutTree:
     """Root each attachment tree at its lowest-index non-arc component and
     re-index depth first so stems always precede branches."""
     input_order = [c.id for c in spec.components]
@@ -327,7 +337,6 @@ def build_cut_tree(spec: SpatialGraphSpec) -> CutTree:
         adj[att.stem].append((att.branch, att.cut_vertex))
         adj[att.branch].append((att.stem, att.cut_vertex))
 
-    classes = {c.id: classify_component(spec, c) for c in spec.components}
     seen: set[str] = set()
     trees: list[list[str]] = []
     for cid in input_order:
@@ -349,7 +358,7 @@ def build_cut_tree(spec: SpatialGraphSpec) -> CutTree:
     parent: dict[str, tuple[str, str]] = {}
     roots: list[str] = []
     for members in trees:
-        candidates = [cid for cid in members if classes[cid] is not ComponentClass.ARC]
+        candidates = [cid for cid in members if cens.classes[cid] is not ComponentClass.ARC]
         if not candidates:
             raise NoValidRoot(f"every component in {sorted(members)} is an arc")
         root = min(candidates, key=input_order.index)
@@ -372,18 +381,26 @@ def build_cut_tree(spec: SpatialGraphSpec) -> CutTree:
 
 
 def census(spec: SpatialGraphSpec) -> GraphCensus:
-    """Count edges, vertices, components, bouquets and lone circles."""
+    """Validate the input, then derive each component's edges and class once.
+
+    Raises InvalidSpec carrying every problem ``validate_spec`` reports.
+    """
+    problems = validate_spec(spec)
+    if problems:
+        raise InvalidSpec(problems)
     degrees = total_degrees(spec)
-    e = sum(len(derive_edges(c)) for c in spec.components)
-    classes = [classify_component(spec, c) for c in spec.components]
-    b = sum(cls in (ComponentClass.BOUQUET, ComponentClass.KNOT) for cls in classes)
-    k = sum(cls is ComponentClass.KNOT for cls in classes)
+    edges = {c.id: tuple(derive_edges(c)) for c in spec.components}
+    classes = {c.id: classify_component(c, edges[c.id], degrees) for c in spec.components}
+    b = sum(cls in (ComponentClass.BOUQUET, ComponentClass.KNOT) for cls in classes.values())
+    k = sum(cls is ComponentClass.KNOT for cls in classes.values())
     return GraphCensus(
-        e=e,
+        e=sum(len(es) for es in edges.values()),
         v=len(degrees),
         s=len(spec.components),
         b=b,
         k=k,
         alpha_total=sum(c.presentation.alpha for c in spec.components),
         degrees=degrees,
+        edges=edges,
+        classes=classes,
     )

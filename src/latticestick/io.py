@@ -1,9 +1,10 @@
 """JSON document formats and the OBJ export.
 
 Both documents reject unknown keys so that typos fail loudly.  The embedding
-document stores the fused sticks (one per counted stick) together with the
-edge polylines they came from; the two views are checked against each other
-on load.
+document stores the embedding's sticks together with the edge polylines they
+came from; the two views are checked against each other on load.  Built and
+loaded embeddings alike hold the fused sticks, one per counted stick, so a
+document reloads to the sticks that were written.
 """
 
 from __future__ import annotations
@@ -12,13 +13,10 @@ import json
 
 from .arcs import Arc, ArcPresentation
 from .assembly import LatticeEmbedding
-from .geom import Stick, Vec3, point, stick
+from .errors import DocumentError
+from .geom import Vec3, point, stick
 from .graph import ComponentSpec, CutAttachment, SpatialGraphSpec
 from .validate import BoundReport, StickCounts
-
-
-class DocumentError(Exception):
-    """Malformed document: syntax, schema or internal inconsistency."""
 
 
 def _check_keys(obj, required, optional=(), where="document"):
@@ -103,19 +101,9 @@ def load_spec(path) -> SpatialGraphSpec:
 
 # --- embedding documents ----------------------------------------------------
 
-def _fused_sticks(emb: LatticeEmbedding) -> list[Stick]:
-    out = []
-    for eid in sorted(emb.traces):
-        line = emb.traces[eid]
-        for a, b in zip(line, line[1:]):
-            out.append(stick(a, b, eid.split("/")[0], "fused"))
-    return out
-
-
 def embedding_to_document(
-    emb: LatticeEmbedding, counts: StickCounts, bounds: BoundReport, alpha_total: int
+    emb: LatticeEmbedding, counts: StickCounts, bounds: BoundReport
 ) -> dict:
-    sticks = _fused_sticks(emb)
     return {
         "sticks": [
             {
@@ -123,7 +111,7 @@ def embedding_to_document(
                 "start": [int(c) for c in s.a],
                 "end": [int(c) for c in s.b],
             }
-            for s in sticks
+            for s in emb.sticks
         ],
         "vertices": [
             {"id": label, "position": [int(c) for c in p]}
@@ -135,7 +123,7 @@ def embedding_to_document(
         ],
         "counts": {"x": counts.x, "y": counts.y, "z": counts.z, "total": counts.total},
         "bounds_report": {
-            "alpha_total": alpha_total,
+            "alpha_total": bounds.alpha_total,
             "construction_bound": bounds.construction_bound,
             "crossing_bound": bounds.crossing_bound,
             "total_within_bounds": bounds.ok,
@@ -223,11 +211,10 @@ def export_obj(emb: LatticeEmbedding) -> str:
     One ``v`` line per distinct lattice point in first-use order, one
     ``l`` line per stick with 1-based point indices.
     """
-    sticks = _fused_sticks(emb)
     index: dict[Vec3, int] = {}
     v_lines: list[str] = []
     l_lines: list[str] = []
-    for s in sticks:
+    for s in emb.sticks:
         ids = []
         for p in (s.a, s.b):
             if p not in index:

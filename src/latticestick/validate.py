@@ -233,6 +233,7 @@ def reconstruct_graph(
 @dataclass(frozen=True)
 class BoundReport:
     total: int
+    alpha_total: int
     construction_bound: int
     crossing_bound: int | None
     alpha_within_arc_bound: bool | None
@@ -256,6 +257,7 @@ def check_bound(
         )
     report = BoundReport(
         total=counts.total,
+        alpha_total=alpha_total,
         construction_bound=limit,
         crossing_bound=crossing_bound,
         alpha_within_arc_bound=alpha_ok,

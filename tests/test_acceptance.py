@@ -9,7 +9,7 @@ import itertools
 import random
 import time
 
-from latticestick.assembly import assemble, build_full, plan_merges
+from latticestick.assembly import apply_merges, assemble, build_full
 from latticestick.bounds import (
     binding_point_count,
     bounds_agree,
@@ -34,7 +34,7 @@ ALL_FIXTURES = {**DEMOS, "chain": CHAIN, "split-pair": SPLIT_PAIR}
 def timed_build(doc):
     spec = spec_from_document(doc)
     t0 = time.perf_counter()
-    emb = build_full(spec)
+    emb, _, _ = build_full(spec)
     elapsed = time.perf_counter() - t0
     return spec, emb, elapsed
 
@@ -104,10 +104,10 @@ def test_criterion_4_planar_theta():
 
 def test_criterion_5_bouquet_degree_six():
     spec = spec_from_document(DEMOS["bouquet3"])
-    tree = build_cut_tree(spec)
-    builds = {c.id: build_component(spec, c) for c in spec.components}
-    plan = plan_merges(spec, assemble(spec, tree, builds))
-    (vp,) = plan.vertices
+    cens = census(spec)
+    tree = build_cut_tree(spec, cens)
+    builds = {c.id: build_component(c, cens.classes[c.id]) for c in spec.components}
+    (vp,) = apply_merges(spec, cens, assemble(spec, tree, builds)).merge_plans
     assert vp.steps[-1].move == "extend" and vp.new_top < vp.old_top
 
     spec, emb, elapsed = timed_build(DEMOS["bouquet3"])
@@ -135,8 +135,8 @@ def test_criterion_6_composite():
 
     # exactly one connector, collinear with the columns it joins
     spec2 = spec_from_document(DEMOS["theta-composite"])
-    tree = build_cut_tree(spec2)
-    builds = {c.id: build_component(spec2, c) for c in spec2.components}
+    tree = build_cut_tree(spec2, cens)
+    builds = {c.id: build_component(c, cens.classes[c.id]) for c in spec2.components}
     asm = assemble(spec2, tree, builds)
     connectors = [s for s in asm.sticks if s.kind == "connector"]
     assert len(connectors) == 1
@@ -203,7 +203,7 @@ def test_criterion_9_coloring_oracle_equivalence():
 def test_criterion_10_property_suite():
     for name, doc in ALL_FIXTURES.items():
         spec = spec_from_document(doc)
-        emb = build_full(spec)
+        emb, _, _ = build_full(spec)
         cens, report = audited(spec, emb)
         assert report.self_avoiding, name
         assert not report.unmarked_junctions and not report.marker_problems, name

@@ -9,7 +9,6 @@ from latticestick.assembly import (
     build_full,
     derive_traces,
     normalize,
-    plan_merges,
     straighten_arcs,
 )
 from latticestick.build import build_component
@@ -17,21 +16,22 @@ from latticestick.errors import LatticeStickError
 from latticestick.fixtures import CHAIN, DEMOS, SPLIT_PAIR
 from latticestick.geom import point, stick
 from latticestick.graph import build_cut_tree, census
-from latticestick.io import spec_from_document
+from latticestick.io import embedding_from_document, embedding_to_document, spec_from_document
 from latticestick.validate import count_sticks, full_audit
 
 
 def stages(doc):
     spec = spec_from_document(doc)
-    tree = build_cut_tree(spec)
-    builds = {c.id: build_component(spec, c) for c in spec.components}
+    cens = census(spec)
+    tree = build_cut_tree(spec, cens)
+    builds = {c.id: build_component(c, cens.classes[c.id]) for c in spec.components}
     asm = assemble(spec, tree, builds)
-    return spec, tree, builds, asm
+    return spec, cens, tree, builds, asm
 
 
 class TestAssemble:
     def test_composite_connector_collinear(self):
-        spec, tree, builds, asm = stages(DEMOS["theta-composite"])
+        spec, cens, tree, builds, asm = stages(DEMOS["theta-composite"])
         connectors = [s for s in asm.sticks if s.kind == "connector"]
         assert len(connectors) == 1
         (c,) = connectors
@@ -39,20 +39,20 @@ class TestAssemble:
         assert (c.a[0], c.a[1]) == asm.vertex_axis["v2"]
 
     def test_disjoint_component_slabs(self):
-        spec, tree, builds, asm = stages(CHAIN)
+        spec, cens, tree, builds, asm = stages(CHAIN)
         spans = [asm.comp_zspan[cid] for cid in tree.order]
         for (lo1, hi1), (lo2, hi2) in zip(spans, spans[1:]):
             assert hi1 < lo2
 
     def test_split_forest_has_no_connector(self):
-        spec, tree, builds, asm = stages(SPLIT_PAIR)
+        spec, cens, tree, builds, asm = stages(SPLIT_PAIR)
         assert [s for s in asm.sticks if s.kind == "connector"] == []
         (lo1, hi1) = asm.vertex_zrange["v1"]
         (lo2, hi2) = asm.vertex_zrange["w"]
         assert hi1 < lo2 or hi2 < lo1
 
     def test_branch_scales_nest(self):
-        spec, tree, builds, asm = stages(CHAIN)
+        spec, cens, tree, builds, asm = stages(CHAIN)
         assert asm.comp_scale["th1"] == 1
         assert asm.comp_scale["mid"] < Fraction(1, 8) + 1e-9
         assert asm.comp_scale["th2"] < asm.comp_scale["mid"] / 4
@@ -102,8 +102,8 @@ class TestMergePlanner:
 
     def test_distinct_directions_and_offsets(self):
         for doc in (DEMOS["bouquet3"], DEMOS["theta-composite"], CHAIN):
-            spec, tree, builds, asm = stages(doc)
-            for vp in plan_merges(spec, asm).vertices:
+            spec, cens, tree, builds, asm = stages(doc)
+            for vp in apply_merges(spec, cens, asm).merge_plans:
                 dirs = {vp.pivot_direction} | {s.direction for s in vp.steps}
                 assert len(dirs) == 1 + len(vp.steps)
                 eps = [s.epsilon for s in vp.steps]
@@ -128,17 +128,16 @@ class TestApplyMerges:
         ],
     )
     def test_count_increases_by_one_per_merge(self, doc, n_merges):
-        spec, tree, builds, asm = stages(doc)
+        spec, cens, tree, builds, asm = stages(doc)
         before = count_sticks(asm.sticks, {}).total
-        plan = plan_merges(spec, asm)
-        assert sum(len(vp.steps) for vp in plan.vertices) == n_merges
-        merged = apply_merges(spec, asm)
+        merged = apply_merges(spec, cens, asm)
+        assert sum(len(vp.steps) for vp in merged.merge_plans) == n_merges
         after = count_sticks(merged.sticks, merged.markers).total
         assert after - before == n_merges
 
     def test_pivot_marker_incidence(self):
-        spec, tree, builds, asm = stages(DEMOS["bouquet3"])
-        merged = apply_merges(spec, asm)
+        spec, cens, tree, builds, asm = stages(DEMOS["bouquet3"])
+        merged = apply_merges(spec, cens, asm)
         ends = [s for s in merged.sticks if s.has_end(merged.markers["v"])]
         assert len(ends) == 6
         dirs = {s.direction_from(merged.markers["v"]) for s in ends}
@@ -147,8 +146,8 @@ class TestApplyMerges:
 
 class TestStraighten:
     def test_chain_saves_at_least_two(self):
-        spec, tree, builds, asm = stages(CHAIN)
-        merged = apply_merges(spec, asm)
+        spec, cens, tree, builds, asm = stages(CHAIN)
+        merged = apply_merges(spec, cens, asm)
         before = count_sticks(merged.sticks, merged.markers).total
         out = straighten_arcs(spec, tree, builds, merged)
         after = count_sticks(out.sticks, out.markers).total
@@ -178,14 +177,14 @@ class TestStraighten:
             ],
             "attachments": CHAIN["attachments"],
         }
-        spec, tree, builds, asm = stages(doc)
-        merged = apply_merges(spec, asm)
+        spec, cens, tree, builds, asm = stages(doc)
+        merged = apply_merges(spec, cens, asm)
         out = straighten_arcs(spec, tree, builds, merged)
         assert any("unstraightened" in w for w in out.warnings)
 
     def test_identity_without_arc_components(self):
-        spec, tree, builds, asm = stages(DEMOS["theta-composite"])
-        merged = apply_merges(spec, asm)
+        spec, cens, tree, builds, asm = stages(DEMOS["theta-composite"])
+        merged = apply_merges(spec, cens, asm)
         before = list(merged.sticks)
         out = straighten_arcs(spec, tree, builds, merged)
         assert out.sticks == before
@@ -202,25 +201,25 @@ class TestNormalize:
 
     def test_integral_input_only_translated(self):
         sticks = [stick(point(5, 5, 5), point(5, 5, 7))]
-        emb = normalize(sticks, {}, {})
+        emb = normalize(sticks, {}, {"c/e0": [point(5, 5, 5), point(5, 5, 7)]})
         assert emb.sticks[0].a == point(0, 0, 0)
         assert emb.sticks[0].b == point(0, 0, 2)
 
     def test_counts_preserved(self):
-        spec, tree, builds, asm = stages(CHAIN)
-        merged = apply_merges(spec, asm)
+        spec, cens, tree, builds, asm = stages(CHAIN)
+        merged = apply_merges(spec, cens, asm)
         out = straighten_arcs(spec, tree, builds, merged)
         before = count_sticks(out.sticks, out.markers)
-        traces = derive_traces(spec, out.sticks, out.markers)
+        traces = derive_traces(cens, out.sticks, out.markers)
         emb = normalize(out.sticks, out.markers, traces)
         after = count_sticks(list(emb.sticks), emb.markers)
         assert (before.x, before.y, before.z) == (after.x, after.y, after.z)
 
     def test_nested_scales_cleared(self):
-        spec, tree, builds, asm = stages(CHAIN)
+        spec, cens, tree, builds, asm = stages(CHAIN)
         deepest = min(asm.comp_scale.values())
         assert deepest == Fraction(1, 128)
-        emb = build_full(spec)
+        emb, _, _ = build_full(spec)
         for s in emb.sticks:
             assert all(c.denominator == 1 for c in s.a + s.b)
 
@@ -246,7 +245,7 @@ class TestDegenerateColumns:
         # both merge vertices resolve through the swapped-top move and the
         # whole embedding stays inside one coordinate plane
         spec = spec_from_document(_parallel_edges_doc(4))
-        emb = build_full(spec)
+        emb, _, _ = build_full(spec)
         assert len({p[0] for s in emb.sticks for p in s.ends()}) == 1
         cens = census(spec)
         assert full_audit(list(emb.sticks), emb.markers, spec, cens.degrees).clean
@@ -333,12 +332,12 @@ class TestMultiBranch:
             ],
         }
         spec = spec_from_document(doc)
-        emb = build_full(spec)
+        emb, _, _ = build_full(spec)
         cens = census(spec)
         assert cens.degrees == {"v1": 5, "v2": 5}
         assert full_audit(list(emb.sticks), emb.markers, spec, cens.degrees).clean
         # depth-first stacking: the second branch sits above the first
-        tree = build_cut_tree(spec)
+        tree = build_cut_tree(spec, cens)
         assert tree.order == ("th", "a", "b")
 
     def test_nested_loops_share_one_degree_six_vertex(self):
@@ -352,7 +351,7 @@ class TestMultiBranch:
             ],
         }
         spec = spec_from_document(doc)
-        emb = build_full(spec)
+        emb, _, _ = build_full(spec)
         cens = census(spec)
         assert cens.degrees == {"v": 6}
         assert full_audit(list(emb.sticks), emb.markers, spec, cens.degrees).clean
@@ -409,7 +408,7 @@ class TestKnottedBranch:
         spec = spec_from_document(self.DOC)
         cens = census(spec)
         assert (cens.e, cens.v, cens.s, cens.b, cens.k) == (4, 2, 2, 1, 0)
-        emb = build_full(spec)
+        emb, _, _ = build_full(spec)
         report = full_audit(list(emb.sticks), emb.markers, spec, cens.degrees)
         assert report.clean
 
@@ -420,7 +419,7 @@ class TestKnottedBranch:
             project_generic,
         )
 
-        emb = build_full(spec_from_document(self.DOC))
+        emb, _, _ = build_full(spec_from_document(self.DOC))
         gauss = extract_knot_cycle(project_generic(emb, {"tref"}), "tref")
         assert knot_determinant(gauss) == 3
 
@@ -442,7 +441,13 @@ class TestBuildFull:
     def test_all_fixtures_audit_clean(self):
         for name, doc in {**DEMOS, "chain": CHAIN, "split": SPLIT_PAIR}.items():
             spec = spec_from_document(doc)
-            emb = build_full(spec)
+            emb, counts, bounds = build_full(spec)
             cens = census(spec)
             report = full_audit(list(emb.sticks), emb.markers, spec, cens.degrees)
             assert report.clean, name
+            assert (report.counts, bounds.total) == (counts, counts.total), name
+            # the sticks built are the sticks a written document reloads to
+            loaded, loaded_counts = embedding_from_document(
+                embedding_to_document(emb, counts, bounds)
+            )
+            assert (loaded.sticks, loaded_counts) == (emb.sticks, counts), name

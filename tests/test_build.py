@@ -1,20 +1,27 @@
 from fractions import Fraction
 
 from latticestick.arcs import presentation
-from latticestick.build import add_columns, build_arc_diagram, build_component, side_slide
-from latticestick.geom import point, stick
-from latticestick.graph import ComponentSpec, SpatialGraphSpec
+from latticestick.build import build_arc_diagram, build_component, side_slide
+from latticestick.geom import point
+from latticestick.graph import ComponentClass, ComponentSpec, census
 from latticestick.io import spec_from_document
 from latticestick.fixtures import DEMOS
 
 
-def lone(pairs, labels, comp_id="c"):
-    spec = SpatialGraphSpec((ComponentSpec(comp_id, presentation(pairs, labels)),))
-    return spec, spec.components[0]
+def lone(pairs, labels, cls, comp_id="c"):
+    return ComponentSpec(comp_id, presentation(pairs, labels)), cls
 
 
-U2 = lone([(1, 2), (1, 2)], {1: "v"}, "u")
-TH3 = lone([(1, 2)] * 3, {1: "v1", 2: "v2"}, "th")
+U2 = lone([(1, 2), (1, 2)], {1: "v"}, ComponentClass.KNOT, "u")
+TH3 = lone([(1, 2)] * 3, {1: "v1", 2: "v2"}, ComponentClass.THETA, "th")
+ARC13 = lone([(1, 3)], {1: "a", 3: "b"}, ComponentClass.ARC)
+
+
+def classified(doc):
+    """(component, class) pairs of a fixture, classes from its census."""
+    spec = spec_from_document(doc)
+    cens = census(spec)
+    return [(comp, cens.classes[comp.id]) for comp in spec.components]
 
 
 def kinds(b, kind):
@@ -23,8 +30,7 @@ def kinds(b, kind):
 
 class TestArcDiagram:
     def test_single_arc_elbow(self):
-        spec, comp = lone([(1, 3)], {1: "a", 3: "b"})
-        b = build_arc_diagram(spec, comp)
+        b = build_arc_diagram(*ARC13)
         horizontals = [s for s in b.sticks() if s.kind != "column"]
         assert [(s.a, s.b) for s in horizontals] == [
             (point(1, 1, 1), point(3, 1, 1)),
@@ -43,8 +49,7 @@ class TestArcDiagram:
         assert all(s.length == 1 for s in arcs)
 
     def test_page_two_arc_coordinates(self):
-        spec, comp = lone([(1, 2), (1, 3), (2, 3)], {1: "v"})
-        b = build_arc_diagram(spec, comp)
+        b = build_arc_diagram(*lone([(1, 2), (1, 3), (2, 3)], {1: "v"}, ComponentClass.KNOT))
         x2 = [s for s in kinds(b, "arc_x") if s.a[2] == 2]
         y2 = [s for s in kinds(b, "arc_y") if s.a[2] == 2]
         assert x2[0].a == point(1, 1, 2) and x2[0].b == point(3, 1, 2)
@@ -52,9 +57,8 @@ class TestArcDiagram:
 
     def test_alpha_many_sticks_on_diagonal_or_corner(self):
         for doc in DEMOS.values():
-            spec = spec_from_document(doc)
-            for comp in spec.components:
-                b = build_arc_diagram(spec, comp)
+            for comp, cls in classified(doc):
+                b = build_arc_diagram(comp, cls)
                 alpha = comp.presentation.alpha
                 assert len(kinds(b, "arc_x")) == alpha
                 assert len(kinds(b, "arc_y")) == alpha
@@ -66,26 +70,25 @@ class TestArcDiagram:
 
 class TestColumns:
     def test_u2_columns(self):
-        b = add_columns(build_arc_diagram(*U2))
+        b = build_arc_diagram(*U2)
         cols = kinds(b, "column")
         assert len(cols) == 2
         assert {(s.a[0], s.a[1]) for s in cols} == {(1, 1), (2, 2)}
         assert len(b.sticks()) == 6
 
     def test_th3_column_segments(self):
-        b = add_columns(build_arc_diagram(*TH3))
+        b = build_arc_diagram(*TH3)
         at_bp1 = [s for s in kinds(b, "column") if (s.a[0], s.a[1]) == (1, 1)]
         assert [(s.a[2], s.b[2]) for s in at_bp1] == [(1, 2), (2, 3)]
 
     def test_degree_one_point_has_no_column(self):
-        spec, comp = lone([(1, 2)], {1: "a", 2: "b"})
-        b = add_columns(build_arc_diagram(spec, comp))
+        b = build_arc_diagram(*lone([(1, 2)], {1: "a", 2: "b"}, ComponentClass.ARC))
         assert kinds(b, "column") == []
 
 
 class TestSideSlide:
     def test_u2_rectangle(self):
-        b = side_slide(add_columns(build_arc_diagram(*U2)))
+        b = side_slide(build_arc_diagram(*U2))
         sticks = b.sticks()
         assert len(sticks) == 4
         got = {(s.a, s.b) for s in sticks}
@@ -98,15 +101,14 @@ class TestSideSlide:
         assert any("last binding point blocked" in w for w in b.warnings)
 
     def test_th3_all_three_absorbed(self):
-        b = side_slide(add_columns(build_arc_diagram(*TH3)))
+        b = side_slide(build_arc_diagram(*TH3))
         assert kinds(b, "arc_x") == []
         assert len(b.sticks()) == 7
         assert any("blocked" in w for w in b.warnings)
 
     def test_trefoil_single_absorption_each_side(self):
-        spec = spec_from_document(DEMOS["trefoil"])
-        comp = spec.components[0]
-        before = add_columns(build_arc_diagram(spec, comp))
+        (trefoil,) = classified(DEMOS["trefoil"])
+        before = build_arc_diagram(*trefoil)
         after = side_slide(before)
         assert len(kinds(after, "arc_x")) == len(kinds(before, "arc_x")) - 1
         assert len(kinds(after, "arc_y")) == len(kinds(before, "arc_y")) - 1
@@ -116,17 +118,15 @@ class TestSideSlide:
     def test_arc_component_untouched(self):
         from latticestick.fixtures import CHAIN
 
-        spec = spec_from_document(CHAIN)
-        comp = spec.component("mid")
-        b = side_slide(add_columns(build_arc_diagram(spec, comp)))
+        (mid,) = [(c, cls) for c, cls in classified(CHAIN) if c.id == "mid"]
+        b = side_slide(build_arc_diagram(*mid))
         assert b.column_axis(1) == (Fraction(1), Fraction(1))
         assert b.column_axis(2) == (Fraction(2), Fraction(2))
 
     def test_savings_at_least_two_on_demo_components(self):
         for name, doc in DEMOS.items():
-            spec = spec_from_document(doc)
-            for comp in spec.components:
-                before = add_columns(build_arc_diagram(spec, comp))
+            for comp, cls in classified(doc):
+                before = build_arc_diagram(comp, cls)
                 after = side_slide(before)
                 if after.cls.value == "arc":
                     continue
@@ -140,6 +140,5 @@ class TestSideSlide:
 
     def test_build_component_self_avoiding(self):
         for doc in DEMOS.values():
-            spec = spec_from_document(doc)
-            for comp in spec.components:
-                build_component(spec, comp)  # raises if not self-avoiding
+            for comp, cls in classified(doc):
+                build_component(comp, cls)  # raises if not self-avoiding

@@ -1,16 +1,16 @@
 import pytest
 
 from latticestick.arcs import presentation
-from latticestick.errors import NoValidRoot, UnlabeledEndpoint
+from latticestick.errors import InvalidSpec, NoValidRoot, UnlabeledEndpoint
 from latticestick.fixtures import CHAIN, DEMOS, SPLIT_PAIR
 from latticestick.graph import (
     ComponentClass,
     ComponentSpec,
     CutAttachment,
+    GraphCensus,
     SpatialGraphSpec,
     build_cut_tree,
     census,
-    classify_component,
     derive_edges,
     validate_spec,
 )
@@ -48,22 +48,21 @@ class TestDeriveEdges:
 
 class TestClassify:
     def test_knot(self):
-        assert classify_component(U2, U2.components[0]) is ComponentClass.KNOT
+        assert census(U2).classes["u"] is ComponentClass.KNOT
 
     def test_theta(self):
-        assert classify_component(TH3, TH3.components[0]) is ComponentClass.THETA
+        assert census(TH3).classes["th"] is ComponentClass.THETA
 
     def test_arc(self):
-        spec = spec_of(CHAIN)
-        assert classify_component(spec, spec.component("mid")) is ComponentClass.ARC
+        assert census(spec_of(CHAIN)).classes["mid"] is ComponentClass.ARC
 
     def test_attached_loop_is_bouquet_not_knot(self):
-        spec = spec_of(DEMOS["theta-composite"])
-        assert classify_component(spec, spec.component("loop")) is ComponentClass.BOUQUET
+        cens = census(spec_of(DEMOS["theta-composite"]))
+        assert cens.classes["loop"] is ComponentClass.BOUQUET
 
     def test_bouquet(self):
         spec = spec_of(DEMOS["bouquet3"])
-        assert classify_component(spec, spec.components[0]) is ComponentClass.BOUQUET
+        assert census(spec).classes[spec.components[0].id] is ComponentClass.BOUQUET
 
 
 class TestValidateSpec:
@@ -133,13 +132,13 @@ class TestValidateSpec:
 class TestCutTree:
     def test_composite_root(self):
         spec = spec_of(DEMOS["theta-composite"])
-        tree = build_cut_tree(spec)
+        tree = build_cut_tree(spec, census(spec))
         assert tree.roots == ("th",)
         assert tree.parent["loop"] == ("th", "v2")
 
     def test_chain_depth_first(self):
         spec = spec_of(CHAIN)
-        tree = build_cut_tree(spec)
+        tree = build_cut_tree(spec, census(spec))
         assert tree.order == ("th1", "mid", "th2")
         assert tree.parent["mid"][0] == "th1"
         for branch, (stem, _) in tree.parent.items():
@@ -147,7 +146,7 @@ class TestCutTree:
 
     def test_forest_two_roots(self):
         spec = spec_of(SPLIT_PAIR)
-        tree = build_cut_tree(spec)
+        tree = build_cut_tree(spec, census(spec))
         assert len(tree.roots) == 2
 
     def test_arc_root_rerooted(self):
@@ -160,17 +159,30 @@ class TestCutTree:
             ),
             (CutAttachment("a", "th", "v2"), CutAttachment("a", "b", "v3")),
         )
-        tree = build_cut_tree(spec)
+        tree = build_cut_tree(spec, census(spec))
         assert tree.roots == ("th",)
         assert tree.parent["a"] == ("th", "v2")
         assert tree.parent["b"] == ("a", "v3")
 
     def test_all_arcs_rejected(self):
+        # validate_spec rejects a lone arc (degree-1 ends), so its census
+        # is written out by hand to reach the cut tree's own check
         spec = SpatialGraphSpec(
             (ComponentSpec("a", presentation([(1, 2)], {1: "x", 2: "y"})),)
         )
+        cens = GraphCensus(
+            e=1,
+            v=2,
+            s=1,
+            b=0,
+            k=0,
+            alpha_total=1,
+            degrees={"x": 1, "y": 1},
+            edges={"a": tuple(derive_edges(spec.components[0]))},
+            classes={"a": ComponentClass.ARC},
+        )
         with pytest.raises(NoValidRoot):
-            build_cut_tree(spec)
+            build_cut_tree(spec, cens)
 
 
 class TestCensus:
@@ -196,8 +208,25 @@ class TestCensus:
     def test_forest_attachment_count(self):
         for doc in list(DEMOS.values()) + [CHAIN, SPLIT_PAIR]:
             spec = spec_of(doc)
-            tree = build_cut_tree(spec)
+            tree = build_cut_tree(spec, census(spec))
             assert len(spec.attachments) == census(spec).s - len(tree.roots)
+
+    def test_invalid_spec_raises_with_problems(self):
+        bad = lone(
+            [(1, 2), (1, 2), (1, 3), (1, 3), (1, 4), (1, 4), (1, 5), (1, 5)],
+            {1: "v", 5: "w"},
+        )
+        with pytest.raises(InvalidSpec) as info:
+            census(bad)
+        assert info.value.problems == validate_spec(bad) != []
+
+    def test_edges_and_classes_per_component(self):
+        spec = spec_of(CHAIN)
+        c = census(spec)
+        assert list(c.edges) == list(c.classes) == [comp.id for comp in spec.components]
+        for comp in spec.components:
+            assert list(c.edges[comp.id]) == derive_edges(comp)
+        assert c.e == sum(len(es) for es in c.edges.values())
 
     def test_knot_counts_within_bouquets(self):
         for doc in list(DEMOS.values()) + [CHAIN, SPLIT_PAIR]:

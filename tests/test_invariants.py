@@ -26,7 +26,8 @@ EMPTY = GaussData((), 0)
 
 
 def built(name):
-    return build_full(spec_from_document(DEMOS[name]))
+    emb, _, _ = build_full(spec_from_document(DEMOS[name]))
+    return emb
 
 
 def naive_coloring_count(gauss, p):

@@ -13,7 +13,14 @@ from latticestick.assembly import build_full
 from latticestick.bounds import construction_count
 from latticestick.graph import ComponentSpec, SpatialGraphSpec, census, validate_spec
 from latticestick.invariants import extract_knot_cycle, knot_determinant, project_generic
+from latticestick.io import embedding_from_document, embedding_to_document
 from latticestick.validate import full_audit
+
+
+def assert_reloads_to_built(emb, counts, bounds):
+    loaded, loaded_counts = embedding_from_document(embedding_to_document(emb, counts, bounds))
+    assert loaded.sticks == emb.sticks
+    assert loaded_counts == counts
 
 
 @st.composite
@@ -33,10 +40,11 @@ def knot_specs(draw, comp_id="k", max_arcs=7):
 @given(spec=knot_specs())
 def test_random_knots_build_clean(spec):
     assert validate_spec(spec) == []
-    emb = build_full(spec)
+    emb, counts, bounds = build_full(spec)
     cens = census(spec)
     report = full_audit(list(emb.sticks), emb.markers, spec, cens.degrees)
     assert report.clean
+    assert_reloads_to_built(emb, counts, bounds)
     limit = construction_count(cens.alpha_total, cens.e, cens.v, cens.s, cens.k)
     assert report.counts.total <= limit
 
@@ -46,7 +54,7 @@ def test_random_knots_build_clean(spec):
 def test_random_knot_determinant_is_odd(spec):
     # every knot has odd determinant; an even value means broken
     # crossing extraction rather than an exotic input
-    emb = build_full(spec)
+    emb, _, _ = build_full(spec)
     gauss = extract_knot_cycle(project_generic(emb, {"k"}), "k")
     assert knot_determinant(gauss) % 2 == 1
 
@@ -56,8 +64,9 @@ def test_random_knot_determinant_is_odd(spec):
 def test_random_split_forests_stack(a, b):
     spec = SpatialGraphSpec(a.components + b.components)
     assert validate_spec(spec) == []
-    emb = build_full(spec)
+    emb, counts, bounds = build_full(spec)
     cens = census(spec)
     assert cens.s == 2 and cens.k == 2
     report = full_audit(list(emb.sticks), emb.markers, spec, cens.degrees)
     assert report.clean
+    assert_reloads_to_built(emb, counts, bounds)
