@@ -44,7 +44,6 @@ class Assembly:
     # is confined to the z-range of the vertex's own tree.
     vertex_zrange: dict[str, tuple[Fraction, Fraction]]
     comp_scale: dict[str, Fraction]
-    comp_offset: dict[str, Vec3]
     comp_zspan: dict[str, tuple[Fraction, Fraction]]
     knot_corners: dict[str, Vec3]
     markers: dict[str, Vec3] = field(default_factory=dict)
@@ -120,9 +119,7 @@ def _realize(comp_id: str, builds: dict[str, ComponentBuild], tree: CutTree) -> 
             out.scale[cid] = f * sub.scale[cid]
             out.offset[cid] = transform_point(sub.offset[cid], f, off)
         drop_z = f * sub_pz + off[2]
-        out.sticks.append(
-            stick(point(ax, ay, pbar_z), point(ax, ay, drop_z), child_id, "connector")
-        )
+        out.sticks.append(stick(point(ax, ay, pbar_z), point(ax, ay, drop_z)))
         top = base + f * (sub.zmax - sub.zmin)
     out.zmax = top
     return out
@@ -137,11 +134,11 @@ def assemble(
         vertex_axis={},
         vertex_zrange={},
         comp_scale={},
-        comp_offset={},
         comp_zspan={},
         knot_corners={},
     )
     top = Fraction(0)
+    offsets: dict[str, Vec3] = {}
     tree_span: dict[str, tuple[Fraction, Fraction]] = {}
     for root in tree.roots:
         sub = _realize(root, builds, tree)
@@ -149,14 +146,14 @@ def assemble(
         asm.sticks.extend(transform(s, Fraction(1), off) for s in sub.sticks)
         for cid in sub.scale:
             asm.comp_scale[cid] = sub.scale[cid]
-            asm.comp_offset[cid] = transform_point(sub.offset[cid], Fraction(1), off)
+            offsets[cid] = transform_point(sub.offset[cid], Fraction(1), off)
             tree_span[cid] = (top + 1, top + 1 + (sub.zmax - sub.zmin))
         top += 1 + (sub.zmax - sub.zmin)
 
     for comp in spec.components:
         b = builds[comp.id]
         f = asm.comp_scale[comp.id]
-        o = asm.comp_offset[comp.id]
+        o = offsets[comp.id]
         lo = f * 1 + o[2]
         hi = f * max(1, b.pres.alpha) + o[2]
         asm.comp_zspan[comp.id] = (lo, hi)
@@ -337,7 +334,7 @@ def _apply_vertex_plan(
         arm_end = point(bx, by, plan.pivot_level)
 
         if step.move in ("drop", "extend"):
-            sticks[idx] = stick(break_pt, far, s.comp, s.kind)
+            sticks[idx] = stick(break_pt, far, s.comp)
         else:  # translate
             _, partners = _far_partner(sticks, idx, near)
             if len(partners) != 1:
@@ -350,12 +347,11 @@ def _apply_vertex_plan(
                 tuple(near[i] + offset3[i] for i in range(3)),
                 moved_far,
                 s.comp,
-                s.kind,
             )
             keep = partner.b if partner.a == far else partner.a
-            sticks[pidx] = stick(keep, moved_far, partner.comp, partner.kind)
-        sticks.append(stick(arm_end, break_pt, s.comp, "offset"))
-        sticks.append(stick(point(ax, ay, plan.pivot_level), arm_end, s.comp, "merge_arm"))
+            sticks[pidx] = stick(keep, moved_far, partner.comp)
+        sticks.append(stick(arm_end, break_pt, s.comp))
+        sticks.append(stick(point(ax, ay, plan.pivot_level), arm_end, s.comp))
 
     # Fuse the vertical run: junctions between pivot and top are gone now.
     kept = []
@@ -368,17 +364,8 @@ def _apply_vertex_plan(
         ):
             continue
         kept.append(s)
-    kept.append(
-        stick(
-            point(ax, ay, plan.column_base),
-            point(ax, ay, plan.pivot_level),
-            "",
-            "column",
-        )
-    )
-    kept.append(
-        stick(point(ax, ay, plan.pivot_level), point(ax, ay, plan.new_top), "", "column")
-    )
+    kept.append(stick(point(ax, ay, plan.column_base), point(ax, ay, plan.pivot_level)))
+    kept.append(stick(point(ax, ay, plan.pivot_level), point(ax, ay, plan.new_top)))
     return kept
 
 
@@ -466,18 +453,19 @@ def straighten_arcs(
 
         axis_near = asm.vertex_axis[v_near]
         axis_far = asm.vertex_axis[v_far]
-        z_arc = asm.comp_scale[comp_id] * 1 + asm.comp_offset[comp_id][2]
+        z_arc = asm.comp_zspan[comp_id][0]
 
-        def _find(kind, end):
+        def _find(axis, end):
             hits = [
                 i
                 for i, s in enumerate(asm.sticks)
-                if s.comp == comp_id and s.kind == kind and s.has_end(end)
+                if s.comp == comp_id and s.axis == axis and s.has_end(end)
             ]
             return hits[0] if len(hits) == 1 else None
 
-        ix = _find("arc_x", point(axis_near[0], axis_near[1], z_arc))
-        iy = _find("arc_y", point(axis_far[0], axis_far[1], z_arc))
+        # the elbow: its x-stick leaves the near column, its y-stick the far one
+        ix = _find(0, point(axis_near[0], axis_near[1], z_arc))
+        iy = _find(1, point(axis_far[0], axis_far[1], z_arc))
         if ix is None or iy is None:
             asm.warnings.append(f"{comp_id}: rerouted by merging, not straightened")
             continue
@@ -527,7 +515,6 @@ def straighten_arcs(
                 point(axis_near[0], axis_near[1], z_arc),
                 point(axis_near[0], axis_near[1], run_top),
                 comp_id,
-                "straight",
             )
         )
         new_markers = {
@@ -540,17 +527,9 @@ def straighten_arcs(
 
         asm.sticks = moved
         asm.markers = new_markers
-        for c in subtree:
-            asm.comp_offset[c] = transform_point(asm.comp_offset[c], Fraction(1), delta)
-        for comp in spec.components:
-            if comp.id not in subtree:
-                continue
-            bsub = builds[comp.id]
-            f = asm.comp_scale[comp.id]
-            o = asm.comp_offset[comp.id]
-            for bp, label in bsub.pres.labels.items():
-                ax, ay = bsub.column_axis(bp)
-                asm.vertex_axis[label] = (f * ax + o[0], f * ay + o[1])
+        for label in {lab for c in subtree for lab in builds[c].pres.labels.values()}:
+            ax, ay = asm.vertex_axis[label]
+            asm.vertex_axis[label] = (ax + dx, ay + dy)
     return asm
 
 
@@ -572,7 +551,12 @@ def _simplify(polyline: list[Vec3], marker_points: set[Vec3]) -> list[Vec3]:
 def derive_traces(
     cens: GraphCensus, sticks: list[Stick], markers: dict[str, Vec3]
 ) -> dict[str, list[Vec3]]:
-    """Walk the final geometry and assign each path its input edge id."""
+    """Walk the final geometry and assign each path its input edge id.
+
+    A path's component is the one tag its sticks carry; with the end labels
+    it picks the input edge, so loops of two components at one vertex keep
+    their own ids.
+    """
     walked, problems = walk_edges(sticks, markers)
     if problems:
         raise ReconstructionMismatch("cannot trace edges", problems)
@@ -584,11 +568,7 @@ def derive_traces(
     marker_points = set(markers.values())
     traces: dict[str, list[Vec3]] = {}
     for va, vb, polyline, indices in walked:
-        comps = {
-            sticks[i].comp
-            for i in indices
-            if sticks[i].kind in ("arc_x", "arc_y", "straight")
-        }
+        comps = {sticks[i].comp for i in indices if sticks[i].comp}
         if len(comps) != 1:
             raise ReconstructionMismatch(
                 "edge path crosses components", [f"{va}-{vb}: {sorted(comps)}"]

@@ -67,17 +67,17 @@ class ComponentBuild:
             y_end = self.col_y[a.hi]
             if x_start < a.hi:
                 out.append(
-                    stick(point(x_start, a.lo, a.page), point(a.hi, a.lo, a.page), cid, "arc_x")
+                    stick(point(x_start, a.lo, a.page), point(a.hi, a.lo, a.page), cid)
                 )
             if y_end > a.lo:
                 out.append(
-                    stick(point(a.hi, a.lo, a.page), point(a.hi, y_end, a.page), cid, "arc_y")
+                    stick(point(a.hi, a.lo, a.page), point(a.hi, y_end, a.page), cid)
                 )
         for bp in range(1, self.beta + 1):
             levels = incident_levels(self.pres, bp)
             x, y = self.column_axis(bp)
             for z1, z2 in zip(levels, levels[1:]):
-                out.append(stick(point(x, y, z1), point(x, y, z2), cid, "column"))
+                out.append(stick(point(x, y, z1), point(x, y, z2)))
         return out
 
     def knot_corner(self) -> Vec3 | None:

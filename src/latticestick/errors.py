@@ -45,10 +45,6 @@ class MergeCollision(LatticeStickError):
     """Every merge move for a vertex produced an intersection."""
 
 
-class StraightenCollision(LatticeStickError):
-    """Rerouting an arc component would intersect the rest of the embedding."""
-
-
 class BoundViolated(LatticeStickError):
     """The built embedding uses more sticks than the count formula allows."""
 

@@ -91,3 +91,13 @@ SPLIT_PAIR = {
     ],
     "attachments": [],
 }
+
+# Two loop components at one cut vertex: the only shape in which edge ids
+# cannot be told apart by their end labels alone.
+LOOP_TREFOIL = {
+    "components": [
+        _component("t", 5, {1: "v"}, [(1, 3), (2, 4), (3, 5), (1, 4), (2, 5)]),
+        _component("p", 2, {1: "v"}, [(1, 2), (1, 2)]),
+    ],
+    "attachments": [{"stem": "t", "branch": "p", "cut_vertex": "v"}],
+}

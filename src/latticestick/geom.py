@@ -23,14 +23,15 @@ def point(x, y, z) -> Vec3:
 class Stick:
     """Closed axis-parallel segment from ``a`` to ``b`` (ordered along its axis).
 
-    ``comp`` tags the cut-component that produced the stick and ``kind`` its
-    role in the construction; both are metadata and never affect geometry.
+    ``comp`` names the component whose arcs the stick realises: an elbow
+    stick, the vertical stick that replaces a straightened arc, or a piece a
+    merge cut from one of them.  Columns, connectors and fused runs carry
+    ``""``.  The tag is metadata and never affects geometry.
     """
 
     a: Vec3
     b: Vec3
     comp: str = ""
-    kind: str = ""
 
     @property
     def axis(self) -> int:
@@ -50,12 +51,6 @@ class Stick:
     def has_end(self, p: Vec3) -> bool:
         return p == self.a or p == self.b
 
-    def contains(self, p: Vec3) -> bool:
-        return all(self.a[i] <= p[i] <= self.b[i] for i in range(3))
-
-    def interior_contains(self, p: Vec3) -> bool:
-        return self.contains(p) and not self.has_end(p)
-
     def direction_from(self, p: Vec3) -> tuple[int, int, int]:
         """Unit direction pointing from endpoint ``p`` into the stick."""
         if p == self.a:
@@ -69,7 +64,7 @@ class Stick:
         )
 
 
-def stick(a: Vec3, b: Vec3, comp: str = "", kind: str = "") -> Stick:
+def stick(a: Vec3, b: Vec3, comp: str = "") -> Stick:
     """Build a stick, normalising endpoint order and rejecting degeneracy."""
     a = tuple(Fraction(c) for c in a)
     b = tuple(Fraction(c) for c in b)
@@ -78,7 +73,7 @@ def stick(a: Vec3, b: Vec3, comp: str = "", kind: str = "") -> Stick:
         raise ValueError(f"not axis-parallel or zero length: {a} -> {b}")
     if a > b:
         a, b = b, a
-    return Stick(a, b, comp, kind)
+    return Stick(a, b, comp)
 
 
 def transform(s: Stick, scale: Fraction = Fraction(1), offset: Vec3 = (0, 0, 0)) -> Stick:

@@ -3,6 +3,8 @@
 The cut decomposition is part of the input; this module only validates it.
 Edges are never declared by the user: they are recovered by walking arcs
 through the unlabeled (degree-2) binding points of each presentation.
+``census`` is the one analysis of an input: it validates it and derives the
+edges, degrees and component classes that every later stage reads.
 """
 
 from __future__ import annotations
@@ -185,7 +187,7 @@ def total_degrees(spec: SpatialGraphSpec) -> dict[str, int]:
 
 
 def classify_component(
-    comp: ComponentSpec, edges: list[EdgeTrace], degrees: dict[str, int]
+    comp: ComponentSpec, edges: tuple[EdgeTrace, ...], degrees: dict[str, int]
 ) -> ComponentClass:
     """Classify one component from its derived edges and the total vertex
     degrees; the knot case requires total degree 2."""
@@ -204,20 +206,25 @@ def classify_component(
     return ComponentClass.GENERAL
 
 
-def validate_spec(spec: SpatialGraphSpec) -> list[str]:
-    """Collect every violation; an empty list means the input is buildable."""
-    problems: list[str] = []
+def census(spec: SpatialGraphSpec) -> GraphCensus:
+    """Validate the input and derive everything the build needs from it.
+
+    This is the single analysis of the input: each component's edges are
+    walked once, the vertex degrees summed once and each component classified
+    once.  Validation stops at the first stage that finds a problem
+    (presentations, attachments, shared labels, degree window) and raises
+    InvalidSpec carrying every problem of that stage.
+    """
     ids = [c.id for c in spec.components]
     if len(set(ids)) != len(ids):
-        problems.append("component identifiers are not unique")
-        return problems
+        raise InvalidSpec(["component identifiers are not unique"])
     if not ids:
-        problems.append("no components")
-        return problems
+        raise InvalidSpec(["no components"])
 
+    problems: list[str] = []
     comp_by_id = {c.id: c for c in spec.components}
     label_points: dict[str, dict[str, int]] = {}
-    edges: dict[str, list[EdgeTrace]] = {}
+    edges: dict[str, tuple[EdgeTrace, ...]] = {}
     for comp in spec.components:
         pres = comp.presentation
         pres_problems = validate_presentation(pres)
@@ -228,7 +235,7 @@ def validate_spec(spec: SpatialGraphSpec) -> list[str]:
                 pres_problems.append(f"component {comp.id} is not connected")
             else:
                 try:
-                    edges[comp.id] = derive_edges(comp)
+                    edges[comp.id] = tuple(derive_edges(comp))
                 except UnlabeledEndpoint as exc:
                     pres_problems.append(str(exc))
         if comp.id in edges:
@@ -245,7 +252,7 @@ def validate_spec(spec: SpatialGraphSpec) -> list[str]:
         for bp, label in pres.labels.items():
             label_points.setdefault(label, {})[comp.id] = bp
     if problems:
-        return problems
+        raise InvalidSpec(problems)
 
     # Attachment forest: each branch has one stem, no cycles, labels shared.
     stem_of: dict[str, str] = {}
@@ -264,14 +271,13 @@ def validate_spec(spec: SpatialGraphSpec) -> list[str]:
                     f"cut vertex {att.cut_vertex} not labeled in component {cid}"
                 )
     if problems:
-        return problems
+        raise InvalidSpec(problems)
     for att in spec.attachments:
         seen = {att.branch}
         cur = att.stem
         while cur in stem_of:
             if cur in seen:
-                problems.append("attachments contain a cycle")
-                return problems
+                raise InvalidSpec(["attachments contain a cycle"])
             seen.add(cur)
             cur = stem_of[cur]
 
@@ -311,21 +317,46 @@ def validate_spec(spec: SpatialGraphSpec) -> list[str]:
                 "without attachments joining them there"
             )
     if problems:
-        return problems
+        raise InvalidSpec(problems)
 
     # Degree window: 3..6 everywhere, 2 only on the vertex of a lone circle.
     degrees = total_degrees(spec)
+    classes = {c.id: classify_component(c, edges[c.id], degrees) for c in spec.components}
     knot_vertices = {
         next(iter(comp.presentation.labels.values()))
         for comp in spec.components
-        if classify_component(comp, edges[comp.id], degrees) is ComponentClass.KNOT
+        if classes[comp.id] is ComponentClass.KNOT
     }
     for label, d in sorted(degrees.items()):
         if d == 2 and label in knot_vertices:
             continue
         if not (3 <= d <= 6):
             problems.append(f"vertex {label} has degree {d} out of range")
-    return problems
+    if problems:
+        raise InvalidSpec(problems)
+
+    b = sum(cls in (ComponentClass.BOUQUET, ComponentClass.KNOT) for cls in classes.values())
+    k = sum(cls is ComponentClass.KNOT for cls in classes.values())
+    return GraphCensus(
+        e=sum(len(es) for es in edges.values()),
+        v=len(degrees),
+        s=len(spec.components),
+        b=b,
+        k=k,
+        alpha_total=sum(c.presentation.alpha for c in spec.components),
+        degrees=degrees,
+        edges=edges,
+        classes=classes,
+    )
+
+
+def validate_spec(spec: SpatialGraphSpec) -> list[str]:
+    """Every problem ``census`` finds; an empty list means the input is buildable."""
+    try:
+        census(spec)
+    except InvalidSpec as exc:
+        return exc.problems
+    return []
 
 
 def build_cut_tree(spec: SpatialGraphSpec, cens: GraphCensus) -> CutTree:
@@ -378,29 +409,3 @@ def build_cut_tree(spec: SpatialGraphSpec, cens: GraphCensus) -> CutTree:
                 parent[nxt] = (cur, cv)
                 stack.append(nxt)
     return CutTree(tuple(order), parent, tuple(roots))
-
-
-def census(spec: SpatialGraphSpec) -> GraphCensus:
-    """Validate the input, then derive each component's edges and class once.
-
-    Raises InvalidSpec carrying every problem ``validate_spec`` reports.
-    """
-    problems = validate_spec(spec)
-    if problems:
-        raise InvalidSpec(problems)
-    degrees = total_degrees(spec)
-    edges = {c.id: tuple(derive_edges(c)) for c in spec.components}
-    classes = {c.id: classify_component(c, edges[c.id], degrees) for c in spec.components}
-    b = sum(cls in (ComponentClass.BOUQUET, ComponentClass.KNOT) for cls in classes.values())
-    k = sum(cls is ComponentClass.KNOT for cls in classes.values())
-    return GraphCensus(
-        e=sum(len(es) for es in edges.values()),
-        v=len(degrees),
-        s=len(spec.components),
-        b=b,
-        k=k,
-        alpha_total=sum(c.presentation.alpha for c in spec.components),
-        degrees=degrees,
-        edges=edges,
-        classes=classes,
-    )

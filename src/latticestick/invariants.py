@@ -31,7 +31,6 @@ class ProjSeg:
     a3: Vec3
     b3: Vec3
     edge: str
-    pos: int
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,6 @@ class Crossing:
     over_seg: int
     under_seg: int
     at: Vec2
-    z_over: Fraction
-    z_under: Fraction
 
 
 @dataclass(frozen=True)
@@ -134,9 +131,9 @@ def _try_project(traces: dict[str, list[Vec3]], n: int) -> GraphDiagram | None:
     for eid in sorted(traces):
         line = traces[eid]
         idxs = []
-        for k, (p3, q3) in enumerate(zip(line, line[1:])):
+        for p3, q3 in zip(line, line[1:]):
             idxs.append(len(segments))
-            segments.append(ProjSeg(proj(p3), proj(q3), p3, q3, eid, k))
+            segments.append(ProjSeg(proj(p3), proj(q3), p3, q3, eid))
         paths[eid] = tuple(idxs)
 
     crossings: list[Crossing] = []
@@ -165,9 +162,7 @@ def _try_project(traces: dict[str, list[Vec3]], n: int) -> GraphDiagram | None:
             if zi == zj:  # pragma: no cover - excluded by self-avoidance
                 return None
             over, under = (i, j) if zi > zj else (j, i)
-            crossings.append(
-                Crossing(over, under, p, max(zi, zj), min(zi, zj))
-            )
+            crossings.append(Crossing(over, under, p))
     return GraphDiagram(tuple(segments), paths, tuple(crossings), n)
 
 
@@ -286,17 +281,11 @@ def coloring_matrix(gauss: GaussData) -> list[list[int]]:
     return matrix
 
 
-def knot_determinant(gauss: GaussData, drop_row: int = 0, drop_col: int = 0) -> int:
-    """|det| of the coloring matrix with one row and column deleted."""
+def knot_determinant(gauss: GaussData) -> int:
+    """|det| of the coloring matrix with its first row and column deleted."""
     if gauss.n_crossings == 0:
         return 1
-    matrix = coloring_matrix(gauss)
-    minor = [
-        [v for j, v in enumerate(row) if j != drop_col]
-        for i, row in enumerate(matrix)
-        if i != drop_row
-    ]
-    return abs(_int_det(minor))
+    return abs(_int_det([row[1:] for row in coloring_matrix(gauss)[1:]]))
 
 
 def p_coloring_count(gauss: GaussData, p: int) -> int:

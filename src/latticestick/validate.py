@@ -32,7 +32,7 @@ class AuditReport:
     violations: list[tuple[str, Vec3]] = field(default_factory=list)
     unmarked_junctions: list[Vec3] = field(default_factory=list)
     marker_problems: list[str] = field(default_factory=list)
-    reconstruction_ok: bool | None = None
+    reconstruction_ok: bool = False
     reconstruction_diff: list[str] = field(default_factory=list)
     counts: StickCounts | None = None
 
@@ -46,7 +46,7 @@ class AuditReport:
             self.self_avoiding
             and not self.unmarked_junctions
             and not self.marker_problems
-            and self.reconstruction_ok is not False
+            and self.reconstruction_ok
         )
 
 
@@ -275,8 +275,8 @@ def check_bound(
 def full_audit(
     sticks: list[Stick],
     markers: dict[str, Vec3],
-    spec: SpatialGraphSpec | None = None,
-    degrees: dict[str, int] | None = None,
+    spec: SpatialGraphSpec,
+    degrees: dict[str, int],
 ) -> AuditReport:
     report = AuditReport()
     report.violations = check_self_avoiding(sticks, markers)
@@ -284,11 +284,9 @@ def full_audit(
         sticks, markers, degrees
     )
     report.counts = count_sticks(sticks, markers)
-    if spec is not None:
-        try:
-            reconstruct_graph(sticks, markers, spec)
-            report.reconstruction_ok = True
-        except ReconstructionMismatch as exc:
-            report.reconstruction_ok = False
-            report.reconstruction_diff = exc.diff
+    try:
+        reconstruct_graph(sticks, markers, spec)
+        report.reconstruction_ok = True
+    except ReconstructionMismatch as exc:
+        report.reconstruction_diff = exc.diff
     return report

@@ -138,7 +138,13 @@ def test_criterion_6_composite():
     tree = build_cut_tree(spec2, cens)
     builds = {c.id: build_component(c, cens.classes[c.id]) for c in spec2.components}
     asm = assemble(spec2, tree, builds)
-    connectors = [s for s in asm.sticks if s.kind == "connector"]
+    # connectors are the stacked sticks no component's build produced, so
+    # each one leaves its stem's z-slab for its branch's
+    connectors = [
+        s
+        for s in asm.sticks
+        if not any(lo <= s.a[2] and s.b[2] <= hi for lo, hi in asm.comp_zspan.values())
+    ]
     assert len(connectors) == 1
     assert connectors[0].axis == 2
     assert (connectors[0].a[0], connectors[0].a[1]) == asm.vertex_axis["v2"]

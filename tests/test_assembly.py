@@ -13,11 +13,21 @@ from latticestick.assembly import (
 )
 from latticestick.build import build_component
 from latticestick.errors import LatticeStickError
-from latticestick.fixtures import CHAIN, DEMOS, SPLIT_PAIR
+from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
 from latticestick.geom import point, stick
 from latticestick.graph import build_cut_tree, census
 from latticestick.io import embedding_from_document, embedding_to_document, spec_from_document
 from latticestick.validate import count_sticks, full_audit
+
+
+def connectors(asm):
+    """Stacked sticks no component's build produced: each one leaves the
+    z-slab of its stem for the slab of its branch."""
+    return [
+        s
+        for s in asm.sticks
+        if not any(lo <= s.a[2] and s.b[2] <= hi for lo, hi in asm.comp_zspan.values())
+    ]
 
 
 def stages(doc):
@@ -32,10 +42,8 @@ def stages(doc):
 class TestAssemble:
     def test_composite_connector_collinear(self):
         spec, cens, tree, builds, asm = stages(DEMOS["theta-composite"])
-        connectors = [s for s in asm.sticks if s.kind == "connector"]
-        assert len(connectors) == 1
-        (c,) = connectors
-        assert c.axis == 2
+        (c,) = connectors(asm)
+        assert c.axis == 2 and c.comp == ""
         assert (c.a[0], c.a[1]) == asm.vertex_axis["v2"]
 
     def test_disjoint_component_slabs(self):
@@ -46,7 +54,7 @@ class TestAssemble:
 
     def test_split_forest_has_no_connector(self):
         spec, cens, tree, builds, asm = stages(SPLIT_PAIR)
-        assert [s for s in asm.sticks if s.kind == "connector"] == []
+        assert connectors(asm) == []
         (lo1, hi1) = asm.vertex_zrange["v1"]
         (lo2, hi2) = asm.vertex_zrange["w"]
         assert hi1 < lo2 or hi2 < lo1
@@ -63,14 +71,14 @@ def synthetic_column(directions, partner_for=()):
     sticks = []
     levels = list(range(1, len(directions) + 1))
     for z1, z2 in zip(levels, levels[1:]):
-        sticks.append(stick(point(0, 0, z1), point(0, 0, z2), kind="column"))
+        sticks.append(stick(point(0, 0, z1), point(0, 0, z2)))
     for z, (dx, dy) in zip(levels, directions):
         far = point(3 * dx, 3 * dy, z)
-        sticks.append(stick(point(0, 0, z), far, kind="arc_x"))
+        sticks.append(stick(point(0, 0, z), far))
         if z in partner_for:
             tip = point(3 * dx + (0 if dx == 0 else 0), 3 * dy + (3 if dy == 0 else 0), z)
             perp = point(far[0] + (0 if dx else 3), far[1] + (3 if dx else 0), z)
-            sticks.append(stick(far, perp, kind="arc_y"))
+            sticks.append(stick(far, perp))
     return sticks
 
 
@@ -152,7 +160,8 @@ class TestStraighten:
         out = straighten_arcs(spec, tree, builds, merged)
         after = count_sticks(out.sticks, out.markers).total
         assert before - after >= 2
-        assert any(s.kind == "straight" for s in out.sticks)
+        # the straight stick is the one vertical stick tagged with its arc
+        assert [s.axis for s in out.sticks if s.comp == "mid"] == [2]
         assert not out.warnings
 
     def test_multi_arc_component_skipped(self):
@@ -422,6 +431,26 @@ class TestKnottedBranch:
         emb, _, _ = build_full(spec_from_document(self.DOC))
         gauss = extract_knot_cycle(project_generic(emb, {"tref"}), "tref")
         assert knot_determinant(gauss) == 3
+
+
+class TestLoopsSharingAVertex:
+    """Both loops run from v to v, so only the component tag on the sticks
+    tells ``derive_traces`` which edge id a walked path carries; the audit
+    compares label pairs only and would pass a swapped id."""
+
+    def test_edge_ids_follow_their_components(self):
+        from latticestick.invariants import (
+            extract_knot_cycle,
+            knot_determinant,
+            project_generic,
+        )
+
+        emb, counts, bounds = build_full(spec_from_document(LOOP_TREFOIL))
+        assert counts.total == bounds.construction_bound == 19
+        assert sorted(emb.traces) == ["p/e0", "t/e0"]
+        for comp, det in (("t", 3), ("p", 1)):
+            gauss = extract_knot_cycle(project_generic(emb, {comp}), comp)
+            assert knot_determinant(gauss) == det, comp
 
 
 class TestBuildFull:

@@ -24,14 +24,15 @@ def classified(doc):
     return [(comp, cens.classes[comp.id]) for comp in spec.components]
 
 
-def kinds(b, kind):
-    return [s for s in b.sticks() if s.kind == kind]
+def on_axis(b, axis):
+    """x-sticks (axis 0) and y-sticks (axis 1) realise arcs; axis 2 are columns."""
+    return [s for s in b.sticks() if s.axis == axis]
 
 
 class TestArcDiagram:
     def test_single_arc_elbow(self):
         b = build_arc_diagram(*ARC13)
-        horizontals = [s for s in b.sticks() if s.kind != "column"]
+        horizontals = [s for s in b.sticks() if s.axis != 2]
         assert [(s.a, s.b) for s in horizontals] == [
             (point(1, 1, 1), point(3, 1, 1)),
             (point(3, 1, 1), point(3, 3, 1)),
@@ -39,19 +40,20 @@ class TestArcDiagram:
 
     def test_u2_four_arc_sticks(self):
         b = build_arc_diagram(*U2)
-        assert len(kinds(b, "arc_x")) == 2 and len(kinds(b, "arc_y")) == 2
+        assert len(on_axis(b, 0)) == 2 and len(on_axis(b, 1)) == 2
+        assert {s.comp for s in on_axis(b, 0) + on_axis(b, 1)} == {"u"}
         assert {s.a[2] for s in b.sticks()} <= {Fraction(1), Fraction(2)}
 
     def test_th3_spans(self):
         b = build_arc_diagram(*TH3)
-        arcs = kinds(b, "arc_x") + kinds(b, "arc_y")
+        arcs = on_axis(b, 0) + on_axis(b, 1)
         assert len(arcs) == 6
         assert all(s.length == 1 for s in arcs)
 
     def test_page_two_arc_coordinates(self):
         b = build_arc_diagram(*lone([(1, 2), (1, 3), (2, 3)], {1: "v"}, ComponentClass.KNOT))
-        x2 = [s for s in kinds(b, "arc_x") if s.a[2] == 2]
-        y2 = [s for s in kinds(b, "arc_y") if s.a[2] == 2]
+        x2 = [s for s in on_axis(b, 0) if s.a[2] == 2]
+        y2 = [s for s in on_axis(b, 1) if s.a[2] == 2]
         assert x2[0].a == point(1, 1, 2) and x2[0].b == point(3, 1, 2)
         assert y2[0].a == point(3, 1, 2) and y2[0].b == point(3, 3, 2)
 
@@ -60,10 +62,10 @@ class TestArcDiagram:
             for comp, cls in classified(doc):
                 b = build_arc_diagram(comp, cls)
                 alpha = comp.presentation.alpha
-                assert len(kinds(b, "arc_x")) == alpha
-                assert len(kinds(b, "arc_y")) == alpha
+                assert len(on_axis(b, 0)) == alpha
+                assert len(on_axis(b, 1)) == alpha
                 corners = {(a.hi, a.lo, a.page) for a in comp.presentation.arcs}
-                for s in kinds(b, "arc_x") + kinds(b, "arc_y"):
+                for s in on_axis(b, 0) + on_axis(b, 1):
                     for p in s.ends():
                         assert p[0] == p[1] or (int(p[0]), int(p[1]), int(p[2])) in corners
 
@@ -71,19 +73,20 @@ class TestArcDiagram:
 class TestColumns:
     def test_u2_columns(self):
         b = build_arc_diagram(*U2)
-        cols = kinds(b, "column")
+        cols = on_axis(b, 2)
         assert len(cols) == 2
         assert {(s.a[0], s.a[1]) for s in cols} == {(1, 1), (2, 2)}
+        assert {s.comp for s in cols} == {""}
         assert len(b.sticks()) == 6
 
     def test_th3_column_segments(self):
         b = build_arc_diagram(*TH3)
-        at_bp1 = [s for s in kinds(b, "column") if (s.a[0], s.a[1]) == (1, 1)]
+        at_bp1 = [s for s in on_axis(b, 2) if (s.a[0], s.a[1]) == (1, 1)]
         assert [(s.a[2], s.b[2]) for s in at_bp1] == [(1, 2), (2, 3)]
 
     def test_degree_one_point_has_no_column(self):
         b = build_arc_diagram(*lone([(1, 2)], {1: "a", 2: "b"}, ComponentClass.ARC))
-        assert kinds(b, "column") == []
+        assert on_axis(b, 2) == []
 
 
 class TestSideSlide:
@@ -102,7 +105,7 @@ class TestSideSlide:
 
     def test_th3_all_three_absorbed(self):
         b = side_slide(build_arc_diagram(*TH3))
-        assert kinds(b, "arc_x") == []
+        assert on_axis(b, 0) == []
         assert len(b.sticks()) == 7
         assert any("blocked" in w for w in b.warnings)
 
@@ -110,8 +113,8 @@ class TestSideSlide:
         (trefoil,) = classified(DEMOS["trefoil"])
         before = build_arc_diagram(*trefoil)
         after = side_slide(before)
-        assert len(kinds(after, "arc_x")) == len(kinds(before, "arc_x")) - 1
-        assert len(kinds(after, "arc_y")) == len(kinds(before, "arc_y")) - 1
+        assert len(on_axis(after, 0)) == len(on_axis(before, 0)) - 1
+        assert len(on_axis(after, 1)) == len(on_axis(before, 1)) - 1
         assert after.column_axis(1) == (Fraction(3), Fraction(1))
         assert after.column_axis(5) == (Fraction(5), Fraction(3))
 
@@ -130,12 +133,8 @@ class TestSideSlide:
                 after = side_slide(before)
                 if after.cls.value == "arc":
                     continue
-                n_before = len(
-                    [s for s in before.sticks() if s.kind in ("arc_x", "arc_y")]
-                )
-                n_after = len(
-                    [s for s in after.sticks() if s.kind in ("arc_x", "arc_y")]
-                )
+                n_before = len([s for s in before.sticks() if s.axis != 2])
+                n_after = len([s for s in after.sticks() if s.axis != 2])
                 assert n_before - n_after >= 2, (name, comp.id)
 
     def test_build_component_self_avoiding(self):

@@ -1,0 +1,73 @@
+"""Byte-identity gate: the build JSON and the OBJ export of every fixture.
+
+The digests pin the documents the command line writes.  A change that is
+meant to keep the output must leave them untouched; a change that is meant
+to alter the output updates them and says why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from latticestick.cli import main
+from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
+
+INPUTS = {**DEMOS, "chain": CHAIN, "split-pair": SPLIT_PAIR, "loop-trefoil": LOOP_TREFOIL}
+
+# name -> (sha256 of the build JSON, sha256 of the OBJ export)
+GOLDEN = {
+    "unknot": (
+        "57883fc3b73b70c78367bd52a8a176b1a173cdf8f65ce33f9473cd5f2ab3d209",
+        "4f6203b18b227f028136ecc41ba557c4a2cda61750443720e0af859292c3db90",
+    ),
+    "trefoil": (
+        "1a961026a9616976ea7ff6773c64bba7727afd70963e8059a8caec25fba43122",
+        "6bfc77dc68e40b2a47419a5ccdbdd9e669aaa322de8d8f06c07486444155918a",
+    ),
+    "figure8": (
+        "8a6b6ec2a51ff3b27e8dc176d25e6f81a159907c4685ad6a3a8bda135f6b0f50",
+        "98e8d3be62f24d0bbc6f0848d8d87c25f2869e26ef23a2bc6d8bfa45cfb25874",
+    ),
+    "theta-planar": (
+        "524eab18b36d2ea8eea19ede25af5c555491959bc1bc18e7465f7334f9d1d817",
+        "ec498b5c4d79bfde8d3779a7d79a5f773c580517f435f9d1c59ec2700ff486a9",
+    ),
+    "bouquet3": (
+        "4f57607a829e904a81245c30139b5d504650a6762b173736ae855d797800c175",
+        "b2ccb2cec4548b39ec826379754711ea93a4dc9d8c3e46f4c1ebebcbbd6da6ae",
+    ),
+    "theta-composite": (
+        "878a5a54d2dd92ca3d0cb59608eee43e2b4d9e6dfabf14f47af18574c5de7bbe",
+        "0f224e79421f4fe1ce5c8ce6feae9bdae201ada91be1693789e4de8560a4f6ba",
+    ),
+    "chain": (
+        "114436e5271364f4f8b1e186f29b69c35c5bc05642c091304de6d47bf1a785d7",
+        "19da9f3b42d066eb13cba62e5ba4b1d327a5bd3f1ca2991daad92671be999141",
+    ),
+    "split-pair": (
+        "ad8465900682767fbf824365447f5fe7e5b7c9e570e20236f4339d0faa75e191",
+        "7b8391aeb9f74c3005e3c4019f31e3f3c1d48b587aed263d2c0829f7c8cc987d",
+    ),
+    "loop-trefoil": (
+        "7c99f3c4db02d3fcbdc8e99c890cdfac12b358f27fb90bed5e269968f0d6c4cd",
+        "9c245e7406469adf9e7d6cdc6101d6882372feef405968319e00751dedb9eb81",
+    ),
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_every_fixture_is_pinned():
+    assert set(GOLDEN) == set(INPUTS)
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_build_and_obj_bytes(name, tmp_path):
+    inp, out, obj = tmp_path / "in.json", tmp_path / "out.json", tmp_path / "out.obj"
+    inp.write_text(json.dumps(INPUTS[name]))
+    assert main(["build", "--input", str(inp), "--output", str(out)]) == 0
+    assert main(["export", "--embedding", str(out), "--format", "obj", "--output", str(obj)]) == 0
+    assert (sha256(out), sha256(obj)) == GOLDEN[name]

@@ -1,4 +1,8 @@
+from collections import Counter
+
 import pytest
+
+import latticestick.graph as graph
 
 from latticestick.arcs import presentation
 from latticestick.errors import InvalidSpec, NoValidRoot, UnlabeledEndpoint
@@ -27,6 +31,50 @@ def lone(pres_pairs, labels, comp_id="c"):
 
 U2 = lone([(1, 2), (1, 2)], {1: "v"}, "u")
 TH3 = lone([(1, 2)] * 3, {1: "v1", 2: "v2"}, "th")
+LOOP = [(1, 2), (1, 2)]
+
+# Rejected inputs, one or more per stage at which validation stops.
+REJECTED = {
+    "duplicate-ids": SpatialGraphSpec((U2.components[0], U2.components[0])),
+    "no-components": SpatialGraphSpec(()),
+    "unlabeled-high-degree": lone([(1, 2), (1, 2), (1, 2)], {1: "v"}),
+    "unknown-attachment": SpatialGraphSpec(
+        TH3.components, (CutAttachment("th", "nope", "v1"),)
+    ),
+    "attachment-cycle": SpatialGraphSpec(
+        (
+            ComponentSpec("a", presentation([(1, 2)] * 3, {1: "v1", 2: "v2"})),
+            ComponentSpec("b", presentation([(1, 2)] * 3, {1: "v1", 2: "v2"})),
+        ),
+        (CutAttachment("a", "b", "v1"), CutAttachment("b", "a", "v2")),
+    ),
+    "siblings-sharing-cut-vertex": SpatialGraphSpec(
+        (
+            ComponentSpec("b0", presentation(LOOP + [(1, 3), (1, 3)], {1: "v"})),
+            ComponentSpec("b1", presentation(LOOP, {1: "v"})),
+            ComponentSpec("b2", presentation(LOOP, {1: "v"})),
+        ),
+        (CutAttachment("b0", "b1", "v"), CutAttachment("b0", "b2", "v")),
+    ),
+    "shared-label-without-attachment": SpatialGraphSpec(
+        (
+            ComponentSpec("a", presentation([(1, 2)] * 3, {1: "v1", 2: "v2"})),
+            ComponentSpec("b", presentation([(1, 2)] * 3, {1: "v1", 2: "v3"})),
+        )
+    ),
+    # seven loop-ends at one vertex
+    "degree-out-of-range": lone(
+        [(1, 2), (1, 2), (1, 3), (1, 3), (1, 4), (1, 4), (1, 5), (1, 5)],
+        {1: "v", 5: "w"},
+    ),
+    "attached-degree-2": SpatialGraphSpec(
+        (
+            ComponentSpec("a", presentation([(1, 2)], {1: "x", 2: "y"})),
+            ComponentSpec("b", presentation([(1, 2)], {1: "y", 2: "z"})),
+        ),
+        (CutAttachment("a", "b", "y"),),
+    ),
+}
 
 
 class TestDeriveEdges:
@@ -73,60 +121,26 @@ class TestValidateSpec:
         assert validate_spec(spec_of(SPLIT_PAIR)) == []
 
     def test_degree_out_of_range(self):
-        # seven loop-ends at one vertex
-        bad = lone(
-            [(1, 2), (1, 2), (1, 3), (1, 3), (1, 4), (1, 4), (1, 5), (1, 5)],
-            {1: "v", 5: "w"},
-        )
-        problems = validate_spec(bad)
+        problems = validate_spec(REJECTED["degree-out-of-range"])
         assert any("degree 8 out of range" in p for p in problems)
 
     def test_lone_degree2_knot_vertex_ok(self):
         assert validate_spec(U2) == []
 
     def test_attached_degree2_rejected(self):
-        two_arcs = SpatialGraphSpec(
-            (
-                ComponentSpec("a", presentation([(1, 2)], {1: "x", 2: "y"})),
-                ComponentSpec("b", presentation([(1, 2)], {1: "y", 2: "z"})),
-            ),
-            (CutAttachment("a", "b", "y"),),
-        )
-        problems = validate_spec(two_arcs)
+        problems = validate_spec(REJECTED["attached-degree-2"])
         assert any("out of range" in p for p in problems)
 
     def test_siblings_sharing_cut_vertex(self):
-        loop = [(1, 2), (1, 2)]
-        spec = SpatialGraphSpec(
-            (
-                ComponentSpec("b0", presentation(loop * 1 + [(1, 3), (1, 3)], {1: "v"})),
-                ComponentSpec("b1", presentation(loop, {1: "v"})),
-                ComponentSpec("b2", presentation(loop, {1: "v"})),
-            ),
-            (CutAttachment("b0", "b1", "v"), CutAttachment("b0", "b2", "v")),
-        )
-        problems = validate_spec(spec)
+        problems = validate_spec(REJECTED["siblings-sharing-cut-vertex"])
         assert any("share cut vertex" in p for p in problems)
 
     def test_shared_label_needs_attachment(self):
-        spec = SpatialGraphSpec(
-            (
-                ComponentSpec("a", presentation([(1, 2)] * 3, {1: "v1", 2: "v2"})),
-                ComponentSpec("b", presentation([(1, 2)] * 3, {1: "v1", 2: "v3"})),
-            )
-        )
-        problems = validate_spec(spec)
+        problems = validate_spec(REJECTED["shared-label-without-attachment"])
         assert any("without attachments" in p for p in problems)
 
     def test_attachment_cycle_rejected(self):
-        spec = SpatialGraphSpec(
-            (
-                ComponentSpec("a", presentation([(1, 2)] * 3, {1: "v1", 2: "v2"})),
-                ComponentSpec("b", presentation([(1, 2)] * 3, {1: "v1", 2: "v2"})),
-            ),
-            (CutAttachment("a", "b", "v1"), CutAttachment("b", "a", "v2")),
-        )
-        assert validate_spec(spec)
+        assert validate_spec(REJECTED["attachment-cycle"]) == ["attachments contain a cycle"]
 
 
 class TestCutTree:
@@ -211,14 +225,33 @@ class TestCensus:
             tree = build_cut_tree(spec, census(spec))
             assert len(spec.attachments) == census(spec).s - len(tree.roots)
 
-    def test_invalid_spec_raises_with_problems(self):
-        bad = lone(
-            [(1, 2), (1, 2), (1, 3), (1, 3), (1, 4), (1, 4), (1, 5), (1, 5)],
-            {1: "v", 5: "w"},
-        )
+    @pytest.mark.parametrize("name", sorted(REJECTED))
+    def test_invalid_spec_raises_with_problems(self, name):
+        bad = REJECTED[name]
         with pytest.raises(InvalidSpec) as info:
             census(bad)
         assert info.value.problems == validate_spec(bad) != []
+
+    def test_one_walk_and_one_classification_per_component(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(graph, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(graph, name, wrapper)
+
+        for name in ("derive_edges", "classify_component", "total_degrees"):
+            counted(name)
+        for doc in list(DEMOS.values()) + [CHAIN, SPLIT_PAIR]:
+            spec = spec_of(doc)
+            calls.clear()
+            census(spec)
+            n = len(spec.components)
+            assert calls == {"derive_edges": n, "classify_component": n, "total_degrees": 1}
 
     def test_edges_and_classes_per_component(self):
         spec = spec_of(CHAIN)
