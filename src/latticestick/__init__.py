@@ -10,7 +10,6 @@ from .assembly import (
     straighten_arcs,
 )
 from .bounds import (
-    BoundInputs,
     arc_index_upper,
     binding_point_count,
     bounds_agree,

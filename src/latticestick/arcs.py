@@ -66,13 +66,8 @@ def incident_levels(pres: ArcPresentation, bp: int) -> list[int]:
     return sorted(a.page for a in pres.arcs_at(bp))
 
 
-def validate_presentation(pres: ArcPresentation, derived_edge_count: int | None = None) -> list[str]:
-    """Return all structural violations of a presentation.
-
-    When ``derived_edge_count`` is known, also checks the binding-point law
-    beta = alpha + v - e and the endpoint identity
-    2*alpha = 2*(beta - v) + sum of within-component degrees at vertices.
-    """
+def validate_presentation(pres: ArcPresentation) -> list[str]:
+    """Return all structural violations of a presentation."""
     problems: list[str] = []
     alpha = pres.alpha
     pages = sorted(a.page for a in pres.arcs)
@@ -93,16 +88,4 @@ def validate_presentation(pres: ArcPresentation, derived_edge_count: int | None 
             problems.append(f"label on nonexistent binding point {bp}")
     if len(set(pres.labels.values())) != len(pres.labels):
         problems.append("duplicate vertex label inside one component")
-    if derived_edge_count is not None and not problems:
-        v = len(pres.labels)
-        if beta != alpha + v - derived_edge_count:
-            problems.append(
-                f"binding-point law fails: beta={beta} != alpha+v-e = "
-                f"{alpha}+{v}-{derived_edge_count}"
-            )
-        vertex_degrees = sum(pres.degree(bp) for bp in pres.labels)
-        if 2 * alpha != 2 * (beta - v) + vertex_degrees:
-            problems.append(
-                f"endpoint identity fails: 2*{alpha} != 2*({beta}-{v}) + {vertex_degrees}"
-            )
     return problems

@@ -169,10 +169,6 @@ def assemble(
             label = next(iter(b.pres.labels.values()))
             asm.knot_corners[label] = transform_point(corner, f, o)
         asm.warnings.extend(b.warnings)
-
-    violations = check_self_avoiding(asm.sticks, interior_only=True)
-    if violations:
-        raise AssemblyCollision(f"stacked components intersect: {violations[:3]}")
     return asm
 
 

@@ -6,35 +6,7 @@ the algebra can be tested without building anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidCounts
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Census numbers feeding the bound formulas.
-
-    alpha: total number of arcs over all components (a witness upper bound
-    on the minimal arc index).  c: a declared crossing count of some diagram
-    (a witness upper bound on the minimal crossing number).
-    """
-
-    alpha: int
-    c: int
-    e: int
-    v: int
-    s: int
-    b: int
-    k: int
-
-    def __post_init__(self):
-        if self.e < 1 or self.v < 1 or self.s < 1:
-            raise InvalidCounts("nonempty graphs need e, v, s >= 1")
-        if not (0 <= self.k <= self.b <= self.s):
-            raise InvalidCounts("need 0 <= k <= b <= s")
-        if self.alpha < 1 or self.c < 0:
-            raise InvalidCounts("alpha >= 1 and c >= 0 required")
 
 
 def binding_point_count(alpha: int, v: int, e: int) -> int:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .arcs import ArcPresentation, incident_levels
-from .errors import LatticeStickError
 from .geom import Stick, Vec3, point, stick
 from .graph import ComponentClass, ComponentSpec
 from .validate import check_self_avoiding
@@ -145,7 +144,4 @@ def side_slide(build: ComponentBuild) -> ComponentBuild:
 
 
 def build_component(comp: ComponentSpec, cls: ComponentClass) -> ComponentBuild:
-    build = side_slide(build_arc_diagram(comp, cls))
-    if not _slide_ok(build):
-        raise LatticeStickError(f"component {comp.id} is not self-avoiding after slides")
-    return build
+    return side_slide(build_arc_diagram(comp, cls))

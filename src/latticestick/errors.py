@@ -34,7 +34,8 @@ class InvalidCounts(LatticeStickError):
 
 
 class AssemblyCollision(LatticeStickError):
-    """Components intersect after stacking; the radius schedule is broken."""
+    """Cut-vertex columns failed to align when stacking, or the built
+    embedding failed its audit."""
 
 
 class NoFreeDirection(LatticeStickError):

@@ -92,13 +92,13 @@ def check_self_avoiding(
 def audit_junctions(
     sticks: list[Stick],
     markers: dict[str, Vec3],
-    degrees: dict[str, int] | None = None,
+    degrees: dict[str, int],
 ) -> tuple[list[Vec3], list[str]]:
     """Check that junction points and vertex markers agree.
 
     Every point where three or more stick ends meet must carry a marker;
-    marker incidences must use pairwise distinct axis directions and, when
-    the expected degrees are supplied, match them exactly.
+    marker incidences must use pairwise distinct axis directions and match
+    the expected degrees exactly.
     """
     ends = endpoint_census(sticks)
     marker_points = {p: label for label, p in markers.items()}
@@ -117,7 +117,7 @@ def audit_junctions(
         dirs = [sticks[i].direction_from(p) for i in incident]
         if len(set(dirs)) != len(dirs):
             problems.append(f"marker {label} has repeated incident directions")
-        if degrees is not None and len(incident) != degrees.get(label):
+        if len(incident) != degrees.get(label):
             problems.append(
                 f"marker {label} incidence {len(incident)} != degree {degrees.get(label)}"
             )

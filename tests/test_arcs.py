@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latticestick.arcs import Arc, ArcPresentation, incident_levels, presentation, validate_presentation
-from latticestick.errors import UnknownBindingPoint
+from latticestick.bounds import binding_point_count
+from latticestick.errors import UnknownBindingPoint, UnlabeledEndpoint
+from latticestick.graph import ComponentSpec, derive_edges
 
 U2 = presentation([(1, 2), (1, 2)], {1: "v"})
 TH3 = presentation([(1, 2), (1, 2), (1, 2)], {1: "v1", 2: "v2"})
@@ -17,18 +20,53 @@ def test_arc_rejects_degenerate():
         Arc(1, 2, 2)
 
 
+def edge_count(pres):
+    return len(derive_edges(ComponentSpec("c", pres)))
+
+
 def test_validate_clean():
-    assert validate_presentation(U2, derived_edge_count=1) == []
-    assert validate_presentation(TH3, derived_edge_count=3) == []
+    for pres, e in ((U2, 1), (TH3, 3)):
+        assert validate_presentation(pres) == []
+        assert edge_count(pres) == e
+        assert binding_point_count(pres.alpha, len(pres.labels), e) == pres.beta
 
 
 def test_validate_binding_law_six_arcs():
-    # alpha=6, v=2, e=3 forces five binding points
+    # alpha=4, v=2, e=3 force three binding points
     pres = presentation(
         [(1, 2), (1, 3), (1, 2), (2, 3)], {1: "v1", 2: "v2"}
     )
-    assert validate_presentation(pres, derived_edge_count=3) == []
-    assert pres.beta == 3
+    assert validate_presentation(pres) == []
+    assert edge_count(pres) == 3
+    assert binding_point_count(pres.alpha, len(pres.labels), 3) == pres.beta == 3
+
+
+@st.composite
+def random_presentations(draw):
+    n = draw(st.integers(2, 7))
+    arc_ends = st.integers(1, n - 1).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, n))
+    )
+    pairs = draw(st.lists(arc_ends, min_size=1, max_size=9))
+    labeled = draw(st.sets(st.integers(1, n)))
+    return presentation(pairs, {bp: f"v{bp}" for bp in labeled})
+
+
+@settings(max_examples=300)
+@given(random_presentations())
+def test_presentation_laws_follow_from_validation(pres):
+    """A presentation that validates and whose edges can be walked obeys the
+    binding-point law and the endpoint identity without checking them."""
+    if validate_presentation(pres):
+        return
+    try:
+        e = edge_count(pres)
+    except UnlabeledEndpoint:
+        return
+    v = len(pres.labels)
+    assert binding_point_count(pres.alpha, v, e) == pres.beta
+    vertex_degrees = sum(pres.degree(bp) for bp in pres.labels)
+    assert 2 * pres.alpha == 2 * (pres.beta - v) + vertex_degrees
 
 
 def test_validate_duplicate_page():

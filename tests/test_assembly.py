@@ -1,7 +1,10 @@
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from latticestick import assembly, build, validate
 from latticestick.assembly import (
     _vertex_plans,
     apply_merges,
@@ -480,3 +483,65 @@ class TestBuildFull:
                 embedding_to_document(emb, counts, bounds)
             )
             assert (loaded.sticks, loaded_counts) == (emb.sticks, counts), name
+
+    def test_self_avoidance_checked_where_it_decides(self, monkeypatch):
+        """Slide trials, merge and straightening trials and the audit check
+        self-avoidance; stacking and the finished component builds do not."""
+        deciders = {
+            "side_slide", "build_component", "assemble", "apply_merges",
+            "straighten_arcs", "full_audit",
+        }
+        original = validate.check_self_avoiding
+        calls = Counter()
+
+        def counted(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name not in deciders:
+                frame = frame.f_back
+            calls[frame.f_code.co_name] += 1
+            return original(*args, **kwargs)
+
+        for module in (validate, build, assembly):
+            monkeypatch.setattr(module, "check_self_avoiding", counted)
+        expected = {
+            "trefoil": (DEMOS["trefoil"], 3),
+            "chain": (CHAIN, 8),
+            "split": (SPLIT_PAIR, 3),
+        }
+        for name, (doc, total) in expected.items():
+            calls.clear()
+            build_full(spec_from_document(doc))
+            assert sum(calls.values()) == total, (name, calls)
+            assert calls["full_audit"] == 1, name
+            assert calls["assemble"] == calls["build_component"] == 0, name
+
+
+def _crossing(s):
+    """A stick of the same length crossing the interior of ``s`` at its middle."""
+    axis = (s.axis + 1) % 3
+    mid = tuple((p + q) / 2 for p, q in zip(s.a, s.b))
+    half = tuple(s.length / 2 if i == axis else 0 for i in range(3))
+    return stick(
+        tuple(m - h for m, h in zip(mid, half)), tuple(m + h for m, h in zip(mid, half))
+    )
+
+
+@pytest.mark.parametrize("fault", [_crossing, lambda s: s], ids=["crossing", "duplicate"])
+@pytest.mark.parametrize(
+    "doc",
+    [*DEMOS.values(), CHAIN, SPLIT_PAIR, LOOP_TREFOIL],
+    ids=[*DEMOS, "chain", "split", "loop-trefoil"],
+)
+def test_stacking_fault_never_certified(monkeypatch, doc, fault):
+    """Stacking is not checked on its own; a stick it got wrong must still
+    make the build raise, through merging, tracing or the audit."""
+    original = assembly.assemble
+
+    def faulty(spec, tree, builds):
+        asm = original(spec, tree, builds)
+        asm.sticks.append(fault(asm.sticks[0]))
+        return asm
+
+    monkeypatch.setattr(assembly, "assemble", faulty)
+    with pytest.raises(LatticeStickError):
+        build_full(spec_from_document(doc))

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latticestick.bounds import (
-    BoundInputs,
     arc_index_upper,
     binding_point_count,
     bounds_agree,
@@ -66,10 +65,3 @@ def test_bounds_agree_randomized(c, e, v, s, b, k):
     except InvalidCounts:
         pass
 
-
-def test_bound_inputs_invariants():
-    BoundInputs(alpha=2, c=0, e=1, v=1, s=1, b=1, k=1)
-    with pytest.raises(InvalidCounts):
-        BoundInputs(alpha=2, c=0, e=0, v=1, s=1, b=0, k=0)
-    with pytest.raises(InvalidCounts):
-        BoundInputs(alpha=2, c=0, e=1, v=1, s=1, b=0, k=1)

@@ -6,6 +6,7 @@ from latticestick.geom import point
 from latticestick.graph import ComponentClass, ComponentSpec, census
 from latticestick.io import spec_from_document
 from latticestick.fixtures import DEMOS
+from latticestick.validate import check_self_avoiding
 
 
 def lone(pairs, labels, cls, comp_id="c"):
@@ -140,4 +141,5 @@ class TestSideSlide:
     def test_build_component_self_avoiding(self):
         for doc in DEMOS.values():
             for comp, cls in classified(doc):
-                build_component(comp, cls)  # raises if not self-avoiding
+                sticks = build_component(comp, cls).sticks()
+                assert check_self_avoiding(sticks, interior_only=True) == []

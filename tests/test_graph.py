@@ -244,14 +244,19 @@ class TestCensus:
 
             monkeypatch.setattr(graph, name, wrapper)
 
-        for name in ("derive_edges", "classify_component", "total_degrees"):
+        for name in ("validate_presentation", "derive_edges", "classify_component", "total_degrees"):
             counted(name)
         for doc in list(DEMOS.values()) + [CHAIN, SPLIT_PAIR]:
             spec = spec_of(doc)
             calls.clear()
             census(spec)
             n = len(spec.components)
-            assert calls == {"derive_edges": n, "classify_component": n, "total_degrees": 1}
+            assert calls == {
+                "validate_presentation": n,
+                "derive_edges": n,
+                "classify_component": n,
+                "total_degrees": 1,
+            }
 
     def test_edges_and_classes_per_component(self):
         spec = spec_of(CHAIN)

@@ -97,7 +97,7 @@ class TestJunctions:
 
     def test_unmarked_junction_flagged(self):
         sticks = [zs(0, 0, 0, 1), zs(0, 0, 1, 2), xs(0, 1, 0, 3)]
-        unmarked, _ = audit_junctions(sticks, {})
+        unmarked, _ = audit_junctions(sticks, {}, {})
         assert unmarked == [point(0, 0, 1)]
 
     def test_incidence_mismatch(self):
@@ -106,7 +106,7 @@ class TestJunctions:
 
     def test_repeated_direction_detected(self):
         sticks = [xs(0, 0, 0, 1), xs(0, 0, 1, 2)]
-        _, problems = audit_junctions(sticks, {"v": point(1, 0, 0)})
+        _, problems = audit_junctions(sticks, {"v": point(1, 0, 0)}, {"v": 2})
         assert problems == []  # +x and -x are distinct directions
         sticks = [xs(0, 0, 0, 1), ys(1, 0, 0, 2), zs(1, 0, 0, 1)]
         _, problems = audit_junctions(sticks, {"v": point(1, 0, 0)}, degrees={"v": 3})
