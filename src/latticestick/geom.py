@@ -4,7 +4,10 @@ Every coordinate in the pipeline is a ``fractions.Fraction``; there are no
 tolerances anywhere.  A stick is a closed segment parallel to one of the three
 axes with strictly positive length.  Contact classification between two sticks
 reduces to interval arithmetic per coordinate, since the intersection of two
-axis-parallel segments is the intersection of their bounding boxes.
+axis-parallel segments is the intersection of their bounding boxes.  So two
+parallel sticks can meet only on one line, and two perpendicular sticks only
+in one plane, the one fixing the coordinate of the third axis in both; the
+self-avoidance check compares only such pairs, in index-pair order.
 """
 
 from __future__ import annotations

@@ -7,8 +7,10 @@ bugs rather than inheriting them.
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .bounds import arc_index_upper, construction_count, crossing_stick_bound
 from .errors import BoundViolated, ReconstructionMismatch
@@ -58,34 +60,80 @@ def endpoint_census(sticks: list[Stick]) -> dict[Vec3, list[int]]:
     return ends
 
 
+def _touching_pairs(sticks: list[Stick]) -> list[tuple[int, int]]:
+    """Every index pair ``(i, j)``, ``i < j``, of sticks that meet, sorted.
+
+    Parallel sticks can meet only on one line, so each line bucket is swept
+    in order of start.  Perpendicular sticks can meet only in the plane that
+    fixes their common third coordinate.  In each plane bucket the sticks
+    along the earlier axis are sorted by their fixed coordinate on the later
+    one; each stick along the later axis takes the range its span covers and
+    keeps the sticks whose span contains its own fixed coordinate.  Ranging
+    along the later axis keeps a vertical stick's range inside its own
+    z-slab, where a horizontal stick would take the columns of every stacked
+    component above and below it.
+    """
+    lines: dict[tuple, list[int]] = defaultdict(list)
+    planes: dict[tuple, tuple[list[int], ...]] = defaultdict(lambda: ([], [], []))
+    for i, s in enumerate(sticks):
+        ax = s.axis
+        u, w = (k for k in range(3) if k != ax)
+        lines[(ax, s.a[u], s.a[w])].append(i)
+        planes[(u, s.a[u])][ax].append(i)
+        planes[(w, s.a[w])][ax].append(i)
+
+    pairs: list[tuple[int, int]] = []
+    for (ax, _, _), line in lines.items():
+        line.sort(key=lambda i: sticks[i].a[ax])
+        for k, i in enumerate(line):
+            end = sticks[i].b[ax]
+            for j in islice(line, k + 1, None):
+                if sticks[j].a[ax] > end:
+                    break
+                pairs.append((i, j) if i < j else (j, i))
+    for (normal, _), by_axis in planes.items():
+        u, w = (k for k in range(3) if k != normal)
+        if not (by_axis[u] and by_axis[w]):
+            continue
+        across = sorted(by_axis[u], key=lambda j: sticks[j].a[w])
+        keys = [sticks[j].a[w] for j in across]
+        for i in by_axis[w]:
+            s = sticks[i]
+            for j in across[bisect_left(keys, s.a[w]) : bisect_right(keys, s.b[w])]:
+                if sticks[j].a[u] <= s.a[u] <= sticks[j].b[u]:
+                    pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return pairs
+
+
 def check_self_avoiding(
     sticks: list[Stick],
     markers: dict[str, Vec3] | None = None,
     interior_only: bool = False,
 ) -> list[tuple[str, Vec3]]:
-    """All pairwise stick contacts that are not legitimate.
+    """All pairwise stick contacts that are not legitimate, in index-pair order.
 
     Interior crossings, collinear overlaps and endpoint-in-interior contacts
     are always violations.  A shared endpoint is fine where a polyline bend
     joins exactly two sticks or a vertex marker sits; ``interior_only``
     relaxes the endpoint rule for mid-pipeline states that have no markers
     yet (binding columns legitimately carry degree-3 junction points there).
+
+    Only pairs that can touch are compared: parallel sticks on one line and
+    perpendicular sticks in one plane (both fix the third coordinate).  The
+    result is the one an all-pairs loop over ``i < j`` gives, in that order.
     """
     marker_points = set((markers or {}).values())
-    ends = endpoint_census(sticks)
+    ends = None if interior_only else endpoint_census(sticks)
     violations: list[tuple[str, Vec3]] = []
-    for i in range(len(sticks)):
-        for j in range(i + 1, len(sticks)):
-            c = contact(sticks[i], sticks[j])
-            if c is None:
+    for i, j in _touching_pairs(sticks):
+        kind, p = contact(sticks[i], sticks[j])
+        if kind == "endpoint":
+            if interior_only or p in marker_points or len(ends[p]) == 2:
                 continue
-            kind, p = c
-            if kind == "endpoint":
-                if interior_only or p in marker_points or len(ends[p]) == 2:
-                    continue
-                violations.append(("endpoint_junction_unmarked", p))
-            else:
-                violations.append((kind, p))
+            violations.append(("endpoint_junction_unmarked", p))
+        else:
+            violations.append((kind, p))
     return violations
 
 

@@ -1,13 +1,23 @@
-import pytest
+import copy
+import random
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from latticestick import assembly, build, validate
+from latticestick.assembly import build_full
 from latticestick.errors import ReconstructionMismatch
+from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
 from latticestick.geom import collinear, contact, point, stick
 from latticestick.graph import ComponentSpec, SpatialGraphSpec
 from latticestick.arcs import presentation
+from latticestick.io import spec_from_document
 from latticestick.validate import (
     audit_junctions,
     check_self_avoiding,
     count_sticks,
+    endpoint_census,
     reconstruct_graph,
     walk_edges,
 )
@@ -85,6 +95,142 @@ class TestSelfAvoiding:
         assert check_self_avoiding(sticks)
         assert check_self_avoiding(sticks, {"v": point(1, 0, 0)}) == []
         assert check_self_avoiding(sticks, interior_only=True) == []
+
+
+def _all_pairs_self_avoiding(sticks, markers=None, interior_only=False):
+    """The reference checker: every pair ``i < j`` through ``contact``."""
+    marker_points = set((markers or {}).values())
+    ends = endpoint_census(sticks)
+    violations = []
+    for i in range(len(sticks)):
+        for j in range(i + 1, len(sticks)):
+            c = contact(sticks[i], sticks[j])
+            if c is None:
+                continue
+            kind, p = c
+            if kind == "endpoint":
+                if interior_only or p in marker_points or len(ends[p]) == 2:
+                    continue
+                violations.append(("endpoint_junction_unmarked", p))
+            else:
+                violations.append((kind, p))
+    return violations
+
+
+# A small rational grid makes overlaps, T-contacts, crossings and shared
+# ends common among a handful of sticks.
+GRID = [Fraction(n, 2) for n in (0, 1, 2, 3, 4, 6)]
+
+
+@st.composite
+def stick_sets(draw):
+    sticks = []
+    for _ in range(draw(st.integers(1, 14))):
+        axis = draw(st.integers(0, 2))
+        fixed = [draw(st.sampled_from(GRID)) for _ in range(2)]
+        lo, hi = sorted(draw(st.lists(st.sampled_from(GRID), min_size=2, max_size=2, unique=True)))
+        a, b = list(fixed), list(fixed)
+        a.insert(axis, lo)
+        b.insert(axis, hi)
+        sticks.append(stick(tuple(a), tuple(b)))
+    ends = sorted({p for s in sticks for p in s.ends()})
+    points = draw(st.lists(st.sampled_from(ends), max_size=2, unique=True))
+    markers = {f"m{k}": p for k, p in enumerate(points)}
+    return sticks, markers, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=stick_sets())
+def test_matches_all_pairs_oracle(case):
+    sticks, markers, interior_only = case
+    assert check_self_avoiding(sticks, markers, interior_only) == _all_pairs_self_avoiding(
+        sticks, markers, interior_only
+    )
+
+
+def test_pipeline_checks_match_oracle(monkeypatch):
+    """Every self-avoidance decision of a build agrees with the oracle."""
+    original = validate.check_self_avoiding
+    calls = []
+
+    def compared(sticks, markers=None, interior_only=False):
+        result = original(sticks, markers, interior_only)
+        assert result == _all_pairs_self_avoiding(sticks, markers, interior_only)
+        calls.append(len(sticks))
+        return result
+
+    for module in (validate, build, assembly):
+        monkeypatch.setattr(module, "check_self_avoiding", compared)
+    for doc in [*DEMOS.values(), CHAIN, SPLIT_PAIR, LOOP_TREFOIL]:
+        build_full(spec_from_document(doc))
+    assert len(calls) > 9
+
+
+def _random_forest(rng, n_knots, n_arcs=8):
+    """Split forest of random one-cycle knots, each with one vertex."""
+    comps = []
+    for k in range(n_knots):
+        cycle = rng.sample(range(1, n_arcs + 1), n_arcs)
+        pairs = [tuple(sorted((cycle[i], cycle[(i + 1) % n_arcs]))) for i in range(n_arcs)]
+        arcs = [pairs[p] for p in rng.sample(range(n_arcs), n_arcs)]
+        vertex = rng.randint(1, n_arcs)
+        comps.append(
+            {
+                "id": f"k{k}",
+                "binding_points": [
+                    {"index": i, **({"vertex": f"v{k}"} if i == vertex else {})}
+                    for i in range(1, n_arcs + 1)
+                ],
+                "arcs": [
+                    {"page": page, "from": lo, "to": hi}
+                    for page, (lo, hi) in enumerate(arcs, start=1)
+                ],
+            }
+        )
+    return {"components": comps, "attachments": []}
+
+
+def _bouquets(n):
+    comps = []
+    for k in range(n):
+        comp = copy.deepcopy(DEMOS["bouquet3"]["components"][0])
+        comp["id"] = f"b{k}"
+        for bp in comp["binding_points"]:
+            if "vertex" in bp:
+                bp["vertex"] = f"v{k}"
+        comps.append(comp)
+    return {"components": comps, "attachments": []}
+
+
+def test_contacts_compared_grow_linearly(monkeypatch):
+    """Only sticks sharing a line or a plane are compared: on a forest of
+    32 knots and on 16 stacked bouquets no check classifies more than two
+    pairs per stick."""
+    counted = [0]
+
+    def counting_contact(s, t):
+        counted[0] += 1
+        return contact(s, t)
+
+    original = validate.check_self_avoiding
+    ratios = []
+
+    def measured(sticks, *args, **kwargs):
+        counted[0] = 0
+        result = original(sticks, *args, **kwargs)
+        ratios.append((counted[0], len(sticks)))
+        return result
+
+    monkeypatch.setattr(validate, "contact", counting_contact)
+    for module in (validate, build, assembly):
+        monkeypatch.setattr(module, "check_self_avoiding", measured)
+    for doc, n_sticks in ((_random_forest(random.Random(1), 32), 704), (_bouquets(16), 304)):
+        ratios.clear()
+        _, counts, _ = build_full(spec_from_document(doc))
+        assert counts.total == n_sticks
+        assert ratios and all(calls <= 2 * n for calls, n in ratios), max(
+            ratios, key=lambda r: r[0] / r[1]
+        )
 
 
 class TestJunctions:
