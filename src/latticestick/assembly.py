@@ -7,13 +7,19 @@ degree d >= 4 then exists as d-2 degree-3 junctions along one vertical run;
 merging reroutes the junctions' horizontal sticks onto the pivot (the second
 attachment from the bottom) through offset verticals, one extra stick per
 merge, after which the run fuses and the pivot is the vertex.
+
+All coordinates are integers on one grid per build.  Rather than shrink a
+branch by 1/(8*2^k), stacking scales its stem up by 8*2^k, so each subtree
+comes back with its own component's unit a power of two.  ``assemble`` then
+puts every tree on the unit ``12 * max(root unit)``: 12 is lcm(2, 3, 4), so
+the merge offsets m/(d-2) of a unit are grid points for every degree d <= 6.
+``normalize`` divides the grid back down to the smallest integer lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from .build import ComponentBuild, build_component
 from .errors import (
@@ -22,7 +28,7 @@ from .errors import (
     NoFreeDirection,
     ReconstructionMismatch,
 )
-from .geom import Stick, Vec3, point, stick, transform, transform_point
+from .geom import Stick, Vec3, stick, transform, transform_point
 from .graph import ComponentClass, CutTree, GraphCensus, SpatialGraphSpec, build_cut_tree, census
 from .validate import (
     BoundReport,
@@ -33,18 +39,21 @@ from .validate import (
     walk_edges,
 )
 
-Axis2 = tuple[Fraction, Fraction]
+Axis2 = tuple[int, int]
 
 
 @dataclass
 class Assembly:
     sticks: list[Stick]
+    # grid points per unit of the roots' frame; merge offsets divide it
+    unit: int
     vertex_axis: dict[str, Axis2]
     # Stacked trees reuse local (x, y) coordinates, so every per-vertex scan
     # is confined to the z-range of the vertex's own tree.
-    vertex_zrange: dict[str, tuple[Fraction, Fraction]]
-    comp_scale: dict[str, Fraction]
-    comp_zspan: dict[str, tuple[Fraction, Fraction]]
+    vertex_zrange: dict[str, tuple[int, int]]
+    # grid points per unit of each component's own arc diagram
+    comp_scale: dict[str, int]
+    comp_zspan: dict[str, tuple[int, int]]
     knot_corners: dict[str, Vec3]
     markers: dict[str, Vec3] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
@@ -67,60 +76,61 @@ class LatticeEmbedding:
     warnings: tuple[str, ...] = ()
 
 
-def _pow2_at_least(x) -> int:
-    n = 1
-    while n < x:
-        n *= 2
-    return n
-
-
 @dataclass
 class _Realized:
+    """A subtree on its own grid: ``scale[c]`` grid points per unit of
+    component ``c``, whose local origin sits at ``offset[c]``.  The subtree's
+    own component has offset zero and its lowest level, z = 1, at one unit."""
+
     sticks: list[Stick]
-    scale: dict[str, Fraction]
+    scale: dict[str, int]
     offset: dict[str, Vec3]
-    zmin: Fraction
-    zmax: Fraction
+    zmax: int
 
 
 def _realize(comp_id: str, builds: dict[str, ComponentBuild], tree: CutTree) -> _Realized:
-    """Subtree of ``comp_id`` in its local frame, children scaled in above."""
+    """Subtree of ``comp_id`` with its children scaled in above.
+
+    A child whose extent around its cut-vertex column is at most ``2^k`` of
+    its own units is placed at 1/(8*2^k) of a stem unit, so the stem's unit
+    is the largest ``8 * 2^k * child unit``: every child scales up by a
+    power of two.
+    """
     b = builds[comp_id]
-    out = _Realized(
-        sticks=b.sticks(),
-        scale={comp_id: Fraction(1)},
-        offset={comp_id: point(0, 0, 0)},
-        zmin=Fraction(1),
-        zmax=Fraction(max(1, b.pres.alpha)),
-    )
     children = sorted(tree.children(comp_id), key=lambda c: tree.order.index(c[0]))
-    top = out.zmax
+    subs = []
     for child_id, cut_vertex in children:
         sub = _realize(child_id, builds, tree)
-        bp = b.vertex_bp(cut_vertex)
-        ax, ay = b.column_axis(bp)
-        pbar_z = Fraction(b.column_zrange(bp)[1])
         cb = builds[child_id]
         cbp = cb.vertex_bp(cut_vertex)
-        sub_ax, sub_ay = cb.column_axis(cbp)
-        sub_pz = Fraction(cb.column_zrange(cbp)[0])
-
-        extent = max(
-            max(abs(p[0] - sub_ax), abs(p[1] - sub_ay))
-            for s in sub.sticks
-            for p in s.ends()
-        )
-        f = Fraction(1, 8 * _pow2_at_least(max(Fraction(1), extent)))
-        base = top + f
-        off = point(ax - f * sub_ax, ay - f * sub_ay, base - f * sub.zmin)
-
+        u = sub.scale[child_id]
+        cx, cy = (u * c for c in cb.column_axis(cbp))
+        extent = max(max(abs(p[0] - cx), abs(p[1] - cy)) for s in sub.sticks for p in s.ends())
+        # 2^k * u: the least power of two covering max(1, extent / u) units
+        width = 1 << (max(u, extent) - 1).bit_length()
+        subs.append((sub, cut_vertex, (cx, cy, u * cb.column_zrange(cbp)[0]), width))
+    unit = max((8 * width for *_, width in subs), default=1)
+    out = _Realized(
+        sticks=[transform(s, unit, (0, 0, 0)) for s in b.sticks()],
+        scale={comp_id: unit},
+        offset={comp_id: (0, 0, 0)},
+        zmax=unit * max(1, b.pres.alpha),
+    )
+    top = out.zmax
+    for sub, cut_vertex, (cx, cy, cz), width in subs:
+        bp = b.vertex_bp(cut_vertex)
+        ax, ay = (unit * c for c in b.column_axis(bp))
+        f = unit // (8 * width)
+        # one child unit of clearance above ``top``: the child's z = 1 level
+        # lands at top + f * u, so its frame origin sits at ``top``
+        off = (ax - f * cx, ay - f * cy, top)
         out.sticks.extend(transform(s, f, off) for s in sub.sticks)
         for cid in sub.scale:
             out.scale[cid] = f * sub.scale[cid]
             out.offset[cid] = transform_point(sub.offset[cid], f, off)
-        drop_z = f * sub_pz + off[2]
-        out.sticks.append(stick(point(ax, ay, pbar_z), point(ax, ay, drop_z)))
-        top = base + f * (sub.zmax - sub.zmin)
+        pbar_z = unit * b.column_zrange(bp)[1]
+        out.sticks.append(stick((ax, ay, pbar_z), (ax, ay, f * cz + top)))
+        top += f * sub.zmax
     out.zmax = top
     return out
 
@@ -128,33 +138,36 @@ def _realize(comp_id: str, builds: dict[str, ComponentBuild], tree: CutTree) -> 
 def assemble(
     spec: SpatialGraphSpec, tree: CutTree, builds: dict[str, ComponentBuild]
 ) -> Assembly:
-    """Stack every tree of the forest; roots get no connector."""
+    """Stack every tree of the forest on one grid; roots get no connector."""
+    subs = {root: _realize(root, builds, tree) for root in tree.roots}
+    unit = 12 * max(sub.scale[root] for root, sub in subs.items())
     asm = Assembly(
         sticks=[],
+        unit=unit,
         vertex_axis={},
         vertex_zrange={},
         comp_scale={},
         comp_zspan={},
         knot_corners={},
     )
-    top = Fraction(0)
+    top = 0
     offsets: dict[str, Vec3] = {}
-    tree_span: dict[str, tuple[Fraction, Fraction]] = {}
-    for root in tree.roots:
-        sub = _realize(root, builds, tree)
-        off = point(0, 0, top + 1 - sub.zmin)
-        asm.sticks.extend(transform(s, Fraction(1), off) for s in sub.sticks)
+    tree_span: dict[str, tuple[int, int]] = {}
+    for root, sub in subs.items():
+        f = unit // sub.scale[root]
+        off = (0, 0, top)
+        asm.sticks.extend(transform(s, f, off) for s in sub.sticks)
         for cid in sub.scale:
-            asm.comp_scale[cid] = sub.scale[cid]
-            offsets[cid] = transform_point(sub.offset[cid], Fraction(1), off)
-            tree_span[cid] = (top + 1, top + 1 + (sub.zmax - sub.zmin))
-        top += 1 + (sub.zmax - sub.zmin)
+            asm.comp_scale[cid] = f * sub.scale[cid]
+            offsets[cid] = transform_point(sub.offset[cid], f, off)
+            tree_span[cid] = (top + unit, top + f * sub.zmax)
+        top += f * sub.zmax
 
     for comp in spec.components:
         b = builds[comp.id]
         f = asm.comp_scale[comp.id]
         o = offsets[comp.id]
-        lo = f * 1 + o[2]
+        lo = f + o[2]
         hi = f * max(1, b.pres.alpha) + o[2]
         asm.comp_zspan[comp.id] = (lo, hi)
         for bp, label in b.pres.labels.items():
@@ -176,25 +189,25 @@ def assemble(
 
 @dataclass(frozen=True)
 class MergeStep:
-    level: Fraction
+    level: int
     direction: tuple[int, int]
     move: str  # "drop" | "translate" | "extend"
-    epsilon: Fraction
+    epsilon: int
 
 
 @dataclass(frozen=True)
 class VertexPlan:
     vertex: str
     axis: Axis2
-    pivot_level: Fraction
+    pivot_level: int
     pivot_direction: tuple[int, int]
-    column_base: Fraction
-    old_top: Fraction
-    new_top: Fraction
+    column_base: int
+    old_top: int
+    new_top: int
     steps: tuple[MergeStep, ...]
 
 
-def _attachments(sticks: list[Stick], axis: Axis2, zrange: tuple[Fraction, Fraction]):
+def _attachments(sticks: list[Stick], axis: Axis2, zrange: tuple[int, int]):
     """Horizontal sticks with an end on the vertical line through ``axis``
     inside ``zrange``, bottom to top: (level, stick index, outward 2d dir)."""
     zlo, zhi = zrange
@@ -266,7 +279,7 @@ def _vertex_plans(sticks, vertex, axis, zrange, degree, unit):
             yield chosen, False
             return
         level, idx, direction = interior[pos]
-        near = point(axis[0], axis[1], level)
+        near = (axis[0], axis[1], level)
         last = pos == len(interior) - 1
         for w, move in _candidate_moves(sticks, idx, near, direction, is_top=False):
             if w in used:
@@ -278,7 +291,7 @@ def _vertex_plans(sticks, vertex, axis, zrange, degree, unit):
         if last:
             # swap: keep this stick, merge the top one instead
             t_level, t_idx, t_dir = top_att
-            t_near = point(axis[0], axis[1], t_level)
+            t_near = (axis[0], axis[1], t_level)
             for w, move in _candidate_moves(sticks, t_idx, t_near, t_dir, is_top=True):
                 if w in used:
                     continue
@@ -287,9 +300,9 @@ def _vertex_plans(sticks, vertex, axis, zrange, degree, unit):
     produced = False
     for chosen, swapped in assignments(0, {pivot_dir}, []):
         produced = True
-        total = len(chosen)
+        # len(chosen) + 1 == degree - 2 divides ``unit`` (a multiple of 12)
         steps = tuple(
-            MergeStep(level, w, move, Fraction(m, total + 1) * unit)
+            MergeStep(level, w, move, m * unit // (len(chosen) + 1))
             for m, (level, w, move) in enumerate(chosen, start=1)
         )
         new_top = interior[-1][0] if swapped else old_top
@@ -300,8 +313,8 @@ def _vertex_plans(sticks, vertex, axis, zrange, degree, unit):
         raise NoFreeDirection(f"vertex {vertex}: no merge assignment exists")
 
 
-def _vertex_units(spec: SpatialGraphSpec, asm: Assembly) -> dict[str, Fraction]:
-    units: dict[str, Fraction] = {}
+def _vertex_units(spec: SpatialGraphSpec, asm: Assembly) -> dict[str, int]:
+    units: dict[str, int] = {}
     for comp in spec.components:
         f = asm.comp_scale[comp.id]
         for label in comp.presentation.labels.values():
@@ -310,7 +323,7 @@ def _vertex_units(spec: SpatialGraphSpec, asm: Assembly) -> dict[str, Fraction]:
 
 
 def _apply_vertex_plan(
-    sticks: list[Stick], plan: VertexPlan, zrange: tuple[Fraction, Fraction]
+    sticks: list[Stick], plan: VertexPlan, zrange: tuple[int, int]
 ) -> list[Stick]:
     """Execute one vertex's merges on a copy of the stick list."""
     sticks = list(sticks)
@@ -322,12 +335,12 @@ def _apply_vertex_plan(
             raise MergeCollision(f"vertex {plan.vertex}: lost attachment at {step.level}")
         _, idx, _ = match[0]
         s = sticks[idx]
-        near = point(ax, ay, step.level)
+        near = (ax, ay, step.level)
         far = s.b if near == s.a else s.a
         wx, wy = step.direction
         bx, by = ax + step.epsilon * wx, ay + step.epsilon * wy
-        break_pt = point(bx, by, step.level)
-        arm_end = point(bx, by, plan.pivot_level)
+        break_pt = (bx, by, step.level)
+        arm_end = (bx, by, plan.pivot_level)
 
         if step.move in ("drop", "extend"):
             sticks[idx] = stick(break_pt, far, s.comp)
@@ -337,7 +350,7 @@ def _apply_vertex_plan(
                 raise MergeCollision(f"vertex {plan.vertex}: no unique far partner")
             pidx = partners[0]
             partner = sticks[pidx]
-            offset3 = point(step.epsilon * wx, step.epsilon * wy, 0)
+            offset3 = (step.epsilon * wx, step.epsilon * wy, 0)
             moved_far = tuple(far[i] + offset3[i] for i in range(3))
             sticks[idx] = stick(
                 tuple(near[i] + offset3[i] for i in range(3)),
@@ -347,7 +360,7 @@ def _apply_vertex_plan(
             keep = partner.b if partner.a == far else partner.a
             sticks[pidx] = stick(keep, moved_far, partner.comp)
         sticks.append(stick(arm_end, break_pt, s.comp))
-        sticks.append(stick(point(ax, ay, plan.pivot_level), arm_end, s.comp))
+        sticks.append(stick((ax, ay, plan.pivot_level), arm_end, s.comp))
 
     # Fuse the vertical run: junctions between pivot and top are gone now.
     kept = []
@@ -360,8 +373,8 @@ def _apply_vertex_plan(
         ):
             continue
         kept.append(s)
-    kept.append(stick(point(ax, ay, plan.column_base), point(ax, ay, plan.pivot_level)))
-    kept.append(stick(point(ax, ay, plan.pivot_level), point(ax, ay, plan.new_top)))
+    kept.append(stick((ax, ay, plan.column_base), (ax, ay, plan.pivot_level)))
+    kept.append(stick((ax, ay, plan.pivot_level), (ax, ay, plan.new_top)))
     return kept
 
 
@@ -395,7 +408,7 @@ def apply_merges(spec: SpatialGraphSpec, cens: GraphCensus, asm: Assembly) -> As
             raise MergeCollision(f"all merge moves collide at vertex {label}")
         sticks, plan = committed
         asm.merge_plans.append(plan)
-        asm.markers[label] = point(plan.axis[0], plan.axis[1], plan.pivot_level)
+        asm.markers[label] = (plan.axis[0], plan.axis[1], plan.pivot_level)
     asm.sticks = sticks
 
     for label, d in sorted(degrees.items()):
@@ -406,7 +419,7 @@ def apply_merges(spec: SpatialGraphSpec, cens: GraphCensus, asm: Assembly) -> As
             if len(att) != 3:
                 raise MergeCollision(f"vertex {label}: expected 3 attachments, got {len(att)}")
             ax, ay = asm.vertex_axis[label]
-            asm.markers[label] = point(ax, ay, att[1][0])
+            asm.markers[label] = (ax, ay, att[1][0])
         else:
             asm.markers[label] = asm.knot_corners[label]
     return asm
@@ -460,8 +473,8 @@ def straighten_arcs(
             return hits[0] if len(hits) == 1 else None
 
         # the elbow: its x-stick leaves the near column, its y-stick the far one
-        ix = _find(0, point(axis_near[0], axis_near[1], z_arc))
-        iy = _find(1, point(axis_far[0], axis_far[1], z_arc))
+        ix = _find(0, (axis_near[0], axis_near[1], z_arc))
+        iy = _find(1, (axis_far[0], axis_far[1], z_arc))
         if ix is None or iy is None:
             asm.warnings.append(f"{comp_id}: rerouted by merging, not straightened")
             continue
@@ -488,7 +501,7 @@ def straighten_arcs(
             continue
         dx = axis_near[0] - axis_far[0]
         dy = axis_near[1] - axis_far[1]
-        delta = point(dx, dy, 0)
+        delta = (dx, dy, 0)
 
         moved: list[Stick] = []
         ok = True
@@ -497,7 +510,7 @@ def straighten_arcs(
                 continue
             inside = [z_lo <= p[2] <= z_hi for p in s.ends()]
             if all(inside):
-                moved.append(transform(s, Fraction(1), delta))
+                moved.append(transform(s, 1, delta))
             elif any(inside):
                 ok = False
                 break
@@ -508,13 +521,11 @@ def straighten_arcs(
             continue
         moved.append(
             stick(
-                point(axis_near[0], axis_near[1], z_arc),
-                point(axis_near[0], axis_near[1], run_top),
-                comp_id,
+                (axis_near[0], axis_near[1], z_arc), (axis_near[0], axis_near[1], run_top), comp_id
             )
         )
         new_markers = {
-            label: (transform_point(p, Fraction(1), delta) if z_lo <= p[2] <= z_hi else p)
+            label: (transform_point(p, 1, delta) if z_lo <= p[2] <= z_hi else p)
             for label, p in asm.markers.items()
         }
         if check_self_avoiding(moved, new_markers):
@@ -580,39 +591,38 @@ def normalize(
     sticks: list[Stick],
     markers: dict[str, Vec3],
     traces: dict[str, list[Vec3]],
+    unit: int,
     warnings: tuple[str, ...] = (),
 ) -> LatticeEmbedding:
-    """Clear denominators by their lcm, translate minima to the origin and
-    fuse each trace into one stick per straight run.
+    """Translate minima to the origin, shrink the grid to the coarsest
+    lattice holding every point, and fuse each trace into one stick per
+    straight run.
 
-    The scale and the minima come from the construction sticks, not the
-    fused ones: a collinear joint that fusion drops may carry the largest
-    denominator, and dropping it would change the output coordinates.
+    ``unit`` grid points make one unit of the construction, so the step
+    ``gcd(unit, all coordinates)`` gives the lattice of the least common
+    multiple of the construction's denominators.  The step and the minima
+    come from the construction sticks, not the fused ones: a collinear joint
+    that fusion drops may lie off the coarser lattice, and dropping it would
+    change the output coordinates.
     """
-    denoms = [c.denominator for s in sticks for p in s.ends() for c in p]
-    denoms += [c.denominator for p in markers.values() for c in p]
-    scale = Fraction(lcm(*denoms)) if denoms else Fraction(1)
     ends = [p for s in sticks for p in s.ends()]
-    mins = point(*(min(p[i] for p in ends) for i in range(3)))
-    maxs = point(*(max(p[i] for p in ends) for i in range(3)))
-    off = tuple(-scale * m for m in mins)
-    new_markers = {k: transform_point(p, scale, off) for k, p in markers.items()}
-    new_traces = {
-        eid: [transform_point(p, scale, off) for p in line] for eid, line in traces.items()
-    }
+    step = gcd(unit, *(c for p in ends + list(markers.values()) for c in p))
+    mins = tuple(min(p[i] for p in ends) for i in range(3))
+
+    def shrink(p: Vec3) -> Vec3:
+        return tuple((c - m) // step for c, m in zip(p, mins))
+
+    new_traces = {eid: [shrink(p) for p in line] for eid, line in traces.items()}
     fused = tuple(
         stick(a, b)
         for eid in sorted(new_traces)
         for a, b in zip(new_traces[eid], new_traces[eid][1:])
     )
-    for s in fused:
-        for p in s.ends():
-            assert all(c.denominator == 1 and c >= 0 for c in p)
     return LatticeEmbedding(
         sticks=fused,
-        markers=new_markers,
+        markers={k: shrink(p) for k, p in markers.items()},
         traces=new_traces,
-        bbox=(point(0, 0, 0), transform_point(maxs, scale, off)),
+        bbox=((0, 0, 0), shrink(tuple(max(p[i] for p in ends) for i in range(3)))),
         warnings=warnings,
     )
 
@@ -631,7 +641,7 @@ def build_full(spec: SpatialGraphSpec) -> tuple[LatticeEmbedding, StickCounts, B
     asm = apply_merges(spec, cens, asm)
     asm = straighten_arcs(spec, tree, builds, asm)
     traces = derive_traces(cens, asm.sticks, asm.markers)
-    emb = normalize(asm.sticks, asm.markers, traces, tuple(asm.warnings))
+    emb = normalize(asm.sticks, asm.markers, traces, asm.unit, tuple(asm.warnings))
 
     report = full_audit(list(emb.sticks), emb.markers, spec, cens.degrees)
     if not report.clean:

@@ -19,10 +19,9 @@ and keep or revert.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from .arcs import ArcPresentation, incident_levels
-from .geom import Stick, Vec3, point, stick
+from .geom import Stick, Vec3, stick
 from .graph import ComponentClass, ComponentSpec
 from .validate import check_self_avoiding
 
@@ -36,15 +35,15 @@ class ComponentBuild:
     cls: ComponentClass
     # Column positions: col_x[i] is the x of binding column i (moves only for
     # the first binding point), col_y[i] its y (moves only for the last).
-    col_x: dict[int, Fraction] = field(default_factory=dict)
-    col_y: dict[int, Fraction] = field(default_factory=dict)
+    col_x: dict[int, int] = field(default_factory=dict)
+    col_y: dict[int, int] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
     @property
     def beta(self) -> int:
         return self.pres.beta
 
-    def column_axis(self, bp: int) -> tuple[Fraction, Fraction]:
+    def column_axis(self, bp: int) -> tuple[int, int]:
         return (self.col_x[bp], self.col_y[bp])
 
     def column_zrange(self, bp: int) -> tuple[int, int]:
@@ -65,18 +64,14 @@ class ComponentBuild:
             x_start = self.col_x[a.lo]
             y_end = self.col_y[a.hi]
             if x_start < a.hi:
-                out.append(
-                    stick(point(x_start, a.lo, a.page), point(a.hi, a.lo, a.page), cid)
-                )
+                out.append(stick((x_start, a.lo, a.page), (a.hi, a.lo, a.page), cid))
             if y_end > a.lo:
-                out.append(
-                    stick(point(a.hi, a.lo, a.page), point(a.hi, y_end, a.page), cid)
-                )
+                out.append(stick((a.hi, a.lo, a.page), (a.hi, y_end, a.page), cid))
         for bp in range(1, self.beta + 1):
             levels = incident_levels(self.pres, bp)
             x, y = self.column_axis(bp)
             for z1, z2 in zip(levels, levels[1:]):
-                out.append(stick(point(x, y, z1), point(x, y, z2)))
+                out.append(stick((x, y, z1), (x, y, z2)))
         return out
 
     def knot_corner(self) -> Vec3 | None:
@@ -90,7 +85,7 @@ class ComponentBuild:
             return None
         bp = next(iter(self.pres.labels))
         arc = min(self.pres.arcs_at(bp), key=lambda a: a.page)
-        return point(arc.hi, arc.lo, arc.page)
+        return (arc.hi, arc.lo, arc.page)
 
 
 def build_arc_diagram(comp: ComponentSpec, cls: ComponentClass) -> ComponentBuild:
@@ -101,8 +96,8 @@ def build_arc_diagram(comp: ComponentSpec, cls: ComponentClass) -> ComponentBuil
         comp_id=comp.id,
         pres=pres,
         cls=cls,
-        col_x={i: Fraction(i) for i in range(1, pres.beta + 1)},
-        col_y={i: Fraction(i) for i in range(1, pres.beta + 1)},
+        col_x={i: i for i in range(1, pres.beta + 1)},
+        col_y={i: i for i in range(1, pres.beta + 1)},
     )
 
 
@@ -120,26 +115,17 @@ def side_slide(build: ComponentBuild) -> ComponentBuild:
     if build.cls is ComponentClass.ARC:
         return build
     beta = build.beta
-
-    first_target = min(a.hi for a in build.pres.arcs_at(1))
-    trial = replace(build, col_x=dict(build.col_x), col_y=dict(build.col_y))
-    trial.col_x[1] = Fraction(first_target)
-    if _slide_ok(trial):
-        build = trial
-    else:
-        build.warnings.append(
-            f"{build.comp_id}: side slide at first binding point blocked"
-        )
-
-    last_target = max(a.lo for a in build.pres.arcs_at(beta))
-    trial = replace(build, col_x=dict(build.col_x), col_y=dict(build.col_y))
-    trial.col_y[beta] = Fraction(last_target)
-    if _slide_ok(trial):
-        build = trial
-    else:
-        build.warnings.append(
-            f"{build.comp_id}: side slide at last binding point blocked"
-        )
+    slides = (
+        ("first", "col_x", 1, min(a.hi for a in build.pres.arcs_at(1))),
+        ("last", "col_y", beta, max(a.lo for a in build.pres.arcs_at(beta))),
+    )
+    for where, cols, bp, target in slides:
+        trial = replace(build, col_x=dict(build.col_x), col_y=dict(build.col_y))
+        getattr(trial, cols)[bp] = target
+        if _slide_ok(trial):
+            build = trial
+        else:
+            build.warnings.append(f"{build.comp_id}: side slide at {where} binding point blocked")
     return build
 
 

@@ -1,10 +1,12 @@
-"""Exact axis-parallel segment geometry over the rationals.
+"""Exact axis-parallel segment geometry on the integer lattice.
 
-Every coordinate in the pipeline is a ``fractions.Fraction``; there are no
-tolerances anywhere.  A stick is a closed segment parallel to one of the three
-axes with strictly positive length.  Contact classification between two sticks
-reduces to interval arithmetic per coordinate, since the intersection of two
-axis-parallel segments is the intersection of their bounding boxes.  So two
+Every coordinate is a Python ``int``: a build works on one integer grid
+whose unit ``assembly`` chooses, so there are no tolerances, and only the
+projection in ``invariants`` leaves the lattice for the rationals.  A stick
+is a closed segment parallel to one of the three axes with strictly positive
+length.  Contact classification between two sticks reduces to interval
+arithmetic per coordinate, since the intersection of two axis-parallel
+segments is the intersection of their bounding boxes.  So two
 parallel sticks can meet only on one line, and two perpendicular sticks only
 in one plane, the one fixing the coordinate of the third axis in both; the
 self-avoidance check compares only such pairs, in index-pair order.
@@ -13,13 +15,8 @@ self-avoidance check compares only such pairs, in index-pair order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
-Vec3 = tuple[Fraction, Fraction, Fraction]
-
-
-def point(x, y, z) -> Vec3:
-    return (Fraction(x), Fraction(y), Fraction(z))
+Vec3 = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -44,7 +41,7 @@ class Stick:
         raise ValueError(f"zero-length stick at {self.a}")
 
     @property
-    def length(self) -> Fraction:
+    def length(self) -> int:
         i = self.axis
         return self.b[i] - self.a[i]
 
@@ -69,8 +66,6 @@ class Stick:
 
 def stick(a: Vec3, b: Vec3, comp: str = "") -> Stick:
     """Build a stick, normalising endpoint order and rejecting degeneracy."""
-    a = tuple(Fraction(c) for c in a)
-    b = tuple(Fraction(c) for c in b)
     diff = [i for i in range(3) if a[i] != b[i]]
     if len(diff) != 1:
         raise ValueError(f"not axis-parallel or zero length: {a} -> {b}")
@@ -79,22 +74,15 @@ def stick(a: Vec3, b: Vec3, comp: str = "") -> Stick:
     return Stick(a, b, comp)
 
 
-def transform(s: Stick, scale: Fraction = Fraction(1), offset: Vec3 = (0, 0, 0)) -> Stick:
-    f = Fraction(scale)
-    if f <= 0:
-        raise ValueError("scale must be positive")
-    off = tuple(Fraction(c) for c in offset)
+def transform(s: Stick, scale: int, offset: Vec3) -> Stick:
+    """Scale ``s`` by a positive integer, then translate it by ``offset``."""
     return replace(
-        s,
-        a=tuple(f * c + o for c, o in zip(s.a, off)),
-        b=tuple(f * c + o for c, o in zip(s.b, off)),
+        s, a=transform_point(s.a, scale, offset), b=transform_point(s.b, scale, offset)
     )
 
 
-def transform_point(p: Vec3, scale: Fraction = Fraction(1), offset: Vec3 = (0, 0, 0)) -> Vec3:
-    f = Fraction(scale)
-    off = tuple(Fraction(c) for c in offset)
-    return tuple(f * c + o for c, o in zip(p, off))
+def transform_point(p: Vec3, scale: int, offset: Vec3) -> Vec3:
+    return tuple(scale * c + o for c, o in zip(p, offset))
 
 
 def contact(s: Stick, t: Stick):

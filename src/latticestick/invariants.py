@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .assembly import LatticeEmbedding, _pow2_at_least
+from .assembly import LatticeEmbedding
 from .errors import NotACycle, TooLarge
 from .geom import Vec3
 
@@ -54,10 +54,6 @@ class GaussData:
 
     visits: tuple[tuple[int, bool], ...]  # (crossing id, is_over)
     n_crossings: int
-
-
-def _cross(o: Vec2, a: Vec2, b: Vec2) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _seg_intersection(a: Vec2, b: Vec2, c: Vec2, d: Vec2):
@@ -111,7 +107,7 @@ def project_generic(emb: LatticeEmbedding, comps: set[str] | None = None) -> Gra
     if not traces:
         raise NotACycle(f"no edges for components {sorted(comps or [])}")
     span = max(c for line in traces.values() for p in line for c in p)
-    n = 2 * _pow2_at_least(int(span) + 1)
+    n = 2 << int(span).bit_length()
     for _ in range(MAX_RETRIES):
         diagram = _try_project(traces, n)
         if diagram is not None:

@@ -14,7 +14,7 @@ import json
 from .arcs import Arc, ArcPresentation
 from .assembly import LatticeEmbedding
 from .errors import DocumentError
-from .geom import Vec3, point, stick
+from .geom import Vec3, stick
 from .graph import ComponentSpec, CutAttachment, SpatialGraphSpec
 from .validate import BoundReport, StickCounts
 
@@ -30,14 +30,21 @@ def _check_keys(obj, required, optional=(), where="document"):
         raise DocumentError(f"missing keys {missing} in {where}")
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: ``true`` and ``false`` are not numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list(value, where):
+    if not isinstance(value, list):
+        raise DocumentError(f"{where} must be a list")
+    return value
+
+
 def _int_triple(value, where):
-    if (
-        not isinstance(value, list)
-        or len(value) != 3
-        or not all(isinstance(c, int) and not isinstance(c, bool) for c in value)
-    ):
+    if not isinstance(value, list) or len(value) != 3 or not all(map(_is_int, value)):
         raise DocumentError(f"{where} must be a list of three integers")
-    return point(*value)
+    return tuple(value)
 
 
 # --- input documents --------------------------------------------------------
@@ -45,13 +52,13 @@ def _int_triple(value, where):
 def spec_from_document(doc) -> SpatialGraphSpec:
     _check_keys(doc, ["components"], ["attachments", "diagram_crossings"])
     components = []
-    for c in doc["components"]:
+    for c in _list(doc["components"], "components"):
         _check_keys(c, ["id", "binding_points", "arcs"], where="component")
         labels = {}
         indices = set()
-        for bp in c["binding_points"]:
+        for bp in _list(c["binding_points"], "binding_points"):
             _check_keys(bp, ["index"], ["vertex"], where="binding point")
-            if not isinstance(bp["index"], int) or bp["index"] < 1:
+            if not _is_int(bp["index"]) or bp["index"] < 1:
                 raise DocumentError("binding point index must be a positive integer")
             if bp["index"] in indices:
                 raise DocumentError(f"duplicate binding point index {bp['index']}")
@@ -65,10 +72,10 @@ def spec_from_document(doc) -> SpatialGraphSpec:
                 f"component {c['id']}: binding points must cover 1..{len(indices)}"
             )
         arcs = []
-        for a in c["arcs"]:
+        for a in _list(c["arcs"], "arcs"):
             _check_keys(a, ["page", "from", "to"], where="arc")
             for key in ("page", "from", "to"):
-                if not isinstance(a[key], int):
+                if not _is_int(a[key]):
                     raise DocumentError(f"arc {key} must be an integer")
             if a["from"] == a["to"]:
                 raise DocumentError("arc endpoints must differ")
@@ -79,13 +86,13 @@ def spec_from_document(doc) -> SpatialGraphSpec:
             ComponentSpec(str(c["id"]), ArcPresentation(tuple(arcs), labels))
         )
     attachments = []
-    for att in doc.get("attachments", []):
+    for att in _list(doc.get("attachments", []), "attachments"):
         _check_keys(att, ["stem", "branch", "cut_vertex"], where="attachment")
         attachments.append(
             CutAttachment(str(att["stem"]), str(att["branch"]), str(att["cut_vertex"]))
         )
     crossings = doc.get("diagram_crossings")
-    if crossings is not None and (not isinstance(crossings, int) or crossings < 0):
+    if crossings is not None and (not _is_int(crossings) or crossings < 0):
         raise DocumentError("diagram_crossings must be a nonnegative integer")
     return SpatialGraphSpec(tuple(components), tuple(attachments), crossings)
 
@@ -108,17 +115,17 @@ def embedding_to_document(
         "sticks": [
             {
                 "axis": "xyz"[s.axis],
-                "start": [int(c) for c in s.a],
-                "end": [int(c) for c in s.b],
+                "start": list(s.a),
+                "end": list(s.b),
             }
             for s in emb.sticks
         ],
         "vertices": [
-            {"id": label, "position": [int(c) for c in p]}
+            {"id": label, "position": list(p)}
             for label, p in sorted(emb.markers.items())
         ],
         "edges": [
-            {"id": eid, "polyline": [[int(c) for c in p] for p in emb.traces[eid]]}
+            {"id": eid, "polyline": [list(p) for p in emb.traces[eid]]}
             for eid in sorted(emb.traces)
         ],
         "counts": {"x": counts.x, "y": counts.y, "z": counts.z, "total": counts.total},
@@ -134,18 +141,18 @@ def embedding_to_document(
 def embedding_from_document(doc) -> tuple[LatticeEmbedding, StickCounts]:
     _check_keys(doc, ["sticks", "vertices", "edges", "counts", "bounds_report"])
     markers: dict[str, Vec3] = {}
-    for v in doc["vertices"]:
+    for v in _list(doc["vertices"], "vertices"):
         _check_keys(v, ["id", "position"], where="vertex")
         if v["id"] in markers:
             raise DocumentError(f"duplicate vertex id {v['id']}")
         markers[v["id"]] = _int_triple(v["position"], "vertex position")
     traces: dict[str, list[Vec3]] = {}
     polyline_pairs = set()
-    for e in doc["edges"]:
+    for e in _list(doc["edges"], "edges"):
         _check_keys(e, ["id", "polyline"], where="edge")
         if e["id"] in traces:
             raise DocumentError(f"duplicate edge id {e['id']}")
-        line = [_int_triple(p, "polyline point") for p in e["polyline"]]
+        line = [_int_triple(p, "polyline point") for p in _list(e["polyline"], "polyline")]
         if len(line) < 2:
             raise DocumentError(f"edge {e['id']} polyline too short")
         traces[e["id"]] = line
@@ -155,7 +162,7 @@ def embedding_from_document(doc) -> tuple[LatticeEmbedding, StickCounts]:
             polyline_pairs.add((min(a, b), max(a, b)))
     doc_sticks = []
     stick_pairs = set()
-    for s in doc["sticks"]:
+    for s in _list(doc["sticks"], "sticks"):
         _check_keys(s, ["axis", "start", "end"], where="stick")
         a = _int_triple(s["start"], "stick start")
         b = _int_triple(s["end"], "stick end")
@@ -180,16 +187,12 @@ def embedding_from_document(doc) -> tuple[LatticeEmbedding, StickCounts]:
         ["alpha_total", "construction_bound", "crossing_bound", "total_within_bounds"],
         where="bounds_report",
     )
-    bbox_hi = point(
-        max(p[0] for s in doc_sticks for p in s.ends()),
-        max(p[1] for s in doc_sticks for p in s.ends()),
-        max(p[2] for s in doc_sticks for p in s.ends()),
-    )
+    bbox_hi = tuple(max(p[i] for s in doc_sticks for p in s.ends()) for i in range(3))
     emb = LatticeEmbedding(
         sticks=tuple(doc_sticks),
         markers=markers,
         traces=traces,
-        bbox=(point(0, 0, 0), bbox_hi),
+        bbox=((0, 0, 0), bbox_hi),
     )
     return emb, got
 
@@ -219,7 +222,7 @@ def export_obj(emb: LatticeEmbedding) -> str:
         for p in (s.a, s.b):
             if p not in index:
                 index[p] = len(index) + 1
-                v_lines.append(f"v {int(p[0])} {int(p[1])} {int(p[2])}")
+                v_lines.append(f"v {p[0]} {p[1]} {p[2]}")
             ids.append(index[p])
         l_lines.append(f"l {ids[0]} {ids[1]}")
     return "\n".join(v_lines + l_lines) + "\n"

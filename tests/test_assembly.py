@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latticestick import assembly, build, validate
 from latticestick.assembly import (
@@ -17,7 +18,7 @@ from latticestick.assembly import (
 from latticestick.build import build_component
 from latticestick.errors import LatticeStickError
 from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
-from latticestick.geom import point, stick
+from latticestick.geom import stick, transform
 from latticestick.graph import build_cut_tree, census
 from latticestick.io import embedding_from_document, embedding_to_document, spec_from_document
 from latticestick.validate import count_sticks, full_audit
@@ -64,9 +65,10 @@ class TestAssemble:
 
     def test_branch_scales_nest(self):
         spec, cens, tree, builds, asm = stages(CHAIN)
-        assert asm.comp_scale["th1"] == 1
-        assert asm.comp_scale["mid"] < Fraction(1, 8) + 1e-9
-        assert asm.comp_scale["th2"] < asm.comp_scale["mid"] / 4
+        # the root's unit is the grid unit; a branch is at most 1/8 of its stem
+        assert asm.comp_scale["th1"] == asm.unit
+        assert 8 * asm.comp_scale["mid"] <= asm.comp_scale["th1"]
+        assert 4 * asm.comp_scale["th2"] < asm.comp_scale["mid"]
 
 
 def synthetic_column(directions, partner_for=()):
@@ -74,13 +76,13 @@ def synthetic_column(directions, partner_for=()):
     sticks = []
     levels = list(range(1, len(directions) + 1))
     for z1, z2 in zip(levels, levels[1:]):
-        sticks.append(stick(point(0, 0, z1), point(0, 0, z2)))
+        sticks.append(stick((0, 0, z1), (0, 0, z2)))
     for z, (dx, dy) in zip(levels, directions):
-        far = point(3 * dx, 3 * dy, z)
-        sticks.append(stick(point(0, 0, z), far))
+        far = (3 * dx, 3 * dy, z)
+        sticks.append(stick((0, 0, z), far))
         if z in partner_for:
-            tip = point(3 * dx + (0 if dx == 0 else 0), 3 * dy + (3 if dy == 0 else 0), z)
-            perp = point(far[0] + (0 if dx else 3), far[1] + (3 if dx else 0), z)
+            tip = (3 * dx + (0 if dx == 0 else 0), 3 * dy + (3 if dy == 0 else 0), z)
+            perp = (far[0] + (0 if dx else 3), far[1] + (3 if dx else 0), z)
             sticks.append(stick(far, perp))
     return sticks
 
@@ -90,23 +92,26 @@ class TestMergePlanner:
         # pivot along +x and the next stick also +x: first free move is a
         # translate in +y, absorbed by the far-end partner
         sticks = synthetic_column([(1, 0), (1, 0), (1, 0), (1, 0)], partner_for=(3,))
-        plan = next(_vertex_plans(sticks, "v", (Fraction(0), Fraction(0)), (0, 99), 4, Fraction(1)))
+        plan = next(_vertex_plans(sticks, "v", (0, 0), (0, 99), 4, 12))
         (step,) = plan.steps
         assert (step.direction, step.move) == ((0, 1), "translate")
+        assert step.epsilon == 6  # half a unit of 12 grid points
 
     def test_free_direction_drops_down(self):
         sticks = synthetic_column([(1, 0), (1, 0), (0, -1), (1, 0)])
-        plan = next(_vertex_plans(sticks, "v", (Fraction(0), Fraction(0)), (0, 99), 4, Fraction(1)))
+        plan = next(_vertex_plans(sticks, "v", (0, 0), (0, 99), 4, 12))
         (step,) = plan.steps
         assert (step.direction, step.move) == ((0, -1), "drop")
+        assert step.epsilon == 6
 
     def test_degree6_swap_assigns_leftover_direction_to_top(self):
         # after merging +x and -y, only -x remains; the fifth stick points +x
         # (opposite), so the sixth one is merged instead, reaching around
         directions = [(0, 1), (0, 1), (1, 0), (0, -1), (1, 0), (1, 0)]
         sticks = synthetic_column(directions)
-        plan = next(_vertex_plans(sticks, "v", (Fraction(0), Fraction(0)), (0, 99), 6, Fraction(1)))
+        plan = next(_vertex_plans(sticks, "v", (0, 0), (0, 99), 6, 12))
         assert [s.level for s in plan.steps] == [3, 4, 6]
+        assert [s.epsilon for s in plan.steps] == [3, 6, 9]  # quarters of the unit
         assert plan.steps[-1].direction == (-1, 0)
         assert plan.steps[-1].move == "extend"
         assert plan.new_top == 5 and plan.old_top == 6
@@ -124,7 +129,7 @@ class TestMergePlanner:
                     for c in spec.components
                     if vp.vertex in c.presentation.labels.values()
                 )
-                assert all(0 < e < unit for e in eps)
+                assert all(type(e) is int and 0 < e < unit for e in eps)
 
 
 class TestApplyMerges:
@@ -202,20 +207,38 @@ class TestStraighten:
         assert out.sticks == before
 
 
+@st.composite
+def grid_states(draw):
+    """Sticks on a small grid with traces and markers on their ends, and a
+    unit of any size: ``normalize`` must not depend on the grid's scale."""
+    sticks = []
+    for _ in range(draw(st.integers(1, 8))):
+        a = tuple(draw(st.integers(-9, 9)) for _ in range(3))
+        axis = draw(st.integers(0, 2))
+        b = tuple(c + draw(st.integers(1, 9)) * (i == axis) for i, c in enumerate(a))
+        sticks.append(stick(a, b))
+    traces = {f"c/e{i}": [s.a, s.b] for i, s in enumerate(sticks) if draw(st.booleans())}
+    ends = sorted({p for s in sticks for p in s.ends()})
+    points = draw(st.lists(st.sampled_from(ends), max_size=3, unique=True))
+    markers = {f"v{i}": p for i, p in enumerate(points)}
+    return sticks, markers, traces, draw(st.integers(1, 48))
+
+
 class TestNormalize:
     def test_quarter_denominators_scale_by_four(self):
+        # four grid points per unit: the quarter-unit stick is one lattice step
         sticks = [
-            stick(point(0, 0, 0), point(Fraction(1, 4), 0, 0)),
-            stick(point(Fraction(1, 4), 0, 0), point(Fraction(1, 4), 1, 0)),
+            stick((0, 0, 0), (1, 0, 0)),
+            stick((1, 0, 0), (1, 4, 0)),
         ]
-        emb = normalize(sticks, {}, {})
-        assert emb.bbox[1] == point(1, 4, 0)
+        emb = normalize(sticks, {}, {}, 4)
+        assert emb.bbox[1] == (1, 4, 0)
 
     def test_integral_input_only_translated(self):
-        sticks = [stick(point(5, 5, 5), point(5, 5, 7))]
-        emb = normalize(sticks, {}, {"c/e0": [point(5, 5, 5), point(5, 5, 7)]})
-        assert emb.sticks[0].a == point(0, 0, 0)
-        assert emb.sticks[0].b == point(0, 0, 2)
+        sticks = [stick((5, 5, 5), (5, 5, 7))]
+        emb = normalize(sticks, {}, {"c/e0": [(5, 5, 5), (5, 5, 7)]}, 1)
+        assert emb.sticks[0].a == (0, 0, 0)
+        assert emb.sticks[0].b == (0, 0, 2)
 
     def test_counts_preserved(self):
         spec, cens, tree, builds, asm = stages(CHAIN)
@@ -223,17 +246,29 @@ class TestNormalize:
         out = straighten_arcs(spec, tree, builds, merged)
         before = count_sticks(out.sticks, out.markers)
         traces = derive_traces(cens, out.sticks, out.markers)
-        emb = normalize(out.sticks, out.markers, traces)
+        emb = normalize(out.sticks, out.markers, traces, out.unit)
         after = count_sticks(list(emb.sticks), emb.markers)
         assert (before.x, before.y, before.z) == (after.x, after.y, after.z)
 
     def test_nested_scales_cleared(self):
         spec, cens, tree, builds, asm = stages(CHAIN)
         deepest = min(asm.comp_scale.values())
-        assert deepest == Fraction(1, 128)
+        assert 128 * deepest == asm.comp_scale["th1"]
         emb, _, _ = build_full(spec)
         for s in emb.sticks:
-            assert all(c.denominator == 1 for c in s.a + s.b)
+            assert all(type(c) is int and c >= 0 for c in s.a + s.b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(state=grid_states(), k=st.integers(1, 1000))
+    def test_grid_scale_does_not_change_output(self, state, k):
+        sticks, markers, traces, unit = state
+        scaled = normalize(
+            [transform(s, k, (0, 0, 0)) for s in sticks],
+            {label: tuple(k * c for c in p) for label, p in markers.items()},
+            {eid: [tuple(k * c for c in p) for p in line] for eid, line in traces.items()},
+            k * unit,
+        )
+        assert scaled == normalize(sticks, markers, traces, unit)
 
 
 def _parallel_edges_doc(n):
@@ -484,6 +519,20 @@ class TestBuildFull:
             )
             assert (loaded.sticks, loaded_counts) == (emb.sticks, counts), name
 
+    def test_no_fraction_built(self, monkeypatch):
+        """Builds run on one integer grid; rationals belong to the projection."""
+        original = Fraction.__dict__["__new__"]
+        made = []
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return original.__func__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        for doc in (CHAIN, DEMOS["bouquet3"], DEMOS["theta-composite"]):
+            build_full(spec_from_document(doc))
+        assert made == []
+
     def test_self_avoidance_checked_where_it_decides(self, monkeypatch):
         """Slide trials, merge and straightening trials and the audit check
         self-avoidance; stacking and the finished component builds do not."""
@@ -517,10 +566,12 @@ class TestBuildFull:
 
 
 def _crossing(s):
-    """A stick of the same length crossing the interior of ``s`` at its middle."""
+    """A stick of the same length crossing the interior of ``s`` at its middle
+    (stacked coordinates are multiples of the grid unit, so halves are exact)."""
+    assert s.length % 2 == 0
     axis = (s.axis + 1) % 3
-    mid = tuple((p + q) / 2 for p, q in zip(s.a, s.b))
-    half = tuple(s.length / 2 if i == axis else 0 for i in range(3))
+    mid = tuple((p + q) // 2 for p, q in zip(s.a, s.b))
+    half = tuple(s.length // 2 if i == axis else 0 for i in range(3))
     return stick(
         tuple(m - h for m, h in zip(mid, half)), tuple(m + h for m, h in zip(mid, half))
     )

@@ -11,6 +11,14 @@ from latticestick.io import (
 )
 
 
+# a 2-point loop through v: the one valid component the malformed documents vary
+LOOP = {
+    "id": "c",
+    "binding_points": [{"index": 1, "vertex": "v"}, {"index": 2}],
+    "arcs": [{"page": 1, "from": 1, "to": 2}, {"page": 2, "from": 1, "to": 2}],
+}
+
+
 def run(*argv):
     return main(list(argv))
 
@@ -49,10 +57,31 @@ class TestBuild:
         bad.write_text("{not json")
         assert run("build", "--input", str(bad), "--output", str(tmp_path / "o.json")) == 2
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"components": [], "extra": 1},
+            {"components": 5},
+            {"components": [{**LOOP, "binding_points": 5}]},
+            {"components": [{**LOOP, "arcs": 5}]},
+            {"components": [LOOP], "attachments": 5},
+            {"components": [{**LOOP, "binding_points": [{"index": True}, {"index": 2}]}]},
+            {"components": [{**LOOP, "arcs": [{"page": True, "from": 1, "to": 2}]}]},
+            {"components": [{**LOOP, "arcs": [{"page": 1, "from": True, "to": 2}]}]},
+            {"components": [{**LOOP, "arcs": [{"page": 1, "from": 2, "to": True}]}]},
+            {"components": [LOOP], "diagram_crossings": True},
+        ],
+        ids=[
+            "unknown-key", "components", "binding-points", "arcs", "attachments",
+            "bool-index", "bool-page", "bool-from", "bool-to", "bool-crossings",
+        ],
+    )
+    def test_unknown_key_rejected(self, tmp_path, capsys, doc):
+        """Malformed documents are syntax errors: exit 2 with ``error:``."""
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"components": [], "extra": 1}))
+        bad.write_text(json.dumps(doc))
         assert run("build", "--input", str(bad), "--output", str(tmp_path / "o.json")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_degree_seven_rejected(self, tmp_path, capsys):
         doc = {
@@ -191,6 +220,18 @@ class TestDocuments:
         doc["sticks"][0]["end"] = [v + 1 for v in doc["sticks"][0]["start"]]
         out.write_text(json.dumps(doc))
         assert run("validate", "--embedding", str(out), "--input", str(inp)) == 2
+
+    @pytest.mark.parametrize("key", ["sticks", "vertices", "edges", "polyline"])
+    def test_non_list_embedding_field_rejected(self, tmp_path, key):
+        inp, out = demo_paths(tmp_path, "unknot")
+        run("build", "--input", str(inp), "--output", str(out))
+        doc = json.loads(out.read_text())
+        if key == "polyline":
+            doc["edges"][0]["polyline"] = 5
+        else:
+            doc[key] = 5
+        with pytest.raises(DocumentError):
+            embedding_from_document(doc)
 
     def test_arc_from_to_any_order(self):
         doc = {

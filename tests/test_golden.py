@@ -13,7 +13,56 @@ import pytest
 from latticestick.cli import main
 from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
 
-INPUTS = {**DEMOS, "chain": CHAIN, "split-pair": SPLIT_PAIR, "loop-trefoil": LOOP_TREFOIL}
+
+def _component(comp_id, vertices, arcs):
+    """``vertices`` maps binding point -> label; pages number ``arcs`` from 1."""
+    n_points = max(max(pair) for pair in arcs)
+    return {
+        "id": comp_id,
+        "binding_points": [
+            {"index": i, **({"vertex": vertices[i]} if i in vertices else {})}
+            for i in range(1, n_points + 1)
+        ],
+        "arcs": [{"page": p, "from": lo, "to": hi} for p, (lo, hi) in enumerate(arcs, start=1)],
+    }
+
+
+def chain(n):
+    """``n`` thetas joined by single-arc links, a 2-point loop on each end
+    vertex: the deepest nesting of any pinned input (coordinates near 10^23
+    at n = 10).  Equal to the benchmark's fixed theta chains."""
+
+    def theta(comp_id, v_a, v_b):
+        return _component(comp_id, {1: v_a, 2: v_b}, [(1, 2), (1, 3), (1, 2), (2, 3)])
+
+    def loop(comp_id, vertex):
+        return _component(comp_id, {1: vertex}, [(1, 2), (1, 2)])
+
+    comps = [theta("th1", "v1", "v2"), loop("end1", "v1")]
+    atts = [("th1", "end1", "v1")]
+    for i in range(2, n + 1):
+        near, far = f"v{2 * i - 2}", f"v{2 * i - 1}"
+        comps += [
+            _component(f"a{i}", {1: near, 2: far}, [(1, 2)]),
+            theta(f"th{i}", far, f"v{2 * i}"),
+        ]
+        atts += [(f"th{i - 1}", f"a{i}", near), (f"a{i}", f"th{i}", far)]
+    comps.append(loop("end2", f"v{2 * n}"))
+    atts.append((f"th{n}", "end2", f"v{2 * n}"))
+    return {
+        "components": comps,
+        "attachments": [{"stem": s, "branch": b, "cut_vertex": v} for s, b, v in atts],
+    }
+
+
+INPUTS = {
+    **DEMOS,
+    "chain": CHAIN,
+    "split-pair": SPLIT_PAIR,
+    "loop-trefoil": LOOP_TREFOIL,
+    "theta-chain-8": chain(8),
+    "theta-chain-10": chain(10),
+}
 
 # name -> (sha256 of the build JSON, sha256 of the OBJ export)
 GOLDEN = {
@@ -52,6 +101,14 @@ GOLDEN = {
     "loop-trefoil": (
         "7c99f3c4db02d3fcbdc8e99c890cdfac12b358f27fb90bed5e269968f0d6c4cd",
         "9c245e7406469adf9e7d6cdc6101d6882372feef405968319e00751dedb9eb81",
+    ),
+    "theta-chain-8": (
+        "158b0525093a34ce8e6587cca45282803703406110be52cc547875148e489bd9",
+        "29d02575fa0d6eb1ae979cb4603a2fbb73ba30c6f96e73776384fead6dd668d0",
+    ),
+    "theta-chain-10": (
+        "a6c8a1d9c980d2c322e34b3f8e6caca2898c511339fe09218a491813a09f117d",
+        "a0e993823a5a4fc8862306084a4fd98dd9fbbb66a3aca92449b3b9165485ea82",
     ),
 }
 

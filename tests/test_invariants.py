@@ -5,7 +5,6 @@ import pytest
 from latticestick.assembly import LatticeEmbedding, build_full
 from latticestick.errors import NotACycle, TooLarge
 from latticestick.fixtures import DEMOS
-from latticestick.geom import point
 from latticestick.invariants import (
     GaussData,
     _int_det,
@@ -100,10 +99,10 @@ class TestProjection:
 
     def test_sheared_parallels_stay_apart(self):
         traces = {
-            "a/e0": [point(0, 0, 0), point(2, 0, 0)],
-            "b/e0": [point(0, 0, 1), point(2, 0, 1)],
+            "a/e0": [(0, 0, 0), (2, 0, 0)],
+            "b/e0": [(0, 0, 1), (2, 0, 1)],
         }
-        emb = LatticeEmbedding((), {}, traces, (point(0, 0, 0), point(2, 0, 1)))
+        emb = LatticeEmbedding((), {}, traces, ((0, 0, 0), (2, 0, 1)))
         dia = project_generic(emb)
         assert crossing_count(dia) == 0
         assert dia.segments[0].a != dia.segments[1].a
