@@ -33,7 +33,6 @@ from .graph import (
 from .invariants import (
     GaussData,
     GraphDiagram,
-    crossing_count,
     extract_knot_cycle,
     knot_determinant,
     p_coloring_count,

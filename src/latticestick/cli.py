@@ -15,7 +15,7 @@ from .bounds import arc_index_upper, binding_point_count, construction_count, cr
 from .errors import BoundViolated, DocumentError, InvalidSpec, LatticeStickError
 from .fixtures import DEMOS
 from .graph import census
-from .invariants import crossing_count, extract_knot_cycle, knot_determinant, project_generic
+from .invariants import extract_knot_cycle, knot_determinant, project_generic
 from .io import embedding_to_document, export_obj, load_embedding, load_spec
 from .validate import check_bound, full_audit
 
@@ -48,7 +48,7 @@ def cmd_validate(args) -> int:
     report = full_audit(list(emb.sticks), emb.markers, spec, cens.degrees)
     print(f"self-avoiding: {report.self_avoiding}")
     for kind, p in report.violations:
-        print(f"  violation: {kind} at {tuple(map(int, p))}")
+        print(f"  violation: {kind} at {p}")
     print(f"unmarked junctions: {len(report.unmarked_junctions)}")
     print(f"marker problems: {report.marker_problems or 'none'}")
     print(f"reconstruction: {'ok' if report.reconstruction_ok else report.reconstruction_diff}")
@@ -95,7 +95,7 @@ def cmd_invariant(args) -> int:
     emb, _ = load_embedding(args.embedding)
     diagram = project_generic(emb, {args.component})
     gauss = extract_knot_cycle(diagram, args.component)
-    print(f"projection crossings: {crossing_count(diagram)}")
+    print(f"projection crossings: {len(diagram.crossings)}")
     print(f"determinant: {knot_determinant(gauss)}")
     return 0
 

@@ -1,8 +1,7 @@
 """Exact axis-parallel segment geometry on the integer lattice.
 
 Every coordinate is a Python ``int``: a build works on one integer grid
-whose unit ``assembly`` chooses, so there are no tolerances, and only the
-projection in ``invariants`` leaves the lattice for the rationals.  A stick
+whose unit ``assembly`` chooses, so there are no tolerances.  A stick
 is a closed segment parallel to one of the three axes with strictly positive
 length.  Contact classification between two sticks reduces to interval
 arithmetic per coordinate, since the intersection of two axis-parallel

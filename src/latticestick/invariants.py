@@ -1,10 +1,11 @@
 """Generic planar projection and knot invariants of embedded cycles.
 
-The projection applies the exact shear ``x' = x + z/N, y' = y + z/N^2`` and
-drops z.  Any coincidence (collinear overlap, triple point, crossing at an
-endpoint) only survives for finitely many N, so doubling N deterministically
-restores genericity.  Over/under data comes from the original z values, and
-two independent routes compute the fidelity invariant: an exact integer
+The projection applies the shear ``x' = x + z/N, y' = y + z/N^2`` scaled by
+N^2 onto the integer grid, ``X = N^2 x + N z, Y = N^2 y + z``, and drops z.
+Any coincidence (collinear overlap, triple point, crossing at an endpoint)
+only survives for finitely many N, so doubling N deterministically restores
+genericity.  Over/under data comes from the original z values, and two
+independent routes compute the fidelity invariant: an exact integer
 determinant of the crossing matrix, and an exhaustive count of modular
 colorings of the strands.
 """
@@ -12,13 +13,13 @@ colorings of the strands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations
 
 from .assembly import LatticeEmbedding
 from .errors import NotACycle, TooLarge
 from .geom import Vec3
 
-Vec2 = tuple[Fraction, Fraction]
+Vec2 = tuple[int, int]
 
 MAX_RETRIES = 64
 MAX_STRANDS = 12
@@ -30,7 +31,6 @@ class ProjSeg:
     b: Vec2
     a3: Vec3
     b3: Vec3
-    edge: str
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class GaussData:
 
 
 def _seg_intersection(a: Vec2, b: Vec2, c: Vec2, d: Vec2):
-    """Exact intersection of two closed 2d segments.
+    """Exact intersection of two closed projected sticks.
 
     Returns None, ("overlap", None), or ("point", p, interior_ab, interior_cd).
     """
@@ -65,36 +65,41 @@ def _seg_intersection(a: Vec2, b: Vec2, c: Vec2, d: Vec2):
     s = (d[0] - c[0], d[1] - c[1])
     denom = r[0] * s[1] - r[1] * s[0]
     acx, acy = c[0] - a[0], c[1] - a[1]
+    # t, u and lo are the parameters scaled by denom or rr.  Each // is
+    # exact because the point is a grid point.  Images run along (1, 0),
+    # (0, 1) or (N, 1); a vertical stick maps to (N^2 x + N z, N^2 y + z),
+    # which Y = const meets at an integer z and X = N^2 x' + N z' at
+    # z = N (x' - x) + z'.  Collinear images meeting in one point meet at an end.
     if denom == 0:
         if acx * r[1] - acy * r[0] != 0:
             return None
         rr = r[0] * r[0] + r[1] * r[1]
-        t0 = (acx * r[0] + acy * r[1]) / rr
-        t1 = t0 + (s[0] * r[0] + s[1] * r[1]) / rr
-        lo, hi = min(t0, t1), max(t0, t1)
-        lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
+        t0 = acx * r[0] + acy * r[1]
+        t1 = t0 + s[0] * r[0] + s[1] * r[1]
+        lo, hi = max(min(t0, t1), 0), min(max(t0, t1), rr)
         if lo > hi:
             return None
         if lo == hi:
-            p = (a[0] + lo * r[0], a[1] + lo * r[1])
-            return ("point", p, Fraction(0) < lo < Fraction(1), p not in (c, d))
+            p = (a[0] + lo * r[0] // rr, a[1] + lo * r[1] // rr)
+            return ("point", p, 0 < lo < rr, p not in (c, d))
         return ("overlap", None)
-    t = (acx * s[1] - acy * s[0]) / denom
-    u = (acx * r[1] - acy * r[0]) / denom
-    if not (0 <= t <= 1 and 0 <= u <= 1):
+    t = acx * s[1] - acy * s[0]
+    u = acx * r[1] - acy * r[0]
+    if denom < 0:
+        denom, t, u = -denom, -t, -u
+    if not (0 <= t <= denom and 0 <= u <= denom):
         return None
-    p = (a[0] + t * r[0], a[1] + t * r[1])
-    return ("point", p, Fraction(0) < t < Fraction(1), Fraction(0) < u < Fraction(1))
+    p = (a[0] + t * r[0] // denom, a[1] + t * r[1] // denom)
+    return ("point", p, 0 < t < denom, 0 < u < denom)
 
 
-def _z_at(seg: ProjSeg, p: Vec2) -> Fraction:
+def _z_at(seg: ProjSeg, p: Vec2) -> int:
     za, zb = seg.a3[2], seg.b3[2]
     if za == zb:
         return za
-    # z varies only along vertical sticks; the sheared x coordinate is then
-    # strictly monotone in z, so it recovers the parameter exactly.
-    t = (p[0] - seg.a[0]) / (seg.b[0] - seg.a[0])
-    return za + t * (zb - za)
+    # z varies only along vertical sticks, where X = N^2 x + N z is strictly
+    # monotone in z, so it recovers z exactly.
+    return za + (p[0] - seg.a[0]) * (zb - za) // (seg.b[0] - seg.a[0])
 
 
 def project_generic(emb: LatticeEmbedding, comps: set[str] | None = None) -> GraphDiagram:
@@ -107,7 +112,7 @@ def project_generic(emb: LatticeEmbedding, comps: set[str] | None = None) -> Gra
     if not traces:
         raise NotACycle(f"no edges for components {sorted(comps or [])}")
     span = max(c for line in traces.values() for p in line for c in p)
-    n = 2 << int(span).bit_length()
+    n = 2 << span.bit_length()
     for _ in range(MAX_RETRIES):
         diagram = _try_project(traces, n)
         if diagram is not None:
@@ -120,7 +125,7 @@ def _try_project(traces: dict[str, list[Vec3]], n: int) -> GraphDiagram | None:
     nsq = n * n
 
     def proj(p: Vec3) -> Vec2:
-        return (p[0] + Fraction(p[2], n), p[1] + Fraction(p[2], nsq))
+        return (nsq * p[0] + n * p[2], nsq * p[1] + p[2])
 
     segments: list[ProjSeg] = []
     paths: dict[str, tuple[int, ...]] = {}
@@ -129,41 +134,34 @@ def _try_project(traces: dict[str, list[Vec3]], n: int) -> GraphDiagram | None:
         idxs = []
         for p3, q3 in zip(line, line[1:]):
             idxs.append(len(segments))
-            segments.append(ProjSeg(proj(p3), proj(q3), p3, q3, eid))
+            segments.append(ProjSeg(proj(p3), proj(q3), p3, q3))
         paths[eid] = tuple(idxs)
 
     crossings: list[Crossing] = []
-    seen_points: dict[Vec2, tuple[int, int]] = {}
-    for i in range(len(segments)):
-        si = segments[i]
-        for j in range(i + 1, len(segments)):
-            sj = segments[j]
-            shared3 = {si.a3, si.b3} & {sj.a3, sj.b3}
-            hit = _seg_intersection(si.a, si.b, sj.a, sj.b)
-            if hit is None:
+    seen_points: set[Vec2] = set()
+    for (i, si), (j, sj) in combinations(enumerate(segments), 2):
+        shared3 = {si.a3, si.b3} & {sj.a3, sj.b3}
+        hit = _seg_intersection(si.a, si.b, sj.a, sj.b)
+        if hit is None:
+            continue
+        if hit[0] == "overlap":
+            return None
+        _, p, int_i, int_j = hit
+        if shared3:
+            if any(proj(q) == p for q in shared3) and not (int_i or int_j):
                 continue
-            if hit[0] == "overlap":
-                return None
-            _, p, int_i, int_j = hit
-            if shared3:
-                if any(proj(q) == p for q in shared3) and not (int_i or int_j):
-                    continue
-                return None
-            if not (int_i and int_j):
-                return None  # endpoint touches another segment: not generic
-            if p in seen_points:
-                return None  # triple point
-            seen_points[p] = (i, j)
-            zi, zj = _z_at(si, p), _z_at(sj, p)
-            if zi == zj:  # pragma: no cover - excluded by self-avoidance
-                return None
-            over, under = (i, j) if zi > zj else (j, i)
-            crossings.append(Crossing(over, under, p))
+            return None
+        if not (int_i and int_j):
+            return None  # endpoint touches another segment: not generic
+        if p in seen_points:
+            return None  # triple point
+        seen_points.add(p)
+        zi, zj = _z_at(si, p), _z_at(sj, p)
+        if zi == zj:  # pragma: no cover - excluded by self-avoidance
+            return None
+        over, under = (i, j) if zi > zj else (j, i)
+        crossings.append(Crossing(over, under, p))
     return GraphDiagram(tuple(segments), paths, tuple(crossings), n)
-
-
-def crossing_count(diagram: GraphDiagram) -> int:
-    return len(diagram.crossings)
 
 
 def extract_knot_cycle(diagram: GraphDiagram, comp: str) -> GaussData:
@@ -177,7 +175,7 @@ def extract_knot_cycle(diagram: GraphDiagram, comp: str) -> GaussData:
         raise NotACycle(f"edge {edge_ids[0]} is not closed")
     cycle = set(path)
 
-    hits: dict[int, list[tuple[Fraction, int, bool]]] = {i: [] for i in path}
+    hits: dict[int, list[tuple[int, int, bool]]] = {i: [] for i in path}
     for cid, c in enumerate(diagram.crossings):
         for seg_idx, over in ((c.over_seg, True), (c.under_seg, False)):
             if seg_idx not in cycle:
@@ -185,13 +183,8 @@ def extract_knot_cycle(diagram: GraphDiagram, comp: str) -> GaussData:
                     raise NotACycle("cycle crosses another component")
                 continue
             seg = diagram.segments[seg_idx]
-            d = (seg.b[0] - seg.a[0], seg.b[1] - seg.a[1])
-            t = (
-                (c.at[0] - seg.a[0]) / d[0]
-                if d[0] != 0
-                else (c.at[1] - seg.a[1]) / d[1]
-            )
-            hits[seg_idx].append((t, cid, over))
+            axis = 0 if seg.a[0] != seg.b[0] else 1
+            hits[seg_idx].append((abs(c.at[axis] - seg.a[axis]), cid, over))
 
     visits = [
         (cid, over)

@@ -41,6 +41,12 @@ def _list(value, where):
     return value
 
 
+def _label(value, where):
+    if not isinstance(value, str) or not value:
+        raise DocumentError(f"{where} must be a nonempty string")
+    return value
+
+
 def _int_triple(value, where):
     if not isinstance(value, list) or len(value) != 3 or not all(map(_is_int, value)):
         raise DocumentError(f"{where} must be a list of three integers")
@@ -64,9 +70,7 @@ def spec_from_document(doc) -> SpatialGraphSpec:
                 raise DocumentError(f"duplicate binding point index {bp['index']}")
             indices.add(bp["index"])
             if "vertex" in bp:
-                if not isinstance(bp["vertex"], str) or not bp["vertex"]:
-                    raise DocumentError("vertex label must be a nonempty string")
-                labels[bp["index"]] = bp["vertex"]
+                labels[bp["index"]] = _label(bp["vertex"], "vertex label")
         if indices != set(range(1, len(indices) + 1)):
             raise DocumentError(
                 f"component {c['id']}: binding points must cover 1..{len(indices)}"
@@ -143,14 +147,14 @@ def embedding_from_document(doc) -> tuple[LatticeEmbedding, StickCounts]:
     markers: dict[str, Vec3] = {}
     for v in _list(doc["vertices"], "vertices"):
         _check_keys(v, ["id", "position"], where="vertex")
-        if v["id"] in markers:
+        if _label(v["id"], "vertex id") in markers:
             raise DocumentError(f"duplicate vertex id {v['id']}")
         markers[v["id"]] = _int_triple(v["position"], "vertex position")
     traces: dict[str, list[Vec3]] = {}
     polyline_pairs = set()
     for e in _list(doc["edges"], "edges"):
         _check_keys(e, ["id", "polyline"], where="edge")
-        if e["id"] in traces:
+        if _label(e["id"], "edge id") in traces:
             raise DocumentError(f"duplicate edge id {e['id']}")
         line = [_int_triple(p, "polyline point") for p in _list(e["polyline"], "polyline")]
         if len(line) < 2:
@@ -175,10 +179,14 @@ def embedding_from_document(doc) -> tuple[LatticeEmbedding, StickCounts]:
             raise DocumentError(f"stick axis {s['axis']} does not match endpoints")
         doc_sticks.append(st)
         stick_pairs.add((a, b))
+    if not doc_sticks:
+        raise DocumentError("embedding has no sticks")
     if stick_pairs != polyline_pairs:
         raise DocumentError("sticks and edge polylines are not mutually derivable")
     counts = doc["counts"]
     _check_keys(counts, ["x", "y", "z", "total"], where="counts")
+    if not all(map(_is_int, counts.values())):
+        raise DocumentError("counts must be integers")
     got = StickCounts(counts["x"], counts["y"], counts["z"])
     if got.total != counts["total"] or counts["total"] != len(doc_sticks):
         raise DocumentError("counts do not match the stick list")

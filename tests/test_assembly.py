@@ -34,6 +34,19 @@ def connectors(asm):
     ]
 
 
+def fractions_made(monkeypatch):
+    """The argument tuples of every ``Fraction`` constructed from now on."""
+    original = Fraction.__dict__["__new__"]
+    made = []
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return made
+
+
 def stages(doc):
     spec = spec_from_document(doc)
     cens = census(spec)
@@ -520,17 +533,31 @@ class TestBuildFull:
             assert (loaded.sticks, loaded_counts) == (emb.sticks, counts), name
 
     def test_no_fraction_built(self, monkeypatch):
-        """Builds run on one integer grid; rationals belong to the projection."""
-        original = Fraction.__dict__["__new__"]
-        made = []
-
-        def counted(cls, *args, **kwargs):
-            made.append(args)
-            return original.__func__(cls, *args, **kwargs)
-
-        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        """Builds run on one integer grid."""
+        made = fractions_made(monkeypatch)
         for doc in (CHAIN, DEMOS["bouquet3"], DEMOS["theta-composite"]):
             build_full(spec_from_document(doc))
+        assert made == []
+
+    def test_no_fraction_projected(self, monkeypatch):
+        """The shear projection and the invariants stay on the integer grid."""
+        from test_golden import KNOT_INPUTS
+
+        from latticestick.invariants import (
+            extract_knot_cycle,
+            knot_determinant,
+            project_generic,
+        )
+
+        cases = [("trefoil", "t", 3), ("figure8", "f", 5), ("knot-40", "k", 419)]
+        built = [
+            (build_full(spec_from_document(KNOT_INPUTS[name]))[0], comp, det)
+            for name, comp, det in cases
+        ]
+        made = fractions_made(monkeypatch)
+        for emb, comp, det in built:
+            gauss = extract_knot_cycle(project_generic(emb, {comp}), comp)
+            assert knot_determinant(gauss) == det
         assert made == []
 
     def test_self_avoidance_checked_where_it_decides(self, monkeypatch):

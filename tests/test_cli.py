@@ -19,6 +19,19 @@ LOOP = {
 }
 
 
+# embedding-document edits that make a built unknot malformed
+MALFORMED_EMBEDDINGS = {
+    "null-count": lambda doc: doc["counts"].update(x=None),
+    "string-count": lambda doc: doc["counts"].update(y="2"),
+    "list-vertex-id": lambda doc: doc["vertices"][0].update(id=["v"]),
+    "list-edge-id": lambda doc: doc["edges"][0].update(id=["u/e0"]),
+    "int-edge-id": lambda doc: doc["edges"][0].update(id=7),
+    "no-sticks": lambda doc: doc.update(
+        sticks=[], edges=[], counts={"x": 0, "y": 0, "z": 0, "total": 0}
+    ),
+}
+
+
 def run(*argv):
     return main(list(argv))
 
@@ -220,6 +233,19 @@ class TestDocuments:
         doc["sticks"][0]["end"] = [v + 1 for v in doc["sticks"][0]["start"]]
         out.write_text(json.dumps(doc))
         assert run("validate", "--embedding", str(out), "--input", str(inp)) == 2
+
+    @pytest.mark.parametrize("command", ["validate", "invariant"])
+    @pytest.mark.parametrize("edit", sorted(MALFORMED_EMBEDDINGS))
+    def test_malformed_embedding_is_a_syntax_error(self, tmp_path, capsys, command, edit):
+        inp, out = demo_paths(tmp_path, "unknot")
+        run("build", "--input", str(inp), "--output", str(out))
+        doc = json.loads(out.read_text())
+        MALFORMED_EMBEDDINGS[edit](doc)
+        out.write_text(json.dumps(doc))
+        extra = ["--input", str(inp)] if command == "validate" else ["--component", "u"]
+        capsys.readouterr()
+        assert run(command, "--embedding", str(out), *extra) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("key", ["sticks", "vertices", "edges", "polyline"])
     def test_non_list_embedding_field_rejected(self, tmp_path, key):

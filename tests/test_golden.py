@@ -7,11 +7,14 @@ to alter the output updates them and says why.
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from latticestick.cli import main
 from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
+from latticestick.invariants import extract_knot_cycle, project_generic
+from latticestick.io import load_embedding
 
 
 def _component(comp_id, vertices, arcs):
@@ -53,6 +56,16 @@ def chain(n):
         "components": comps,
         "attachments": [{"stem": s, "branch": b, "cut_vertex": v} for s, b, v in atts],
     }
+
+
+def random_knot(rng, comp_id, n_arcs, vertex):
+    """A random one-cycle presentation: binding points in a random cyclic
+    order, each arc on a random page, one point carrying ``vertex``.  With
+    ``random.Random(40)`` and 40 arcs it is the benchmark's seed-40 knot."""
+    cycle = rng.sample(range(1, n_arcs + 1), n_arcs)
+    pairs = [tuple(sorted((cycle[i], cycle[(i + 1) % n_arcs]))) for i in range(n_arcs)]
+    pages = rng.sample(range(n_arcs), n_arcs)
+    return _component(comp_id, {rng.randint(1, n_arcs): vertex}, [pairs[p] for p in pages])
 
 
 INPUTS = {
@@ -128,3 +141,54 @@ def test_build_and_obj_bytes(name, tmp_path):
     assert main(["build", "--input", str(inp), "--output", str(out)]) == 0
     assert main(["export", "--embedding", str(out), "--format", "obj", "--output", str(obj)]) == 0
     assert (sha256(out), sha256(obj)) == GOLDEN[name]
+
+
+KNOT_INPUTS = {
+    **INPUTS,
+    "knot-40": {"components": [random_knot(random.Random(40), "k", 40, "k_v")]},
+}
+
+# (input, component) -> (stdout of ``invariant``, sha256 of repr(Gauss visits))
+INVARIANT_GOLDEN = {
+    ("unknot", "u"): (
+        "projection crossings: 0\ndeterminant: 1\n",
+        "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    ),
+    ("trefoil", "t"): (
+        "projection crossings: 6\ndeterminant: 3\n",
+        "81722d4bf47faf77a13eaecaefc75d578d5a56c3692337e4654704a1f755d679",
+    ),
+    ("figure8", "f"): (
+        "projection crossings: 7\ndeterminant: 5\n",
+        "61fd53f5ea33f6b0e8138f87d9a11812ff540c7a3809f2cf8703561c496b0e11",
+    ),
+    ("theta-composite", "loop"): (
+        "projection crossings: 0\ndeterminant: 1\n",
+        "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    ),
+    ("loop-trefoil", "t"): (
+        "projection crossings: 6\ndeterminant: 3\n",
+        "94f268b10d0e17395f8b4ee2673bebdd68f0e2ddc7ee15a7f5cb0d08511aee8b",
+    ),
+    ("loop-trefoil", "p"): (
+        "projection crossings: 0\ndeterminant: 1\n",
+        "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    ),
+    ("knot-40", "k"): (
+        "projection crossings: 230\ndeterminant: 419\n",
+        "940b7e43b829cae5cb57f19f0609ccb4df76796652ab7479a2580944abbb1925",
+    ),
+}
+
+
+@pytest.mark.parametrize("name,comp", sorted(INVARIANT_GOLDEN))
+def test_invariant_output_and_gauss_visits(name, comp, tmp_path, capsys):
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    inp.write_text(json.dumps(KNOT_INPUTS[name]))
+    assert main(["build", "--input", str(inp), "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["invariant", "--embedding", str(out), "--component", comp]) == 0
+    emb, _ = load_embedding(out)
+    visits = extract_knot_cycle(project_generic(emb, {comp}), comp).visits
+    digest = hashlib.sha256(repr(visits).encode()).hexdigest()
+    assert (capsys.readouterr().out, digest) == INVARIANT_GOLDEN[name, comp]

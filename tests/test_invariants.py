@@ -1,6 +1,8 @@
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latticestick.assembly import LatticeEmbedding, build_full
 from latticestick.errors import NotACycle, TooLarge
@@ -10,7 +12,6 @@ from latticestick.invariants import (
     _int_det,
     _try_project,
     coloring_matrix,
-    crossing_count,
     extract_knot_cycle,
     knot_determinant,
     p_coloring_count,
@@ -95,7 +96,7 @@ class TestProjection:
     def test_rectangle_has_no_crossings(self):
         emb = built("unknot")
         dia = project_generic(emb, {"u"})
-        assert crossing_count(dia) == 0
+        assert len(dia.crossings) == 0
 
     def test_sheared_parallels_stay_apart(self):
         traces = {
@@ -104,16 +105,16 @@ class TestProjection:
         }
         emb = LatticeEmbedding((), {}, traces, ((0, 0, 0), (2, 0, 1)))
         dia = project_generic(emb)
-        assert crossing_count(dia) == 0
+        assert len(dia.crossings) == 0
         assert dia.segments[0].a != dia.segments[1].a
 
     def test_trefoil_at_least_three_crossings(self):
         dia = project_generic(built("trefoil"), {"t"})
-        assert crossing_count(dia) >= 3
+        assert len(dia.crossings) >= 3
 
     def test_planar_theta_projects_flat(self):
         dia = project_generic(built("theta-planar"), {"th"})
-        assert crossing_count(dia) == 0
+        assert len(dia.crossings) == 0
 
     def test_refining_the_shear_is_stable(self):
         emb = built("trefoil")
@@ -193,3 +194,123 @@ class TestPipelineKnotTypes:
     def test_missing_component_rejected(self):
         with pytest.raises(NotACycle):
             project_generic(built("unknot"), {"nope"})
+
+
+# --- the rational shear projection, kept as the reference ---------------------
+
+def ref_seg_intersection(a, b, c, d):
+    r = (b[0] - a[0], b[1] - a[1])
+    s = (d[0] - c[0], d[1] - c[1])
+    denom = r[0] * s[1] - r[1] * s[0]
+    acx, acy = c[0] - a[0], c[1] - a[1]
+    if denom == 0:
+        if acx * r[1] - acy * r[0] != 0:
+            return None
+        rr = r[0] * r[0] + r[1] * r[1]
+        t0 = (acx * r[0] + acy * r[1]) / rr
+        t1 = t0 + (s[0] * r[0] + s[1] * r[1]) / rr
+        lo, hi = min(t0, t1), max(t0, t1)
+        lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
+        if lo > hi:
+            return None
+        if lo == hi:
+            p = (a[0] + lo * r[0], a[1] + lo * r[1])
+            return ("point", p, Fraction(0) < lo < Fraction(1), p not in (c, d))
+        return ("overlap", None)
+    t = (acx * s[1] - acy * s[0]) / denom
+    u = (acx * r[1] - acy * r[0]) / denom
+    if not (0 <= t <= 1 and 0 <= u <= 1):
+        return None
+    p = (a[0] + t * r[0], a[1] + t * r[1])
+    return ("point", p, Fraction(0) < t < Fraction(1), Fraction(0) < u < Fraction(1))
+
+
+def ref_z_at(seg, p):
+    (a, b, a3, b3) = seg
+    za, zb = a3[2], b3[2]
+    if za == zb:
+        return za
+    t = (p[0] - a[0]) / (b[0] - a[0])
+    return za + t * (zb - za)
+
+
+def ref_try_project(traces, n):
+    """``x + z/N, y + z/N^2`` in rationals: (segments, crossings) or None,
+    each segment ``(a, b, a3, b3)``, each crossing ``(over, under, at)``."""
+    nsq = n * n
+
+    def proj(p):
+        return (p[0] + Fraction(p[2], n), p[1] + Fraction(p[2], nsq))
+
+    segments = []
+    for eid in sorted(traces):
+        line = traces[eid]
+        for p3, q3 in zip(line, line[1:]):
+            segments.append((proj(p3), proj(q3), p3, q3))
+
+    crossings = []
+    seen_points = set()
+    for i in range(len(segments)):
+        si = segments[i]
+        for j in range(i + 1, len(segments)):
+            sj = segments[j]
+            shared3 = {si[2], si[3]} & {sj[2], sj[3]}
+            hit = ref_seg_intersection(si[0], si[1], sj[0], sj[1])
+            if hit is None:
+                continue
+            if hit[0] == "overlap":
+                return None
+            _, p, int_i, int_j = hit
+            if shared3:
+                if any(proj(q) == p for q in shared3) and not (int_i or int_j):
+                    continue
+                return None
+            if not (int_i and int_j):
+                return None
+            if p in seen_points:
+                return None
+            seen_points.add(p)
+            zi, zj = ref_z_at(si, p), ref_z_at(sj, p)
+            if zi == zj:
+                return None
+            over, under = (i, j) if zi > zj else (j, i)
+            crossings.append((over, under, p))
+    return segments, crossings
+
+
+BOX = 3
+
+
+@st.composite
+def lattice_traces(draw):
+    """1-3 polylines of 2-7 axis-parallel steps in a small box, each step
+    turning; they may touch, overlap or cross themselves and each other."""
+    traces = {}
+    for k in range(draw(st.integers(1, 3))):
+        p = draw(st.tuples(*[st.integers(0, BOX)] * 3))
+        line = [p]
+        axis = None
+        for _ in range(draw(st.integers(2, 7))):
+            axis = draw(st.sampled_from([a for a in range(3) if a != axis]))
+            to = draw(st.integers(0, BOX).filter(lambda v, c=p[axis]: v != c))
+            p = p[:axis] + (to,) + p[axis + 1:]
+            line.append(p)
+        traces[f"c{k}/e0"] = line
+    return traces
+
+
+@settings(max_examples=400, deadline=None)
+@given(traces=lattice_traces(), n=st.sampled_from([2, 4, 8, 16, 64]))
+def test_integer_projection_matches_rational_reference(traces, n):
+    got = _try_project(traces, n)
+    ref = ref_try_project(traces, n)
+    assert (got is None) == (ref is None)
+    if got is None:
+        return
+    segments, crossings = ref
+    assert [(s.a3, s.b3) for s in got.segments] == [(a3, b3) for _, _, a3, b3 in segments]
+    assert [(c.over_seg, c.under_seg) for c in got.crossings] == [
+        (over, under) for over, under, _ in crossings
+    ]
+    nsq = n * n
+    assert [c.at for c in got.crossings] == [(nsq * x, nsq * y) for _, _, (x, y) in crossings]
