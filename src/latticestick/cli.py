@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 semantic failure (validation, bounds, audits),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -120,6 +121,7 @@ def cmd_demo(args) -> int:
     return 0
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latticestick",
@@ -130,40 +132,37 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build an embedding from an input document")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("validate", help="audit an embedding against its input")
     p.add_argument("--embedding", required=True)
     p.add_argument("--input", required=True)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("bound", help="print census and stick bounds")
     p.add_argument("--input", required=True)
     p.add_argument("--crossings", type=int)
-    p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("invariant", help="projection crossings and determinant of a knot cycle")
     p.add_argument("--embedding", required=True)
     p.add_argument("--component", required=True)
-    p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("export", help="export an embedding to OBJ")
     p.add_argument("--embedding", required=True)
     p.add_argument("--format", required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("demo", help="write a named example input document")
     p.add_argument("--name", required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_demo)
     return parser
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    # Looked up when called, not stored in the cached parser, so a handler
+    # replaced on the module (a wrapper, a test double) is the one that runs.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except InvalidSpec as exc:
         for p in exc.problems:
             print(f"invalid: {p}", file=sys.stderr)

@@ -5,13 +5,15 @@ N^2 onto the integer grid, ``X = N^2 x + N z, Y = N^2 y + z``, and drops z.
 Any coincidence (collinear overlap, triple point, crossing at an endpoint)
 only survives for finitely many N, so doubling N deterministically restores
 genericity.  Over/under data comes from the original z values, and two
-independent routes compute the fidelity invariant: an exact integer
-determinant of the crossing matrix, and an exhaustive count of modular
-colorings of the strands.
+independent routes compute the fidelity invariant: the knot determinant, by
+one sparse elimination of the coloring matrix modulo a Mersenne prime above
+twice its Hadamard bound, and an exhaustive count of modular colorings of the
+strands.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -23,6 +25,13 @@ Vec2 = tuple[int, int]
 
 MAX_RETRIES = 64
 MAX_STRANDS = 12
+# Mersenne exponents (OEIS A000043): the determinant is taken modulo the
+# smallest 2^e - 1 above twice the Hadamard bound.  6^(n/2) bounds an
+# n-crossing minor, so the last one covers about 100,000 crossings.
+MERSENNE_EXPONENTS = (
+    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689,
+    9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049,
+)
 
 
 @dataclass(frozen=True)
@@ -137,9 +146,27 @@ def _try_project(traces: dict[str, list[Vec3]], n: int) -> GraphDiagram | None:
             segments.append(ProjSeg(proj(p3), proj(q3), p3, q3))
         paths[eid] = tuple(idxs)
 
+    # Candidate pairs share a grid cell of the bounding boxes.  Segments with
+    # disjoint boxes share none, and _seg_intersection returns None for them,
+    # which the loop skips; the rest run in sorted order, so the crossing ids
+    # and the first non-generic pair are those of the all-pairs loop.  A cell
+    # is one lattice unit (N^2) wide, or a sixteenth of the mean stick length
+    # if that is wider, so a segment covers a few dozen cells at most on
+    # average, however large the coordinates are.
+    length = sum(abs(u - v) for seg in segments for u, v in zip(seg.a3, seg.b3))
+    cell = nsq * max(1, length // (16 * len(segments) or 1))
+    buckets: dict[Vec2, list[int]] = {}
+    for i, seg in enumerate(segments):
+        (x0, x1), (y0, y1) = sorted((seg.a[0], seg.b[0])), sorted((seg.a[1], seg.b[1]))
+        for cx in range(x0 // cell, x1 // cell + 1):
+            for cy in range(y0 // cell, y1 // cell + 1):
+                buckets.setdefault((cx, cy), []).append(i)
+    pairs = sorted({pair for idxs in buckets.values() for pair in combinations(idxs, 2)})
+
     crossings: list[Crossing] = []
     seen_points: set[Vec2] = set()
-    for (i, si), (j, sj) in combinations(enumerate(segments), 2):
+    for i, j in pairs:
+        si, sj = segments[i], segments[j]
         shared3 = {si.a3, si.b3} & {sj.a3, sj.b3}
         hit = _seg_intersection(si.a, si.b, sj.a, sj.b)
         if hit is None:
@@ -236,45 +263,108 @@ def _strand_structure(gauss: GaussData):
     return n_strands, triples
 
 
-def _int_det(m: list[list[int]]) -> int:
-    """Fraction-free Gaussian elimination; exact over the integers."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
+def _coloring_rows(gauss: GaussData) -> list[dict[int, int]]:
+    """One sparse row ``{strand: value}`` per crossing: 2*over - in - out."""
+    _, triples = _strand_structure(gauss)
+    rows = []
+    for over, into, out in triples:
+        row: dict[int, int] = {}
+        for strand, v in ((over, 2), (into, -1), (out, -1)):
+            row[strand] = row.get(strand, 0) + v
+        rows.append(row)
+    return rows
 
 
 def coloring_matrix(gauss: GaussData) -> list[list[int]]:
     """One row per crossing over the strands: 2*over - in - out."""
-    n_strands, triples = _strand_structure(gauss)
+    n_strands, _ = _strand_structure(gauss)
     matrix = [[0] * n_strands for _ in range(gauss.n_crossings)]
-    for row, (over, into, out) in zip(matrix, triples):
-        row[over] += 2
-        row[into] -= 1
-        row[out] -= 1
+    for dense, row in zip(matrix, _coloring_rows(gauss)):
+        for strand, v in row.items():
+            dense[strand] = v
     return matrix
+
+
+def _abs_det(rows: list[dict[int, int]]) -> int:
+    """|det| of the square matrix whose row i is ``{column: value}``.
+
+    One elimination modulo P = 2^e - 1 > 2H, where H^2 is the product of
+    the rows' squared norms (Hadamard: |det| <= H).  The result is exact:
+    the pivots are entries that are nonzero mod P, so their product is
+    +-det mod P whatever the pivot order; |det| <= H < P/2, so the symmetric
+    residue of that product is +-det; and only |det| is returned, so the
+    sign of the row and column permutation never matters.
+    """
+    h2 = 1
+    for row in rows:
+        h2 *= sum(v * v for v in row.values())
+    e = next((e for e in MERSENNE_EXPONENTS if ((1 << e) - 1) ** 2 > 4 * h2), None)
+    if e is None:
+        raise TooLarge(
+            f"the Hadamard bound of a {len(rows)}-row determinant exceeds half of "
+            f"2^{MERSENNE_EXPONENTS[-1]} - 1, the largest listed Mersenne prime"
+        )
+    p = (1 << e) - 1
+    half = p // 2
+
+    def reduce(v: int) -> int:
+        # Entries are symmetric residues, |v| <= P/2, so small ones stay small
+        # ints.  For |v| <= P^2/4 + P/2, as below, 2^e = 1 (mod P) folds v
+        # into [-P/4 - 1, 5P/4 + 1] and one subtraction brings it to at most
+        # P/2; 0 is the only multiple of P left in that range.
+        v = (v & p) + (v >> e)
+        return v - p if v > half else v
+
+    rows = [{c: m for c, v in row.items() if (m := (v + half) % p - half)} for row in rows]
+    col_rows: dict[int, set[int]] = {c: set() for c in range(len(rows))}
+    for r, row in enumerate(rows):
+        for c in row:
+            col_rows[c].add(r)
+    # Pivot on the column with the fewest live rows (stale heap entries are
+    # skipped), then on its row with the fewest entries.
+    heap = [(len(rs), c) for c, rs in col_rows.items()]
+    heapq.heapify(heap)
+    det = 1
+    while heap:
+        count, c = heapq.heappop(heap)
+        live = col_rows.get(c)
+        if live is None or len(live) != count:
+            continue
+        if not live:
+            return 0
+        r = min(live, key=lambda s: (len(rows[s]), s))
+        pivot_row = rows[r]
+        pivot = pivot_row.pop(c)
+        det = det * pivot % p
+        inv = reduce(pow(pivot, -1, p))
+        del col_rows[c]
+        live.discard(r)
+        for k in pivot_row:
+            col_rows[k].discard(r)
+        for s in live:
+            row = rows[s]
+            f = reduce(row.pop(c) * inv)
+            for k, w in pivot_row.items():
+                v = reduce(row.get(k, 0) - f * w)
+                if v:
+                    row[k] = v
+                    col_rows[k].add(s)
+                elif k in row:
+                    del row[k]
+                    col_rows[k].discard(s)
+        for k in pivot_row:
+            heapq.heappush(heap, (len(col_rows[k]), k))
+    return min(det, p - det)
 
 
 def knot_determinant(gauss: GaussData) -> int:
     """|det| of the coloring matrix with its first row and column deleted."""
     if gauss.n_crossings == 0:
         return 1
-    return abs(_int_det([row[1:] for row in coloring_matrix(gauss)[1:]]))
+    return _abs_det([
+        {strand - 1: v for strand, v in row.items() if strand}
+        for row in _coloring_rows(gauss)[1:]
+    ])
 
 
 def p_coloring_count(gauss: GaussData, p: int) -> int:

@@ -60,6 +60,7 @@ def spec_from_document(doc) -> SpatialGraphSpec:
     components = []
     for c in _list(doc["components"], "components"):
         _check_keys(c, ["id", "binding_points", "arcs"], where="component")
+        comp_id = _label(c["id"], "component id")
         labels = {}
         indices = set()
         for bp in _list(c["binding_points"], "binding_points"):
@@ -73,7 +74,7 @@ def spec_from_document(doc) -> SpatialGraphSpec:
                 labels[bp["index"]] = _label(bp["vertex"], "vertex label")
         if indices != set(range(1, len(indices) + 1)):
             raise DocumentError(
-                f"component {c['id']}: binding points must cover 1..{len(indices)}"
+                f"component {comp_id}: binding points must cover 1..{len(indices)}"
             )
         arcs = []
         for a in _list(c["arcs"], "arcs"):
@@ -84,17 +85,14 @@ def spec_from_document(doc) -> SpatialGraphSpec:
             if a["from"] == a["to"]:
                 raise DocumentError("arc endpoints must differ")
             if not {a["from"], a["to"]} <= indices:
-                raise DocumentError(f"arc references unlisted binding point in {c['id']}")
+                raise DocumentError(f"arc references unlisted binding point in {comp_id}")
             arcs.append(Arc(a["page"], min(a["from"], a["to"]), max(a["from"], a["to"])))
-        components.append(
-            ComponentSpec(str(c["id"]), ArcPresentation(tuple(arcs), labels))
-        )
+        components.append(ComponentSpec(comp_id, ArcPresentation(tuple(arcs), labels)))
     attachments = []
     for att in _list(doc.get("attachments", []), "attachments"):
-        _check_keys(att, ["stem", "branch", "cut_vertex"], where="attachment")
-        attachments.append(
-            CutAttachment(str(att["stem"]), str(att["branch"]), str(att["cut_vertex"]))
-        )
+        keys = ("stem", "branch", "cut_vertex")
+        _check_keys(att, keys, where="attachment")
+        attachments.append(CutAttachment(*(_label(att[k], f"attachment {k}") for k in keys)))
     crossings = doc.get("diagram_crossings")
     if crossings is not None and (not _is_int(crossings) or crossings < 0):
         raise DocumentError("diagram_crossings must be a nonnegative integer")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from latticestick import cli
 from latticestick.cli import main
 from latticestick.fixtures import DEMOS
 from latticestick.io import (
@@ -32,6 +33,21 @@ MALFORMED_EMBEDDINGS = {
 }
 
 
+# input-document edits that leave an id or an attachment label malformed
+MALFORMED_LABELS = {
+    "null-id": {"components": [{**LOOP, "id": None}]},
+    "list-id": {"components": [{**LOOP, "id": ["c"]}]},
+    "int-stem": {
+        "components": [LOOP],
+        "attachments": [{"stem": 5, "branch": "c", "cut_vertex": "v"}],
+    },
+    "empty-cut-vertex": {
+        "components": [LOOP],
+        "attachments": [{"stem": "c", "branch": "c", "cut_vertex": ""}],
+    },
+}
+
+
 def run(*argv):
     return main(list(argv))
 
@@ -41,6 +57,37 @@ def demo_paths(tmp_path, name):
     out = tmp_path / f"{name}.emb.json"
     assert run("demo", "--name", name, "--output", str(inp)) == 0
     return inp, out
+
+
+class TestParser:
+    def test_consecutive_calls(self, tmp_path, capsys):
+        """One process runs several commands, bad arguments among them."""
+        inp, out = demo_paths(tmp_path, "trefoil")
+        assert run("build", "--input", str(inp), "--output", str(out)) == 0
+        with pytest.raises(SystemExit) as exc:
+            run("build", "--input", str(inp))
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            run("frobnicate")
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run("invariant", "--embedding", str(out), "--component", "t") == 0
+        assert "determinant: 3" in capsys.readouterr().out
+        assert run("bound", "--input", str(inp), "--crossings", "3") == 0
+        assert "crossing bound:" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            run("bound", "--input", str(inp), "--crossings", "three")
+        assert run("demo", "--name", "granny", "--output", str(tmp_path / "x.json")) == 2
+
+    def test_replaced_handler_runs(self, tmp_path, monkeypatch):
+        """The handler is looked up on each call: a wrapper installed on the
+        module after the parser was built is the one that runs."""
+        inp, out = demo_paths(tmp_path, "unknot")
+        seen = []
+        monkeypatch.setattr(cli, "cmd_build", lambda args: seen.append(args.output) or 7)
+        assert run("build", "--input", str(inp), "--output", str(out)) == 7
+        assert seen == [str(out)]
+        assert not out.exists()
 
 
 class TestDemo:
@@ -258,6 +305,15 @@ class TestDocuments:
             doc[key] = 5
         with pytest.raises(DocumentError):
             embedding_from_document(doc)
+
+    @pytest.mark.parametrize("command", ["build", "bound"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LABELS))
+    def test_malformed_label_is_a_syntax_error(self, tmp_path, capsys, command, case):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(MALFORMED_LABELS[case]))
+        extra = ["--output", str(tmp_path / "o.json")] if command == "build" else []
+        assert run(command, "--input", str(bad), *extra) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_arc_from_to_any_order(self):
         doc = {

@@ -61,7 +61,8 @@ def chain(n):
 def random_knot(rng, comp_id, n_arcs, vertex):
     """A random one-cycle presentation: binding points in a random cyclic
     order, each arc on a random page, one point carrying ``vertex``.  With
-    ``random.Random(40)`` and 40 arcs it is the benchmark's seed-40 knot."""
+    ``random.Random(40)`` and 40 arcs it is the benchmark's seed-40 knot,
+    with ``random.Random(80)`` and 80 arcs the 927-crossing knot CI checks."""
     cycle = rng.sample(range(1, n_arcs + 1), n_arcs)
     pairs = [tuple(sorted((cycle[i], cycle[(i + 1) % n_arcs]))) for i in range(n_arcs)]
     pages = rng.sample(range(n_arcs), n_arcs)
@@ -146,6 +147,7 @@ def test_build_and_obj_bytes(name, tmp_path):
 KNOT_INPUTS = {
     **INPUTS,
     "knot-40": {"components": [random_knot(random.Random(40), "k", 40, "k_v")]},
+    "knot-80": {"components": [random_knot(random.Random(80), "k", 80, "k_v")]},
 }
 
 # (input, component) -> (stdout of ``invariant``, sha256 of repr(Gauss visits))
@@ -177,6 +179,10 @@ INVARIANT_GOLDEN = {
     ("knot-40", "k"): (
         "projection crossings: 230\ndeterminant: 419\n",
         "940b7e43b829cae5cb57f19f0609ccb4df76796652ab7479a2580944abbb1925",
+    ),
+    ("knot-80", "k"): (
+        "projection crossings: 927\ndeterminant: 6432713697327\n",
+        "cba4af5b6e08d3c974bf0750fde65061891c1844e46f2949e20116ecb4a196e1",
     ),
 }
 

@@ -6,11 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from latticestick.assembly import LatticeEmbedding, build_full
 from latticestick.errors import NotACycle, TooLarge
-from latticestick.fixtures import DEMOS
+from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
 from latticestick.invariants import (
+    Crossing,
     GaussData,
-    _int_det,
+    GraphDiagram,
+    ProjSeg,
+    _abs_det,
+    _seg_intersection,
     _try_project,
+    _z_at,
     coloring_matrix,
     extract_knot_cycle,
     knot_determinant,
@@ -27,6 +32,29 @@ KINK = GaussData(((0, True), (0, False)), 1)
 EMPTY = GaussData((), 0)
 
 
+def ref_int_det(m: list[list[int]]) -> int:
+    """Fraction-free Gaussian elimination; exact over the integers."""
+    n = len(m)
+    if n == 0:
+        return 1
+    m = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
 def minor_dets(gauss):
     """|det| of every minor with one row and one column deleted."""
     matrix = coloring_matrix(gauss)
@@ -38,7 +66,7 @@ def minor_dets(gauss):
             if i != r
         ]
 
-    return {abs(_int_det(minor(r, c))) for r in range(n) for c in range(n)}
+    return {abs(ref_int_det(minor(r, c))) for r in range(n) for c in range(n)}
 
 
 def built(name):
@@ -90,6 +118,37 @@ class TestGaussInvariants:
 
     def test_minor_choice_irrelevant(self):
         assert minor_dets(TREFOIL_GAUSS) == {knot_determinant(TREFOIL_GAUSS)} == {3}
+
+    def test_determinant_bound_enforced(self):
+        # |det| may reach 2^140000, past the largest listed Mersenne prime
+        with pytest.raises(TooLarge):
+            _abs_det([{0: 1 << 140000}])
+
+
+@st.composite
+def square_matrices(draw):
+    """Square integer matrices of order 0-10: sparse rows of small entries
+    (at most three nonzeros, like coloring rows) or dense rows of entries up
+    to 2^40, so |det| can pass 2^61; some made singular by a duplicated or a
+    zero row."""
+    n = draw(st.integers(0, 10))
+    bound = draw(st.sampled_from([3, 1 << 40]))
+    per_row = 3 if bound == 3 else n
+    matrix = [[0] * n for _ in range(n)]
+    for row in matrix:
+        for col in draw(st.lists(st.integers(0, n - 1), max_size=per_row)) if n else ():
+            row[col] = draw(st.integers(-bound, bound))
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        matrix[i] = list(matrix[j]) if draw(st.booleans()) else [0] * n
+    return matrix
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix=square_matrices())
+def test_sparse_determinant_matches_fraction_free_reference(matrix):
+    rows = [{c: v for c, v in enumerate(row) if v} for row in matrix]
+    assert _abs_det(rows) == abs(ref_int_det(matrix))
 
 
 class TestProjection:
@@ -314,3 +373,81 @@ def test_integer_projection_matches_rational_reference(traces, n):
     ]
     nsq = n * n
     assert [c.at for c in got.crossings] == [(nsq * x, nsq * y) for _, _, (x, y) in crossings]
+
+
+# --- the all-pairs integer projection, kept as the reference ------------------
+
+def all_pairs_try_project(traces, n):
+    """``_try_project`` with every pair of segments compared."""
+    nsq = n * n
+
+    def proj(p):
+        return (nsq * p[0] + n * p[2], nsq * p[1] + p[2])
+
+    segments = []
+    paths = {}
+    for eid in sorted(traces):
+        line = traces[eid]
+        idxs = []
+        for p3, q3 in zip(line, line[1:]):
+            idxs.append(len(segments))
+            segments.append(ProjSeg(proj(p3), proj(q3), p3, q3))
+        paths[eid] = tuple(idxs)
+
+    crossings = []
+    seen_points = set()
+    for (i, si), (j, sj) in itertools.combinations(enumerate(segments), 2):
+        shared3 = {si.a3, si.b3} & {sj.a3, sj.b3}
+        hit = _seg_intersection(si.a, si.b, sj.a, sj.b)
+        if hit is None:
+            continue
+        if hit[0] == "overlap":
+            return None
+        _, p, int_i, int_j = hit
+        if shared3:
+            if any(proj(q) == p for q in shared3) and not (int_i or int_j):
+                continue
+            return None
+        if not (int_i and int_j):
+            return None
+        if p in seen_points:
+            return None
+        seen_points.add(p)
+        zi, zj = _z_at(si, p), _z_at(sj, p)
+        if zi == zj:
+            return None
+        over, under = (i, j) if zi > zj else (j, i)
+        crossings.append(Crossing(over, under, p))
+    return GraphDiagram(tuple(segments), paths, tuple(crossings), n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(traces=lattice_traces(), n=st.sampled_from([2, 4, 8, 16, 64]))
+def test_bucketed_pairs_match_all_pairs(traces, n):
+    assert _try_project(traces, n) == all_pairs_try_project(traces, n)
+
+
+FIXTURES = {**DEMOS, "chain": CHAIN, "split-pair": SPLIT_PAIR, "loop-trefoil": LOOP_TREFOIL}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_fixture_projections_match_all_pairs(name):
+    """Every fixture's whole embedding at the first shear N, N/2 and N/4;
+    the coarser shears are often not generic, and both must say so."""
+    emb, _, _ = build_full(spec_from_document(FIXTURES[name]))
+    n = project_generic(emb).shear_n
+    for shear in (n, n // 2, n // 4):
+        assert _try_project(emb.traces, shear) == all_pairs_try_project(emb.traces, shear)
+
+
+def test_huge_coordinates_keep_cells_few():
+    """A trefoil scaled by 10^20 (as deep cut-tree stems are) projects to
+    the same diagram as the all-pairs loop, with the same determinant."""
+    traces = {
+        eid: [tuple(c * 10**20 for c in p) for p in line]
+        for eid, line in built("trefoil").traces.items()
+    }
+    emb = LatticeEmbedding((), {}, traces, ((0, 0, 0), (0, 0, 0)))
+    dia = project_generic(emb, {"t"})
+    assert dia == all_pairs_try_project(traces, dia.shear_n)
+    assert knot_determinant(extract_knot_cycle(dia, "t")) == 3
