@@ -392,6 +392,9 @@ def apply_merges(spec: SpatialGraphSpec, cens: GraphCensus, asm: Assembly) -> As
         if degrees[label] < 4:
             continue
         committed = None
+        # _apply_vertex_plan keeps every stick it does not touch, so the
+        # trial sticks that are not committed objects are all it changed.
+        kept = {id(s) for s in sticks}
         for plan in _vertex_plans(
             sticks,
             label,
@@ -401,7 +404,8 @@ def apply_merges(spec: SpatialGraphSpec, cens: GraphCensus, asm: Assembly) -> As
             units[label],
         ):
             trial = _apply_vertex_plan(sticks, plan, asm.vertex_zrange[label])
-            if not check_self_avoiding(trial, interior_only=True):
+            changed = [i for i, s in enumerate(trial) if id(s) not in kept]
+            if not check_self_avoiding(trial, interior_only=True, changed=changed):
                 committed = (trial, plan)
                 break
         if committed is None:
@@ -503,7 +507,15 @@ def straighten_arcs(
         dy = axis_near[1] - axis_far[1]
         delta = (dx, dy, 0)
 
+        # Only pairs with a changed stick are checked: the new vertical stick
+        # and the unmoved sticks crossing the slab z_lo..z_hi.  The branch
+        # moves rigidly in x and y, so pairs inside the moved set keep their
+        # contact kinds, and every other stick has both ends outside the
+        # slab, so a moved stick can meet only an unmoved one crossing it.
+        # Removing sticks only lowers endpoint counts, and markers move with
+        # their sticks.
         moved: list[Stick] = []
+        changed: list[int] = []
         ok = True
         for i, s in enumerate(asm.sticks):
             if i in removed:
@@ -515,10 +527,13 @@ def straighten_arcs(
                 ok = False
                 break
             else:
+                if s.a[2] < z_lo and s.b[2] > z_hi:
+                    changed.append(len(moved))
                 moved.append(s)
         if not ok:
             asm.warnings.append(f"{comp_id}: branch subtree not separable, not straightened")
             continue
+        changed.append(len(moved))
         moved.append(
             stick(
                 (axis_near[0], axis_near[1], z_arc), (axis_near[0], axis_near[1], run_top), comp_id
@@ -528,7 +543,7 @@ def straighten_arcs(
             label: (transform_point(p, 1, delta) if z_lo <= p[2] <= z_hi else p)
             for label, p in asm.markers.items()
         }
-        if check_self_avoiding(moved, new_markers):
+        if check_self_avoiding(moved, new_markers, changed=changed):
             asm.warnings.append(f"{comp_id}: straightening collides, skipped")
             continue
 

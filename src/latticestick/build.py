@@ -101,11 +101,24 @@ def build_arc_diagram(comp: ComponentSpec, cls: ComponentClass) -> ComponentBuil
     )
 
 
-def _slide_ok(build: ComponentBuild) -> bool:
+def _slide_ok(build: ComponentBuild, moved_bp: int) -> bool:
+    """Whether ``build``, whose column ``moved_bp`` just moved, is still free
+    of contacts.
+
+    Only sticks with an end on the moved column's axis are checked against
+    the rest: every stick whose geometry depends on the moved coordinate has
+    such an end, and every other pair is as in the state before the move,
+    which was clean.  The fresh arc diagram is clean by construction: elbows
+    of different arcs lie on different pages, and columns meet elbows only
+    at their endpoints.
+    """
     axes = [build.column_axis(bp) for bp in range(1, build.beta + 1)]
     if len(set(axes)) != len(axes):
         return False
-    return not check_self_avoiding(build.sticks(), interior_only=True)
+    axis = build.column_axis(moved_bp)
+    sticks = build.sticks()
+    changed = [i for i, s in enumerate(sticks) if any(p[:2] == axis for p in s.ends())]
+    return not check_self_avoiding(sticks, interior_only=True, changed=changed)
 
 
 def side_slide(build: ComponentBuild) -> ComponentBuild:
@@ -122,7 +135,7 @@ def side_slide(build: ComponentBuild) -> ComponentBuild:
     for where, cols, bp, target in slides:
         trial = replace(build, col_x=dict(build.col_x), col_y=dict(build.col_y))
         getattr(trial, cols)[bp] = target
-        if _slide_ok(trial):
+        if _slide_ok(trial, bp):
             build = trial
         else:
             build.warnings.append(f"{build.comp_id}: side slide at {where} binding point blocked")

@@ -22,16 +22,22 @@ from .validate import check_bound, full_audit
 
 
 class UsageError(Exception):
-    """An option value names nothing the command knows."""
+    """An option value names nothing the command knows, or a path that
+    cannot be written."""
+
+
+def _write(path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_build(args) -> int:
     spec = load_spec(args.input)
     emb, counts, bounds = build_full(spec)
-    doc = embedding_to_document(emb, counts, bounds)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write(args.output, json.dumps(embedding_to_document(emb, counts, bounds), indent=2) + "\n")
     for w in emb.warnings:
         print(f"note: {w}")
     print(f"sticks: x={counts.x} y={counts.y} z={counts.z} total={counts.total}")
@@ -105,8 +111,7 @@ def cmd_export(args) -> int:
     if args.format != "obj":
         raise UsageError(f"unknown format {args.format}")
     emb, _ = load_embedding(args.embedding)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(export_obj(emb))
+    _write(args.output, export_obj(emb))
     print(f"wrote {args.output}")
     return 0
 
@@ -114,9 +119,7 @@ def cmd_export(args) -> int:
 def cmd_demo(args) -> int:
     if args.name not in DEMOS:
         raise UsageError(f"unknown demo {args.name}; choose from {', '.join(sorted(DEMOS))}")
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(DEMOS[args.name], fh, indent=2)
-        fh.write("\n")
+    _write(args.output, json.dumps(DEMOS[args.name], indent=2) + "\n")
     print(f"wrote {args.output}")
     return 0
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -60,7 +61,13 @@ def endpoint_census(sticks: list[Stick]) -> dict[Vec3, list[int]]:
     return ends
 
 
-def _touching_pairs(sticks: list[Stick]) -> list[tuple[int, int]]:
+# the two axes other than 0, 1 and 2, in order
+_OTHER_AXES = ((1, 2), (0, 2), (0, 1))
+
+
+def _touching_pairs(
+    sticks: list[Stick], changed: set[int] | None = None
+) -> list[tuple[int, int]]:
     """Every index pair ``(i, j)``, ``i < j``, of sticks that meet, sorted.
 
     Parallel sticks can meet only on one line, so each line bucket is swept
@@ -72,15 +79,39 @@ def _touching_pairs(sticks: list[Stick]) -> list[tuple[int, int]]:
     along the later axis keeps a vertical stick's range inside its own
     z-slab, where a horizontal stick would take the columns of every stacked
     component above and below it.
+
+    With ``changed``, only the pairs holding a changed stick are kept, and
+    only the lines and planes a changed stick lies in are bucketed: a pair
+    meeting anywhere else holds no changed stick.
     """
-    lines: dict[tuple, list[int]] = defaultdict(list)
-    planes: dict[tuple, tuple[list[int], ...]] = defaultdict(lambda: ([], [], []))
-    for i, s in enumerate(sticks):
+
+    def buckets(s: Stick):
         ax = s.axis
-        u, w = (k for k in range(3) if k != ax)
-        lines[(ax, s.a[u], s.a[w])].append(i)
-        planes[(u, s.a[u])][ax].append(i)
-        planes[(w, s.a[w])][ax].append(i)
+        u, w = _OTHER_AXES[ax]
+        return ax, (ax, s.a[u], s.a[w]), (u, s.a[u]), (w, s.a[w])
+
+    lines: dict[tuple, list[int]]
+    planes: dict[tuple, tuple[list[int], ...]]
+    if changed is None:
+        lines = defaultdict(list)
+        planes = defaultdict(lambda: ([], [], []))
+        for i, s in enumerate(sticks):
+            ax, line, plane_u, plane_w = buckets(s)
+            lines[line].append(i)
+            planes[plane_u][ax].append(i)
+            planes[plane_w][ax].append(i)
+    else:
+        wanted = [buckets(sticks[i]) for i in changed]
+        lines = {line: [] for _, line, _, _ in wanted}
+        planes = {p: ([], [], []) for _, _, pu, pw in wanted for p in (pu, pw)}
+        for i, s in enumerate(sticks):
+            ax, line, plane_u, plane_w = buckets(s)
+            if line in lines:
+                lines[line].append(i)
+            if plane_u in planes:
+                planes[plane_u][ax].append(i)
+            if plane_w in planes:
+                planes[plane_w][ax].append(i)
 
     pairs: list[tuple[int, int]] = []
     for (ax, _, _), line in lines.items():
@@ -92,7 +123,7 @@ def _touching_pairs(sticks: list[Stick]) -> list[tuple[int, int]]:
                     break
                 pairs.append((i, j) if i < j else (j, i))
     for (normal, _), by_axis in planes.items():
-        u, w = (k for k in range(3) if k != normal)
+        u, w = _OTHER_AXES[normal]
         if not (by_axis[u] and by_axis[w]):
             continue
         across = sorted(by_axis[u], key=lambda j: sticks[j].a[w])
@@ -102,6 +133,8 @@ def _touching_pairs(sticks: list[Stick]) -> list[tuple[int, int]]:
             for j in across[bisect_left(keys, s.a[w]) : bisect_right(keys, s.b[w])]:
                 if sticks[j].a[u] <= s.a[u] <= sticks[j].b[u]:
                     pairs.append((i, j) if i < j else (j, i))
+    if changed is not None:
+        pairs = [(i, j) for i, j in pairs if i in changed or j in changed]
     pairs.sort()
     return pairs
 
@@ -110,6 +143,7 @@ def check_self_avoiding(
     sticks: list[Stick],
     markers: dict[str, Vec3] | None = None,
     interior_only: bool = False,
+    changed: Collection[int] | None = None,
 ) -> list[tuple[str, Vec3]]:
     """All pairwise stick contacts that are not legitimate, in index-pair order.
 
@@ -122,11 +156,19 @@ def check_self_avoiding(
     Only pairs that can touch are compared: parallel sticks on one line and
     perpendicular sticks in one plane (both fix the third coordinate).  The
     result is the one an all-pairs loop over ``i < j`` gives, in that order.
+
+    ``changed``, a collection of indices into ``sticks``, restricts the check
+    to the pairs holding at least one changed stick; the endpoint census and
+    the verdicts stay those of the full check.  Precondition: every other
+    pair is as it was in a state that passed this same check, and where it
+    shares an endpoint, that point kept its marker and gained no stick end
+    but a changed stick's.  Under it the result is empty exactly when the
+    full check's result is empty.
     """
     marker_points = set((markers or {}).values())
     ends = None if interior_only else endpoint_census(sticks)
     violations: list[tuple[str, Vec3]] = []
-    for i, j in _touching_pairs(sticks):
+    for i, j in _touching_pairs(sticks, None if changed is None else set(changed)):
         kind, p = contact(sticks[i], sticks[j])
         if kind == "endpoint":
             if interior_only or p in marker_points or len(ends[p]) == 2:

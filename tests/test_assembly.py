@@ -1,3 +1,4 @@
+import copy
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -16,12 +17,13 @@ from latticestick.assembly import (
     straighten_arcs,
 )
 from latticestick.build import build_component
-from latticestick.errors import LatticeStickError
+from latticestick.errors import LatticeStickError, MergeCollision
 from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
 from latticestick.geom import stick, transform
 from latticestick.graph import build_cut_tree, census
 from latticestick.io import embedding_from_document, embedding_to_document, spec_from_document
-from latticestick.validate import count_sticks, full_audit
+from latticestick.validate import check_self_avoiding, count_sticks, full_audit
+from test_golden import INPUTS as GOLDEN_INPUTS
 
 
 def connectors(asm):
@@ -623,3 +625,57 @@ def test_stacking_fault_never_certified(monkeypatch, doc, fault):
     monkeypatch.setattr(assembly, "assemble", faulty)
     with pytest.raises(LatticeStickError):
         build_full(spec_from_document(doc))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
+def test_stacked_and_merged_states_are_clean(name):
+    """The bases of the first merge trial and of the first straightening
+    trial, which no build checks, pass the checks those trials make."""
+    spec, cens, _, _, asm = stages(GOLDEN_INPUTS[name])
+    assert check_self_avoiding(asm.sticks, interior_only=True) == []
+    merged = apply_merges(spec, cens, asm)
+    assert check_self_avoiding(merged.sticks, merged.markers) == []
+
+
+@pytest.mark.parametrize("doc", [DEMOS["bouquet3"], CHAIN], ids=["bouquet3", "chain"])
+def test_merge_trial_fault_rejected(monkeypatch, doc):
+    """A stick crossing a kept stick, added to every merge trial, makes
+    every plan collide."""
+    original = assembly._apply_vertex_plan
+
+    def faulty(sticks, plan, zrange):
+        trial = original(sticks, plan, zrange)
+        return trial + [_crossing(trial[0])]
+
+    monkeypatch.setattr(assembly, "_apply_vertex_plan", faulty)
+    with pytest.raises(MergeCollision, match="all merge moves collide"):
+        build_full(spec_from_document(doc))
+
+
+@pytest.mark.parametrize("aim", ["moved", "new"])
+def test_straighten_trial_fault_rejected(aim):
+    """A stick clear of everything before the move that meets a moved stick
+    after it (an unmoved stick crossing the branch's slab), or that meets the
+    new vertical stick, makes the trial skipped."""
+    spec, cens, tree, builds, asm = stages(CHAIN)
+    asm = apply_merges(spec, cens, asm)
+    before = list(asm.sticks)
+    straight = straighten_arcs(spec, tree, builds, copy.deepcopy(asm))
+    assert straight.warnings == asm.warnings
+    zs = [p[2] for s in before for p in s.ends()]
+
+    def faults():
+        for s in straight.sticks:
+            if s in before:
+                continue
+            x, y, z = ((p + q) // 2 for p, q in zip(s.a, s.b))
+            if aim == "moved" and s.axis != 2:
+                yield stick((x, y, min(zs) - 1), (x, y, max(zs) + 1))
+            elif aim == "new" and s.axis == 2 and s.comp == "mid":
+                yield stick((x - 1, y, z), (x + 1, y, z))
+
+    fault = next(f for f in faults() if check_self_avoiding(before + [f], asm.markers) == [])
+    asm.sticks = before + [fault]
+    out = straighten_arcs(spec, tree, builds, asm)
+    assert out.sticks == before + [fault]
+    assert out.warnings[-1] == "mid: straightening collides, skipped"

@@ -1,5 +1,9 @@
-from latticestick.arcs import presentation
+from hypothesis import given, settings, strategies as st
+
+from latticestick import build
+from latticestick.arcs import Arc, ArcPresentation, presentation, validate_presentation
 from latticestick.build import build_arc_diagram, build_component, side_slide
+from latticestick.geom import stick
 from latticestick.graph import ComponentClass, ComponentSpec, census
 from latticestick.io import spec_from_document
 from latticestick.fixtures import DEMOS
@@ -140,3 +144,55 @@ class TestSideSlide:
             for comp, cls in classified(doc):
                 sticks = build_component(comp, cls).sticks()
                 assert check_self_avoiding(sticks, interior_only=True) == []
+
+
+@st.composite
+def presentations(draw):
+    """A valid arc presentation: random arcs on distinct pages, binding
+    points renumbered to the ones in use, every point of degree other than
+    two labelled and some of degree two as well."""
+    pairs = draw(
+        st.lists(
+            st.lists(st.integers(1, 7), min_size=2, max_size=2, unique=True).map(sorted),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    rank = {p: r for r, p in enumerate(sorted({p for pair in pairs for p in pair}), start=1)}
+    pages = draw(st.permutations(range(1, len(pairs) + 1)))
+    arcs = tuple(Arc(page, rank[lo], rank[hi]) for page, (lo, hi) in zip(pages, pairs))
+    degree = ArcPresentation(arcs).degree
+    labels = {bp: f"v{bp}" for bp in rank.values() if degree(bp) != 2 or draw(st.booleans())}
+    pres = ArcPresentation(arcs, labels)
+    assert validate_presentation(pres) == []
+    return pres
+
+
+@settings(max_examples=200, deadline=None)
+@given(pres=presentations())
+def test_fresh_arc_diagram_is_clean(pres):
+    """The base of the first slide trial, which no build checks, is clean."""
+    b = build_arc_diagram(ComponentSpec("c", pres), ComponentClass.KNOT)
+    assert check_self_avoiding(b.sticks(), interior_only=True) == []
+
+
+def test_slide_trial_fault_rejected(monkeypatch):
+    """A stick crossing the moved column, present only in the slide trial,
+    blocks that slide."""
+    (trefoil,) = classified(DEMOS["trefoil"])
+    original = build.ComponentBuild.sticks
+
+    def faulty(self):
+        sticks = original(self)
+        if self.col_x[1] != 1:
+            x, y = self.column_axis(1)
+            (column,) = [s for s in sticks if s.axis == 2 and s.a[:2] == (x, y)]
+            assert column.length >= 2
+            z = column.a[2] + 1
+            sticks.append(stick((x - 1, y, z), (x + 1, y, z)))
+        return sticks
+
+    monkeypatch.setattr(build.ComponentBuild, "sticks", faulty)
+    b = side_slide(build_arc_diagram(*trefoil))
+    assert b.column_axis(1) == (1, 1)
+    assert "t: side slide at first binding point blocked" in b.warnings

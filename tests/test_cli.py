@@ -100,6 +100,11 @@ class TestDemo:
     def test_unknown_name(self, tmp_path):
         assert run("demo", "--name", "granny", "--output", str(tmp_path / "x.json")) == 2
 
+    def test_unwritable_output(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert run("demo", "--name", "unknot", "--output", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
 
 class TestBuild:
     def test_unknot_roundtrip(self, tmp_path, capsys):
@@ -111,6 +116,12 @@ class TestBuild:
         assert doc["counts"]["total"] == 4
         emb, counts = embedding_from_document(doc)
         assert counts.total == 4
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        inp, _ = demo_paths(tmp_path, "unknot")
+        out = tmp_path / "missing" / "o.json"
+        assert run("build", "--input", str(inp), "--output", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -252,6 +263,15 @@ class TestExport:
         run("export", "--embedding", str(out), "--format", "obj", "--output", str(a))
         run("export", "--embedding", str(out), "--format", "obj", "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        inp, out = demo_paths(tmp_path, "unknot")
+        run("build", "--input", str(inp), "--output", str(out))
+        obj = tmp_path / "missing" / "u.obj"
+        capsys.readouterr()
+        code = run("export", "--embedding", str(out), "--format", "obj", "--output", str(obj))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {obj}: ")
 
     def test_unknown_format(self, tmp_path):
         inp, out = demo_paths(tmp_path, "unknot")

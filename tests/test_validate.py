@@ -20,6 +20,7 @@ from latticestick.validate import (
     reconstruct_graph,
     walk_edges,
 )
+from test_golden import chain
 
 
 def xs(y, z, x1, x2, **kw):
@@ -96,13 +97,16 @@ class TestSelfAvoiding:
         assert check_self_avoiding(sticks, interior_only=True) == []
 
 
-def _all_pairs_self_avoiding(sticks, markers=None, interior_only=False):
-    """The reference checker: every pair ``i < j`` through ``contact``."""
+def _all_pairs_self_avoiding(sticks, markers=None, interior_only=False, changed=None):
+    """The reference checker: every pair ``i < j`` through ``contact``; with
+    ``changed``, every such pair that holds a changed stick."""
     marker_points = set((markers or {}).values())
     ends = endpoint_census(sticks)
     violations = []
     for i in range(len(sticks)):
         for j in range(i + 1, len(sticks)):
+            if changed is not None and i not in changed and j not in changed:
+                continue
             c = contact(sticks[i], sticks[j])
             if c is None:
                 continue
@@ -122,16 +126,25 @@ GRID = [0, 1, 2, 3, 4, 6]
 
 
 @st.composite
-def stick_sets(draw):
-    sticks = []
-    for _ in range(draw(st.integers(1, 14))):
-        axis = draw(st.integers(0, 2))
+def grid_sticks(draw, through=None):
+    """A stick on ``GRID``; with ``through``, one passing through that point."""
+    axis = draw(st.integers(0, 2))
+    if through is None:
         fixed = [draw(st.sampled_from(GRID)) for _ in range(2)]
         lo, hi = sorted(draw(st.lists(st.sampled_from(GRID), min_size=2, max_size=2, unique=True)))
-        a, b = list(fixed), list(fixed)
-        a.insert(axis, lo)
-        b.insert(axis, hi)
-        sticks.append(stick(tuple(a), tuple(b)))
+    else:
+        fixed = [c for k, c in enumerate(through) if k != axis]
+        t = through[axis]
+        lo, hi = draw(st.sampled_from([(a, b) for a in GRID for b in GRID if a <= t <= b and a < b]))
+    a, b = list(fixed), list(fixed)
+    a.insert(axis, lo)
+    b.insert(axis, hi)
+    return stick(tuple(a), tuple(b))
+
+
+@st.composite
+def stick_sets(draw):
+    sticks = draw(st.lists(grid_sticks(), min_size=1, max_size=14))
     ends = sorted({p for s in sticks for p in s.ends()})
     points = draw(st.lists(st.sampled_from(ends), max_size=2, unique=True))
     markers = {f"m{k}": p for k, p in enumerate(points)}
@@ -147,22 +160,79 @@ def test_matches_all_pairs_oracle(case):
     )
 
 
+def _new_stick(draw, sticks):
+    """A random stick, or one through a grid point of a drawn stick."""
+    if draw(st.booleans()):
+        return draw(grid_sticks())
+    s = draw(st.sampled_from(sticks))
+    t = draw(st.sampled_from([g for g in GRID if s.a[s.axis] <= g <= s.b[s.axis]]))
+    return draw(grid_sticks(through=tuple(t if k == s.axis else s.a[k] for k in range(3))))
+
+
+@st.composite
+def trials(draw):
+    """A clean base, then a trial that removes, moves or adds sticks, with
+    the moved and added ones often drawn through a point of a base stick.
+    Returns the trial sticks, markers, ``interior_only`` and the indices of
+    the moved and added sticks."""
+    interior_only = draw(st.booleans())
+    raw = draw(st.lists(grid_sticks(), min_size=1, max_size=12))
+    ends = sorted({p for s in raw for p in s.ends()})
+    points = draw(st.lists(st.sampled_from(ends), max_size=2, unique=True))
+    markers = {f"m{k}": p for k, p in enumerate(points)}
+    base = []
+    for s in raw:
+        if not _all_pairs_self_avoiding(base + [s], markers, interior_only):
+            base.append(s)
+    trial, changed = [], set()
+    for s in base:
+        action = draw(st.sampled_from(["keep", "keep", "remove", "move"]))
+        if action == "move":
+            changed.add(len(trial))
+            trial.append(_new_stick(draw, base))
+        elif action == "keep":
+            trial.append(s)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(trial)))
+        trial.insert(at, _new_stick(draw, base))
+        changed = {i + (i >= at) for i in changed} | {at}
+    return trial, markers, interior_only, changed
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=trials())
+def test_restricted_check_matches_oracle(case):
+    """Restricted to the changed sticks, the check returns the oracle's
+    contacts among the pairs holding one; as the base was clean, it finds
+    some exactly when the full oracle does."""
+    sticks, markers, interior_only, changed = case
+    restricted = check_self_avoiding(sticks, markers, interior_only, changed)
+    assert restricted == _all_pairs_self_avoiding(sticks, markers, interior_only, changed)
+    full = _all_pairs_self_avoiding(sticks, markers, interior_only)
+    assert (restricted == []) == (full == [])
+
+
 def test_pipeline_checks_match_oracle(monkeypatch):
-    """Every self-avoidance decision of a build agrees with the oracle."""
+    """Every self-avoidance decision of a build agrees with the full oracle,
+    restricted trial checks included; only the audit checks every pair."""
     original = validate.check_self_avoiding
     calls = []
 
-    def compared(sticks, markers=None, interior_only=False):
-        result = original(sticks, markers, interior_only)
-        assert result == _all_pairs_self_avoiding(sticks, markers, interior_only)
-        calls.append(len(sticks))
+    def compared(sticks, markers=None, interior_only=False, changed=None):
+        result = original(sticks, markers, interior_only, changed)
+        assert result == _all_pairs_self_avoiding(sticks, markers, interior_only, changed)
+        full = _all_pairs_self_avoiding(sticks, markers, interior_only)
+        assert (result == []) == (full == [])
+        calls.append(changed is None)
         return result
 
     for module in (validate, build, assembly):
         monkeypatch.setattr(module, "check_self_avoiding", compared)
-    for doc in [*DEMOS.values(), CHAIN, SPLIT_PAIR, LOOP_TREFOIL]:
+    docs = [*DEMOS.values(), CHAIN, SPLIT_PAIR, LOOP_TREFOIL, chain(8)]
+    for doc in docs:
         build_full(spec_from_document(doc))
     assert len(calls) > 9
+    assert sum(calls) == len(docs)
 
 
 def _random_forest(rng, n_knots, n_arcs=8):
