@@ -18,7 +18,8 @@ the merge offsets m/(d-2) of a unit are grid points for every degree d <= 6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import product
 from math import gcd
 
 from .build import ComponentBuild, build_component
@@ -193,6 +194,8 @@ class MergeStep:
     direction: tuple[int, int]
     move: str  # "drop" | "translate" | "extend"
     epsilon: int
+    index: int  # the rerouted stick
+    partner: int | None = None  # a translate's far-end partner
 
 
 @dataclass(frozen=True)
@@ -222,32 +225,22 @@ def _attachments(sticks: list[Stick], axis: Axis2, zrange: tuple[int, int]):
     return sorted(found)
 
 
-def _perps(d: tuple[int, int]):
-    # "+ before -" for the perpendicular fallbacks
-    return [(0, 1), (0, -1)] if d[0] != 0 else [(1, 0), (-1, 0)]
-
-
-def _far_partner(sticks: list[Stick], idx: int, near: Vec3) -> tuple[Vec3, list[int]]:
+def _candidate_moves(sticks, axis, attachment, is_top) -> list[MergeStep]:
+    """Options for merging one attachment, in preference order: drop;
+    translate perpendicular, "+" before "-", when the far end has a single
+    partner lying along that perpendicular to absorb the shift; and for the
+    top stick, extend the opposite way.  Epsilon is left 0: it depends on
+    the step's place in the plan."""
+    level, idx, d = attachment
     s = sticks[idx]
-    far = s.b if near == s.a else s.a
-    partners = [
-        j for j, t in enumerate(sticks) if j != idx and t.has_end(far)
-    ]
-    return far, partners
-
-
-def _candidate_moves(sticks, idx, near, direction, is_top):
-    """(direction, move) options for one merge, in preference order."""
-    options = [(direction, "drop")]
-    far, partners = _far_partner(sticks, idx, near)
-    for w in _perps(direction):
-        if len(partners) == 1:
-            partner = sticks[partners[0]]
-            waxis = 0 if w[0] != 0 else 1
-            if partner.axis == waxis:
-                options.append((w, "translate"))
+    far = s.b if s.a == (axis[0], axis[1], level) else s.a
+    options = [MergeStep(level, d, "drop", 0, idx)]
+    partners = [j for j, t in enumerate(sticks) if j != idx and t.has_end(far)]
+    if len(partners) == 1 and sticks[partners[0]].axis == (1 if d[0] else 0):
+        perps = [(0, 1), (0, -1)] if d[0] else [(1, 0), (-1, 0)]
+        options += [MergeStep(level, w, "translate", 0, idx, partners[0]) for w in perps]
     if is_top:
-        options.append(((-direction[0], -direction[1]), "extend"))
+        options.append(MergeStep(level, (-d[0], -d[1]), "extend", 0, idx))
     return options
 
 
@@ -269,45 +262,22 @@ def _vertex_plans(sticks, vertex, axis, zrange, degree, unit):
             f"vertex {vertex}: found {len(att)} attachments, expected {degree}"
         )
     pivot_level, _, pivot_dir = att[1]
-    base = att[0][0]
-    old_top = att[-1][0]
-    interior = att[2:-1]
-    top_att = att[-1]
-
-    def assignments(pos, used, chosen):
-        if pos == len(interior):
-            yield chosen, False
-            return
-        level, idx, direction = interior[pos]
-        near = (axis[0], axis[1], level)
-        last = pos == len(interior) - 1
-        for w, move in _candidate_moves(sticks, idx, near, direction, is_top=False):
-            if w in used:
-                continue
-            yield from (
-                (c, swap)
-                for c, swap in assignments(pos + 1, used | {w}, chosen + [(level, w, move)])
-            )
-        if last:
-            # swap: keep this stick, merge the top one instead
-            t_level, t_idx, t_dir = top_att
-            t_near = (axis[0], axis[1], t_level)
-            for w, move in _candidate_moves(sticks, t_idx, t_near, t_dir, is_top=True):
-                if w in used:
-                    continue
-                yield chosen + [(t_level, w, move)], True
-
+    *earlier, last = (_candidate_moves(sticks, axis, a, False) for a in att[2:-1])
+    # the last slot also holds the swap: keep that stick, merge the top one
+    last += _candidate_moves(sticks, axis, att[-1], True)
+    # degree - 2 directions meet at the pivot; it divides ``unit`` (a multiple of 12)
+    n = degree - 2
     produced = False
-    for chosen, swapped in assignments(0, {pivot_dir}, []):
+    for chosen in product(*earlier, last):
+        # the pivot's and the merged sticks' directions must all differ
+        if len({pivot_dir, *(c.direction for c in chosen)}) < n:
+            continue
         produced = True
-        # len(chosen) + 1 == degree - 2 divides ``unit`` (a multiple of 12)
-        steps = tuple(
-            MergeStep(level, w, move, m * unit // (len(chosen) + 1))
-            for m, (level, w, move) in enumerate(chosen, start=1)
-        )
-        new_top = interior[-1][0] if swapped else old_top
+        steps = tuple(replace(c, epsilon=m * unit // n) for m, c in enumerate(chosen, start=1))
+        swapped = chosen[-1].index == att[-1][1]
+        new_top = att[-2][0] if swapped else att[-1][0]
         yield VertexPlan(
-            vertex, axis, pivot_level, pivot_dir, base, old_top, new_top, steps
+            vertex, axis, pivot_level, pivot_dir, att[0][0], att[-1][0], new_top, steps
         )
     if not produced:
         raise NoFreeDirection(f"vertex {vertex}: no merge assignment exists")
@@ -322,43 +292,33 @@ def _vertex_units(spec: SpatialGraphSpec, asm: Assembly) -> dict[str, int]:
     return units
 
 
-def _apply_vertex_plan(
-    sticks: list[Stick], plan: VertexPlan, zrange: tuple[int, int]
-) -> list[Stick]:
-    """Execute one vertex's merges on a copy of the stick list."""
+def _apply_vertex_plan(sticks: list[Stick], plan: VertexPlan) -> list[Stick]:
+    """Execute one vertex's merges on a copy of the stick list.
+
+    Steps replay the stick indices their plan found on the unmerged list.
+    They stay valid: a step replaces only sticks at its own level (its own,
+    and a translate's partner, which is horizontal there) and appends only
+    sticks that end at its own level or at the pivot level, so no later
+    step's attachment or far partner changes.
+    """
     sticks = list(sticks)
     ax, ay = plan.axis
     for step in plan.steps:
-        att = _attachments(sticks, plan.axis, zrange)
-        match = [(lvl, i, d) for lvl, i, d in att if lvl == step.level]
-        if len(match) != 1:
-            raise MergeCollision(f"vertex {plan.vertex}: lost attachment at {step.level}")
-        _, idx, _ = match[0]
-        s = sticks[idx]
-        near = (ax, ay, step.level)
-        far = s.b if near == s.a else s.a
+        s = sticks[step.index]
+        far = s.b if s.a == (ax, ay, step.level) else s.a
         wx, wy = step.direction
         bx, by = ax + step.epsilon * wx, ay + step.epsilon * wy
         break_pt = (bx, by, step.level)
         arm_end = (bx, by, plan.pivot_level)
 
         if step.move in ("drop", "extend"):
-            sticks[idx] = stick(break_pt, far, s.comp)
-        else:  # translate
-            _, partners = _far_partner(sticks, idx, near)
-            if len(partners) != 1:
-                raise MergeCollision(f"vertex {plan.vertex}: no unique far partner")
-            pidx = partners[0]
-            partner = sticks[pidx]
-            offset3 = (step.epsilon * wx, step.epsilon * wy, 0)
-            moved_far = tuple(far[i] + offset3[i] for i in range(3))
-            sticks[idx] = stick(
-                tuple(near[i] + offset3[i] for i in range(3)),
-                moved_far,
-                s.comp,
-            )
+            sticks[step.index] = stick(break_pt, far, s.comp)
+        else:  # translate: the stick shifts to the break point, its partner follows
+            moved_far = (far[0] + step.epsilon * wx, far[1] + step.epsilon * wy, far[2])
+            sticks[step.index] = stick(break_pt, moved_far, s.comp)
+            partner = sticks[step.partner]
             keep = partner.b if partner.a == far else partner.a
-            sticks[pidx] = stick(keep, moved_far, partner.comp)
+            sticks[step.partner] = stick(keep, moved_far, partner.comp)
         sticks.append(stick(arm_end, break_pt, s.comp))
         sticks.append(stick((ax, ay, plan.pivot_level), arm_end, s.comp))
 
@@ -403,7 +363,7 @@ def apply_merges(spec: SpatialGraphSpec, cens: GraphCensus, asm: Assembly) -> As
             degrees[label],
             units[label],
         ):
-            trial = _apply_vertex_plan(sticks, plan, asm.vertex_zrange[label])
+            trial = _apply_vertex_plan(sticks, plan)
             changed = [i for i, s in enumerate(trial) if id(s) not in kept]
             if not check_self_avoiding(trial, interior_only=True, changed=changed):
                 committed = (trial, plan)

@@ -73,6 +73,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    if args.crossings is not None and args.crossings < 0:
+        raise UsageError(f"--crossings must be a nonnegative integer, got {args.crossings}")
     spec = load_spec(args.input)
     cens = census(spec)
     print(

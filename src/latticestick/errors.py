@@ -39,7 +39,7 @@ class AssemblyCollision(LatticeStickError):
 
 
 class NoFreeDirection(LatticeStickError):
-    """More than four horizontal slots demanded at one pivot."""
+    """No assignment of distinct free directions to a vertex's merges exists."""
 
 
 class MergeCollision(LatticeStickError):
@@ -63,4 +63,6 @@ class NotACycle(LatticeStickError):
 
 
 class TooLarge(LatticeStickError):
-    """Strand count exceeds the exhaustive-search bound."""
+    """An invariant's input is past a size limit: the strand count exceeds
+    the exhaustive-search bound, or a determinant's Hadamard bound exceeds
+    what the largest listed Mersenne prime can hold."""

@@ -80,8 +80,8 @@ def _touching_pairs(
     z-slab, where a horizontal stick would take the columns of every stacked
     component above and below it.
 
-    With ``changed``, only the pairs holding a changed stick are kept, and
-    only the lines and planes a changed stick lies in are bucketed: a pair
+    With ``changed``, only the lines and planes a changed stick lies in are
+    bucketed, and only the pairs holding a changed stick are kept: a pair
     meeting anywhere else holds no changed stick.
     """
 
@@ -90,28 +90,18 @@ def _touching_pairs(
         u, w = _OTHER_AXES[ax]
         return ax, (ax, s.a[u], s.a[w]), (u, s.a[u]), (w, s.a[w])
 
-    lines: dict[tuple, list[int]]
-    planes: dict[tuple, tuple[list[int], ...]]
-    if changed is None:
-        lines = defaultdict(list)
-        planes = defaultdict(lambda: ([], [], []))
-        for i, s in enumerate(sticks):
-            ax, line, plane_u, plane_w = buckets(s)
+    # None keeps every bucket
+    wanted = None if changed is None else {k for i in changed for k in buckets(sticks[i])[1:]}
+    lines: dict[tuple, list[int]] = defaultdict(list)
+    planes: dict[tuple, tuple[list[int], ...]] = defaultdict(lambda: ([], [], []))
+    for i, s in enumerate(sticks):
+        ax, line, plane_u, plane_w = buckets(s)
+        if wanted is None or line in wanted:
             lines[line].append(i)
+        if wanted is None or plane_u in wanted:
             planes[plane_u][ax].append(i)
+        if wanted is None or plane_w in wanted:
             planes[plane_w][ax].append(i)
-    else:
-        wanted = [buckets(sticks[i]) for i in changed]
-        lines = {line: [] for _, line, _, _ in wanted}
-        planes = {p: ([], [], []) for _, _, pu, pw in wanted for p in (pu, pw)}
-        for i, s in enumerate(sticks):
-            ax, line, plane_u, plane_w = buckets(s)
-            if line in lines:
-                lines[line].append(i)
-            if plane_u in planes:
-                planes[plane_u][ax].append(i)
-            if plane_w in planes:
-                planes[plane_w][ax].append(i)
 
     pairs: list[tuple[int, int]] = []
     for (ax, _, _), line in lines.items():

@@ -17,7 +17,7 @@ from latticestick.assembly import (
     straighten_arcs,
 )
 from latticestick.build import build_component
-from latticestick.errors import LatticeStickError, MergeCollision
+from latticestick.errors import LatticeStickError, MergeCollision, NoFreeDirection
 from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
 from latticestick.geom import stick, transform
 from latticestick.graph import build_cut_tree, census
@@ -112,6 +112,21 @@ class TestMergePlanner:
         assert (step.direction, step.move) == ((0, 1), "translate")
         assert step.epsilon == 6  # half a unit of 12 grid points
 
+    def test_replayed_translate_moves_its_partner_and_no_other(self):
+        sticks = synthetic_column([(1, 0), (1, 0), (1, 0), (1, 0)], partner_for=(3,))
+        plan = next(_vertex_plans(sticks, "v", (0, 0), (0, 99), 4, 12))
+        (step,) = plan.steps
+        assert step.move == "translate"
+        partner = sticks[step.partner]
+        assert partner.axis == 1 and partner.has_end((3, 0, 3))
+        trial = assembly._apply_vertex_plan(sticks, plan)
+        kept = {id(s) for s in trial}
+        column = [s for s in sticks if s.axis == 2]
+        gone = [s for s in sticks if id(s) not in kept and s not in column]
+        assert gone == [sticks[step.index], partner]
+        # the partner keeps its other end and follows the shifted far end
+        assert stick((3, 3, 3), (3, 6, 3)) in trial
+
     def test_free_direction_drops_down(self):
         sticks = synthetic_column([(1, 0), (1, 0), (0, -1), (1, 0)])
         plan = next(_vertex_plans(sticks, "v", (0, 0), (0, 99), 4, 12))
@@ -145,6 +160,101 @@ class TestMergePlanner:
                     if vp.vertex in c.presentation.labels.values()
                 )
                 assert all(type(e) is int and 0 < e < unit for e in eps)
+
+
+# The recursive merge search the planner used before it enumerated
+# assignments with itertools.product, kept as an oracle for its order.
+
+def _oracle_perps(d):
+    return [(0, 1), (0, -1)] if d[0] != 0 else [(1, 0), (-1, 0)]
+
+
+def _oracle_candidate_moves(sticks, idx, near, direction, is_top):
+    s = sticks[idx]
+    far = s.b if near == s.a else s.a
+    partners = [j for j, t in enumerate(sticks) if j != idx and t.has_end(far)]
+    options = [(direction, "drop")]
+    for w in _oracle_perps(direction):
+        if len(partners) == 1:
+            waxis = 0 if w[0] != 0 else 1
+            if sticks[partners[0]].axis == waxis:
+                options.append((w, "translate"))
+    if is_top:
+        options.append(((-direction[0], -direction[1]), "extend"))
+    return options
+
+
+def oracle_plans(sticks, axis, zrange, degree, unit):
+    """Every plan as ([(level, direction, move, epsilon)], new_top, old_top),
+    in preference order; empty where the planner raises NoFreeDirection."""
+    att = assembly._attachments(sticks, axis, zrange)
+    assert len(att) == degree
+    pivot_dir = att[1][2]
+    old_top = att[-1][0]
+    interior = att[2:-1]
+    top_att = att[-1]
+
+    def assignments(pos, used, chosen):
+        if pos == len(interior):
+            yield chosen, False
+            return
+        level, idx, direction = interior[pos]
+        near = (axis[0], axis[1], level)
+        for w, move in _oracle_candidate_moves(sticks, idx, near, direction, False):
+            if w not in used:
+                yield from assignments(pos + 1, used | {w}, chosen + [(level, w, move)])
+        if pos == len(interior) - 1:
+            t_level, t_idx, t_dir = top_att
+            t_near = (axis[0], axis[1], t_level)
+            for w, move in _oracle_candidate_moves(sticks, t_idx, t_near, t_dir, True):
+                if w not in used:
+                    yield chosen + [(t_level, w, move)], True
+
+    return [
+        (
+            [
+                (level, w, move, m * unit // (len(chosen) + 1))
+                for m, (level, w, move) in enumerate(chosen, start=1)
+            ],
+            interior[-1][0] if swapped else old_top,
+            old_top,
+        )
+        for chosen, swapped in assignments(0, {pivot_dir}, [])
+    ]
+
+
+HORIZONTAL = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+
+
+@st.composite
+def merge_columns(draw):
+    """A synthetic column of degree 4-6 with random outward directions, a
+    perpendicular far partner on some levels and a collinear one on others
+    (two partners block a translate), in random stick order."""
+    degree = draw(st.integers(4, 6))
+    directions = draw(st.lists(st.sampled_from(HORIZONTAL), min_size=degree, max_size=degree))
+    levels = range(1, degree + 1)
+    sticks = synthetic_column(directions, partner_for=draw(st.sets(st.sampled_from(levels))))
+    for z in sorted(draw(st.sets(st.sampled_from(levels)))):
+        dx, dy = directions[z - 1]
+        sticks.append(stick((3 * dx, 3 * dy, z), (6 * dx, 6 * dy, z)))
+    return draw(st.permutations(sticks)), degree, 12 * draw(st.integers(1, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_columns())
+def test_planner_matches_recursive_oracle(column):
+    sticks, degree, unit = column
+    expected = oracle_plans(sticks, (0, 0), (0, 99), degree, unit)
+    plans = _vertex_plans(sticks, "v", (0, 0), (0, 99), degree, unit)
+    if not expected:
+        with pytest.raises(NoFreeDirection, match="no merge assignment exists"):
+            list(plans)
+        return
+    assert [
+        ([(s.level, s.direction, s.move, s.epsilon) for s in p.steps], p.new_top, p.old_top)
+        for p in plans
+    ] == expected
 
 
 class TestApplyMerges:
@@ -643,8 +753,8 @@ def test_merge_trial_fault_rejected(monkeypatch, doc):
     every plan collide."""
     original = assembly._apply_vertex_plan
 
-    def faulty(sticks, plan, zrange):
-        trial = original(sticks, plan, zrange)
+    def faulty(sticks, plan):
+        trial = original(sticks, plan)
         return trial + [_crossing(trial[0])]
 
     monkeypatch.setattr(assembly, "_apply_vertex_plan", faulty)

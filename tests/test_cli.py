@@ -216,6 +216,14 @@ class TestBound:
         assert "construction bound: 13" in outp
         assert "crossing bound: 13" in outp
 
+    def test_negative_crossings_is_a_usage_error(self, tmp_path, capsys):
+        inp, _ = demo_paths(tmp_path, "trefoil")
+        capsys.readouterr()
+        assert run("bound", "--input", str(inp), "--crossings", "-7") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --crossings must be a nonnegative integer")
+
     def test_theta_bound(self, tmp_path, capsys):
         inp, _ = demo_paths(tmp_path, "theta-planar")
         assert run("bound", "--input", str(inp)) == 0

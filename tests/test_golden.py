@@ -6,15 +6,20 @@ to alter the output updates them and says why.
 """
 
 import hashlib
+import importlib.util
 import json
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from latticestick.assembly import build_full
 from latticestick.cli import main
+from latticestick.errors import LatticeStickError
 from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
 from latticestick.invariants import extract_knot_cycle, project_generic
-from latticestick.io import load_embedding
+from latticestick.io import embedding_to_document, load_embedding, spec_from_document
 
 
 def _component(comp_id, vertices, arcs):
@@ -198,3 +203,41 @@ def test_invariant_output_and_gauss_visits(name, comp, tmp_path, capsys):
     visits = extract_knot_cycle(project_generic(emb, {comp}), comp).visits
     digest = hashlib.sha256(repr(visits).encode()).hexdigest()
     assert (capsys.readouterr().out, digest) == INVARIANT_GOLDEN[name, comp]
+
+
+def _bench_workloads():
+    """``bench/workloads.py``, imported by path and only read."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Outcomes of the random cut trees ``workloads.tree_input(random.Random(s))``,
+# seeds 0-59: most fail today, so these pins change when the planner learns
+# to build them.  The digest covers, per seed in order, the build document
+# bytes and the build's notes, or the error class and message.
+TREE_SEEDS = range(60)
+TREE_TALLY = {"build": 6, "NoFreeDirection": 51, "BoundViolated": 3}
+TREE_DIGEST = "ed7ccedc92e0fe432516212fec975dba7708a2286dd7930d7b8c120ff8267957"
+
+
+def test_random_cut_tree_outcomes():
+    workloads = _bench_workloads()
+    tally = Counter()
+    h = hashlib.sha256()
+    for seed in TREE_SEEDS:
+        doc = workloads.tree_input(random.Random(seed))
+        try:
+            emb, counts, bounds = build_full(spec_from_document(doc))
+        except LatticeStickError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+            tally[type(exc).__name__] += 1
+        else:
+            outcome = json.dumps(embedding_to_document(emb, counts, bounds), indent=2) + "\n"
+            outcome += "".join(f"note: {w}\n" for w in emb.warnings)
+            tally["build"] += 1
+        h.update(hashlib.sha256(outcome.encode()).digest())
+    assert dict(tally) == TREE_TALLY
+    assert h.hexdigest() == TREE_DIGEST
