@@ -12,7 +12,6 @@ from .assembly import (
 from .bounds import (
     arc_index_upper,
     binding_point_count,
-    bounds_agree,
     construction_count,
     crossing_stick_bound,
 )
@@ -35,7 +34,6 @@ from .invariants import (
     GraphDiagram,
     extract_knot_cycle,
     knot_determinant,
-    p_coloring_count,
     project_generic,
 )
 from .validate import (

@@ -8,12 +8,16 @@ merging reroutes the junctions' horizontal sticks onto the pivot (the second
 attachment from the bottom) through offset verticals, one extra stick per
 merge, after which the run fuses and the pivot is the vertex.
 
-All coordinates are integers on one grid per build.  Rather than shrink a
-branch by 1/(8*2^k), stacking scales its stem up by 8*2^k, so each subtree
-comes back with its own component's unit a power of two.  ``assemble`` then
-puts every tree on the unit ``12 * max(root unit)``: 12 is lcm(2, 3, 4), so
-the merge offsets m/(d-2) of a unit are grid points for every degree d <= 6.
-``normalize`` divides the grid back down to the smallest integer lattice.
+All coordinates are integers on one grid per build.  Stacking makes two
+passes over the components and builds each stick once.  The first sizes the
+subtrees bottom-up: rather than shrink a branch by 1/(8*2^k), it scales its
+stem up by 8*2^k, so each subtree's own component gets a power-of-two unit,
+and only the subtree's top and x/y box travel up the tree.  The second puts
+every tree on the unit ``12 * max(root unit)`` and walks the components in
+tree order, composing each one's final scale and offset from its stem's and
+mapping its sticks through them.  12 is lcm(2, 3, 4), so the merge offsets
+m/(d-2) of a unit are grid points for every degree d <= 6.  ``normalize``
+divides the grid back down to the smallest integer lattice.
 """
 
 from __future__ import annotations
@@ -48,14 +52,13 @@ class Assembly:
     sticks: list[Stick]
     # grid points per unit of the roots' frame; merge offsets divide it
     unit: int
-    vertex_axis: dict[str, Axis2]
+    vertex_axis: dict[str, Axis2] = field(default_factory=dict)
     # Stacked trees reuse local (x, y) coordinates, so every per-vertex scan
     # is confined to the z-range of the vertex's own tree.
-    vertex_zrange: dict[str, tuple[int, int]]
+    vertex_zrange: dict[str, tuple[int, int]] = field(default_factory=dict)
     # grid points per unit of each component's own arc diagram
-    comp_scale: dict[str, int]
-    comp_zspan: dict[str, tuple[int, int]]
-    knot_corners: dict[str, Vec3]
+    comp_scale: dict[str, int] = field(default_factory=dict)
+    comp_zspan: dict[str, tuple[int, int]] = field(default_factory=dict)
     markers: dict[str, Vec3] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     merge_plans: list[VertexPlan] = field(default_factory=list)
@@ -77,112 +80,104 @@ class LatticeEmbedding:
     warnings: tuple[str, ...] = ()
 
 
-@dataclass
-class _Realized:
-    """A subtree on its own grid: ``scale[c]`` grid points per unit of
-    component ``c``, whose local origin sits at ``offset[c]``.  The subtree's
-    own component has offset zero and its lowest level, z = 1, at one unit."""
+def _size_subtree(
+    comp_id: str, builds: dict[str, ComponentBuild], tree: CutTree, placed: dict
+) -> tuple[int, int, tuple[int, int, int, int]]:
+    """Size the subtree of ``comp_id`` on its own grid, without building it.
 
-    sticks: list[Stick]
-    scale: dict[str, int]
-    offset: dict[str, Vec3]
-    zmax: int
-
-
-def _realize(comp_id: str, builds: dict[str, ComponentBuild], tree: CutTree) -> _Realized:
-    """Subtree of ``comp_id`` with its children scaled in above.
-
-    A child whose extent around its cut-vertex column is at most ``2^k`` of
-    its own units is placed at 1/(8*2^k) of a stem unit, so the stem's unit
-    is the largest ``8 * 2^k * child unit``: every child scales up by a
-    power of two.
+    On that grid ``comp_id`` has ``unit`` grid points per unit, its origin
+    at zero and so its lowest level, z = 1, at one unit.  A child whose
+    extent around its cut-vertex column is at most ``2^k`` of its own units
+    is placed at 1/(8*2^k) of a stem unit, so the stem's unit is the largest
+    ``8 * 2^k * child unit``: every child scales up by a power of two.
+    Returns ``unit``, the subtree's top z and its x/y box (xlo, xhi, ylo,
+    yhi); ``placed`` maps each branch to its unit on its own grid and that
+    grid's factor and offset in its stem's grid.  Connectors stand on stem
+    columns, so they never widen a box.
     """
     b = builds[comp_id]
-    children = sorted(tree.children(comp_id), key=lambda c: tree.order.index(c[0]))
     subs = []
-    for child_id, cut_vertex in children:
-        sub = _realize(child_id, builds, tree)
+    for child_id, cut_vertex in tree.children(comp_id):
+        u, ztop, (xlo, xhi, ylo, yhi) = _size_subtree(child_id, builds, tree, placed)
         cb = builds[child_id]
-        cbp = cb.vertex_bp(cut_vertex)
-        u = sub.scale[child_id]
-        cx, cy = (u * c for c in cb.column_axis(cbp))
-        extent = max(max(abs(p[0] - cx), abs(p[1] - cy)) for s in sub.sticks for p in s.ends())
+        cx, cy = (u * c for c in cb.column_axis(cb.vertex_bp(cut_vertex)))
+        extent = max(cx - xlo, xhi - cx, cy - ylo, yhi - cy)
         # 2^k * u: the least power of two covering max(1, extent / u) units
         width = 1 << (max(u, extent) - 1).bit_length()
-        subs.append((sub, cut_vertex, (cx, cy, u * cb.column_zrange(cbp)[0]), width))
-    unit = max((8 * width for *_, width in subs), default=1)
-    out = _Realized(
-        sticks=[transform(s, unit, (0, 0, 0)) for s in b.sticks()],
-        scale={comp_id: unit},
-        offset={comp_id: (0, 0, 0)},
-        zmax=unit * max(1, b.pres.alpha),
-    )
-    top = out.zmax
-    for sub, cut_vertex, (cx, cy, cz), width in subs:
-        bp = b.vertex_bp(cut_vertex)
-        ax, ay = (unit * c for c in b.column_axis(bp))
+        subs.append((child_id, cut_vertex, u, (cx, cy), ztop, (xlo, xhi, ylo, yhi), width))
+    unit = max((8 * sub[-1] for sub in subs), default=1)
+    # The columns span the component: every stick ends on a column axis or
+    # on an elbow (hi, lo), which has column hi's x and column lo's y, and
+    # every column holds a stick end.
+    xs = {unit * x for x in b.col_x.values()}
+    ys = {unit * y for y in b.col_y.values()}
+    top = unit * max(1, b.pres.alpha)
+    for child_id, cut_vertex, u, (cx, cy), ztop, (xlo, xhi, ylo, yhi), width in subs:
+        ax, ay = (unit * c for c in b.column_axis(b.vertex_bp(cut_vertex)))
         f = unit // (8 * width)
         # one child unit of clearance above ``top``: the child's z = 1 level
-        # lands at top + f * u, so its frame origin sits at ``top``
+        # lands at top + f * u, so its grid's origin sits at ``top``
         off = (ax - f * cx, ay - f * cy, top)
-        out.sticks.extend(transform(s, f, off) for s in sub.sticks)
-        for cid in sub.scale:
-            out.scale[cid] = f * sub.scale[cid]
-            out.offset[cid] = transform_point(sub.offset[cid], f, off)
-        pbar_z = unit * b.column_zrange(bp)[1]
-        out.sticks.append(stick((ax, ay, pbar_z), (ax, ay, f * cz + top)))
-        top += f * sub.zmax
-    out.zmax = top
-    return out
+        placed[child_id] = (u, f, off)
+        xs.update((f * xlo + off[0], f * xhi + off[0]))
+        ys.update((f * ylo + off[1], f * yhi + off[1]))
+        top += f * ztop
+    return unit, top, (min(xs), max(xs), min(ys), max(ys))
 
 
 def assemble(
     spec: SpatialGraphSpec, tree: CutTree, builds: dict[str, ComponentBuild]
 ) -> Assembly:
-    """Stack every tree of the forest on one grid; roots get no connector."""
-    subs = {root: _realize(root, builds, tree) for root in tree.roots}
-    unit = 12 * max(sub.scale[root] for root, sub in subs.items())
-    asm = Assembly(
-        sticks=[],
-        unit=unit,
-        vertex_axis={},
-        vertex_zrange={},
-        comp_scale={},
-        comp_zspan={},
-        knot_corners={},
-    )
-    top = 0
-    offsets: dict[str, Vec3] = {}
-    tree_span: dict[str, tuple[int, int]] = {}
-    for root, sub in subs.items():
-        f = unit // sub.scale[root]
-        off = (0, 0, top)
-        asm.sticks.extend(transform(s, f, off) for s in sub.sticks)
-        for cid in sub.scale:
-            asm.comp_scale[cid] = f * sub.scale[cid]
-            offsets[cid] = transform_point(sub.offset[cid], f, off)
-            tree_span[cid] = (top + unit, top + f * sub.zmax)
-        top += f * sub.zmax
+    """Stack every tree of the forest on one grid; roots get no connector.
 
-    for comp in spec.components:
-        b = builds[comp.id]
-        f = asm.comp_scale[comp.id]
-        o = offsets[comp.id]
-        lo = f + o[2]
-        hi = f * max(1, b.pres.alpha) + o[2]
-        asm.comp_zspan[comp.id] = (lo, hi)
+    ``_size_subtree`` sizes each tree bottom-up.  Then one pass over
+    ``tree.order`` composes each component's final scale and offset from its
+    stem's, maps the component's sticks through them once and joins a branch
+    to its stem by its connector.
+    """
+    placed: dict[str, tuple[int, int, Vec3]] = {}
+    sized = {root: _size_subtree(root, builds, tree, placed) for root in tree.roots}
+    unit = 12 * max(u for u, _, _ in sized.values())
+    warnings = [w for comp in spec.components for w in builds[comp.id].warnings]
+    asm = Assembly(sticks=[], unit=unit, warnings=warnings)
+    # per component: final grid points per point of its subtree's grid, and
+    # that grid's origin, which is also the component's own
+    grid: dict[str, tuple[int, Vec3]] = {}
+    top = 0
+    for cid in tree.order:
+        b = builds[cid]
+        if cid in tree.parent:
+            stem_id, cut_vertex = tree.parent[cid]
+            g, o = grid[stem_id]
+            u, f, off = placed[cid]
+            g, o = g * f, transform_point(off, g, o)
+        else:  # a root: every tree of the forest spans its own z-range
+            u, ztop, _ = sized[cid]
+            g, o = unit // u, (0, 0, top)
+            span = (top + unit, top + g * ztop)
+            top = span[1]
+        grid[cid] = (g, o)
+        scale = asm.comp_scale[cid] = g * u
+        asm.comp_zspan[cid] = (scale + o[2], scale * max(1, b.pres.alpha) + o[2])
+        asm.sticks.extend(transform(s, scale, o) for s in b.sticks())
         for bp, label in b.pres.labels.items():
             ax, ay = b.column_axis(bp)
-            g = (f * ax + o[0], f * ay + o[1])
-            if label in asm.vertex_axis and asm.vertex_axis[label] != g:
+            axis = (scale * ax + o[0], scale * ay + o[1])
+            if asm.vertex_axis.setdefault(label, axis) != axis:
                 raise AssemblyCollision(f"cut vertex {label} columns failed to align")
-            asm.vertex_axis[label] = g
-            asm.vertex_zrange[label] = tree_span[comp.id]
+            asm.vertex_zrange[label] = span
+        if cid in tree.parent:  # the connector: stem column top to branch column foot
+            stem = builds[stem_id]
+            below = stem.column_zrange(stem.vertex_bp(cut_vertex))[1]
+            above = b.column_zrange(b.vertex_bp(cut_vertex))[0]
+            ax, ay = asm.vertex_axis[cut_vertex]
+            asm.sticks.append(stick(
+                (ax, ay, asm.comp_scale[stem_id] * below + grid[stem_id][1][2]),
+                (ax, ay, scale * above + o[2]),
+            ))
         corner = b.knot_corner()
-        if corner is not None:
-            label = next(iter(b.pres.labels.values()))
-            asm.knot_corners[label] = transform_point(corner, f, o)
-        asm.warnings.extend(b.warnings)
+        if corner is not None:  # a lone circle: its vertex sits on a bend
+            asm.markers[next(iter(b.pres.labels.values()))] = transform_point(corner, scale, o)
     return asm
 
 
@@ -339,7 +334,8 @@ def _apply_vertex_plan(sticks: list[Stick], plan: VertexPlan) -> list[Stick]:
 
 
 def apply_merges(spec: SpatialGraphSpec, cens: GraphCensus, asm: Assembly) -> Assembly:
-    """Merge every vertex of degree >= 4, then place all vertex markers.
+    """Merge every vertex of degree >= 4, then place the markers of the
+    degree-3 vertices (``assemble`` placed those of lone circles).
 
     Each vertex tries its candidate plans in preference order and keeps the
     first one whose result stays intersection-free, recording it in
@@ -376,16 +372,13 @@ def apply_merges(spec: SpatialGraphSpec, cens: GraphCensus, asm: Assembly) -> As
     asm.sticks = sticks
 
     for label, d in sorted(degrees.items()):
-        if d >= 4:
+        if d != 3:
             continue
-        if d == 3:
-            att = _attachments(asm.sticks, asm.vertex_axis[label], asm.vertex_zrange[label])
-            if len(att) != 3:
-                raise MergeCollision(f"vertex {label}: expected 3 attachments, got {len(att)}")
-            ax, ay = asm.vertex_axis[label]
-            asm.markers[label] = (ax, ay, att[1][0])
-        else:
-            asm.markers[label] = asm.knot_corners[label]
+        att = _attachments(asm.sticks, asm.vertex_axis[label], asm.vertex_zrange[label])
+        if len(att) != 3:
+            raise MergeCollision(f"vertex {label}: expected 3 attachments, got {len(att)}")
+        ax, ay = asm.vertex_axis[label]
+        asm.markers[label] = (ax, ay, att[1][0])
     return asm
 
 

@@ -34,9 +34,3 @@ def crossing_stick_bound(c: int, e: int, v: int, s: int, b: int, k: int) -> int:
     """Stick bound from a crossing count: 3c + 6e - 4v - 2s + 3b + k."""
     return 3 * c + 6 * e - 4 * v - 2 * s + 3 * b + k
 
-
-def bounds_agree(c: int, e: int, v: int, s: int, b: int, k: int) -> bool:
-    """Substituting alpha = c + e + b turns one bound into the other."""
-    return construction_count(
-        arc_index_upper(c, e, b), e, v, s, k
-    ) == crossing_stick_bound(c, e, v, s, b, k)

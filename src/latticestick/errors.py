@@ -63,6 +63,5 @@ class NotACycle(LatticeStickError):
 
 
 class TooLarge(LatticeStickError):
-    """An invariant's input is past a size limit: the strand count exceeds
-    the exhaustive-search bound, or a determinant's Hadamard bound exceeds
-    what the largest listed Mersenne prime can hold."""
+    """A determinant's Hadamard bound exceeds what the largest listed
+    Mersenne prime can hold."""

@@ -70,7 +70,8 @@ class CutTree:
 
     ``order`` lists every component so that each stem precedes its branches
     and every subtree is contiguous.  ``parent`` maps a branch to its
-    (stem id, cut vertex) pair; roots are absent from it.
+    (stem id, cut vertex) pair in ``order``; roots are absent from it.  So
+    ``children`` lists a stem's branches in ``order`` too.
     """
 
     order: tuple[str, ...]
@@ -400,4 +401,4 @@ def build_cut_tree(spec: SpatialGraphSpec, cens: GraphCensus) -> CutTree:
                 visited.add(nxt)
                 parent[nxt] = (cur, cv)
                 stack.append(nxt)
-    return CutTree(tuple(order), parent, tuple(roots))
+    return CutTree(tuple(order), {c: parent[c] for c in order if c in parent}, tuple(roots))

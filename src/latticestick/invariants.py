@@ -4,11 +4,10 @@ The projection applies the shear ``x' = x + z/N, y' = y + z/N^2`` scaled by
 N^2 onto the integer grid, ``X = N^2 x + N z, Y = N^2 y + z``, and drops z.
 Any coincidence (collinear overlap, triple point, crossing at an endpoint)
 only survives for finitely many N, so doubling N deterministically restores
-genericity.  Over/under data comes from the original z values, and two
-independent routes compute the fidelity invariant: the knot determinant, by
-one sparse elimination of the coloring matrix modulo a Mersenne prime above
-twice its Hadamard bound, and an exhaustive count of modular colorings of the
-strands.
+genericity.  Over/under data comes from the original z values.  The
+fidelity invariant is the knot determinant, taken by one sparse elimination
+of the coloring matrix modulo a Mersenne prime above twice its Hadamard
+bound.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .geom import Vec3
 Vec2 = tuple[int, int]
 
 MAX_RETRIES = 64
-MAX_STRANDS = 12
 # Mersenne exponents (OEIS A000043): the determinant is taken modulo the
 # smallest 2^e - 1 above twice the Hadamard bound.  6^(n/2) bounds an
 # n-crossing minor, so the last one covers about 100,000 crossings.
@@ -275,16 +273,6 @@ def _coloring_rows(gauss: GaussData) -> list[dict[int, int]]:
     return rows
 
 
-def coloring_matrix(gauss: GaussData) -> list[list[int]]:
-    """One row per crossing over the strands: 2*over - in - out."""
-    n_strands, _ = _strand_structure(gauss)
-    matrix = [[0] * n_strands for _ in range(gauss.n_crossings)]
-    for dense, row in zip(matrix, _coloring_rows(gauss)):
-        for strand, v in row.items():
-            dense[strand] = v
-    return matrix
-
-
 def _abs_det(rows: list[dict[int, int]]) -> int:
     """|det| of the square matrix whose row i is ``{column: value}``.
 
@@ -365,37 +353,3 @@ def knot_determinant(gauss: GaussData) -> int:
         {strand - 1: v for strand, v in row.items() if strand}
         for row in _coloring_rows(gauss)[1:]
     ])
-
-
-def p_coloring_count(gauss: GaussData, p: int) -> int:
-    """Exhaustively count strand labelings over Z_p with 2*over = in + out.
-
-    Depth-first over the strands, rejecting a partial assignment as soon as
-    some crossing has all three strands labeled inconsistently; this visits
-    exactly the assignments a plain product enumeration would accept.
-    """
-    if gauss.n_crossings == 0:
-        return p
-    n_strands, triples = _strand_structure(gauss)
-    if n_strands > MAX_STRANDS:
-        raise TooLarge(f"{n_strands} strands exceeds the enumeration bound {MAX_STRANDS}")
-    by_last: dict[int, list[tuple[int, int, int]]] = {}
-    for t in triples:
-        by_last.setdefault(max(t), []).append(t)
-
-    colors = [0] * n_strands
-
-    def count(strand: int) -> int:
-        if strand == n_strands:
-            return 1
-        total = 0
-        for c in range(p):
-            colors[strand] = c
-            if all(
-                (2 * colors[o] - colors[i] - colors[u]) % p == 0
-                for o, i, u in by_last.get(strand, ())
-            ):
-                total += count(strand + 1)
-        return total
-
-    return count(0)

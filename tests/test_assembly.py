@@ -1,7 +1,10 @@
 import copy
+import random
 import sys
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,13 +20,18 @@ from latticestick.assembly import (
     straighten_arcs,
 )
 from latticestick.build import build_component
-from latticestick.errors import LatticeStickError, MergeCollision, NoFreeDirection
+from latticestick.errors import (
+    AssemblyCollision,
+    LatticeStickError,
+    MergeCollision,
+    NoFreeDirection,
+)
 from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
-from latticestick.geom import stick, transform
+from latticestick.geom import stick, transform, transform_point
 from latticestick.graph import build_cut_tree, census
 from latticestick.io import embedding_from_document, embedding_to_document, spec_from_document
 from latticestick.validate import check_self_avoiding, count_sticks, full_audit
-from test_golden import INPUTS as GOLDEN_INPUTS
+from test_golden import INPUTS as GOLDEN_INPUTS, _bench_workloads, chain
 
 
 def connectors(asm):
@@ -84,6 +92,131 @@ class TestAssemble:
         assert asm.comp_scale["th1"] == asm.unit
         assert 8 * asm.comp_scale["mid"] <= asm.comp_scale["th1"]
         assert 4 * asm.comp_scale["th2"] < asm.comp_scale["mid"]
+
+
+# The stacking that carried every subtree's sticks up the tree, transforming
+# each stick once per ancestor level, kept as an oracle for ``assemble``.
+
+@dataclass
+class _OracleRealized:
+    sticks: list
+    scale: dict
+    offset: dict
+    zmax: int
+
+
+def _oracle_realize(comp_id, builds, tree):
+    b = builds[comp_id]
+    children = sorted(tree.children(comp_id), key=lambda c: tree.order.index(c[0]))
+    subs = []
+    for child_id, cut_vertex in children:
+        sub = _oracle_realize(child_id, builds, tree)
+        cb = builds[child_id]
+        cbp = cb.vertex_bp(cut_vertex)
+        u = sub.scale[child_id]
+        cx, cy = (u * c for c in cb.column_axis(cbp))
+        extent = max(max(abs(p[0] - cx), abs(p[1] - cy)) for s in sub.sticks for p in s.ends())
+        width = 1 << (max(u, extent) - 1).bit_length()
+        subs.append((sub, cut_vertex, (cx, cy, u * cb.column_zrange(cbp)[0]), width))
+    unit = max((8 * width for *_, width in subs), default=1)
+    out = _OracleRealized(
+        sticks=[transform(s, unit, (0, 0, 0)) for s in b.sticks()],
+        scale={comp_id: unit},
+        offset={comp_id: (0, 0, 0)},
+        zmax=unit * max(1, b.pres.alpha),
+    )
+    top = out.zmax
+    for sub, cut_vertex, (cx, cy, cz), width in subs:
+        bp = b.vertex_bp(cut_vertex)
+        ax, ay = (unit * c for c in b.column_axis(bp))
+        f = unit // (8 * width)
+        off = (ax - f * cx, ay - f * cy, top)
+        out.sticks.extend(transform(s, f, off) for s in sub.sticks)
+        for cid in sub.scale:
+            out.scale[cid] = f * sub.scale[cid]
+            out.offset[cid] = transform_point(sub.offset[cid], f, off)
+        pbar_z = unit * b.column_zrange(bp)[1]
+        out.sticks.append(stick((ax, ay, pbar_z), (ax, ay, f * cz + top)))
+        top += f * sub.zmax
+    out.zmax = top
+    return out
+
+
+def oracle_assemble(spec, tree, builds):
+    """The old stacking; lone circles' markers are returned as ``markers``."""
+    subs = {root: _oracle_realize(root, builds, tree) for root in tree.roots}
+    unit = 12 * max(sub.scale[root] for root, sub in subs.items())
+    asm = SimpleNamespace(
+        sticks=[], unit=unit, vertex_axis={}, vertex_zrange={}, comp_scale={},
+        comp_zspan={}, markers={}, warnings=[],
+    )
+    top = 0
+    offsets = {}
+    tree_span = {}
+    for root, sub in subs.items():
+        f = unit // sub.scale[root]
+        off = (0, 0, top)
+        asm.sticks.extend(transform(s, f, off) for s in sub.sticks)
+        for cid in sub.scale:
+            asm.comp_scale[cid] = f * sub.scale[cid]
+            offsets[cid] = transform_point(sub.offset[cid], f, off)
+            tree_span[cid] = (top + unit, top + f * sub.zmax)
+        top += f * sub.zmax
+
+    for comp in spec.components:
+        b = builds[comp.id]
+        f = asm.comp_scale[comp.id]
+        o = offsets[comp.id]
+        asm.comp_zspan[comp.id] = (f + o[2], f * max(1, b.pres.alpha) + o[2])
+        for bp, label in b.pres.labels.items():
+            ax, ay = b.column_axis(bp)
+            g = (f * ax + o[0], f * ay + o[1])
+            if label in asm.vertex_axis and asm.vertex_axis[label] != g:
+                raise AssemblyCollision(f"cut vertex {label} columns failed to align")
+            asm.vertex_axis[label] = g
+            asm.vertex_zrange[label] = tree_span[comp.id]
+        corner = b.knot_corner()
+        if corner is not None:
+            label = next(iter(b.pres.labels.values()))
+            asm.markers[label] = transform_point(corner, f, o)
+        asm.warnings.extend(b.warnings)
+    return asm
+
+
+STACKING_GROUPS = {
+    "golden": lambda: list(GOLDEN_INPUTS.values()),
+    "chains": lambda: [chain(n) for n in range(2, 11)],
+    "trees": lambda: [_bench_workloads().tree_input(random.Random(s)) for s in range(60)],
+}
+
+
+@pytest.mark.parametrize("group", sorted(STACKING_GROUPS))
+def test_stacking_matches_oracle(group):
+    for i, doc in enumerate(STACKING_GROUPS[group]()):
+        spec, cens, tree, builds, asm = stages(doc)
+        ref = oracle_assemble(spec, tree, builds)
+        for key in ("unit", "comp_scale", "comp_zspan", "vertex_axis", "vertex_zrange",
+                    "markers", "warnings"):
+            assert getattr(asm, key) == getattr(ref, key), (group, i, key)
+        assert Counter(asm.sticks) == Counter(ref.sticks), (group, i)
+
+
+def test_each_stick_transformed_once(monkeypatch):
+    """``assemble`` maps every component stick once, through its final
+    scale and offset, and transforms nothing else."""
+    original = assembly.transform
+    calls = []
+
+    def counted(s, scale, offset):
+        calls.append(s)
+        return original(s, scale, offset)
+
+    monkeypatch.setattr(assembly, "transform", counted)
+    for n in (4, 5, 6):
+        spec, cens, tree, builds, asm = stages(chain(n))
+        calls.clear()
+        assemble(spec, tree, builds)
+        assert len(calls) == sum(len(b.sticks()) for b in builds.values()), n
 
 
 def synthetic_column(directions, partner_for=()):

@@ -6,11 +6,11 @@ from hypothesis import given, strategies as st
 from latticestick.bounds import (
     arc_index_upper,
     binding_point_count,
-    bounds_agree,
     construction_count,
     crossing_stick_bound,
 )
 from latticestick.errors import InvalidCounts
+from oracles import bounds_agree
 
 
 def test_binding_point_count_values():

@@ -16,13 +16,12 @@ from latticestick.invariants import (
     _seg_intersection,
     _try_project,
     _z_at,
-    coloring_matrix,
     extract_knot_cycle,
     knot_determinant,
-    p_coloring_count,
     project_generic,
 )
 from latticestick.io import spec_from_document
+from oracles import coloring_matrix, p_coloring_count
 
 # classic alternating three-crossing diagram
 TREFOIL_GAUSS = GaussData(
