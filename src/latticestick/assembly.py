@@ -393,6 +393,18 @@ def straighten_arcs(
     """Replace each single-arc component's elbow by one vertical stick,
     sliding its branch subtree sideways over the stem's cut-vertex column.
 
+    One pass over the sticks per link sorts each stick into one group: the
+    elbow (the link's x-stick at the near column, its y-stick at the far
+    one); the far-axis run from the elbow to the bottom of the branch's
+    z-slab (the connector, or the fused run a merge rebuilt); the sticks
+    inside the slab, rebuilt moved onto the near column; straddlers, with
+    exactly one end in the slab; and the rest, which stay.  The elbow and
+    the run give way to one vertical stick on the near axis.  Only the new
+    stick and the unmoved sticks spanning the slab are checked: the branch
+    moves rigidly in x and y, so pairs inside it keep their contact kinds,
+    and every other unmoved stick has both ends outside the slab.  Removing
+    sticks only lowers endpoint counts, and markers move with their sticks.
+
     Components realising more than one arc stay untouched (they may be
     knotted, and flattening them would change the embedding's type); every
     skip is reported.
@@ -406,94 +418,53 @@ def straighten_arcs(
                 f"{comp_id}: arc component with {b.pres.alpha} arcs left unstraightened"
             )
             continue
-        stem_id, v_near = tree.parent.get(comp_id, (None, None))
-        if stem_id is None:
-            continue  # unreachable: trees are rooted at non-arc components
-        labels = set(b.pres.labels.values())
-        v_far = next(iter(labels - {v_near}))
+        v_near = tree.parent[comp_id][1]  # trees are rooted at non-arc components
+        v_far = next(iter(set(b.pres.labels.values()) - {v_near}))
         children = tree.children(comp_id)
         if len(children) != 1 or children[0][1] != v_far:
             asm.warnings.append(f"{comp_id}: unexpected branch layout, not straightened")
             continue
-        branch_id = children[0][0]
-
-        axis_near = asm.vertex_axis[v_near]
-        axis_far = asm.vertex_axis[v_far]
-        z_arc = asm.comp_zspan[comp_id][0]
-
-        def _find(axis, end):
-            hits = [
-                i
-                for i, s in enumerate(asm.sticks)
-                if s.comp == comp_id and s.axis == axis and s.has_end(end)
-            ]
-            return hits[0] if len(hits) == 1 else None
-
-        # the elbow: its x-stick leaves the near column, its y-stick the far one
-        ix = _find(0, (axis_near[0], axis_near[1], z_arc))
-        iy = _find(1, (axis_far[0], axis_far[1], z_arc))
-        if ix is None or iy is None:
-            asm.warnings.append(f"{comp_id}: rerouted by merging, not straightened")
-            continue
-
-        subtree = tree.subtree(branch_id)
+        subtree = tree.subtree(children[0][0])
         z_lo = min(asm.comp_zspan[c][0] for c in subtree)
         z_hi = max(asm.comp_zspan[c][1] for c in subtree)
-        # The vertical run feeding the branch sits on the far axis; pieces
-        # reaching below the subtree (the connector, or the fused run a merge
-        # rebuilt) are replaced by one stick on the near axis, the rest ride
-        # along with the subtree.
-        removed = {ix, iy}
+        z_arc = asm.comp_zspan[comp_id][0]
+        nx, ny = asm.vertex_axis[v_near]
+        fx, fy = asm.vertex_axis[v_far]
+        dx, dy = nx - fx, ny - fy
+        near, far = (nx, ny, z_arc), (fx, fy, z_arc)
+
+        elbow = [0, 0]  # link x-sticks ending at near, y-sticks ending at far
         run_top = None
-        for i, s in enumerate(asm.sticks):
-            if (
-                s.axis == 2
-                and (s.a[0], s.a[1]) == (axis_far[0], axis_far[1])
-                and z_arc <= s.a[2] < z_lo
-            ):
-                removed.add(i)
-                run_top = s.b[2] if run_top is None else max(run_top, s.b[2])
+        straddles = False
+        moved: list[Stick] = []
+        changed: list[int] = []
+        for s in asm.sticks:
+            (ax, ay, az), (bx, by, bz) = s.a, s.b
+            if s.comp == comp_id and az == bz and s.has_end(near if ay == by else far):
+                elbow[ay != by] += 1
+            elif z_arc <= az < z_lo and (ax, ay) == (bx, by) == (fx, fy):
+                run_top = bz if run_top is None else max(run_top, bz)
+            elif z_lo <= az and bz <= z_hi:
+                moved.append(Stick((ax + dx, ay + dy, az), (bx + dx, by + dy, bz), s.comp))
+            elif z_lo <= az <= z_hi or z_lo <= bz <= z_hi:
+                straddles = True
+            else:
+                if az < z_lo and bz > z_hi:
+                    changed.append(len(moved))
+                moved.append(s)
+        if elbow != [1, 1]:
+            asm.warnings.append(f"{comp_id}: rerouted by merging, not straightened")
+            continue
         if run_top is None:
             asm.warnings.append(f"{comp_id}: no branch run found, not straightened")
             continue
-        dx = axis_near[0] - axis_far[0]
-        dy = axis_near[1] - axis_far[1]
-        delta = (dx, dy, 0)
-
-        # Only pairs with a changed stick are checked: the new vertical stick
-        # and the unmoved sticks crossing the slab z_lo..z_hi.  The branch
-        # moves rigidly in x and y, so pairs inside the moved set keep their
-        # contact kinds, and every other stick has both ends outside the
-        # slab, so a moved stick can meet only an unmoved one crossing it.
-        # Removing sticks only lowers endpoint counts, and markers move with
-        # their sticks.
-        moved: list[Stick] = []
-        changed: list[int] = []
-        ok = True
-        for i, s in enumerate(asm.sticks):
-            if i in removed:
-                continue
-            inside = [z_lo <= p[2] <= z_hi for p in s.ends()]
-            if all(inside):
-                moved.append(transform(s, 1, delta))
-            elif any(inside):
-                ok = False
-                break
-            else:
-                if s.a[2] < z_lo and s.b[2] > z_hi:
-                    changed.append(len(moved))
-                moved.append(s)
-        if not ok:
+        if straddles:
             asm.warnings.append(f"{comp_id}: branch subtree not separable, not straightened")
             continue
         changed.append(len(moved))
-        moved.append(
-            stick(
-                (axis_near[0], axis_near[1], z_arc), (axis_near[0], axis_near[1], run_top), comp_id
-            )
-        )
+        moved.append(stick(near, (nx, ny, run_top), comp_id))
         new_markers = {
-            label: (transform_point(p, 1, delta) if z_lo <= p[2] <= z_hi else p)
+            label: ((p[0] + dx, p[1] + dy, p[2]) if z_lo <= p[2] <= z_hi else p)
             for label, p in asm.markers.items()
         }
         if check_self_avoiding(moved, new_markers, changed=changed):

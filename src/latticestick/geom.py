@@ -13,7 +13,7 @@ self-avoidance check compares only such pairs, in index-pair order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 Vec3 = tuple[int, int, int]
 
@@ -75,9 +75,7 @@ def stick(a: Vec3, b: Vec3, comp: str = "") -> Stick:
 
 def transform(s: Stick, scale: int, offset: Vec3) -> Stick:
     """Scale ``s`` by a positive integer, then translate it by ``offset``."""
-    return replace(
-        s, a=transform_point(s.a, scale, offset), b=transform_point(s.b, scale, offset)
-    )
+    return Stick(transform_point(s.a, scale, offset), transform_point(s.b, scale, offset), s.comp)
 
 
 def transform_point(p: Vec3, scale: int, offset: Vec3) -> Vec3:

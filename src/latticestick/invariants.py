@@ -4,7 +4,8 @@ The projection applies the shear ``x' = x + z/N, y' = y + z/N^2`` scaled by
 N^2 onto the integer grid, ``X = N^2 x + N z, Y = N^2 y + z``, and drops z.
 Any coincidence (collinear overlap, triple point, crossing at an endpoint)
 only survives for finitely many N, so doubling N deterministically restores
-genericity.  Over/under data comes from the original z values.  The
+genericity, unless the sticks touch in space: the first failure checks that
+and names the contact.  Over/under data comes from the original z values.  The
 fidelity invariant is the knot determinant, taken by one sparse elimination
 of the coloring matrix modulo a Mersenne prime above twice its Hadamard
 bound.
@@ -18,7 +19,8 @@ from itertools import combinations
 
 from .assembly import LatticeEmbedding
 from .errors import NotACycle, TooLarge
-from .geom import Vec3
+from .geom import Vec3, stick
+from .validate import check_self_avoiding
 
 Vec2 = tuple[int, int]
 
@@ -120,10 +122,18 @@ def project_generic(emb: LatticeEmbedding, comps: set[str] | None = None) -> Gra
         raise NotACycle(f"no edges for components {sorted(comps or [])}")
     span = max(c for line in traces.values() for p in line for c in p)
     n = 2 << span.bit_length()
-    for _ in range(MAX_RETRIES):
+    for retry in range(MAX_RETRIES):
         diagram = _try_project(traces, n)
         if diagram is not None:
             return diagram
+        if retry == 0:
+            # A contact in space survives every shear, so name it rather
+            # than retry in vain.
+            sticks = [stick(p, q) for line in traces.values() for p, q in zip(line, line[1:])]
+            violations = check_self_avoiding(sticks, interior_only=True)
+            if violations:
+                kind, p = violations[0]
+                raise NotACycle(f"embedding is not self-avoiding: {kind} at {p}")
         n *= 2
     raise RuntimeError("projection failed to become generic")  # pragma: no cover
 
@@ -182,7 +192,7 @@ def _try_project(traces: dict[str, list[Vec3]], n: int) -> GraphDiagram | None:
             return None  # triple point
         seen_points.add(p)
         zi, zj = _z_at(si, p), _z_at(sj, p)
-        if zi == zj:  # pragma: no cover - excluded by self-avoidance
+        if zi == zj:  # the sticks meet in space
             return None
         over, under = (i, j) if zi > zj else (j, i)
         crossings.append(Crossing(over, under, p))

@@ -28,7 +28,7 @@ from latticestick.errors import (
 )
 from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
 from latticestick.geom import stick, transform, transform_point
-from latticestick.graph import build_cut_tree, census
+from latticestick.graph import ComponentClass, build_cut_tree, census
 from latticestick.io import embedding_from_document, embedding_to_document, spec_from_document
 from latticestick.validate import check_self_avoiding, count_sticks, full_audit
 from test_golden import INPUTS as GOLDEN_INPUTS, _bench_workloads, chain
@@ -202,8 +202,9 @@ def test_stacking_matches_oracle(group):
 
 
 def test_each_stick_transformed_once(monkeypatch):
-    """``assemble`` maps every component stick once, through its final
-    scale and offset, and transforms nothing else."""
+    """The whole build maps every component stick once, in ``assemble``
+    through its final scale and offset, and transforms nothing else:
+    straightening rebuilds the sticks it moves itself."""
     original = assembly.transform
     calls = []
 
@@ -215,7 +216,7 @@ def test_each_stick_transformed_once(monkeypatch):
     for n in (4, 5, 6):
         spec, cens, tree, builds, asm = stages(chain(n))
         calls.clear()
-        assemble(spec, tree, builds)
+        build_full(spec)
         assert len(calls) == sum(len(b.sticks()) for b in builds.values()), n
 
 
@@ -922,3 +923,175 @@ def test_straighten_trial_fault_rejected(aim):
     out = straighten_arcs(spec, tree, builds, asm)
     assert out.sticks == before + [fault]
     assert out.warnings[-1] == "mid: straightening collides, skipped"
+
+
+def oracle_straighten(spec, tree, builds, asm):
+    """The old straightening: per link, two elbow scans, a run scan and a
+    slab split over all sticks, moving the branch through ``transform``."""
+    for comp_id in tree.order:
+        b = builds[comp_id]
+        if b.cls is not ComponentClass.ARC:
+            continue
+        if b.pres.alpha != 1:
+            asm.warnings.append(
+                f"{comp_id}: arc component with {b.pres.alpha} arcs left unstraightened"
+            )
+            continue
+        stem_id, v_near = tree.parent.get(comp_id, (None, None))
+        if stem_id is None:
+            continue
+        labels = set(b.pres.labels.values())
+        v_far = next(iter(labels - {v_near}))
+        children = tree.children(comp_id)
+        if len(children) != 1 or children[0][1] != v_far:
+            asm.warnings.append(f"{comp_id}: unexpected branch layout, not straightened")
+            continue
+        branch_id = children[0][0]
+
+        axis_near = asm.vertex_axis[v_near]
+        axis_far = asm.vertex_axis[v_far]
+        z_arc = asm.comp_zspan[comp_id][0]
+
+        def _find(axis, end):
+            hits = [
+                i
+                for i, s in enumerate(asm.sticks)
+                if s.comp == comp_id and s.axis == axis and s.has_end(end)
+            ]
+            return hits[0] if len(hits) == 1 else None
+
+        ix = _find(0, (axis_near[0], axis_near[1], z_arc))
+        iy = _find(1, (axis_far[0], axis_far[1], z_arc))
+        if ix is None or iy is None:
+            asm.warnings.append(f"{comp_id}: rerouted by merging, not straightened")
+            continue
+
+        subtree = tree.subtree(branch_id)
+        z_lo = min(asm.comp_zspan[c][0] for c in subtree)
+        z_hi = max(asm.comp_zspan[c][1] for c in subtree)
+        removed = {ix, iy}
+        run_top = None
+        for i, s in enumerate(asm.sticks):
+            if (
+                s.axis == 2
+                and (s.a[0], s.a[1]) == (axis_far[0], axis_far[1])
+                and z_arc <= s.a[2] < z_lo
+            ):
+                removed.add(i)
+                run_top = s.b[2] if run_top is None else max(run_top, s.b[2])
+        if run_top is None:
+            asm.warnings.append(f"{comp_id}: no branch run found, not straightened")
+            continue
+        dx = axis_near[0] - axis_far[0]
+        dy = axis_near[1] - axis_far[1]
+        delta = (dx, dy, 0)
+
+        moved = []
+        changed = []
+        ok = True
+        for i, s in enumerate(asm.sticks):
+            if i in removed:
+                continue
+            inside = [z_lo <= p[2] <= z_hi for p in s.ends()]
+            if all(inside):
+                moved.append(transform(s, 1, delta))
+            elif any(inside):
+                ok = False
+                break
+            else:
+                if s.a[2] < z_lo and s.b[2] > z_hi:
+                    changed.append(len(moved))
+                moved.append(s)
+        if not ok:
+            asm.warnings.append(f"{comp_id}: branch subtree not separable, not straightened")
+            continue
+        changed.append(len(moved))
+        moved.append(
+            stick(
+                (axis_near[0], axis_near[1], z_arc), (axis_near[0], axis_near[1], run_top), comp_id
+            )
+        )
+        new_markers = {
+            label: (transform_point(p, 1, delta) if z_lo <= p[2] <= z_hi else p)
+            for label, p in asm.markers.items()
+        }
+        if check_self_avoiding(moved, new_markers, changed=changed):
+            asm.warnings.append(f"{comp_id}: straightening collides, skipped")
+            continue
+
+        asm.sticks = moved
+        asm.markers = new_markers
+        for label in {lab for c in subtree for lab in builds[c].pres.labels.values()}:
+            ax, ay = asm.vertex_axis[label]
+            asm.vertex_axis[label] = (ax + dx, ay + dy)
+    return asm
+
+
+@pytest.mark.parametrize("group", sorted(STACKING_GROUPS))
+def test_straightening_matches_oracle(group):
+    """Every input that merges straightens exactly as the old stage did:
+    the same sticks in the same order, markers, axes and warnings."""
+    reached = 0
+    for i, doc in enumerate(STACKING_GROUPS[group]()):
+        spec, cens, tree, builds, asm = stages(doc)
+        try:
+            asm = apply_merges(spec, cens, asm)
+        except (NoFreeDirection, MergeCollision):
+            continue
+        reached += 1
+        ref = oracle_straighten(spec, tree, builds, copy.deepcopy(asm))
+        out = straighten_arcs(spec, tree, builds, asm)
+        for key in ("sticks", "markers", "vertex_axis", "warnings"):
+            assert getattr(out, key) == getattr(ref, key), (group, i, key)
+    assert reached, group
+
+
+def _chain_link():
+    """CHAIN merged, with the z-slab of the branch its link ``mid`` slides
+    and an x clear of every stick before and after the slide."""
+    spec, cens, tree, builds, asm = stages(CHAIN)
+    asm = apply_merges(spec, cens, asm)
+    subtree = tree.subtree("th2")
+    z_lo = min(asm.comp_zspan[c][0] for c in subtree)
+    z_hi = max(asm.comp_zspan[c][1] for c in subtree)
+    xs = [p[0] for s in asm.sticks for p in s.ends()]
+    return spec, tree, builds, asm, (z_lo, z_hi), 2 * max(xs) - min(xs) + 1
+
+
+@pytest.mark.parametrize("reach", ["into", "across"])
+def test_straighten_splits_sticks_by_their_ends(reach):
+    """A stick clear of everything with one end inside the branch's slab and
+    one below it would be torn by the slide, so the link stays as it is; one
+    spanning the whole slab stays put while the link straightens."""
+    spec, tree, builds, asm, (z_lo, z_hi), x = _chain_link()
+    top = z_lo + 1 if reach == "into" else z_hi + 1
+    extra = stick((x, 0, z_lo - 1), (x, 0, top))
+    assert check_self_avoiding(asm.sticks + [extra], asm.markers) == []
+    asm.sticks = asm.sticks + [extra]
+    before = list(asm.sticks)
+    warnings = list(asm.warnings)
+    out = straighten_arcs(spec, tree, builds, asm)
+    if reach == "into":
+        assert out.sticks == before
+        assert out.warnings == warnings + ["mid: branch subtree not separable, not straightened"]
+    else:
+        assert out.sticks != before and extra in out.sticks
+        assert out.warnings == warnings
+
+
+def test_straighten_without_branch_run():
+    """With the far-axis run under the branch gone, nothing replaces it."""
+    spec, tree, builds, asm, (z_lo, _), _ = _chain_link()
+    fx, fy = asm.vertex_axis["v3"]
+    z_arc = asm.comp_zspan["mid"][0]
+    run = [
+        s for s in asm.sticks
+        if s.axis == 2 and (s.a[0], s.a[1]) == (fx, fy) and z_arc <= s.a[2] < z_lo
+    ]
+    assert run
+    asm.sticks = [s for s in asm.sticks if s not in run]
+    before = list(asm.sticks)
+    warnings = list(asm.warnings)
+    out = straighten_arcs(spec, tree, builds, asm)
+    assert out.sticks == before
+    assert out.warnings == warnings + ["mid: no branch run found, not straightened"]

@@ -251,6 +251,31 @@ class TestInvariant:
         run("build", "--input", str(inp), "--output", str(out))
         assert run("invariant", "--embedding", str(out), "--component", "th") == 1
 
+    def test_self_intersecting_embedding(self, tmp_path, capsys):
+        """A well-formed document whose one edge crosses itself has no
+        generic projection: the command names the contact and exits 1."""
+        line = [[0, 1, 0], [2, 1, 0], [2, 0, 0], [1, 0, 0], [1, 2, 0], [0, 2, 0], [0, 1, 0]]
+        pairs = [sorted((p, q)) for p, q in zip(line, line[1:])]
+        doc = {
+            "sticks": [
+                {"axis": "xy"[a[0] == b[0]], "start": a, "end": b} for a, b in pairs
+            ],
+            "vertices": [{"id": "v", "position": [0, 1, 0]}],
+            "edges": [{"id": "k/e0", "polyline": line}],
+            "counts": {"x": 3, "y": 3, "z": 0, "total": 6},
+            "bounds_report": {
+                "alpha_total": 1,
+                "construction_bound": 6,
+                "crossing_bound": None,
+                "total_within_bounds": True,
+            },
+        }
+        path = tmp_path / "crossed.json"
+        path.write_text(json.dumps(doc))
+        assert run("invariant", "--embedding", str(path), "--component", "k") == 1
+        err = capsys.readouterr().err
+        assert err == "error: embedding is not self-avoiding: cross at (1, 1, 0)\n"
+
 
 class TestExport:
     def test_rectangle_obj(self, tmp_path):
