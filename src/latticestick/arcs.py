@@ -4,11 +4,15 @@ A component's presentation lists binding points 1..beta along the axis and
 arcs, one per page 1..alpha, each joining two distinct binding points.
 Binding points either carry a vertex label or are interior points of an edge,
 in which case exactly two arcs must meet there.
+
+A presentation tabulates the arcs at each binding point, in page order, once
+on first use; beta, degrees and column levels are all read from that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import UnknownBindingPoint
 
@@ -42,12 +46,21 @@ class ArcPresentation:
     def alpha(self) -> int:
         return len(self.arcs)
 
-    @property
-    def beta(self) -> int:
-        return max((max(a.lo, a.hi) for a in self.arcs), default=0)
+    @cached_property
+    def _incidence(self) -> dict[int, tuple[Arc, ...]]:
+        """Binding point -> the arcs meeting it, in page order."""
+        table: dict[int, list[Arc]] = {}
+        for a in sorted(self.arcs, key=lambda arc: arc.page):
+            table.setdefault(a.lo, []).append(a)
+            table.setdefault(a.hi, []).append(a)
+        return {bp: tuple(arcs) for bp, arcs in table.items()}
 
-    def arcs_at(self, bp: int) -> list[Arc]:
-        return [a for a in self.arcs if bp in (a.lo, a.hi)]
+    @cached_property
+    def beta(self) -> int:
+        return max(self._incidence, default=0)
+
+    def arcs_at(self, bp: int) -> tuple[Arc, ...]:
+        return self._incidence.get(bp, ())
 
     def degree(self, bp: int) -> int:
         return len(self.arcs_at(bp))
@@ -60,10 +73,10 @@ def presentation(arc_pairs, labels=None) -> ArcPresentation:
 
 
 def incident_levels(pres: ArcPresentation, bp: int) -> list[int]:
-    """Sorted page numbers of the arcs meeting binding point ``bp``."""
+    """Page numbers of the arcs meeting binding point ``bp``, in page order."""
     if not (1 <= bp <= pres.beta):
         raise UnknownBindingPoint(f"binding point {bp} outside 1..{pres.beta}")
-    return sorted(a.page for a in pres.arcs_at(bp))
+    return [a.page for a in pres.arcs_at(bp)]
 
 
 def validate_presentation(pres: ArcPresentation) -> list[str]:

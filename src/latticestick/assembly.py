@@ -40,6 +40,7 @@ from .validate import (
     StickCounts,
     check_bound,
     check_self_avoiding,
+    endpoint_census,
     full_audit,
     walk_edges,
 )
@@ -109,8 +110,9 @@ def _size_subtree(
     # The columns span the component: every stick ends on a column axis or
     # on an elbow (hi, lo), which has column hi's x and column lo's y, and
     # every column holds a stick end.
-    xs = {unit * x for x in b.col_x.values()}
-    ys = {unit * y for y in b.col_y.values()}
+    axes = [b.column_axis(bp) for bp in range(1, b.pres.beta + 1)]
+    xs = {unit * x for x, _ in axes}
+    ys = {unit * y for _, y in axes}
     top = unit * max(1, b.pres.alpha)
     for child_id, cut_vertex, u, (cx, cy), ztop, (xlo, xhi, ylo, yhi), width in subs:
         ax, ay = (unit * c for c in b.column_axis(b.vertex_bp(cut_vertex)))
@@ -220,17 +222,17 @@ def _attachments(sticks: list[Stick], axis: Axis2, zrange: tuple[int, int]):
     return sorted(found)
 
 
-def _candidate_moves(sticks, axis, attachment, is_top) -> list[MergeStep]:
+def _candidate_moves(sticks, ends, axis, attachment, is_top) -> list[MergeStep]:
     """Options for merging one attachment, in preference order: drop;
     translate perpendicular, "+" before "-", when the far end has a single
     partner lying along that perpendicular to absorb the shift; and for the
-    top stick, extend the opposite way.  Epsilon is left 0: it depends on
-    the step's place in the plan."""
+    top stick, extend the opposite way.  ``ends`` is the sticks' endpoint
+    census.  Epsilon is left 0: it depends on the step's place in the plan."""
     level, idx, d = attachment
     s = sticks[idx]
     far = s.b if s.a == (axis[0], axis[1], level) else s.a
     options = [MergeStep(level, d, "drop", 0, idx)]
-    partners = [j for j, t in enumerate(sticks) if j != idx and t.has_end(far)]
+    partners = [j for j in ends[far] if j != idx]
     if len(partners) == 1 and sticks[partners[0]].axis == (1 if d[0] else 0):
         perps = [(0, 1), (0, -1)] if d[0] else [(1, 0), (-1, 0)]
         options += [MergeStep(level, w, "translate", 0, idx, partners[0]) for w in perps]
@@ -257,9 +259,10 @@ def _vertex_plans(sticks, vertex, axis, zrange, degree, unit):
             f"vertex {vertex}: found {len(att)} attachments, expected {degree}"
         )
     pivot_level, _, pivot_dir = att[1]
-    *earlier, last = (_candidate_moves(sticks, axis, a, False) for a in att[2:-1])
+    ends = endpoint_census(sticks)
+    *earlier, last = (_candidate_moves(sticks, ends, axis, a, False) for a in att[2:-1])
     # the last slot also holds the swap: keep that stick, merge the top one
-    last += _candidate_moves(sticks, axis, att[-1], True)
+    last += _candidate_moves(sticks, ends, axis, att[-1], True)
     # degree - 2 directions meet at the pivot; it divides ``unit`` (a multiple of 12)
     n = degree - 2
     produced = False

@@ -7,13 +7,14 @@ diagonal as an elbow through ``(hi, lo, p)``:
 * an x-stick ``{y = lo, z = p, x in [lo, hi]}``
 * a y-stick ``{x = hi, z = p, y in [lo, hi]}``
 
-Arcs sharing a binding point are joined by vertical sticks at ``(i, i)``.
-The elbow point of an arc never moves; side-sliding only translates the
-first binding column in +x (to ``min hi`` of its arcs) and the last one in
--y (to ``max lo``), which shortens the attached sticks and deletes the ones
-whose span collapses.  The whole component stays parametric in the column
-positions, so a slide is: move one column coordinate, regenerate, validate,
-and keep or revert.
+Arcs sharing a binding point are joined by vertical sticks at that point's
+column, through the pages of its arcs.  The elbow point of an arc never
+moves; side-sliding only translates the first binding column in +x (to
+``min hi`` of its arcs) and the last one in -y (to ``max lo``), which
+shortens the attached sticks and deletes the ones whose span collapses.  So
+a component's state is two integers, the first column's x and the last
+one's y, and a slide is: set one of them, regenerate, validate, and keep or
+revert.
 """
 
 from __future__ import annotations
@@ -33,41 +34,33 @@ class ComponentBuild:
     comp_id: str
     pres: ArcPresentation
     cls: ComponentClass
-    # Column positions: col_x[i] is the x of binding column i (moves only for
-    # the first binding point), col_y[i] its y (moves only for the last).
-    col_x: dict[int, int] = field(default_factory=dict)
-    col_y: dict[int, int] = field(default_factory=dict)
+    # column 1's x and column beta's y, the two that slide; column i is otherwise at (i, i)
+    first_x: int
+    last_y: int
     warnings: list[str] = field(default_factory=list)
 
-    @property
-    def beta(self) -> int:
-        return self.pres.beta
-
     def column_axis(self, bp: int) -> tuple[int, int]:
-        return (self.col_x[bp], self.col_y[bp])
+        return (self.first_x if bp == 1 else bp, self.last_y if bp == self.pres.beta else bp)
 
     def column_zrange(self, bp: int) -> tuple[int, int]:
         levels = incident_levels(self.pres, bp)
         return (levels[0], levels[-1])
 
     def vertex_bp(self, label: str) -> int:
-        for bp, lab in self.pres.labels.items():
-            if lab == label:
-                return bp
-        raise KeyError(label)
+        return {lab: bp for bp, lab in self.pres.labels.items()}[label]
 
     def sticks(self) -> list[Stick]:
         """Regenerate the stick list from the current column positions."""
         out: list[Stick] = []
         cid = self.comp_id
         for a in self.pres.arcs:
-            x_start = self.col_x[a.lo]
-            y_end = self.col_y[a.hi]
+            x_start = self.column_axis(a.lo)[0]
+            y_end = self.column_axis(a.hi)[1]
             if x_start < a.hi:
                 out.append(stick((x_start, a.lo, a.page), (a.hi, a.lo, a.page), cid))
             if y_end > a.lo:
                 out.append(stick((a.hi, a.lo, a.page), (a.hi, y_end, a.page), cid))
-        for bp in range(1, self.beta + 1):
+        for bp in range(1, self.pres.beta + 1):
             levels = incident_levels(self.pres, bp)
             x, y = self.column_axis(bp)
             for z1, z2 in zip(levels, levels[1:]):
@@ -83,8 +76,7 @@ class ComponentBuild:
         """
         if self.cls is not ComponentClass.KNOT:
             return None
-        bp = next(iter(self.pres.labels))
-        arc = min(self.pres.arcs_at(bp), key=lambda a: a.page)
+        arc = self.pres.arcs_at(next(iter(self.pres.labels)))[0]
         return (arc.hi, arc.lo, arc.page)
 
 
@@ -92,13 +84,7 @@ def build_arc_diagram(comp: ComponentSpec, cls: ComponentClass) -> ComponentBuil
     """Stack each arc's elbow on the z-level given by its page number; the
     binding columns are implied by the parametric state."""
     pres = comp.presentation
-    return ComponentBuild(
-        comp_id=comp.id,
-        pres=pres,
-        cls=cls,
-        col_x={i: i for i in range(1, pres.beta + 1)},
-        col_y={i: i for i in range(1, pres.beta + 1)},
-    )
+    return ComponentBuild(comp.id, pres, cls, first_x=1, last_y=pres.beta)
 
 
 def _slide_ok(build: ComponentBuild, moved_bp: int) -> bool:
@@ -112,8 +98,10 @@ def _slide_ok(build: ComponentBuild, moved_bp: int) -> bool:
     of different arcs lie on different pages, and columns meet elbows only
     at their endpoints.
     """
-    axes = [build.column_axis(bp) for bp in range(1, build.beta + 1)]
-    if len(set(axes)) != len(axes):
+    # Column i of 1 < i < beta stands still at (i, i).  The first column
+    # moves along y = 1 and the last along x = beta, so neither reaches
+    # another diagonal point, and the two can only meet each other.
+    if build.column_axis(1) == build.column_axis(build.pres.beta):
         return False
     axis = build.column_axis(moved_bp)
     sticks = build.sticks()
@@ -127,14 +115,13 @@ def side_slide(build: ComponentBuild) -> ComponentBuild:
     degenerate or collide, which is reported but never fatal."""
     if build.cls is ComponentClass.ARC:
         return build
-    beta = build.beta
+    beta = build.pres.beta
     slides = (
-        ("first", "col_x", 1, min(a.hi for a in build.pres.arcs_at(1))),
-        ("last", "col_y", beta, max(a.lo for a in build.pres.arcs_at(beta))),
+        ("first", "first_x", 1, min(a.hi for a in build.pres.arcs_at(1))),
+        ("last", "last_y", beta, max(a.lo for a in build.pres.arcs_at(beta))),
     )
-    for where, cols, bp, target in slides:
-        trial = replace(build, col_x=dict(build.col_x), col_y=dict(build.col_y))
-        getattr(trial, cols)[bp] = target
+    for where, coord, bp, target in slides:
+        trial = replace(build, **{coord: target})
         if _slide_ok(trial, bp):
             build = trial
         else:

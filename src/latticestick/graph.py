@@ -138,7 +138,7 @@ def derive_edges(comp: ComponentSpec) -> list[EdgeTrace]:
         return bp, pages
 
     for start_bp in sorted(labels):
-        for first_arc in sorted(pres.arcs_at(start_bp), key=lambda a: a.page):
+        for first_arc in pres.arcs_at(start_bp):
             if first_arc.page in used:
                 continue
             end_bp, pages = walk(start_bp, first_arc)

@@ -116,7 +116,7 @@ def project_generic(emb: LatticeEmbedding, comps: set[str] | None = None) -> Gra
     traces = {
         eid: line
         for eid, line in emb.traces.items()
-        if comps is None or eid.split("/")[0] in comps
+        if comps is None or eid.rpartition("/")[0] in comps
     }
     if not traces:
         raise NotACycle(f"no edges for components {sorted(comps or [])}")
@@ -201,7 +201,7 @@ def _try_project(traces: dict[str, list[Vec3]], n: int) -> GraphDiagram | None:
 
 def extract_knot_cycle(diagram: GraphDiagram, comp: str) -> GaussData:
     """Cyclic over/under sequence along one closed single-edge component."""
-    edge_ids = [eid for eid in diagram.paths if eid.split("/")[0] == comp]
+    edge_ids = [eid for eid in diagram.paths if eid.rpartition("/")[0] == comp]
     if len(edge_ids) != 1:
         raise NotACycle(f"component {comp} has {len(edge_ids)} edges, need one closed loop")
     path = diagram.paths[edge_ids[0]]

@@ -99,13 +99,16 @@ def spec_from_document(doc) -> SpatialGraphSpec:
     return SpatialGraphSpec(tuple(components), tuple(attachments), crossings)
 
 
-def load_spec(path) -> SpatialGraphSpec:
+def _read_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    return spec_from_document(doc)
+
+
+def load_spec(path) -> SpatialGraphSpec:
+    return spec_from_document(_read_json(path))
 
 
 # --- embedding documents ----------------------------------------------------
@@ -204,12 +207,7 @@ def embedding_from_document(doc) -> tuple[LatticeEmbedding, StickCounts]:
 
 
 def load_embedding(path) -> tuple[LatticeEmbedding, StickCounts]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from exc
-    return embedding_from_document(doc)
+    return embedding_from_document(_read_json(path))
 
 
 # --- OBJ export -------------------------------------------------------------

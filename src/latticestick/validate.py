@@ -268,8 +268,6 @@ def walk_edges(
                 if used[cur]:
                     problems.append(f"walk from {label} revisited a stick at {p}")
                     break
-            else:  # pragma: no cover
-                continue
             if p in marker_points:
                 edges.append((label, marker_points[p], polyline, indices))
     if not all(used):

@@ -98,3 +98,35 @@ def test_extreme_binding_points_are_one_sided():
     for pres in (U2, TH3):
         assert all(a.lo == 1 for a in pres.arcs_at(1))
         assert all(a.hi == pres.beta for a in pres.arcs_at(pres.beta))
+
+
+@st.composite
+def any_presentations(draw):
+    """Presentations that need not validate: pages may repeat or skip, and
+    endpoints may fall below 1."""
+    arcs = draw(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.integers(-2, 6), st.integers(1, 4)).map(
+                lambda t: Arc(t[0], t[1], t[1] + t[2])
+            ),
+            max_size=8,
+        )
+    )
+    return ArcPresentation(tuple(arcs))
+
+
+@settings(max_examples=300)
+@given(any_presentations())
+def test_incidence_matches_brute_force_scans(pres):
+    """The incidence table answers as a scan of every arc would."""
+    beta = max((a.hi for a in pres.arcs), default=0)
+    assert pres.beta == beta
+    for bp in range(-3, beta + 3):
+        scan = sorted((a for a in pres.arcs if bp in (a.lo, a.hi)), key=lambda a: a.page)
+        assert list(pres.arcs_at(bp)) == scan
+        assert pres.degree(bp) == len(scan)
+        if 1 <= bp <= beta:
+            assert incident_levels(pres, bp) == sorted(a.page for a in scan)
+        else:
+            with pytest.raises(UnknownBindingPoint):
+                incident_levels(pres, bp)

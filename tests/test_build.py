@@ -1,3 +1,5 @@
+from dataclasses import dataclass, field, replace
+
 from hypothesis import given, settings, strategies as st
 
 from latticestick import build
@@ -184,7 +186,7 @@ def test_slide_trial_fault_rejected(monkeypatch):
 
     def faulty(self):
         sticks = original(self)
-        if self.col_x[1] != 1:
+        if self.first_x != 1:
             x, y = self.column_axis(1)
             (column,) = [s for s in sticks if s.axis == 2 and s.a[:2] == (x, y)]
             assert column.length >= 2
@@ -196,3 +198,121 @@ def test_slide_trial_fault_rejected(monkeypatch):
     b = side_slide(build_arc_diagram(*trefoil))
     assert b.column_axis(1) == (1, 1)
     assert "t: side slide at first binding point blocked" in b.warnings
+
+
+@dataclass
+class OracleBuild:
+    """The dict-based component state that ``ComponentBuild`` replaced: the
+    x and y of every column, and each column's levels from a scan of every
+    arc.  Kept as a test oracle with its slide logic."""
+
+    comp_id: str
+    pres: ArcPresentation
+    col_x: dict[int, int]
+    col_y: dict[int, int]
+    warnings: list[str] = field(default_factory=list)
+
+    @property
+    def beta(self):
+        return max((max(a.lo, a.hi) for a in self.pres.arcs), default=0)
+
+    def column_axis(self, bp):
+        return (self.col_x[bp], self.col_y[bp])
+
+    def levels(self, bp):
+        return sorted(a.page for a in self.pres.arcs if bp in (a.lo, a.hi))
+
+    def sticks(self):
+        out = []
+        cid = self.comp_id
+        for a in self.pres.arcs:
+            x_start = self.col_x[a.lo]
+            y_end = self.col_y[a.hi]
+            if x_start < a.hi:
+                out.append(stick((x_start, a.lo, a.page), (a.hi, a.lo, a.page), cid))
+            if y_end > a.lo:
+                out.append(stick((a.hi, a.lo, a.page), (a.hi, y_end, a.page), cid))
+        for bp in range(1, self.beta + 1):
+            levels = self.levels(bp)
+            x, y = self.column_axis(bp)
+            for z1, z2 in zip(levels, levels[1:]):
+                out.append(stick((x, y, z1), (x, y, z2)))
+        return out
+
+
+def oracle_state(pres, first_x=1, last_y=None, comp_id="c"):
+    beta = max(a.hi for a in pres.arcs)
+    col_x = {i: i for i in range(1, beta + 1)}
+    col_y = dict(col_x)
+    col_x[1] = first_x
+    col_y[beta] = beta if last_y is None else last_y
+    return OracleBuild(comp_id, pres, col_x, col_y)
+
+
+def oracle_slide_ok(b, moved_bp):
+    axes = [b.column_axis(bp) for bp in range(1, b.beta + 1)]
+    if len(set(axes)) != len(axes):
+        return False
+    axis = b.column_axis(moved_bp)
+    sticks = b.sticks()
+    changed = [i for i, s in enumerate(sticks) if any(p[:2] == axis for p in s.ends())]
+    return not check_self_avoiding(sticks, interior_only=True, changed=changed)
+
+
+def oracle_side_slide(b):
+    beta = b.beta
+    slides = (
+        ("first", "col_x", 1, min(a.hi for a in b.pres.arcs if 1 in (a.lo, a.hi))),
+        ("last", "col_y", beta, max(a.lo for a in b.pres.arcs if beta in (a.lo, a.hi))),
+    )
+    for where, cols, bp, target in slides:
+        trial = replace(b, col_x=dict(b.col_x), col_y=dict(b.col_y))
+        getattr(trial, cols)[bp] = target
+        if oracle_slide_ok(trial, bp):
+            b = trial
+        else:
+            b.warnings.append(f"{b.comp_id}: side slide at {where} binding point blocked")
+    return b
+
+
+def assert_same_state(b, oracle):
+    beta = b.pres.beta
+    assert beta == oracle.beta
+    assert [b.column_axis(bp) for bp in range(1, beta + 1)] == [
+        oracle.column_axis(bp) for bp in range(1, beta + 1)
+    ]
+    assert b.sticks() == oracle.sticks()
+
+
+@settings(max_examples=200, deadline=None)
+@given(pres=presentations(), data=st.data())
+def test_sticks_match_dict_oracle(pres, data):
+    """Fresh, slid and arbitrarily moved states regenerate the sticks the
+    dict-based state did, and judge a slide the same way."""
+    fresh = build_arc_diagram(ComponentSpec("c", pres), ComponentClass.KNOT)
+    assert_same_state(fresh, oracle_state(pres))
+    slid = side_slide(build_arc_diagram(ComponentSpec("c", pres), ComponentClass.KNOT))
+    oracle = oracle_side_slide(oracle_state(pres))
+    assert_same_state(slid, oracle)
+    assert slid.warnings == oracle.warnings
+    beta = pres.beta
+    first_x = data.draw(st.integers(1, beta), label="first_x")
+    last_y = data.draw(st.integers(1, beta), label="last_y")
+    moved = replace(fresh, first_x=first_x, last_y=last_y)
+    oracle = oracle_state(pres, first_x, last_y)
+    assert_same_state(moved, oracle)
+    for bp in (1, beta):
+        assert build._slide_ok(moved, bp) == oracle_slide_ok(oracle, bp)
+
+
+def test_sticks_match_dict_oracle_on_fixtures():
+    for doc in DEMOS.values():
+        for comp, cls in classified(doc):
+            fresh = build_arc_diagram(comp, cls)
+            assert_same_state(fresh, oracle_state(comp.presentation, comp_id=comp.id))
+            if cls is ComponentClass.ARC:
+                continue
+            slid = side_slide(fresh)
+            oracle = oracle_side_slide(oracle_state(comp.presentation, comp_id=comp.id))
+            assert_same_state(slid, oracle)
+            assert slid.warnings == oracle.warnings

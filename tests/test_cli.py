@@ -199,6 +199,68 @@ class TestValidate:
         inp_t, _ = demo_paths(tmp_path, "theta-planar")
         assert run("validate", "--embedding", str(out_u), "--input", str(inp_t)) == 1
 
+    def test_counts_mismatch(self, tmp_path, capsys):
+        """A z-stick split in two at an unmarked point is one stick to the
+        audit, so document counts raised to match the split disagree."""
+        inp, out = demo_paths(tmp_path, "trefoil")
+        run("build", "--input", str(inp), "--output", str(out))
+        doc = json.loads(out.read_text())
+        i, s = next((i, s) for i, s in enumerate(doc["sticks"]) if s["axis"] == "z")
+        mid = [*s["start"][:2], s["start"][2] + 1]
+        assert mid[2] < s["end"][2]
+        doc["sticks"][i:i + 1] = [
+            {"axis": "z", "start": s["start"], "end": mid},
+            {"axis": "z", "start": mid, "end": s["end"]},
+        ]
+        (edge,) = doc["edges"]
+        line = edge["polyline"]
+        ends = sorted((s["start"], s["end"]))
+        j = next(j for j, leg in enumerate(zip(line, line[1:])) if sorted(leg) == ends)
+        line.insert(j + 1, mid)
+        doc["counts"]["z"] += 1
+        doc["counts"]["total"] += 1
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("validate", "--embedding", str(out), "--input", str(inp)) == 1
+        outp = capsys.readouterr().out
+        assert "self-avoiding: True" in outp
+        assert "reconstruction: ok" in outp
+        assert "counts mismatch: document says StickCounts(x=4, y=4, z=6)" in outp
+        assert "audit found StickCounts(x=4, y=4, z=5)" in outp
+
+    def test_bound_violated(self, tmp_path, capsys):
+        """A clean trefoil with a detour through y = -1 has 15 sticks, two
+        more than the construction bound."""
+        inp, out = demo_paths(tmp_path, "trefoil")
+        run("build", "--input", str(inp), "--output", str(out))
+        doc = json.loads(out.read_text())
+        (edge,) = doc["edges"]
+        line = edge["polyline"]
+        # the first leg leaves the vertex straight up
+        assert line[:2] == [[1, 0, 0], [1, 0, 3]]
+        line[1:1] = [[1, -1, 0], [1, -1, 3]]
+        doc["sticks"] = [s for s in doc["sticks"] if s["start"] != [1, 0, 0] or s["axis"] != "z"]
+        doc["sticks"] += [
+            {"axis": "y", "start": [1, -1, 0], "end": [1, 0, 0]},
+            {"axis": "z", "start": [1, -1, 0], "end": [1, -1, 3]},
+            {"axis": "y", "start": [1, -1, 3], "end": [1, 0, 3]},
+        ]
+        doc["counts"] = {"x": 4, "y": 6, "z": 5, "total": 15}
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("validate", "--embedding", str(out), "--input", str(inp)) == 1
+        outp = capsys.readouterr().out
+        assert "self-avoiding: True" in outp
+        assert "reconstruction: ok" in outp
+        assert "counts mismatch" not in outp
+        assert "bound violated: built 15 sticks, bounds: construction 13, crossing 13" in outp
+
+    def test_missing_embedding_is_a_syntax_error(self, tmp_path, capsys):
+        inp, _ = demo_paths(tmp_path, "trefoil")
+        missing = tmp_path / "nowhere.json"
+        assert run("validate", "--embedding", str(missing), "--input", str(inp)) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {missing}")
+
     def test_schema_error_is_syntactic(self, tmp_path):
         inp, out = demo_paths(tmp_path, "unknot")
         run("build", "--input", str(inp), "--output", str(out))
@@ -250,6 +312,27 @@ class TestInvariant:
         inp, out = demo_paths(tmp_path, "theta-planar")
         run("build", "--input", str(inp), "--output", str(out))
         assert run("invariant", "--embedding", str(out), "--component", "th") == 1
+
+    def test_component_id_with_slash(self, tmp_path, capsys):
+        """Edge ids are ``<component>/e<i>``, so a component id may itself
+        hold a slash."""
+        doc = json.loads(json.dumps(DEMOS["trefoil"]))
+        doc["components"][0]["id"] = "t/1"
+        inp, out = tmp_path / "in.json", tmp_path / "emb.json"
+        inp.write_text(json.dumps(doc))
+        assert run("build", "--input", str(inp), "--output", str(out)) == 0
+        capsys.readouterr()
+        assert run("invariant", "--embedding", str(out), "--component", "t/1") == 0
+        assert "determinant: 3" in capsys.readouterr().out
+        # a component whose id prefixes another's keeps its own edges
+        other = json.loads(json.dumps(DEMOS["unknot"]))["components"][0]
+        other["binding_points"][0]["vertex"] = "w"
+        doc["components"] = [{**doc["components"][0], "id": "a"}, {**other, "id": "a/b"}]
+        inp.write_text(json.dumps(doc))
+        assert run("build", "--input", str(inp), "--output", str(out)) == 0
+        capsys.readouterr()
+        assert run("invariant", "--embedding", str(out), "--component", "a") == 0
+        assert "determinant: 3" in capsys.readouterr().out
 
     def test_self_intersecting_embedding(self, tmp_path, capsys):
         """A well-formed document whose one edge crosses itself has no

@@ -74,6 +74,29 @@ REJECTED = {
         ),
         (CutAttachment("a", "b", "y"),),
     ),
+    "no-vertex-label": lone(LOOP, {}),
+    "disconnected": lone(LOOP + [(3, 4), (3, 4)], {1: "v", 3: "w"}),
+    "self-attachment": SpatialGraphSpec(U2.components, (CutAttachment("u", "u", "v"),)),
+    "two-stems": SpatialGraphSpec(
+        (
+            ComponentSpec("a", presentation([(1, 2)] * 3, {1: "v1", 2: "v2"})),
+            ComponentSpec("b", presentation([(1, 2)] * 3, {1: "v3", 2: "v4"})),
+            ComponentSpec("c", presentation([(1, 2)], {1: "v1", 2: "v3"})),
+        ),
+        (CutAttachment("a", "c", "v1"), CutAttachment("b", "c", "v3")),
+    ),
+    "cut-vertex-unlabeled": SpatialGraphSpec(
+        TH3.components + U2.components, (CutAttachment("th", "u", "v1"),)
+    ),
+}
+
+# the one problem each census stage below the structural checks reports
+REJECTED_PROBLEMS = {
+    "no-vertex-label": "component c has no vertex-labeled binding point",
+    "disconnected": "component c is not connected",
+    "self-attachment": "attachment of u to itself",
+    "two-stems": "component c has more than one stem",
+    "cut-vertex-unlabeled": "cut vertex v1 not labeled in component u",
 }
 
 
@@ -231,6 +254,10 @@ class TestCensus:
         with pytest.raises(InvalidSpec) as info:
             census(bad)
         assert info.value.problems == validate_spec(bad) != []
+
+    @pytest.mark.parametrize("name", sorted(REJECTED_PROBLEMS))
+    def test_census_rejection_names_its_problem(self, name):
+        assert validate_spec(REJECTED[name]) == [REJECTED_PROBLEMS[name]]
 
     def test_one_walk_and_one_classification_per_component(self, monkeypatch):
         calls = Counter()
