@@ -9,12 +9,7 @@ from .assembly import (
     normalize,
     straighten_arcs,
 )
-from .bounds import (
-    arc_index_upper,
-    binding_point_count,
-    construction_count,
-    crossing_stick_bound,
-)
+from .bounds import arc_index_upper, construction_count, crossing_stick_bound
 from .build import build_arc_diagram, build_component, side_slide
 from .graph import (
     ComponentClass,

@@ -40,7 +40,6 @@ from .validate import (
     StickCounts,
     check_bound,
     check_self_avoiding,
-    endpoint_census,
     full_audit,
     walk_edges,
 )
@@ -222,15 +221,20 @@ def _attachments(sticks: list[Stick], axis: Axis2, zrange: tuple[int, int]):
     return sorted(found)
 
 
+def _far_end(s: Stick, axis: Axis2, level: int) -> Vec3:
+    """The end of an attachment stick away from the column through ``axis``."""
+    return s.b if s.a == (axis[0], axis[1], level) else s.a
+
+
 def _candidate_moves(sticks, ends, axis, attachment, is_top) -> list[MergeStep]:
     """Options for merging one attachment, in preference order: drop;
     translate perpendicular, "+" before "-", when the far end has a single
     partner lying along that perpendicular to absorb the shift; and for the
-    top stick, extend the opposite way.  ``ends`` is the sticks' endpoint
-    census.  Epsilon is left 0: it depends on the step's place in the plan."""
+    top stick, extend the opposite way.  ``ends`` maps the far end to the
+    sticks ending there.  Epsilon is left 0: it depends on the step's place
+    in the plan."""
     level, idx, d = attachment
-    s = sticks[idx]
-    far = s.b if s.a == (axis[0], axis[1], level) else s.a
+    far = _far_end(sticks[idx], axis, level)
     options = [MergeStep(level, d, "drop", 0, idx)]
     partners = [j for j in ends[far] if j != idx]
     if len(partners) == 1 and sticks[partners[0]].axis == (1 if d[0] else 0):
@@ -259,7 +263,12 @@ def _vertex_plans(sticks, vertex, axis, zrange, degree, unit):
             f"vertex {vertex}: found {len(att)} attachments, expected {degree}"
         )
     pivot_level, _, pivot_dir = att[1]
-    ends = endpoint_census(sticks)
+    # the sticks ending at each target's far end, in one pass
+    ends: dict[Vec3, list[int]] = {_far_end(sticks[i], axis, z): [] for z, i, _ in att[2:]}
+    for j, s in enumerate(sticks):
+        for p in s.ends():
+            if p in ends:
+                ends[p].append(j)
     *earlier, last = (_candidate_moves(sticks, ends, axis, a, False) for a in att[2:-1])
     # the last slot also holds the swap: keep that stick, merge the top one
     last += _candidate_moves(sticks, ends, axis, att[-1], True)
@@ -281,15 +290,6 @@ def _vertex_plans(sticks, vertex, axis, zrange, degree, unit):
         raise NoFreeDirection(f"vertex {vertex}: no merge assignment exists")
 
 
-def _vertex_units(spec: SpatialGraphSpec, asm: Assembly) -> dict[str, int]:
-    units: dict[str, int] = {}
-    for comp in spec.components:
-        f = asm.comp_scale[comp.id]
-        for label in comp.presentation.labels.values():
-            units[label] = min(units.get(label, f), f)
-    return units
-
-
 def _apply_vertex_plan(sticks: list[Stick], plan: VertexPlan) -> list[Stick]:
     """Execute one vertex's merges on a copy of the stick list.
 
@@ -303,7 +303,7 @@ def _apply_vertex_plan(sticks: list[Stick], plan: VertexPlan) -> list[Stick]:
     ax, ay = plan.axis
     for step in plan.steps:
         s = sticks[step.index]
-        far = s.b if s.a == (ax, ay, step.level) else s.a
+        far = _far_end(s, plan.axis, step.level)
         wx, wy = step.direction
         bx, by = ax + step.epsilon * wx, ay + step.epsilon * wy
         break_pt = (bx, by, step.level)
@@ -336,16 +336,17 @@ def _apply_vertex_plan(sticks: list[Stick], plan: VertexPlan) -> list[Stick]:
     return kept
 
 
-def apply_merges(spec: SpatialGraphSpec, cens: GraphCensus, asm: Assembly) -> Assembly:
+def apply_merges(cens: GraphCensus, asm: Assembly) -> Assembly:
     """Merge every vertex of degree >= 4, then place the markers of the
     degree-3 vertices (``assemble`` placed those of lone circles).
 
     Each vertex tries its candidate plans in preference order and keeps the
     first one whose result stays intersection-free, recording it in
-    ``asm.merge_plans``; exhausting all of them raises MergeCollision.
+    ``asm.merge_plans``; exhausting all of them raises MergeCollision.  A
+    vertex's merge offsets divide the finest unit among the components
+    holding it.
     """
     degrees = cens.degrees
-    units = _vertex_units(spec, asm)
     sticks = asm.sticks
     for label in sorted(degrees):
         if degrees[label] < 4:
@@ -360,7 +361,7 @@ def apply_merges(spec: SpatialGraphSpec, cens: GraphCensus, asm: Assembly) -> As
             asm.vertex_axis[label],
             asm.vertex_zrange[label],
             degrees[label],
-            units[label],
+            min(asm.comp_scale[c] for c in cens.points[label]),
         ):
             trial = _apply_vertex_plan(sticks, plan)
             changed = [i for i, s in enumerate(trial) if id(s) not in kept]
@@ -580,7 +581,7 @@ def build_full(spec: SpatialGraphSpec) -> tuple[LatticeEmbedding, StickCounts, B
     tree = build_cut_tree(spec, cens)
     builds = {c.id: build_component(c, cens.classes[c.id]) for c in spec.components}
     asm = assemble(spec, tree, builds)
-    asm = apply_merges(spec, cens, asm)
+    asm = apply_merges(cens, asm)
     asm = straighten_arcs(spec, tree, builds, asm)
     traces = derive_traces(cens, asm.sticks, asm.markers)
     emb = normalize(asm.sticks, asm.markers, traces, asm.unit, tuple(asm.warnings))

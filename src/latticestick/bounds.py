@@ -9,14 +9,6 @@ from __future__ import annotations
 from .errors import InvalidCounts
 
 
-def binding_point_count(alpha: int, v: int, e: int) -> int:
-    """Number of binding points forced by arc, vertex and edge counts."""
-    beta = alpha + v - e
-    if beta < 1:
-        raise InvalidCounts(f"binding count {beta} < 1 for alpha={alpha} v={v} e={e}")
-    return beta
-
-
 def arc_index_upper(c: int, e: int, b: int) -> int:
     """Upper bound on the arc index in terms of a crossing count."""
     return c + e + b

@@ -2,9 +2,10 @@
 
 The cut decomposition is part of the input; this module only validates it.
 Edges are never declared by the user: they are recovered by walking arcs
-through the unlabeled (degree-2) binding points of each presentation.
-``census`` is the one analysis of an input: it validates it and derives the
-edges, degrees and component classes that every later stage reads.
+through the unlabeled (degree-2) binding points of each presentation, once
+per component (``ComponentSpec.edges``).  ``census`` is the one analysis of
+an input: it validates it and derives the edges, degrees, vertex holders and
+component classes that every later stage reads.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .arcs import ArcPresentation, validate_presentation
 from .errors import InvalidSpec, NoValidRoot, UnlabeledEndpoint
@@ -29,6 +31,11 @@ class ComponentClass(enum.Enum):
 class ComponentSpec:
     id: str
     presentation: ArcPresentation
+
+    @cached_property
+    def edges(self) -> tuple[EdgeTrace, ...]:
+        """The component's edges, walked once on first use."""
+        return tuple(derive_edges(self))
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,8 @@ class GraphCensus:
     """Everything the build needs to know about a valid input, derived once.
 
     ``edges`` and ``classes`` are keyed by component id in input order;
-    ``degrees`` maps each vertex label to its total degree.
+    ``degrees`` maps each vertex label to its total degree, and ``points``
+    maps it to the components holding it, each with its binding point there.
     """
 
     e: int
@@ -110,6 +118,7 @@ class GraphCensus:
     k: int
     alpha_total: int
     degrees: dict[str, int]
+    points: dict[str, dict[str, int]]
     edges: dict[str, tuple[EdgeTrace, ...]]
     classes: dict[str, ComponentClass]
 
@@ -235,7 +244,7 @@ def census(spec: SpatialGraphSpec) -> GraphCensus:
                 pres_problems.append(f"component {comp.id} is not connected")
             else:
                 try:
-                    edges[comp.id] = tuple(derive_edges(comp))
+                    edges[comp.id] = comp.edges
                 except UnlabeledEndpoint as exc:
                     pres_problems.append(str(exc))
         problems.extend(
@@ -274,37 +283,21 @@ def census(spec: SpatialGraphSpec) -> GraphCensus:
             seen.add(cur)
             cur = stem_of[cur]
 
-    by_stem: dict[str, list[CutAttachment]] = {}
-    for att in spec.attachments:
-        by_stem.setdefault(att.stem, []).append(att)
-    for stem_id, atts in by_stem.items():
-        cuts = [a.cut_vertex for a in atts]
-        for label, n in Counter(cuts).items():
-            if n > 1:
-                problems.append(
-                    f"branches of {stem_id} share cut vertex {label}"
-                )
+    # Siblings may not share a cut vertex; the problems come grouped by stem,
+    # stems in the order of their first attachments.
+    stems = list(dict.fromkeys(a.stem for a in spec.attachments))
+    cuts = Counter((a.stem, a.cut_vertex) for a in spec.attachments)
+    for stem_id, label in sorted(cuts, key=lambda pair: stems.index(pair[0])):
+        if cuts[stem_id, label] > 1:
+            problems.append(f"branches of {stem_id} share cut vertex {label}")
 
     # A label appearing in several components must be stitched together by
-    # attachments at that very label (nested cut spheres form a chain).
-    att_pairs = {(a.stem, a.branch, a.cut_vertex) for a in spec.attachments}
+    # attachments at that very label (nested cut spheres form a chain).  Each
+    # attachment joins two holders of its cut vertex and the attachments form
+    # a forest, so those at a label join its n holders iff there are n - 1.
+    joins = Counter(a.cut_vertex for a in spec.attachments)
     for label, comps in label_points.items():
-        if len(comps) == 1:
-            continue
-        linked: dict[str, set[str]] = {cid: set() for cid in comps}
-        for s, b, cv in att_pairs:
-            if cv == label and s in linked and b in linked:
-                linked[s].add(b)
-                linked[b].add(s)
-        seen = set()
-        frontier = [next(iter(comps))]
-        while frontier:
-            cur = frontier.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            frontier.extend(linked[cur])
-        if seen != set(comps):
+        if joins[label] < len(comps) - 1:
             problems.append(
                 f"vertex {label} appears in components {sorted(comps)} "
                 "without attachments joining them there"
@@ -338,6 +331,7 @@ def census(spec: SpatialGraphSpec) -> GraphCensus:
         k=k,
         alpha_total=sum(c.presentation.alpha for c in spec.components),
         degrees=degrees,
+        points=label_points,
         edges=edges,
         classes=classes,
     )

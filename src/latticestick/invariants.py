@@ -235,37 +235,25 @@ def extract_knot_cycle(diagram: GraphDiagram, comp: str) -> GaussData:
 
 
 def _strand_structure(gauss: GaussData):
-    """Strand index per visit plus (over, in, out) strand triple per crossing.
+    """Strand count plus (over, in, out) strand triple per crossing.
 
     Strands are the maximal runs between consecutive underpasses; the run
-    ending at an underpass is that crossing's incoming strand.
+    ending at an underpass is that crossing's incoming strand.  So a visit
+    lies on strand (underpasses before it) mod n, the last run wrapping
+    round onto strand 0.
     """
-    visits = gauss.visits
-    m = len(visits)
-    under_pos = [i for i, (_, over) in enumerate(visits) if not over]
-    n_strands = len(under_pos)
-    strand_of = [0] * m
-    # visits strictly after under_pos[k] up to and including under_pos[k+1]
-    # belong to strand k+1 (cyclically).
-    for k, start in enumerate(under_pos):
-        end = under_pos[(k + 1) % n_strands]
-        i = (start + 1) % m
-        while True:
-            strand_of[i] = (k + 1) % n_strands
-            if i == end:
-                break
-            i = (i + 1) % m
+    n_strands = sum(1 for _, over in gauss.visits if not over)
     over_strand: dict[int, int] = {}
     in_strand: dict[int, int] = {}
-    out_strand: dict[int, int] = {}
-    for i, (cid, over) in enumerate(visits):
+    under = 0
+    for cid, over in gauss.visits:
         if over:
-            over_strand[cid] = strand_of[i]
+            over_strand[cid] = under % n_strands
         else:
-            in_strand[cid] = strand_of[i]
-            out_strand[cid] = (strand_of[i] + 1) % n_strands
+            in_strand[cid] = under
+            under += 1
     triples = [
-        (over_strand[cid], in_strand[cid], out_strand[cid])
+        (over_strand[cid], in_strand[cid], (in_strand[cid] + 1) % n_strands)
         for cid in range(gauss.n_crossings)
     ]
     return n_strands, triples

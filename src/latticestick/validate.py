@@ -16,7 +16,7 @@ from itertools import islice
 from .bounds import arc_index_upper, construction_count, crossing_stick_bound
 from .errors import BoundViolated, ReconstructionMismatch
 from .geom import Stick, Vec3, collinear, contact
-from .graph import GraphCensus, SpatialGraphSpec, derive_edges
+from .graph import GraphCensus, SpatialGraphSpec
 
 
 @dataclass(frozen=True)
@@ -282,7 +282,8 @@ def reconstruct_graph(
     """Read the abstract graph back from geometry and diff it against the input.
 
     Raises ReconstructionMismatch when vertex labels or the edge multiset
-    (as unordered label pairs) disagree.
+    (as unordered label pairs) disagree.  The expected edges are each
+    component's ``edges``, walked once per input and shared with ``census``.
     """
     walked, problems = walk_edges(sticks, markers)
     diff = list(problems)
@@ -291,7 +292,7 @@ def reconstruct_graph(
     expected_edges: Counter = Counter()
     for comp in spec.components:
         expected_vertices |= set(comp.presentation.labels.values())
-        for tr in derive_edges(comp):
+        for tr in comp.edges:
             expected_edges[tuple(sorted((tr.v_start, tr.v_end)))] += 1
     got_vertices = set(markers)
     got_edges = Counter(tuple(sorted((a, b))) for a, b, _, _ in walked)

@@ -1,15 +1,24 @@
 """Test-only reference implementations: the exhaustive coloring count, the
-dense coloring matrix and the algebraic agreement of the two stick bounds.
+dense coloring matrix, the algebraic agreement of the two stick bounds and
+the binding-point law.
 
 The package computes none of these; the tests check its results against
 them.  The module name keeps pytest from collecting it.
 """
 
 from latticestick.bounds import arc_index_upper, construction_count, crossing_stick_bound
-from latticestick.errors import TooLarge
+from latticestick.errors import InvalidCounts, TooLarge
 from latticestick.invariants import GaussData, _coloring_rows, _strand_structure
 
 MAX_STRANDS = 12
+
+
+def binding_point_count(alpha: int, v: int, e: int) -> int:
+    """Number of binding points forced by arc, vertex and edge counts."""
+    beta = alpha + v - e
+    if beta < 1:
+        raise InvalidCounts(f"binding count {beta} < 1 for alpha={alpha} v={v} e={e}")
+    return beta
 
 
 def bounds_agree(c: int, e: int, v: int, s: int, b: int, k: int) -> bool:

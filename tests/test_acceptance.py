@@ -10,10 +10,7 @@ import random
 import time
 
 from latticestick.assembly import apply_merges, assemble, build_full
-from latticestick.bounds import (
-    binding_point_count,
-    construction_count,
-)
+from latticestick.bounds import construction_count
 from latticestick.build import build_component
 from latticestick.errors import InvalidCounts
 from latticestick.fixtures import CHAIN, DEMOS, SPLIT_PAIR
@@ -25,7 +22,7 @@ from latticestick.invariants import (
 )
 from latticestick.io import spec_from_document
 from latticestick.validate import check_bound, full_audit
-from oracles import bounds_agree, p_coloring_count
+from oracles import binding_point_count, bounds_agree, p_coloring_count
 
 ALL_FIXTURES = {**DEMOS, "chain": CHAIN, "split-pair": SPLIT_PAIR}
 
@@ -106,7 +103,7 @@ def test_criterion_5_bouquet_degree_six():
     cens = census(spec)
     tree = build_cut_tree(spec, cens)
     builds = {c.id: build_component(c, cens.classes[c.id]) for c in spec.components}
-    (vp,) = apply_merges(spec, cens, assemble(spec, tree, builds)).merge_plans
+    (vp,) = apply_merges(cens, assemble(spec, tree, builds)).merge_plans
     assert vp.steps[-1].move == "extend" and vp.new_top < vp.old_top
 
     spec, emb, elapsed = timed_build(DEMOS["bouquet3"])

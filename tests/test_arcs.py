@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticestick.arcs import Arc, ArcPresentation, incident_levels, presentation, validate_presentation
-from latticestick.bounds import binding_point_count
 from latticestick.errors import UnknownBindingPoint, UnlabeledEndpoint
 from latticestick.graph import ComponentSpec, derive_edges
+from oracles import binding_point_count
 
 U2 = presentation([(1, 2), (1, 2)], {1: "v"})
 TH3 = presentation([(1, 2), (1, 2), (1, 2)], {1: "v1", 2: "v2"})

@@ -283,7 +283,7 @@ class TestMergePlanner:
     def test_distinct_directions_and_offsets(self):
         for doc in (DEMOS["bouquet3"], DEMOS["theta-composite"], CHAIN):
             spec, cens, tree, builds, asm = stages(doc)
-            for vp in apply_merges(spec, cens, asm).merge_plans:
+            for vp in apply_merges(cens, asm).merge_plans:
                 dirs = {vp.pivot_direction} | {s.direction for s in vp.steps}
                 assert len(dirs) == 1 + len(vp.steps)
                 eps = [s.epsilon for s in vp.steps]
@@ -405,14 +405,14 @@ class TestApplyMerges:
     def test_count_increases_by_one_per_merge(self, doc, n_merges):
         spec, cens, tree, builds, asm = stages(doc)
         before = count_sticks(asm.sticks, {}).total
-        merged = apply_merges(spec, cens, asm)
+        merged = apply_merges(cens, asm)
         assert sum(len(vp.steps) for vp in merged.merge_plans) == n_merges
         after = count_sticks(merged.sticks, merged.markers).total
         assert after - before == n_merges
 
     def test_pivot_marker_incidence(self):
         spec, cens, tree, builds, asm = stages(DEMOS["bouquet3"])
-        merged = apply_merges(spec, cens, asm)
+        merged = apply_merges(cens, asm)
         ends = [s for s in merged.sticks if s.has_end(merged.markers["v"])]
         assert len(ends) == 6
         dirs = {s.direction_from(merged.markers["v"]) for s in ends}
@@ -422,7 +422,7 @@ class TestApplyMerges:
 class TestStraighten:
     def test_chain_saves_at_least_two(self):
         spec, cens, tree, builds, asm = stages(CHAIN)
-        merged = apply_merges(spec, cens, asm)
+        merged = apply_merges(cens, asm)
         before = count_sticks(merged.sticks, merged.markers).total
         out = straighten_arcs(spec, tree, builds, merged)
         after = count_sticks(out.sticks, out.markers).total
@@ -454,13 +454,13 @@ class TestStraighten:
             "attachments": CHAIN["attachments"],
         }
         spec, cens, tree, builds, asm = stages(doc)
-        merged = apply_merges(spec, cens, asm)
+        merged = apply_merges(cens, asm)
         out = straighten_arcs(spec, tree, builds, merged)
         assert any("unstraightened" in w for w in out.warnings)
 
     def test_identity_without_arc_components(self):
         spec, cens, tree, builds, asm = stages(DEMOS["theta-composite"])
-        merged = apply_merges(spec, cens, asm)
+        merged = apply_merges(cens, asm)
         before = list(merged.sticks)
         out = straighten_arcs(spec, tree, builds, merged)
         assert out.sticks == before
@@ -501,7 +501,7 @@ class TestNormalize:
 
     def test_counts_preserved(self):
         spec, cens, tree, builds, asm = stages(CHAIN)
-        merged = apply_merges(spec, cens, asm)
+        merged = apply_merges(cens, asm)
         out = straighten_arcs(spec, tree, builds, merged)
         before = count_sticks(out.sticks, out.markers)
         traces = derive_traces(cens, out.sticks, out.markers)
@@ -877,7 +877,7 @@ def test_stacked_and_merged_states_are_clean(name):
     trial, which no build checks, pass the checks those trials make."""
     spec, cens, _, _, asm = stages(GOLDEN_INPUTS[name])
     assert check_self_avoiding(asm.sticks, interior_only=True) == []
-    merged = apply_merges(spec, cens, asm)
+    merged = apply_merges(cens, asm)
     assert check_self_avoiding(merged.sticks, merged.markers) == []
 
 
@@ -902,7 +902,7 @@ def test_straighten_trial_fault_rejected(aim):
     after it (an unmoved stick crossing the branch's slab), or that meets the
     new vertical stick, makes the trial skipped."""
     spec, cens, tree, builds, asm = stages(CHAIN)
-    asm = apply_merges(spec, cens, asm)
+    asm = apply_merges(cens, asm)
     before = list(asm.sticks)
     straight = straighten_arcs(spec, tree, builds, copy.deepcopy(asm))
     assert straight.warnings == asm.warnings
@@ -1035,7 +1035,7 @@ def test_straightening_matches_oracle(group):
     for i, doc in enumerate(STACKING_GROUPS[group]()):
         spec, cens, tree, builds, asm = stages(doc)
         try:
-            asm = apply_merges(spec, cens, asm)
+            asm = apply_merges(cens, asm)
         except (NoFreeDirection, MergeCollision):
             continue
         reached += 1
@@ -1050,7 +1050,7 @@ def _chain_link():
     """CHAIN merged, with the z-slab of the branch its link ``mid`` slides
     and an x clear of every stick before and after the slide."""
     spec, cens, tree, builds, asm = stages(CHAIN)
-    asm = apply_merges(spec, cens, asm)
+    asm = apply_merges(cens, asm)
     subtree = tree.subtree("th2")
     z_lo = min(asm.comp_zspan[c][0] for c in subtree)
     z_hi = max(asm.comp_zspan[c][1] for c in subtree)

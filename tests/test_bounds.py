@@ -3,14 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from latticestick.bounds import (
-    arc_index_upper,
-    binding_point_count,
-    construction_count,
-    crossing_stick_bound,
-)
+from latticestick.bounds import arc_index_upper, construction_count, crossing_stick_bound
 from latticestick.errors import InvalidCounts
-from oracles import bounds_agree
+from oracles import binding_point_count, bounds_agree
 
 
 def test_binding_point_count_values():

@@ -9,11 +9,13 @@ import hashlib
 import importlib.util
 import json
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import latticestick.graph as graph
 from latticestick.assembly import build_full
 from latticestick.cli import main
 from latticestick.errors import LatticeStickError
@@ -147,6 +149,26 @@ def test_build_and_obj_bytes(name, tmp_path):
     assert main(["build", "--input", str(inp), "--output", str(out)]) == 0
     assert main(["export", "--embedding", str(out), "--format", "obj", "--output", str(obj)]) == 0
     assert (sha256(out), sha256(obj)) == GOLDEN[name]
+
+
+def test_one_edge_walk_per_component_per_build(monkeypatch):
+    """``census`` and the final audit read the same walked edges: a build
+    walks each component once."""
+    walked = []
+    original = graph.derive_edges
+
+    def counted(comp):
+        walked.append(comp.id)
+        return original(comp)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("latticestick") and getattr(module, "derive_edges", None) is original:
+            monkeypatch.setattr(module, "derive_edges", counted)
+    for name, doc in INPUTS.items():
+        spec = spec_from_document(doc)
+        walked.clear()
+        build_full(spec)
+        assert sorted(walked) == sorted(c.id for c in spec.components), name
 
 
 KNOT_INPUTS = {

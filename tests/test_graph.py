@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import latticestick.graph as graph
 
@@ -88,6 +89,10 @@ REJECTED = {
     "cut-vertex-unlabeled": SpatialGraphSpec(
         TH3.components + U2.components, (CutAttachment("th", "u", "v1"),)
     ),
+    "three-holders-one-attachment": SpatialGraphSpec(
+        tuple(ComponentSpec(c, presentation(LOOP, {1: "v"})) for c in "abc"),
+        (CutAttachment("a", "b", "v"),),
+    ),
 }
 
 # the one problem each census stage below the structural checks reports
@@ -97,7 +102,76 @@ REJECTED_PROBLEMS = {
     "self-attachment": "attachment of u to itself",
     "two-stems": "component c has more than one stem",
     "cut-vertex-unlabeled": "cut vertex v1 not labeled in component u",
+    "three-holders-one-attachment": (
+        "vertex v appears in components ['a', 'b', 'c'] without attachments joining them there"
+    ),
 }
+
+
+def linkage_oracle(spec):
+    """The problems of the linkage stage found the long way: cut vertices
+    shared by siblings, grouped by stem, then a search per shared label over
+    the attachments there.  Meaningful once the attachments form a forest."""
+    label_points = {}
+    for comp in spec.components:
+        for label in comp.presentation.labels.values():
+            label_points.setdefault(label, []).append(comp.id)
+    problems = []
+    by_stem = {}
+    for att in spec.attachments:
+        by_stem.setdefault(att.stem, []).append(att)
+    for stem_id, atts in by_stem.items():
+        for label, n in Counter(a.cut_vertex for a in atts).items():
+            if n > 1:
+                problems.append(f"branches of {stem_id} share cut vertex {label}")
+    att_pairs = {(a.stem, a.branch, a.cut_vertex) for a in spec.attachments}
+    for label, comps in label_points.items():
+        if len(comps) == 1:
+            continue
+        linked = {cid: set() for cid in comps}
+        for s, b, cv in att_pairs:
+            if cv == label and s in linked and b in linked:
+                linked[s].add(b)
+                linked[b].add(s)
+        seen = set()
+        frontier = [comps[0]]
+        while frontier:
+            cur = frontier.pop()
+            if cur in seen:
+                continue
+            seen.add(cur)
+            frontier.extend(linked[cur])
+        if seen != set(comps):
+            problems.append(
+                f"vertex {label} appears in components {sorted(comps)} "
+                "without attachments joining them there"
+            )
+    return problems
+
+
+# the attachment checks that run before the linkage stage
+EARLIER_ATTACHMENT_PROBLEMS = ("attachment", "component ", "cut vertex")
+
+
+@st.composite
+def attached_components(draw):
+    """Two to five loops, single-arc links and thetas on the labels u, v, w,
+    with up to five attachments, each at one of its branch's labels."""
+    comps = []
+    for i in range(draw(st.integers(2, 5))):
+        kind = draw(st.sampled_from(["loop", "link", "theta"]))
+        if kind == "loop":
+            pres = presentation(LOOP, {1: draw(st.sampled_from("uvw"))})
+        else:
+            x, y = draw(st.permutations("uvw"))[:2]
+            pres = presentation([(1, 2)] * (1 if kind == "link" else 3), {1: x, 2: y})
+        comps.append(ComponentSpec(f"c{i}", pres))
+    atts = []
+    for _ in range(draw(st.integers(0, 5))):
+        stem, branch = draw(st.sampled_from(comps)), draw(st.sampled_from(comps))
+        label = draw(st.sampled_from(sorted(branch.presentation.labels.values())))
+        atts.append(CutAttachment(stem.id, branch.id, label))
+    return SpatialGraphSpec(tuple(comps), tuple(atts))
 
 
 class TestDeriveEdges:
@@ -165,6 +239,44 @@ class TestValidateSpec:
     def test_attachment_cycle_rejected(self):
         assert validate_spec(REJECTED["attachment-cycle"]) == ["attachments contain a cycle"]
 
+    def test_sibling_problems_follow_each_stems_first_attachment(self):
+        # s2's shared cut vertex y is attached before s1's z, but s1's first
+        # attachment comes earlier, so s1's problem is reported first
+        def loop(comp_id, label):
+            return ComponentSpec(comp_id, presentation(LOOP, {1: label}))
+
+        spec = SpatialGraphSpec(
+            (
+                ComponentSpec("s1", presentation([(1, 2)] * 3, {1: "x", 2: "z"})),
+                ComponentSpec("s2", presentation([(1, 2)] * 3, {1: "y", 2: "w"})),
+                loop("b1", "x"),
+                loop("b2", "y"),
+                loop("b3", "z"),
+                loop("b4", "y"),
+                loop("b5", "z"),
+            ),
+            (
+                CutAttachment("s1", "b1", "x"),
+                CutAttachment("s2", "b2", "y"),
+                CutAttachment("s1", "b3", "z"),
+                CutAttachment("s2", "b4", "y"),
+                CutAttachment("s1", "b5", "z"),
+            ),
+        )
+        expected = ["branches of s1 share cut vertex z", "branches of s2 share cut vertex y"]
+        assert linkage_oracle(spec) == expected
+        assert validate_spec(spec) == expected
+
+
+@settings(max_examples=600, deadline=None)
+@given(spec=attached_components())
+def test_linkage_by_count_matches_search(spec):
+    problems = validate_spec(spec)
+    if any(p.startswith(EARLIER_ATTACHMENT_PROBLEMS) for p in problems):
+        return  # stopped before the linkage stage
+    linkage = [p for p in problems if p.startswith("branches of") or "without attachments" in p]
+    assert linkage == linkage_oracle(spec)
+
 
 class TestCutTree:
     def test_composite_root(self):
@@ -215,6 +327,7 @@ class TestCutTree:
             k=0,
             alpha_total=1,
             degrees={"x": 1, "y": 1},
+            points={"x": {"a": 1}, "y": {"a": 2}},
             edges={"a": tuple(derive_edges(spec.components[0]))},
             classes={"a": ComponentClass.ARC},
         )

@@ -14,6 +14,7 @@ from latticestick.invariants import (
     ProjSeg,
     _abs_det,
     _seg_intersection,
+    _strand_structure,
     _try_project,
     _z_at,
     extract_knot_cycle,
@@ -75,8 +76,6 @@ def built(name):
 
 def naive_coloring_count(gauss, p):
     """Plain product enumeration; the reference for the pruned search."""
-    from latticestick.invariants import _strand_structure
-
     if gauss.n_crossings == 0:
         return p
     n, triples = _strand_structure(gauss)
@@ -85,6 +84,55 @@ def naive_coloring_count(gauss, p):
         if all((2 * colors[o] - colors[i] - colors[u]) % p == 0 for o, i, u in triples):
             total += 1
     return total
+
+
+def oracle_strand_structure(gauss):
+    """Strands labeled by walking each run between consecutive underpasses
+    round the cycle; the reference for the counting labeling."""
+    visits = gauss.visits
+    m = len(visits)
+    under_pos = [i for i, (_, over) in enumerate(visits) if not over]
+    n_strands = len(under_pos)
+    strand_of = [0] * m
+    # visits strictly after under_pos[k] up to and including under_pos[k+1]
+    # belong to strand k+1 (cyclically).
+    for k, start in enumerate(under_pos):
+        end = under_pos[(k + 1) % n_strands]
+        i = (start + 1) % m
+        while True:
+            strand_of[i] = (k + 1) % n_strands
+            if i == end:
+                break
+            i = (i + 1) % m
+    over_strand: dict[int, int] = {}
+    in_strand: dict[int, int] = {}
+    out_strand: dict[int, int] = {}
+    for i, (cid, over) in enumerate(visits):
+        if over:
+            over_strand[cid] = strand_of[i]
+        else:
+            in_strand[cid] = strand_of[i]
+            out_strand[cid] = (strand_of[i] + 1) % n_strands
+    triples = [
+        (over_strand[cid], in_strand[cid], out_strand[cid])
+        for cid in range(gauss.n_crossings)
+    ]
+    return n_strands, triples
+
+
+@st.composite
+def gauss_codes(draw):
+    """A valid Gauss code: every crossing visited once over and once under,
+    the visits in any cyclic order."""
+    n = draw(st.integers(0, 12))
+    visits = draw(st.permutations([(c, over) for c in range(n) for over in (True, False)]))
+    return GaussData(tuple(visits), n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(gauss=gauss_codes())
+def test_strand_structure_matches_oracle(gauss):
+    assert _strand_structure(gauss) == oracle_strand_structure(gauss)
 
 
 class TestGaussInvariants:
