@@ -40,6 +40,7 @@ from .validate import (
     StickCounts,
     check_bound,
     check_self_avoiding,
+    endpoint_census,
     full_audit,
     walk_edges,
 )
@@ -365,7 +366,7 @@ def apply_merges(cens: GraphCensus, asm: Assembly) -> Assembly:
         ):
             trial = _apply_vertex_plan(sticks, plan)
             changed = [i for i, s in enumerate(trial) if id(s) not in kept]
-            if not check_self_avoiding(trial, interior_only=True, changed=changed):
+            if not check_self_avoiding(trial, changed=changed):
                 committed = (trial, plan)
                 break
         if committed is None:
@@ -471,7 +472,7 @@ def straighten_arcs(
             label: ((p[0] + dx, p[1] + dy, p[2]) if z_lo <= p[2] <= z_hi else p)
             for label, p in asm.markers.items()
         }
-        if check_self_avoiding(moved, new_markers, changed=changed):
+        if check_self_avoiding(moved, new_markers, endpoint_census(moved), changed):
             asm.warnings.append(f"{comp_id}: straightening collides, skipped")
             continue
 
@@ -507,7 +508,7 @@ def derive_traces(
     it picks the input edge, so loops of two components at one vertex keep
     their own ids.
     """
-    walked, problems = walk_edges(sticks, markers)
+    walked, problems = walk_edges(sticks, markers, endpoint_census(sticks))
     if problems:
         raise ReconstructionMismatch("cannot trace edges", problems)
     pools: dict[tuple[str, tuple[str, str]], list[str]] = {}

@@ -106,7 +106,7 @@ def _slide_ok(build: ComponentBuild, moved_bp: int) -> bool:
     axis = build.column_axis(moved_bp)
     sticks = build.sticks()
     changed = [i for i, s in enumerate(sticks) if any(p[:2] == axis for p in s.ends())]
-    return not check_self_avoiding(sticks, interior_only=True, changed=changed)
+    return not check_self_avoiding(sticks, changed=changed)
 
 
 def side_slide(build: ComponentBuild) -> ComponentBuild:

@@ -17,7 +17,13 @@ from .errors import BoundViolated, DocumentError, InvalidSpec, LatticeStickError
 from .fixtures import DEMOS
 from .graph import census
 from .invariants import extract_knot_cycle, knot_determinant, project_generic
-from .io import embedding_to_document, export_obj, load_embedding, load_spec
+from .io import (
+    embedding_document_text,
+    embedding_to_document,
+    export_obj,
+    load_embedding,
+    load_spec,
+)
 from .validate import check_bound, full_audit
 
 
@@ -37,7 +43,7 @@ def _write(path, text: str) -> None:
 def cmd_build(args) -> int:
     spec = load_spec(args.input)
     emb, counts, bounds = build_full(spec)
-    _write(args.output, json.dumps(embedding_to_document(emb, counts, bounds), indent=2) + "\n")
+    _write(args.output, embedding_document_text(embedding_to_document(emb, counts, bounds)))
     for w in emb.warnings:
         print(f"note: {w}")
     print(f"sticks: x={counts.x} y={counts.y} z={counts.z} total={counts.total}")

@@ -130,7 +130,7 @@ def project_generic(emb: LatticeEmbedding, comps: set[str] | None = None) -> Gra
             # A contact in space survives every shear, so name it rather
             # than retry in vain.
             sticks = [stick(p, q) for line in traces.values() for p, q in zip(line, line[1:])]
-            violations = check_self_avoiding(sticks, interior_only=True)
+            violations = check_self_avoiding(sticks)
             if violations:
                 kind, p = violations[0]
                 raise NotACycle(f"embedding is not self-avoiding: {kind} at {p}")

@@ -4,12 +4,15 @@ Both documents reject unknown keys so that typos fail loudly.  The embedding
 document stores the embedding's sticks together with the edge polylines they
 came from; the two views are checked against each other on load.  Built and
 loaded embeddings alike hold the fused sticks, one per counted stick, so a
-document reloads to the sticks that were written.
+document reloads to the sticks that were written.  Its text is exactly the
+``json.dumps(doc, indent=2)`` layout plus a newline, ASCII-escaped; the golden
+digests in the tests pin those bytes.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .arcs import Arc, ArcPresentation
 from .assembly import LatticeEmbedding
@@ -141,6 +144,49 @@ def embedding_to_document(
             "total_within_bounds": bounds.ok,
         },
     }
+
+
+def embedding_document_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"`` for a document of
+    ``embedding_to_document``, written from its fixed shape: one template per
+    stick, vertex and polyline point, one join per list, and strings through
+    json's own escaper.  Any ``indent`` sends ``json.dumps`` through its
+    pure-Python encoder, one generator step per token.
+    """
+    q = encode_basestring_ascii
+    p6 = " " * 6
+
+    def items(parts: list[str], pad: str) -> str:
+        return f"[\n{pad}  " + f",\n{pad}  ".join(parts) + f"\n{pad}]" if parts else "[]"
+
+    def triple(p, pad: str) -> str:
+        return f"[\n{pad}  {p[0]},\n{pad}  {p[1]},\n{pad}  {p[2]}\n{pad}]"
+
+    def scalar(v) -> str:
+        return "null" if v is None else str(v).lower() if isinstance(v, bool) else int.__repr__(v)
+
+    def scalars(d: dict) -> str:
+        return "{\n    " + ",\n    ".join(f"{q(k)}: {scalar(v)}" for k, v in d.items()) + "\n  }"
+
+    sticks = [
+        f'{{\n{p6}"axis": {q(s["axis"])},\n{p6}"start": {triple(s["start"], p6)},\n'
+        f'{p6}"end": {triple(s["end"], p6)}\n    }}'
+        for s in doc["sticks"]
+    ]
+    vertices = [
+        f'{{\n{p6}"id": {q(v["id"])},\n{p6}"position": {triple(v["position"], p6)}\n    }}'
+        for v in doc["vertices"]
+    ]
+    edges = [
+        f'{{\n{p6}"id": {q(e["id"])},\n{p6}"polyline": '
+        f'{items([triple(p, " " * 8) for p in e["polyline"]], p6)}\n    }}'
+        for e in doc["edges"]
+    ]
+    return (
+        f'{{\n  "sticks": {items(sticks, "  ")},\n  "vertices": {items(vertices, "  ")},\n'
+        f'  "edges": {items(edges, "  ")},\n  "counts": {scalars(doc["counts"])},\n'
+        f'  "bounds_report": {scalars(doc["bounds_report"])}\n}}\n'
+    )
 
 
 def embedding_from_document(doc) -> tuple[LatticeEmbedding, StickCounts]:

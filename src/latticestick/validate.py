@@ -132,16 +132,17 @@ def _touching_pairs(
 def check_self_avoiding(
     sticks: list[Stick],
     markers: dict[str, Vec3] | None = None,
-    interior_only: bool = False,
+    ends: dict[Vec3, list[int]] | None = None,
     changed: Collection[int] | None = None,
 ) -> list[tuple[str, Vec3]]:
     """All pairwise stick contacts that are not legitimate, in index-pair order.
 
     Interior crossings, collinear overlaps and endpoint-in-interior contacts
-    are always violations.  A shared endpoint is fine where a polyline bend
-    joins exactly two sticks or a vertex marker sits; ``interior_only``
-    relaxes the endpoint rule for mid-pipeline states that have no markers
-    yet (binding columns legitimately carry degree-3 junction points there).
+    are always violations.  ``ends``, the ``endpoint_census`` of ``sticks``,
+    judges shared endpoints: one is fine where a polyline bend joins exactly
+    two sticks or a vertex marker sits.  Without it every shared endpoint
+    passes, as mid-pipeline states need: they have no markers yet, and their
+    binding columns legitimately carry degree-3 junction points.
 
     Only pairs that can touch are compared: parallel sticks on one line and
     perpendicular sticks in one plane (both fix the third coordinate).  The
@@ -156,12 +157,11 @@ def check_self_avoiding(
     full check's result is empty.
     """
     marker_points = set((markers or {}).values())
-    ends = None if interior_only else endpoint_census(sticks)
     violations: list[tuple[str, Vec3]] = []
     for i, j in _touching_pairs(sticks, None if changed is None else set(changed)):
         kind, p = contact(sticks[i], sticks[j])
         if kind == "endpoint":
-            if interior_only or p in marker_points or len(ends[p]) == 2:
+            if ends is None or p in marker_points or len(ends[p]) == 2:
                 continue
             violations.append(("endpoint_junction_unmarked", p))
         else:
@@ -173,6 +173,7 @@ def audit_junctions(
     sticks: list[Stick],
     markers: dict[str, Vec3],
     degrees: dict[str, int],
+    ends: dict[Vec3, list[int]],
 ) -> tuple[list[Vec3], list[str]]:
     """Check that junction points and vertex markers agree.
 
@@ -180,7 +181,6 @@ def audit_junctions(
     marker incidences must use pairwise distinct axis directions and match
     the expected degrees exactly.
     """
-    ends = endpoint_census(sticks)
     marker_points = {p: label for label, p in markers.items()}
     if len(marker_points) != len(markers):
         return [], ["two vertex markers share one point"]
@@ -204,14 +204,15 @@ def audit_junctions(
     return sorted(unmarked), problems
 
 
-def count_sticks(sticks: list[Stick], markers: dict[str, Vec3]) -> StickCounts:
+def count_sticks(
+    sticks: list[Stick], markers: dict[str, Vec3], ends: dict[Vec3, list[int]]
+) -> StickCounts:
     """Count maximal straight runs; a vertex marker always ends a run.
 
     Collinear sticks joined end to end at an unmarked bend-free point are one
     stick; a marker in the middle of a straight line still separates two.
     """
     marker_points = set(markers.values())
-    ends = endpoint_census(sticks)
     parent = list(range(len(sticks)))
 
     def find(i: int) -> int:
@@ -232,14 +233,13 @@ def count_sticks(sticks: list[Stick], markers: dict[str, Vec3]) -> StickCounts:
 
 
 def walk_edges(
-    sticks: list[Stick], markers: dict[str, Vec3]
+    sticks: list[Stick], markers: dict[str, Vec3], ends: dict[Vec3, list[int]]
 ) -> tuple[list[tuple[str, str, list[Vec3], list[int]]], list[str]]:
     """Trace maximal paths between markers through degree-2 points.
 
     Returns (edges, problems) where each edge is (start label, end label,
     polyline, stick indices).  Walk order is deterministic.
     """
-    ends = endpoint_census(sticks)
     marker_points = {p: label for label, p in markers.items()}
     used = [False] * len(sticks)
     edges: list[tuple[str, str, list[Vec3], list[int]]] = []
@@ -277,7 +277,10 @@ def walk_edges(
 
 
 def reconstruct_graph(
-    sticks: list[Stick], markers: dict[str, Vec3], spec: SpatialGraphSpec
+    sticks: list[Stick],
+    markers: dict[str, Vec3],
+    spec: SpatialGraphSpec,
+    ends: dict[Vec3, list[int]],
 ):
     """Read the abstract graph back from geometry and diff it against the input.
 
@@ -285,7 +288,7 @@ def reconstruct_graph(
     (as unordered label pairs) disagree.  The expected edges are each
     component's ``edges``, walked once per input and shared with ``census``.
     """
-    walked, problems = walk_edges(sticks, markers)
+    walked, problems = walk_edges(sticks, markers, ends)
     diff = list(problems)
 
     expected_vertices = set()
@@ -357,14 +360,17 @@ def full_audit(
     spec: SpatialGraphSpec,
     degrees: dict[str, int],
 ) -> AuditReport:
+    """Every check of the final sticks, on one endpoint census taken here
+    from the sticks alone."""
+    ends = endpoint_census(sticks)
     report = AuditReport()
-    report.violations = check_self_avoiding(sticks, markers)
+    report.violations = check_self_avoiding(sticks, markers, ends)
     report.unmarked_junctions, report.marker_problems = audit_junctions(
-        sticks, markers, degrees
+        sticks, markers, degrees, ends
     )
-    report.counts = count_sticks(sticks, markers)
+    report.counts = count_sticks(sticks, markers, ends)
     try:
-        reconstruct_graph(sticks, markers, spec)
+        reconstruct_graph(sticks, markers, spec, ends)
         report.reconstruction_ok = True
     except ReconstructionMismatch as exc:
         report.reconstruction_diff = exc.diff

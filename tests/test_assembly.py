@@ -30,7 +30,7 @@ from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
 from latticestick.geom import stick, transform, transform_point
 from latticestick.graph import ComponentClass, build_cut_tree, census
 from latticestick.io import embedding_from_document, embedding_to_document, spec_from_document
-from latticestick.validate import check_self_avoiding, count_sticks, full_audit
+from latticestick.validate import check_self_avoiding, count_sticks, endpoint_census, full_audit
 from test_golden import INPUTS as GOLDEN_INPUTS, _bench_workloads, chain
 
 
@@ -64,6 +64,15 @@ def stages(doc):
     builds = {c.id: build_component(c, cens.classes[c.id]) for c in spec.components}
     asm = assemble(spec, tree, builds)
     return spec, cens, tree, builds, asm
+
+
+def _counts(sticks, markers):
+    return count_sticks(sticks, markers, endpoint_census(sticks))
+
+
+def _violations(sticks, markers):
+    """The full check, shared endpoints judged, as the audit makes it."""
+    return check_self_avoiding(sticks, markers, endpoint_census(sticks))
 
 
 class TestAssemble:
@@ -404,10 +413,10 @@ class TestApplyMerges:
     )
     def test_count_increases_by_one_per_merge(self, doc, n_merges):
         spec, cens, tree, builds, asm = stages(doc)
-        before = count_sticks(asm.sticks, {}).total
+        before = _counts(asm.sticks, {}).total
         merged = apply_merges(cens, asm)
         assert sum(len(vp.steps) for vp in merged.merge_plans) == n_merges
-        after = count_sticks(merged.sticks, merged.markers).total
+        after = _counts(merged.sticks, merged.markers).total
         assert after - before == n_merges
 
     def test_pivot_marker_incidence(self):
@@ -423,9 +432,9 @@ class TestStraighten:
     def test_chain_saves_at_least_two(self):
         spec, cens, tree, builds, asm = stages(CHAIN)
         merged = apply_merges(cens, asm)
-        before = count_sticks(merged.sticks, merged.markers).total
+        before = _counts(merged.sticks, merged.markers).total
         out = straighten_arcs(spec, tree, builds, merged)
-        after = count_sticks(out.sticks, out.markers).total
+        after = _counts(out.sticks, out.markers).total
         assert before - after >= 2
         # the straight stick is the one vertical stick tagged with its arc
         assert [s.axis for s in out.sticks if s.comp == "mid"] == [2]
@@ -503,10 +512,10 @@ class TestNormalize:
         spec, cens, tree, builds, asm = stages(CHAIN)
         merged = apply_merges(cens, asm)
         out = straighten_arcs(spec, tree, builds, merged)
-        before = count_sticks(out.sticks, out.markers)
+        before = _counts(out.sticks, out.markers)
         traces = derive_traces(cens, out.sticks, out.markers)
         emb = normalize(out.sticks, out.markers, traces, out.unit)
-        after = count_sticks(list(emb.sticks), emb.markers)
+        after = _counts(list(emb.sticks), emb.markers)
         assert (before.x, before.y, before.z) == (after.x, after.y, after.z)
 
     def test_nested_scales_cleared(self):
@@ -876,9 +885,9 @@ def test_stacked_and_merged_states_are_clean(name):
     """The bases of the first merge trial and of the first straightening
     trial, which no build checks, pass the checks those trials make."""
     spec, cens, _, _, asm = stages(GOLDEN_INPUTS[name])
-    assert check_self_avoiding(asm.sticks, interior_only=True) == []
+    assert check_self_avoiding(asm.sticks) == []
     merged = apply_merges(cens, asm)
-    assert check_self_avoiding(merged.sticks, merged.markers) == []
+    assert check_self_avoiding(merged.sticks, merged.markers, endpoint_census(merged.sticks)) == []
 
 
 @pytest.mark.parametrize("doc", [DEMOS["bouquet3"], CHAIN], ids=["bouquet3", "chain"])
@@ -918,7 +927,7 @@ def test_straighten_trial_fault_rejected(aim):
             elif aim == "new" and s.axis == 2 and s.comp == "mid":
                 yield stick((x - 1, y, z), (x + 1, y, z))
 
-    fault = next(f for f in faults() if check_self_avoiding(before + [f], asm.markers) == [])
+    fault = next(f for f in faults() if not _violations(before + [f], asm.markers))
     asm.sticks = before + [fault]
     out = straighten_arcs(spec, tree, builds, asm)
     assert out.sticks == before + [fault]
@@ -1015,7 +1024,7 @@ def oracle_straighten(spec, tree, builds, asm):
             label: (transform_point(p, 1, delta) if z_lo <= p[2] <= z_hi else p)
             for label, p in asm.markers.items()
         }
-        if check_self_avoiding(moved, new_markers, changed=changed):
+        if check_self_avoiding(moved, new_markers, endpoint_census(moved), changed):
             asm.warnings.append(f"{comp_id}: straightening collides, skipped")
             continue
 
@@ -1066,7 +1075,7 @@ def test_straighten_splits_sticks_by_their_ends(reach):
     spec, tree, builds, asm, (z_lo, z_hi), x = _chain_link()
     top = z_lo + 1 if reach == "into" else z_hi + 1
     extra = stick((x, 0, z_lo - 1), (x, 0, top))
-    assert check_self_avoiding(asm.sticks + [extra], asm.markers) == []
+    assert _violations(asm.sticks + [extra], asm.markers) == []
     asm.sticks = asm.sticks + [extra]
     before = list(asm.sticks)
     warnings = list(asm.warnings)

@@ -145,7 +145,7 @@ class TestSideSlide:
         for doc in DEMOS.values():
             for comp, cls in classified(doc):
                 sticks = build_component(comp, cls).sticks()
-                assert check_self_avoiding(sticks, interior_only=True) == []
+                assert check_self_avoiding(sticks) == []
 
 
 @st.composite
@@ -175,7 +175,7 @@ def presentations(draw):
 def test_fresh_arc_diagram_is_clean(pres):
     """The base of the first slide trial, which no build checks, is clean."""
     b = build_arc_diagram(ComponentSpec("c", pres), ComponentClass.KNOT)
-    assert check_self_avoiding(b.sticks(), interior_only=True) == []
+    assert check_self_avoiding(b.sticks()) == []
 
 
 def test_slide_trial_fault_rejected(monkeypatch):
@@ -256,7 +256,7 @@ def oracle_slide_ok(b, moved_bp):
     axis = b.column_axis(moved_bp)
     sticks = b.sticks()
     changed = [i for i, s in enumerate(sticks) if any(p[:2] == axis for p in s.ends())]
-    return not check_self_avoiding(sticks, interior_only=True, changed=changed)
+    return not check_self_avoiding(sticks, changed=changed)
 
 
 def oracle_side_slide(b):

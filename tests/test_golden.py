@@ -21,7 +21,12 @@ from latticestick.cli import main
 from latticestick.errors import LatticeStickError
 from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
 from latticestick.invariants import extract_knot_cycle, project_generic
-from latticestick.io import embedding_to_document, load_embedding, spec_from_document
+from latticestick.io import (
+    embedding_document_text,
+    embedding_to_document,
+    load_embedding,
+    spec_from_document,
+)
 
 
 def _component(comp_id, vertices, arcs):
@@ -252,7 +257,7 @@ def tree_outcomes(seeds):
             outcome = f"{type(exc).__name__}: {exc}"
             tally[type(exc).__name__] += 1
         else:
-            outcome = json.dumps(embedding_to_document(emb, counts, bounds), indent=2) + "\n"
+            outcome = embedding_document_text(embedding_to_document(emb, counts, bounds))
             outcome += "".join(f"note: {w}\n" for w in emb.warnings)
             tally["build"] += 1
         h.update(hashlib.sha256(outcome.encode()).digest())

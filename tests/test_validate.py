@@ -9,7 +9,7 @@ from latticestick.assembly import build_full
 from latticestick.errors import ReconstructionMismatch
 from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
 from latticestick.geom import collinear, contact, stick
-from latticestick.graph import ComponentSpec, SpatialGraphSpec
+from latticestick.graph import ComponentSpec, SpatialGraphSpec, census
 from latticestick.arcs import presentation
 from latticestick.io import spec_from_document
 from latticestick.validate import (
@@ -71,35 +71,39 @@ class TestContact:
 
 class TestSelfAvoiding:
     def test_rectangle_clean(self):
-        assert check_self_avoiding(RECT, {"v": (0, 0, 0)}) == []
+        assert check_self_avoiding(RECT, {"v": (0, 0, 0)}, endpoint_census(RECT)) == []
 
     def test_overlap_reported(self):
         sticks = [xs(0, 0, 0, 2), xs(0, 0, 1, 3)]
-        violations = check_self_avoiding(sticks)
+        violations = check_self_avoiding(sticks, ends=endpoint_census(sticks))
         assert [v[0] for v in violations] == ["overlap"]
 
     def test_crossing_reported(self):
         sticks = [xs(0, 1, 0, 2), zs(1, 0, 0, 2)]
-        violations = check_self_avoiding(sticks)
+        violations = check_self_avoiding(sticks, ends=endpoint_census(sticks))
         assert [v[0] for v in violations] == ["cross"]
 
     def test_order_independent(self):
         sticks = [xs(0, 0, 0, 2), xs(0, 0, 1, 3), zs(5, 5, 0, 1)]
-        a = check_self_avoiding(sticks)
-        b = check_self_avoiding(list(reversed(sticks)))
+        a = check_self_avoiding(sticks, ends=endpoint_census(sticks))
+        rev = list(reversed(sticks))
+        b = check_self_avoiding(rev, ends=endpoint_census(rev))
         assert {(k, p) for k, p in a} == {(k, p) for k, p in b}
 
     def test_unmarked_three_way_corner(self):
         sticks = [xs(0, 0, 0, 1), ys(1, 0, 0, 1), zs(1, 0, 0, 1)]
         # all three share (1,0,0); without a marker that is junction abuse
-        assert check_self_avoiding(sticks)
-        assert check_self_avoiding(sticks, {"v": (1, 0, 0)}) == []
-        assert check_self_avoiding(sticks, interior_only=True) == []
+        ends = endpoint_census(sticks)
+        assert check_self_avoiding(sticks, ends=ends)
+        assert check_self_avoiding(sticks, {"v": (1, 0, 0)}, ends) == []
+        # without a census, as mid-pipeline, shared ends are not judged
+        assert check_self_avoiding(sticks) == []
 
 
 def _all_pairs_self_avoiding(sticks, markers=None, interior_only=False, changed=None):
     """The reference checker: every pair ``i < j`` through ``contact``; with
-    ``changed``, every such pair that holds a changed stick."""
+    ``changed``, every such pair that holds a changed stick.  It takes its
+    own endpoint census; ``interior_only`` leaves shared ends unjudged."""
     marker_points = set((markers or {}).values())
     ends = endpoint_census(sticks)
     violations = []
@@ -155,7 +159,8 @@ def stick_sets(draw):
 @given(case=stick_sets())
 def test_matches_all_pairs_oracle(case):
     sticks, markers, interior_only = case
-    assert check_self_avoiding(sticks, markers, interior_only) == _all_pairs_self_avoiding(
+    ends = None if interior_only else endpoint_census(sticks)
+    assert check_self_avoiding(sticks, markers, ends) == _all_pairs_self_avoiding(
         sticks, markers, interior_only
     )
 
@@ -206,7 +211,8 @@ def test_restricted_check_matches_oracle(case):
     contacts among the pairs holding one; as the base was clean, it finds
     some exactly when the full oracle does."""
     sticks, markers, interior_only, changed = case
-    restricted = check_self_avoiding(sticks, markers, interior_only, changed)
+    ends = None if interior_only else endpoint_census(sticks)
+    restricted = check_self_avoiding(sticks, markers, ends, changed)
     assert restricted == _all_pairs_self_avoiding(sticks, markers, interior_only, changed)
     full = _all_pairs_self_avoiding(sticks, markers, interior_only)
     assert (restricted == []) == (full == [])
@@ -218,8 +224,10 @@ def test_pipeline_checks_match_oracle(monkeypatch):
     original = validate.check_self_avoiding
     calls = []
 
-    def compared(sticks, markers=None, interior_only=False, changed=None):
-        result = original(sticks, markers, interior_only, changed)
+    def compared(sticks, markers=None, ends=None, changed=None):
+        interior_only = ends is None
+        assert interior_only or ends == endpoint_census(sticks)
+        result = original(sticks, markers, ends, changed)
         assert result == _all_pairs_self_avoiding(sticks, markers, interior_only, changed)
         full = _all_pairs_self_avoiding(sticks, markers, interior_only)
         assert (result == []) == (full == [])
@@ -306,39 +314,42 @@ class TestJunctions:
     def test_marked_junction_clean(self):
         sticks = [zs(0, 0, 0, 1), zs(0, 0, 1, 2), xs(0, 1, 0, 3)]
         unmarked, problems = audit_junctions(
-            sticks, {"v": (0, 0, 1)}, degrees={"v": 3}
+            sticks, {"v": (0, 0, 1)}, {"v": 3}, endpoint_census(sticks)
         )
         assert unmarked == [] and problems == []
 
     def test_unmarked_junction_flagged(self):
         sticks = [zs(0, 0, 0, 1), zs(0, 0, 1, 2), xs(0, 1, 0, 3)]
-        unmarked, _ = audit_junctions(sticks, {}, {})
+        unmarked, _ = audit_junctions(sticks, {}, {}, endpoint_census(sticks))
         assert unmarked == [(0, 0, 1)]
 
     def test_incidence_mismatch(self):
-        _, problems = audit_junctions(RECT, {"v": (0, 0, 0)}, degrees={"v": 3})
+        _, problems = audit_junctions(RECT, {"v": (0, 0, 0)}, {"v": 3}, endpoint_census(RECT))
         assert any("incidence 2 != degree 3" in p for p in problems)
 
     def test_repeated_direction_detected(self):
         sticks = [xs(0, 0, 0, 1), xs(0, 0, 1, 2)]
-        _, problems = audit_junctions(sticks, {"v": (1, 0, 0)}, {"v": 2})
+        _, problems = audit_junctions(sticks, {"v": (1, 0, 0)}, {"v": 2}, endpoint_census(sticks))
         assert problems == []  # +x and -x are distinct directions
         sticks = [xs(0, 0, 0, 1), ys(1, 0, 0, 2), zs(1, 0, 0, 1)]
-        _, problems = audit_junctions(sticks, {"v": (1, 0, 0)}, degrees={"v": 3})
+        _, problems = audit_junctions(
+            sticks, {"v": (1, 0, 0)}, {"v": 3}, endpoint_census(sticks)
+        )
         assert problems == []
 
 
 class TestCounting:
     def test_rectangle(self):
-        assert count_sticks(RECT, {"v": (0, 0, 0)}).total == 4
+        assert count_sticks(RECT, {"v": (0, 0, 0)}, endpoint_census(RECT)).total == 4
 
     def test_marker_splits_straight_column(self):
         sticks = [zs(0, 0, 1, 2), zs(0, 0, 2, 3)]
-        assert count_sticks(sticks, {}).total == 1
-        assert count_sticks(sticks, {"v": (0, 0, 2)}).total == 2
+        ends = endpoint_census(sticks)
+        assert count_sticks(sticks, {}, ends).total == 1
+        assert count_sticks(sticks, {"v": (0, 0, 2)}, ends).total == 2
 
     def test_axis_breakdown(self):
-        c = count_sticks(RECT, {})
+        c = count_sticks(RECT, {}, endpoint_census(RECT))
         assert (c.x, c.y, c.z) == (0, 2, 2)
 
 
@@ -349,7 +360,7 @@ class TestReconstruction:
         )
 
     def test_loop_roundtrip(self):
-        edges = reconstruct_graph(RECT, {"v": (0, 0, 0)}, self.spec())
+        edges = reconstruct_graph(RECT, {"v": (0, 0, 0)}, self.spec(), endpoint_census(RECT))
         assert len(edges) == 1
         va, vb, polyline, _ = edges[0]
         assert va == vb == "v"
@@ -357,16 +368,36 @@ class TestReconstruction:
 
     def test_corruption_detected(self):
         with pytest.raises(ReconstructionMismatch):
-            reconstruct_graph(RECT[:-1], {"v": (0, 0, 0)}, self.spec())
+            reconstruct_graph(
+                RECT[:-1], {"v": (0, 0, 0)}, self.spec(), endpoint_census(RECT[:-1])
+            )
 
     def test_wrong_spec_detected(self):
         wrong = SpatialGraphSpec(
             (ComponentSpec("th", presentation([(1, 2)] * 3, {1: "a", 2: "b"})),)
         )
         with pytest.raises(ReconstructionMismatch):
-            reconstruct_graph(RECT, {"v": (0, 0, 0)}, wrong)
+            reconstruct_graph(RECT, {"v": (0, 0, 0)}, wrong, endpoint_census(RECT))
 
     def test_walk_is_deterministic(self):
-        a = walk_edges(RECT, {"v": (0, 0, 0)})
-        b = walk_edges(list(RECT), {"v": (0, 0, 0)})
+        a = walk_edges(RECT, {"v": (0, 0, 0)}, endpoint_census(RECT))
+        b = walk_edges(list(RECT), {"v": (0, 0, 0)}, endpoint_census(list(RECT)))
         assert a == b
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_full_audit_takes_one_endpoint_census(monkeypatch, name):
+    """The audit indexes the final sticks once and hands that index to all
+    four checks, which index nothing themselves."""
+    spec = spec_from_document(DEMOS[name])
+    emb, counts, _ = build_full(spec)
+    calls = []
+
+    def counted(sticks):
+        calls.append(len(sticks))
+        return endpoint_census(sticks)
+
+    monkeypatch.setattr(validate, "endpoint_census", counted)
+    report = validate.full_audit(list(emb.sticks), emb.markers, spec, census(spec).degrees)
+    assert report.clean and report.counts == counts
+    assert calls == [len(emb.sticks)]
