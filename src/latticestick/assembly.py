@@ -291,8 +291,11 @@ def _vertex_plans(sticks, vertex, axis, zrange, degree, unit):
         raise NoFreeDirection(f"vertex {vertex}: no merge assignment exists")
 
 
-def _apply_vertex_plan(sticks: list[Stick], plan: VertexPlan) -> list[Stick]:
-    """Execute one vertex's merges on a copy of the stick list.
+def _apply_vertex_plan(sticks: list[Stick], plan: VertexPlan) -> list[Stick] | None:
+    """Execute one vertex's merges on a copy of the stick list, or return
+    None if a step would leave a stick of zero length: a drop or extend
+    whose break point is the far end, or a translate that moves the far end
+    onto its partner's other end.
 
     Steps replay the stick indices their plan found on the unmerged list.
     They stay valid: a step replaces only sticks at its own level (its own,
@@ -311,12 +314,16 @@ def _apply_vertex_plan(sticks: list[Stick], plan: VertexPlan) -> list[Stick]:
         arm_end = (bx, by, plan.pivot_level)
 
         if step.move in ("drop", "extend"):
+            if break_pt == far:
+                return None
             sticks[step.index] = stick(break_pt, far, s.comp)
         else:  # translate: the stick shifts to the break point, its partner follows
             moved_far = (far[0] + step.epsilon * wx, far[1] + step.epsilon * wy, far[2])
-            sticks[step.index] = stick(break_pt, moved_far, s.comp)
             partner = sticks[step.partner]
             keep = partner.b if partner.a == far else partner.a
+            if keep == moved_far:
+                return None
+            sticks[step.index] = stick(break_pt, moved_far, s.comp)
             sticks[step.partner] = stick(keep, moved_far, partner.comp)
         sticks.append(stick(arm_end, break_pt, s.comp))
         sticks.append(stick((ax, ay, plan.pivot_level), arm_end, s.comp))
@@ -342,10 +349,10 @@ def apply_merges(cens: GraphCensus, asm: Assembly) -> Assembly:
     degree-3 vertices (``assemble`` placed those of lone circles).
 
     Each vertex tries its candidate plans in preference order and keeps the
-    first one whose result stays intersection-free, recording it in
-    ``asm.merge_plans``; exhausting all of them raises MergeCollision.  A
-    vertex's merge offsets divide the finest unit among the components
-    holding it.
+    first one that leaves no stick of zero length and whose result stays
+    intersection-free, recording it in ``asm.merge_plans``; exhausting all
+    of them raises MergeCollision.  A vertex's merge offsets divide the
+    finest unit among the components holding it.
     """
     degrees = cens.degrees
     sticks = asm.sticks
@@ -365,6 +372,8 @@ def apply_merges(cens: GraphCensus, asm: Assembly) -> Assembly:
             min(asm.comp_scale[c] for c in cens.points[label]),
         ):
             trial = _apply_vertex_plan(sticks, plan)
+            if trial is None:
+                continue
             changed = [i for i, s in enumerate(trial) if id(s) not in kept]
             if not check_self_avoiding(trial, changed=changed):
                 committed = (trial, plan)

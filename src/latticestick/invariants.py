@@ -2,20 +2,25 @@
 
 The projection applies the shear ``x' = x + z/N, y' = y + z/N^2`` scaled by
 N^2 onto the integer grid, ``X = N^2 x + N z, Y = N^2 y + z``, and drops z.
-Any coincidence (collinear overlap, triple point, crossing at an endpoint)
-only survives for finitely many N, so doubling N deterministically restores
-genericity, unless the sticks touch in space: the first failure checks that
-and names the contact.  Over/under data comes from the original z values.  The
-fidelity invariant is the knot determinant, taken by one sparse elimination
-of the coloring matrix modulo a Mersenne prime above twice its Hadamard
-bound.
+With N > 2 max|coordinate|, which exceeds the coordinate range R, the shear
+is generic as soon as the sticks are self-avoiding.  An x-stick maps to a
+horizontal segment and a y-stick to a vertical one.  Equate two image points
+where one stick is a z-stick, or both run along the same axis: since the
+fixed coordinates are integers and |z - z'| <= R < N, the points coincide in
+space.  The one exception is an x-image and a y-image, which cross properly
+wherever their heights differ.  So the sticks are checked for contacts first
+(naming the first one), and the crossings are then exactly the proper
+crossings of horizontal and vertical images.  Over/under data comes from the
+original z values.  The fidelity invariant is the knot determinant, taken by
+one sparse elimination of the coloring matrix modulo a Mersenne prime above
+twice its Hadamard bound.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations
 
 from .assembly import LatticeEmbedding
 from .errors import NotACycle, TooLarge
@@ -24,7 +29,6 @@ from .validate import check_self_avoiding
 
 Vec2 = tuple[int, int]
 
-MAX_RETRIES = 64
 # Mersenne exponents (OEIS A000043): the determinant is taken modulo the
 # smallest 2^e - 1 above twice the Hadamard bound.  6^(n/2) bounds an
 # n-crossing minor, so the last one covers about 100,000 crossings.
@@ -65,54 +69,10 @@ class GaussData:
     n_crossings: int
 
 
-def _seg_intersection(a: Vec2, b: Vec2, c: Vec2, d: Vec2):
-    """Exact intersection of two closed projected sticks.
-
-    Returns None, ("overlap", None), or ("point", p, interior_ab, interior_cd).
-    """
-    r = (b[0] - a[0], b[1] - a[1])
-    s = (d[0] - c[0], d[1] - c[1])
-    denom = r[0] * s[1] - r[1] * s[0]
-    acx, acy = c[0] - a[0], c[1] - a[1]
-    # t, u and lo are the parameters scaled by denom or rr.  Each // is
-    # exact because the point is a grid point.  Images run along (1, 0),
-    # (0, 1) or (N, 1); a vertical stick maps to (N^2 x + N z, N^2 y + z),
-    # which Y = const meets at an integer z and X = N^2 x' + N z' at
-    # z = N (x' - x) + z'.  Collinear images meeting in one point meet at an end.
-    if denom == 0:
-        if acx * r[1] - acy * r[0] != 0:
-            return None
-        rr = r[0] * r[0] + r[1] * r[1]
-        t0 = acx * r[0] + acy * r[1]
-        t1 = t0 + s[0] * r[0] + s[1] * r[1]
-        lo, hi = max(min(t0, t1), 0), min(max(t0, t1), rr)
-        if lo > hi:
-            return None
-        if lo == hi:
-            p = (a[0] + lo * r[0] // rr, a[1] + lo * r[1] // rr)
-            return ("point", p, 0 < lo < rr, p not in (c, d))
-        return ("overlap", None)
-    t = acx * s[1] - acy * s[0]
-    u = acx * r[1] - acy * r[0]
-    if denom < 0:
-        denom, t, u = -denom, -t, -u
-    if not (0 <= t <= denom and 0 <= u <= denom):
-        return None
-    p = (a[0] + t * r[0] // denom, a[1] + t * r[1] // denom)
-    return ("point", p, 0 < t < denom, 0 < u < denom)
-
-
-def _z_at(seg: ProjSeg, p: Vec2) -> int:
-    za, zb = seg.a3[2], seg.b3[2]
-    if za == zb:
-        return za
-    # z varies only along vertical sticks, where X = N^2 x + N z is strictly
-    # monotone in z, so it recovers z exactly.
-    return za + (p[0] - seg.a[0]) * (zb - za) // (seg.b[0] - seg.a[0])
-
-
 def project_generic(emb: LatticeEmbedding, comps: set[str] | None = None) -> GraphDiagram:
-    """Shear-project the embedding (optionally a subset of components)."""
+    """Shear-project the embedding (optionally a subset of components):
+    check its sticks for contacts, then sweep each y-stick's vertical image
+    across the x-sticks' horizontal images sorted by row."""
     traces = {
         eid: line
         for eid, line in emb.traces.items()
@@ -120,82 +80,44 @@ def project_generic(emb: LatticeEmbedding, comps: set[str] | None = None) -> Gra
     }
     if not traces:
         raise NotACycle(f"no edges for components {sorted(comps or [])}")
-    span = max(c for line in traces.values() for p in line for c in p)
-    n = 2 << span.bit_length()
-    for retry in range(MAX_RETRIES):
-        diagram = _try_project(traces, n)
-        if diagram is not None:
-            return diagram
-        if retry == 0:
-            # A contact in space survives every shear, so name it rather
-            # than retry in vain.
-            sticks = [stick(p, q) for line in traces.values() for p, q in zip(line, line[1:])]
-            violations = check_self_avoiding(sticks)
-            if violations:
-                kind, p = violations[0]
-                raise NotACycle(f"embedding is not self-avoiding: {kind} at {p}")
-        n *= 2
-    raise RuntimeError("projection failed to become generic")  # pragma: no cover
-
-
-def _try_project(traces: dict[str, list[Vec3]], n: int) -> GraphDiagram | None:
+    sticks = [stick(p, q) for line in traces.values() for p, q in zip(line, line[1:])]
+    violations = check_self_avoiding(sticks)
+    if violations:
+        kind, p = violations[0]
+        raise NotACycle(f"embedding is not self-avoiding: {kind} at {p}")
+    n = 2 << max(abs(c) for line in traces.values() for p in line for c in p).bit_length()
     nsq = n * n
-
-    def proj(p: Vec3) -> Vec2:
-        return (nsq * p[0] + n * p[2], nsq * p[1] + p[2])
 
     segments: list[ProjSeg] = []
     paths: dict[str, tuple[int, ...]] = {}
+    rows: list[tuple[int, int, int, int]] = []  # x-images: (Y, X_lo, X_hi, index)
+    columns: list[tuple[int, int, int, int]] = []  # y-images: (X, Y_lo, Y_hi, index)
     for eid in sorted(traces):
         line = traces[eid]
         idxs = []
         for p3, q3 in zip(line, line[1:]):
-            idxs.append(len(segments))
-            segments.append(ProjSeg(proj(p3), proj(q3), p3, q3))
+            i = len(segments)
+            a = (nsq * p3[0] + n * p3[2], nsq * p3[1] + p3[2])
+            b = (nsq * q3[0] + n * q3[2], nsq * q3[1] + q3[2])
+            if p3[0] != q3[0]:
+                rows.append((a[1], min(a[0], b[0]), max(a[0], b[0]), i))
+            elif p3[1] != q3[1]:
+                columns.append((a[0], min(a[1], b[1]), max(a[1], b[1]), i))
+            idxs.append(i)
+            segments.append(ProjSeg(a, b, p3, q3))
         paths[eid] = tuple(idxs)
 
-    # Candidate pairs share a grid cell of the bounding boxes.  Segments with
-    # disjoint boxes share none, and _seg_intersection returns None for them,
-    # which the loop skips; the rest run in sorted order, so the crossing ids
-    # and the first non-generic pair are those of the all-pairs loop.  A cell
-    # is one lattice unit (N^2) wide, or a sixteenth of the mean stick length
-    # if that is wider, so a segment covers a few dozen cells at most on
-    # average, however large the coordinates are.
-    length = sum(abs(u - v) for seg in segments for u, v in zip(seg.a3, seg.b3))
-    cell = nsq * max(1, length // (16 * len(segments) or 1))
-    buckets: dict[Vec2, list[int]] = {}
-    for i, seg in enumerate(segments):
-        (x0, x1), (y0, y1) = sorted((seg.a[0], seg.b[0])), sorted((seg.a[1], seg.b[1]))
-        for cx in range(x0 // cell, x1 // cell + 1):
-            for cy in range(y0 // cell, y1 // cell + 1):
-                buckets.setdefault((cx, cy), []).append(i)
-    pairs = sorted({pair for idxs in buckets.values() for pair in combinations(idxs, 2)})
-
-    crossings: list[Crossing] = []
-    seen_points: set[Vec2] = set()
-    for i, j in pairs:
-        si, sj = segments[i], segments[j]
-        shared3 = {si.a3, si.b3} & {sj.a3, sj.b3}
-        hit = _seg_intersection(si.a, si.b, sj.a, sj.b)
-        if hit is None:
-            continue
-        if hit[0] == "overlap":
-            return None
-        _, p, int_i, int_j = hit
-        if shared3:
-            if any(proj(q) == p for q in shared3) and not (int_i or int_j):
-                continue
-            return None
-        if not (int_i and int_j):
-            return None  # endpoint touches another segment: not generic
-        if p in seen_points:
-            return None  # triple point
-        seen_points.add(p)
-        zi, zj = _z_at(si, p), _z_at(sj, p)
-        if zi == zj:  # the sticks meet in space
-            return None
-        over, under = (i, j) if zi > zj else (j, i)
-        crossings.append(Crossing(over, under, p))
+    rows.sort()
+    row_ys = [r[0] for r in rows]
+    pairs = []
+    for x, ylo, yhi, j in columns:
+        for y, xlo, xhi, i in rows[bisect_right(row_ys, ylo):bisect_left(row_ys, yhi)]:
+            if xlo < x < xhi:
+                pairs.append((min(i, j), max(i, j), (x, y)))
+    crossings = []
+    for i, j, at in sorted(pairs):
+        over, under = (i, j) if segments[i].a3[2] > segments[j].a3[2] else (j, i)
+        crossings.append(Crossing(over, under, at))
     return GraphDiagram(tuple(segments), paths, tuple(crossings), n)
 
 

@@ -289,6 +289,26 @@ class TestMergePlanner:
         assert plan.steps[-1].move == "extend"
         assert plan.new_top == 5 and plan.old_top == 6
 
+    def test_drop_onto_the_far_end_is_no_plan(self):
+        # the sticks are 3 long and the first offset of degree 6 is a
+        # quarter of 12: dropping there would leave a zero-length stick
+        directions = [(0, 1), (0, 1), (1, 0), (0, -1), (1, 0), (1, 0)]
+        sticks = synthetic_column(directions)
+        plan = next(_vertex_plans(sticks, "v", (0, 0), (0, 99), 6, 12))
+        assert (plan.steps[0].move, plan.steps[0].epsilon) == ("drop", 3)
+        assert assembly._apply_vertex_plan(sticks, plan) is None
+
+    def test_translate_onto_the_partners_end_is_no_plan(self):
+        # half of a unit of 6 moves the far end (3, 0, 3) by 3 in +y, onto
+        # the far end of its 3-long partner; the -y translate is fine
+        sticks = synthetic_column([(1, 0), (1, 0), (1, 0), (1, 0)], partner_for=(3,))
+        up, down, _ = _vertex_plans(sticks, "v", (0, 0), (0, 99), 4, 6)
+        assert [(s.move, s.direction, s.epsilon) for s in up.steps + down.steps] == [
+            ("translate", (0, 1), 3), ("translate", (0, -1), 3)
+        ]
+        assert assembly._apply_vertex_plan(sticks, up) is None
+        assert stick((3, -3, 3), (3, 3, 3)) in assembly._apply_vertex_plan(sticks, down)
+
     def test_distinct_directions_and_offsets(self):
         for doc in (DEMOS["bouquet3"], DEMOS["theta-composite"], CHAIN):
             spec, cens, tree, builds, asm = stages(doc)

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,21 +9,16 @@ from latticestick.assembly import LatticeEmbedding, build_full
 from latticestick.errors import NotACycle, TooLarge
 from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
 from latticestick.invariants import (
-    Crossing,
     GaussData,
-    GraphDiagram,
-    ProjSeg,
     _abs_det,
-    _seg_intersection,
     _strand_structure,
-    _try_project,
-    _z_at,
     extract_knot_cycle,
     knot_determinant,
     project_generic,
 )
 from latticestick.io import spec_from_document
 from oracles import coloring_matrix, p_coloring_count
+from test_golden import _bench_workloads
 
 # classic alternating three-crossing diagram
 TREFOIL_GAUSS = GaussData(
@@ -223,16 +219,29 @@ class TestProjection:
         assert len(dia.crossings) == 0
 
     def test_refining_the_shear_is_stable(self):
-        emb = built("trefoil")
-        n0 = project_generic(emb, {"t"}).shear_n
-        dets = set()
-        for n in (n0, 2 * n0, 4 * n0):
-            dia = _try_project(
-                {k: v for k, v in emb.traces.items()}, n
-            )
-            assert dia is not None
-            dets.add(knot_determinant(extract_knot_cycle(dia, "t")))
-        assert dets == {3}
+        """The reference at N, 2N and 4N finds the trefoil's crossings."""
+        traces = built("trefoil").traces
+        dia = assert_matches_reference(traces)
+        assert knot_determinant(extract_knot_cycle(dia, "t")) == 3
+
+    def test_translation_keeps_the_diagram(self):
+        """Shifted copies of a built 12-arc knot, one with every axis's
+        maximum at 0, project to the same crossings and Gauss visits."""
+        doc = _bench_workloads().knot_input(random.Random(12), 12)
+        emb, _, _ = build_full(spec_from_document(doc))
+        top = [max(p[a] for line in emb.traces.values() for p in line) for a in range(3)]
+        found = set()
+        for shift in ((0, 0, 0), tuple(-t for t in top), (5, -7, -100)):
+            traces = {
+                eid: [tuple(c + d for c, d in zip(p, shift)) for p in line]
+                for eid, line in emb.traces.items()
+            }
+            moved = LatticeEmbedding((), {}, traces, ((0, 0, 0), (0, 0, 0)))
+            dia = project_generic(moved, {"k"})
+            gauss = extract_knot_cycle(dia, "k")
+            found.add((len(dia.crossings), gauss.visits, knot_determinant(gauss)))
+        assert len(found) == 1
+        assert [(n, det) for n, _, det in found] == [(21, 5)]
 
 
 class TestExtractCycle:
@@ -405,73 +414,47 @@ def lattice_traces(draw):
     return traces
 
 
-@settings(max_examples=400, deadline=None)
-@given(traces=lattice_traces(), n=st.sampled_from([2, 4, 8, 16, 64]))
-def test_integer_projection_matches_rational_reference(traces, n):
-    got = _try_project(traces, n)
-    ref = ref_try_project(traces, n)
-    assert (got is None) == (ref is None)
-    if got is None:
-        return
-    segments, crossings = ref
-    assert [(s.a3, s.b3) for s in got.segments] == [(a3, b3) for _, _, a3, b3 in segments]
-    assert [(c.over_seg, c.under_seg) for c in got.crossings] == [
-        (over, under) for over, under, _ in crossings
-    ]
-    nsq = n * n
-    assert [c.at for c in got.crossings] == [(nsq * x, nsq * y) for _, _, (x, y) in crossings]
-
-
-# --- the all-pairs integer projection, kept as the reference ------------------
-
-def all_pairs_try_project(traces, n):
-    """``_try_project`` with every pair of segments compared."""
-    nsq = n * n
-
-    def proj(p):
-        return (nsq * p[0] + n * p[2], nsq * p[1] + p[2])
-
-    segments = []
-    paths = {}
-    for eid in sorted(traces):
-        line = traces[eid]
-        idxs = []
-        for p3, q3 in zip(line, line[1:]):
-            idxs.append(len(segments))
-            segments.append(ProjSeg(proj(p3), proj(q3), p3, q3))
-        paths[eid] = tuple(idxs)
-
-    crossings = []
-    seen_points = set()
-    for (i, si), (j, sj) in itertools.combinations(enumerate(segments), 2):
-        shared3 = {si.a3, si.b3} & {sj.a3, sj.b3}
-        hit = _seg_intersection(si.a, si.b, sj.a, sj.b)
-        if hit is None:
-            continue
-        if hit[0] == "overlap":
-            return None
-        _, p, int_i, int_j = hit
-        if shared3:
-            if any(proj(q) == p for q in shared3) and not (int_i or int_j):
-                continue
-            return None
-        if not (int_i and int_j):
-            return None
-        if p in seen_points:
-            return None
-        seen_points.add(p)
-        zi, zj = _z_at(si, p), _z_at(sj, p)
-        if zi == zj:
-            return None
-        over, under = (i, j) if zi > zj else (j, i)
-        crossings.append(Crossing(over, under, p))
-    return GraphDiagram(tuple(segments), paths, tuple(crossings), n)
+def assert_matches_reference(traces):
+    """``project_generic`` against the rational reference at n = N, 2N and
+    4N, where N is its shear: if the sticks touch, the reference is not
+    generic at any n; otherwise it finds the same (over, under) pairs at
+    every n, at N the same points, and the diagram is returned."""
+    emb = LatticeEmbedding((), {}, traces, ((0, 0, 0), (0, 0, 0)))
+    top = max(abs(c) for line in traces.values() for p in line for c in p)
+    n = 2 << top.bit_length()
+    try:
+        dia = project_generic(emb)
+    except NotACycle as exc:
+        assert "not self-avoiding" in str(exc)
+        assert all(ref_try_project(traces, k * n) is None for k in (1, 2, 4))
+        return None
+    assert dia.shear_n == n > 2 * top
+    for k in (1, 2, 4):
+        ref = ref_try_project(traces, k * n)
+        assert ref is not None
+        segments, crossings = ref
+        assert [(s.a3, s.b3) for s in dia.segments] == [(a3, b3) for _, _, a3, b3 in segments]
+        assert [(c.over_seg, c.under_seg) for c in dia.crossings] == [
+            (over, under) for over, under, _ in crossings
+        ]
+        if k == 1:
+            nsq = n * n
+            assert [c.at for c in dia.crossings] == [(nsq * x, nsq * y) for *_, (x, y) in crossings]
+    return dia
 
 
 @settings(max_examples=400, deadline=None)
-@given(traces=lattice_traces(), n=st.sampled_from([2, 4, 8, 16, 64]))
-def test_bucketed_pairs_match_all_pairs(traces, n):
-    assert _try_project(traces, n) == all_pairs_try_project(traces, n)
+@given(
+    traces=lattice_traces(),
+    shift=st.tuples(*[st.sampled_from([0, 0, -1, -BOX, -2 * BOX])] * 3),
+)
+def test_integer_projection_matches_rational_reference(traces, shift):
+    """Random traces, touching or not, also shifted into negative
+    coordinates."""
+    assert_matches_reference({
+        eid: [tuple(c + d for c, d in zip(p, shift)) for p in line]
+        for eid, line in traces.items()
+    })
 
 
 FIXTURES = {**DEMOS, "chain": CHAIN, "split-pair": SPLIT_PAIR, "loop-trefoil": LOOP_TREFOIL}
@@ -479,22 +462,22 @@ FIXTURES = {**DEMOS, "chain": CHAIN, "split-pair": SPLIT_PAIR, "loop-trefoil": L
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_fixture_projections_match_all_pairs(name):
-    """Every fixture's whole embedding at the first shear N, N/2 and N/4;
-    the coarser shears are often not generic, and both must say so."""
+    """Every fixture, whole and per component, against the all-pairs
+    rational reference."""
     emb, _, _ = build_full(spec_from_document(FIXTURES[name]))
-    n = project_generic(emb).shear_n
-    for shear in (n, n // 2, n // 4):
-        assert _try_project(emb.traces, shear) == all_pairs_try_project(emb.traces, shear)
+    comps = {eid.rpartition("/")[0] for eid in emb.traces}
+    for sel in [comps, *({c} for c in sorted(comps))]:
+        traces = {eid: line for eid, line in emb.traces.items() if eid.rpartition("/")[0] in sel}
+        dia = assert_matches_reference(traces)
+        assert dia is not None and dia == project_generic(emb, sel)
 
 
-def test_huge_coordinates_keep_cells_few():
+def test_huge_coordinates_match_rational_reference():
     """A trefoil scaled by 10^20 (as deep cut-tree stems are) projects to
-    the same diagram as the all-pairs loop, with the same determinant."""
+    the reference's diagram, with the same determinant."""
     traces = {
         eid: [tuple(c * 10**20 for c in p) for p in line]
         for eid, line in built("trefoil").traces.items()
     }
-    emb = LatticeEmbedding((), {}, traces, ((0, 0, 0), (0, 0, 0)))
-    dia = project_generic(emb, {"t"})
-    assert dia == all_pairs_try_project(traces, dia.shear_n)
+    dia = assert_matches_reference(traces)
     assert knot_determinant(extract_knot_cycle(dia, "t")) == 3

@@ -3,7 +3,9 @@
 Random single-cycle presentations are always buildable (their vertices have
 degree two, so no merging is involved) and every output must pass the full
 audit and the count law; that is the bound's implemented content exercised
-far beyond the fixed fixtures.
+far beyond the fixed fixtures.  Random thetas of 3-4 edges and 2-loop
+bouquets (degree 3-4 vertices, so merging is involved) must build the same
+way.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from latticestick.assembly import build_full
 from latticestick.bounds import construction_count
 from latticestick.graph import ComponentSpec, SpatialGraphSpec, census, validate_spec
 from latticestick.invariants import extract_knot_cycle, knot_determinant, project_generic
-from latticestick.io import embedding_from_document, embedding_to_document
+from latticestick.io import embedding_from_document, embedding_to_document, spec_from_document
 from latticestick.validate import full_audit
 
 
@@ -36,9 +38,9 @@ def knot_specs(draw, comp_id="k", max_arcs=7):
     return SpatialGraphSpec((ComponentSpec(comp_id, pres),))
 
 
-@settings(max_examples=60, deadline=None)
-@given(spec=knot_specs())
-def test_random_knots_build_clean(spec):
+def assert_builds_clean(spec):
+    """The spec is accepted and builds to an audited embedding within the
+    construction bound; returns (stick count, bound)."""
     assert validate_spec(spec) == []
     emb, counts, bounds = build_full(spec)
     cens = census(spec)
@@ -47,6 +49,13 @@ def test_random_knots_build_clean(spec):
     assert_reloads_to_built(emb, counts, bounds)
     limit = construction_count(cens.alpha_total, cens.e, cens.v, cens.s, cens.k)
     assert report.counts.total <= limit
+    return report.counts.total, limit
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=knot_specs())
+def test_random_knots_build_clean(spec):
+    assert_builds_clean(spec)
 
 
 @settings(max_examples=25, deadline=None)
@@ -70,3 +79,51 @@ def test_random_split_forests_stack(a, b):
     report = full_audit(list(emb.sticks), emb.markers, spec, cens.degrees)
     assert report.clean
     assert_reloads_to_built(emb, counts, bounds)
+
+
+@st.composite
+def graph_component_specs(draw, shape):
+    """One component: a theta on vertices u, w with ``shape`` = "theta3" or
+    "theta4" edges, or a "bouquet2" of two loops at u.  Each edge runs
+    through 0-3 interior binding points (1-3 for a loop); the binding
+    indices and the pages are shuffled."""
+    if shape == "bouquet2":
+        edges = [(0, 0, draw(st.integers(1, 3))) for _ in range(2)]
+    else:
+        edges = [(0, 1, draw(st.integers(0, 3))) for _ in range(int(shape[-1]))]
+    n_points = 2 if shape != "bouquet2" else 1
+    pairs = []
+    for start, end, interior in edges:
+        path = [start, *range(n_points, n_points + interior), end]
+        n_points += interior
+        pairs += zip(path, path[1:])
+    index = draw(st.permutations(range(1, n_points + 1)))
+    pages = draw(st.permutations(range(1, len(pairs) + 1)))
+    arcs = tuple(
+        Arc(page, *sorted((index[a], index[b]))) for page, (a, b) in zip(pages, pairs)
+    )
+    labels = {index[0]: "u"} if shape == "bouquet2" else {index[0]: "u", index[1]: "w"}
+    return SpatialGraphSpec((ComponentSpec("g", ArcPresentation(arcs, labels)),))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), shape=st.sampled_from(["theta3", "theta4", "bouquet2"]))
+def test_random_graph_components_build_clean(data, shape):
+    assert_builds_clean(data.draw(graph_component_specs(shape)))
+
+
+# A 4-edge theta whose last merge step once dropped a stick exactly its
+# offset long, leaving a zero-length stick and an internal error.
+THETA5 = {"components": [{
+    "id": "g",
+    "binding_points": [{"index": 1, "vertex": "u"}, {"index": 2, "vertex": "w"}, {"index": 3}],
+    "arcs": [
+        {"page": 1, "from": 1, "to": 2}, {"page": 3, "from": 1, "to": 3},
+        {"page": 2, "from": 3, "to": 2}, {"page": 5, "from": 1, "to": 2},
+        {"page": 4, "from": 1, "to": 2},
+    ],
+}]}
+
+
+def test_zero_length_merge_step_moves_to_the_next_plan():
+    assert assert_builds_clean(spec_from_document(THETA5)) == (15, 17)
