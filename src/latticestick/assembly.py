@@ -18,6 +18,13 @@ tree order, composing each one's final scale and offset from its stem's and
 mapping its sticks through them.  12 is lcm(2, 3, 4), so the merge offsets
 m/(d-2) of a unit are grid points for every degree d <= 6.  ``normalize``
 divides the grid back down to the smallest integer lattice.
+
+Merging works on one ``StickIndex`` of the stacked sticks, built only when
+some vertex has degree 3 or more: the planner reads attachments and far-end
+partners from it, a plan finds its run to fuse in the column's line bucket,
+each trial is checked against its changed sticks' buckets, and the kept
+trial updates it.  Straightening and the final audit bucket their own
+sticks.
 """
 
 from __future__ import annotations
@@ -38,9 +45,11 @@ from .graph import ComponentClass, CutTree, GraphCensus, SpatialGraphSpec, build
 from .validate import (
     BoundReport,
     StickCounts,
+    StickIndex,
     check_bound,
     check_self_avoiding,
     endpoint_census,
+    endpoint_census_at,
     full_audit,
     walk_edges,
 )
@@ -207,74 +216,59 @@ class VertexPlan:
     steps: tuple[MergeStep, ...]
 
 
-def _attachments(sticks: list[Stick], axis: Axis2, zrange: tuple[int, int]):
-    """Horizontal sticks with an end on the vertical line through ``axis``
-    inside ``zrange``, bottom to top: (level, stick index, outward 2d dir)."""
-    zlo, zhi = zrange
-    found = []
-    for i, s in enumerate(sticks):
-        if s.axis == 2:
-            continue
-        for p in s.ends():
-            if (p[0], p[1]) == axis and zlo <= p[2] <= zhi:
-                d = s.direction_from(p)
-                found.append((p[2], i, (d[0], d[1])))
-    return sorted(found)
-
-
 def _far_end(s: Stick, axis: Axis2, level: int) -> Vec3:
     """The end of an attachment stick away from the column through ``axis``."""
     return s.b if s.a == (axis[0], axis[1], level) else s.a
 
 
-def _candidate_moves(sticks, ends, axis, attachment, is_top) -> list[MergeStep]:
+def _candidate_moves(index, axis, attachment, is_top) -> list[MergeStep]:
     """Options for merging one attachment, in preference order: drop;
     translate perpendicular, "+" before "-", when the far end has a single
     partner lying along that perpendicular to absorb the shift; and for the
-    top stick, extend the opposite way.  ``ends`` maps the far end to the
-    sticks ending there.  Epsilon is left 0: it depends on the step's place
+    top stick, extend the opposite way.  Steps name sticks by position in
+    ``index.state()``.  Epsilon is left 0: it depends on the step's place
     in the plan."""
-    level, idx, d = attachment
-    far = _far_end(sticks[idx], axis, level)
-    options = [MergeStep(level, d, "drop", 0, idx)]
-    partners = [j for j in ends[far] if j != idx]
-    if len(partners) == 1 and sticks[partners[0]].axis == (1 if d[0] else 0):
-        perps = [(0, 1), (0, -1)] if d[0] else [(1, 0), (-1, 0)]
-        options += [MergeStep(level, w, "translate", 0, idx, partners[0]) for w in perps]
+    level, k, d = attachment
+    i = index.position(k)
+    options = [MergeStep(level, d, "drop", 0, i)]
+    partners = index.ends[_far_end(index.sticks[k], axis, level)] - {k}
+    if len(partners) == 1:
+        (j,) = partners
+        if index.sticks[j].axis == (1 if d[0] else 0):
+            perps = [(0, 1), (0, -1)] if d[0] else [(1, 0), (-1, 0)]
+            options += [
+                MergeStep(level, w, "translate", 0, i, index.position(j)) for w in perps
+            ]
     if is_top:
-        options.append(MergeStep(level, (-d[0], -d[1]), "extend", 0, idx))
+        options.append(MergeStep(level, (-d[0], -d[1]), "extend", 0, i))
     return options
 
 
-def _vertex_plans(sticks, vertex, axis, zrange, degree, unit):
+def _vertex_plans(index: StickIndex, vertex, axis, zrange, degree, unit):
     """Yield candidate merge plans for one vertex in preference order.
 
-    Targets are the attachments strictly between the pivot and the top.
-    When no direction works for the last interior target, that stick keeps
-    its attachment as the new column top and the topmost stick is merged
-    instead: reaching an opposite direction by extending a stick past the
-    column is only safe at the top, where the shortened column no longer
-    blocks the way.  (Degree 6 forces this whenever the one remaining
-    direction opposes the fifth stick; lower degrees only need it for
-    degenerate presentations whose sticks join two columns.)
+    Targets are the attachments strictly between the pivot and the top,
+    read with their far-end partners from ``index``.  When no direction
+    works for the last interior target, that stick keeps its attachment as
+    the new column top and the topmost stick is merged instead: reaching an
+    opposite direction by extending a stick past the column is only safe at
+    the top, where the shortened column no longer blocks the way.  (Degree
+    6 forces this whenever the one remaining direction opposes the fifth
+    stick; lower degrees only need it for degenerate presentations whose
+    sticks join two columns.)
     """
-    att = _attachments(sticks, axis, zrange)
+    att = index.attachments(axis, zrange)
     if len(att) != degree:
         raise MergeCollision(
             f"vertex {vertex}: found {len(att)} attachments, expected {degree}"
         )
     pivot_level, _, pivot_dir = att[1]
-    # the sticks ending at each target's far end, in one pass
-    ends: dict[Vec3, list[int]] = {_far_end(sticks[i], axis, z): [] for z, i, _ in att[2:]}
-    for j, s in enumerate(sticks):
-        for p in s.ends():
-            if p in ends:
-                ends[p].append(j)
-    *earlier, last = (_candidate_moves(sticks, ends, axis, a, False) for a in att[2:-1])
+    *earlier, last = (_candidate_moves(index, axis, a, False) for a in att[2:-1])
     # the last slot also holds the swap: keep that stick, merge the top one
-    last += _candidate_moves(sticks, ends, axis, att[-1], True)
+    last += _candidate_moves(index, axis, att[-1], True)
     # degree - 2 directions meet at the pivot; it divides ``unit`` (a multiple of 12)
     n = degree - 2
+    top = index.position(att[-1][1])
     produced = False
     for chosen in product(*earlier, last):
         # the pivot's and the merged sticks' directions must all differ
@@ -282,7 +276,7 @@ def _vertex_plans(sticks, vertex, axis, zrange, degree, unit):
             continue
         produced = True
         steps = tuple(replace(c, epsilon=m * unit // n) for m, c in enumerate(chosen, start=1))
-        swapped = chosen[-1].index == att[-1][1]
+        swapped = chosen[-1].index == top
         new_top = att[-2][0] if swapped else att[-1][0]
         yield VertexPlan(
             vertex, axis, pivot_level, pivot_dir, att[0][0], att[-1][0], new_top, steps
@@ -291,22 +285,25 @@ def _vertex_plans(sticks, vertex, axis, zrange, degree, unit):
         raise NoFreeDirection(f"vertex {vertex}: no merge assignment exists")
 
 
-def _apply_vertex_plan(sticks: list[Stick], plan: VertexPlan) -> list[Stick] | None:
-    """Execute one vertex's merges on a copy of the stick list, or return
-    None if a step would leave a stick of zero length: a drop or extend
-    whose break point is the far end, or a translate that moves the far end
-    onto its partner's other end.
+def _apply_vertex_plan(index: StickIndex, plan: VertexPlan) -> list[Stick] | None:
+    """Stage one vertex's merges on ``index`` and return the trial's sticks,
+    or return None if a step would leave a stick of zero length: a drop or
+    extend whose break point is the far end, or a translate that moves the
+    far end onto its partner's other end.
 
-    Steps replay the stick indices their plan found on the unmerged list.
-    They stay valid: a step replaces only sticks at its own level (its own,
-    and a translate's partner, which is horizontal there) and appends only
-    sticks that end at its own level or at the pivot level, so no later
-    step's attachment or far partner changes.
+    A step replaces only sticks at its own level (its own, and a translate's
+    partner, which is horizontal there) and appends only sticks that end at
+    its own level or at the pivot level, so no later step's attachment or
+    far partner changes.  The run between the column base and the old top,
+    read from the column's line bucket, fuses into two sticks meeting at
+    the pivot.
     """
-    sticks = list(sticks)
     ax, ay = plan.axis
+    replaced: dict[int, Stick] = {}
+    appended: list[Stick] = []
     for step in plan.steps:
-        s = sticks[step.index]
+        k = index.slot(step.index)
+        s = index.sticks[k]
         far = _far_end(s, plan.axis, step.level)
         wx, wy = step.direction
         bx, by = ax + step.epsilon * wx, ay + step.epsilon * wy
@@ -316,79 +313,73 @@ def _apply_vertex_plan(sticks: list[Stick], plan: VertexPlan) -> list[Stick] | N
         if step.move in ("drop", "extend"):
             if break_pt == far:
                 return None
-            sticks[step.index] = stick(break_pt, far, s.comp)
+            replaced[k] = stick(break_pt, far, s.comp)
         else:  # translate: the stick shifts to the break point, its partner follows
             moved_far = (far[0] + step.epsilon * wx, far[1] + step.epsilon * wy, far[2])
-            partner = sticks[step.partner]
+            j = index.slot(step.partner)
+            partner = index.sticks[j]
             keep = partner.b if partner.a == far else partner.a
             if keep == moved_far:
                 return None
-            sticks[step.index] = stick(break_pt, moved_far, s.comp)
-            sticks[step.partner] = stick(keep, moved_far, partner.comp)
-        sticks.append(stick(arm_end, break_pt, s.comp))
-        sticks.append(stick((ax, ay, plan.pivot_level), arm_end, s.comp))
+            replaced[k] = stick(break_pt, moved_far, s.comp)
+            replaced[j] = stick(keep, moved_far, partner.comp)
+        appended.append(stick(arm_end, break_pt, s.comp))
+        appended.append(stick((ax, ay, plan.pivot_level), arm_end, s.comp))
 
-    # Fuse the vertical run: junctions between pivot and top are gone now.
-    kept = []
-    for s in sticks:
-        if (
-            s.axis == 2
-            and (s.a[0], s.a[1]) == plan.axis
-            and s.a[2] >= plan.column_base
-            and s.b[2] <= plan.old_top
-        ):
-            continue
-        kept.append(s)
-    kept.append(stick((ax, ay, plan.column_base), (ax, ay, plan.pivot_level)))
-    kept.append(stick((ax, ay, plan.pivot_level), (ax, ay, plan.new_top)))
-    return kept
+    run = {
+        k
+        for k in index.lines.get((2, ax, ay), ())
+        if index.sticks[k].a[2] >= plan.column_base and index.sticks[k].b[2] <= plan.old_top
+    }
+    appended.append(stick((ax, ay, plan.column_base), (ax, ay, plan.pivot_level)))
+    appended.append(stick((ax, ay, plan.pivot_level), (ax, ay, plan.new_top)))
+    return index.stage(replaced, run, appended)
 
 
 def apply_merges(cens: GraphCensus, asm: Assembly) -> Assembly:
     """Merge every vertex of degree >= 4, then place the markers of the
     degree-3 vertices (``assemble`` placed those of lone circles).
 
-    Each vertex tries its candidate plans in preference order and keeps the
-    first one that leaves no stick of zero length and whose result stays
-    intersection-free, recording it in ``asm.merge_plans``; exhausting all
-    of them raises MergeCollision.  A vertex's merge offsets divide the
-    finest unit among the components holding it.
+    One ``StickIndex`` of the stacked sticks serves the whole stage, built
+    only when some vertex has degree 3 or more.  Each vertex tries its
+    candidate plans in preference order and keeps the first one that leaves
+    no stick of zero length and whose trial, checked through the index
+    against its changed sticks' buckets only, stays intersection-free; the
+    kept trial updates the index and its plan goes to ``asm.merge_plans``.
+    Exhausting all of them raises MergeCollision.  A vertex's merge offsets
+    divide the finest unit among the components holding it.
     """
     degrees = cens.degrees
-    sticks = asm.sticks
+    if all(d < 3 for d in degrees.values()):
+        return asm
+    index = StickIndex(asm.sticks)
     for label in sorted(degrees):
         if degrees[label] < 4:
             continue
-        committed = None
-        # _apply_vertex_plan keeps every stick it does not touch, so the
-        # trial sticks that are not committed objects are all it changed.
-        kept = {id(s) for s in sticks}
         for plan in _vertex_plans(
-            sticks,
+            index,
             label,
             asm.vertex_axis[label],
             asm.vertex_zrange[label],
             degrees[label],
             min(asm.comp_scale[c] for c in cens.points[label]),
         ):
-            trial = _apply_vertex_plan(sticks, plan)
+            trial = _apply_vertex_plan(index, plan)
             if trial is None:
                 continue
-            changed = [i for i, s in enumerate(trial) if id(s) not in kept]
-            if not check_self_avoiding(trial, changed=changed):
-                committed = (trial, plan)
+            if not check_self_avoiding(trial, changed=index.changed(trial), index=index):
+                index.commit(trial)
                 break
-        if committed is None:
+        else:
             raise MergeCollision(f"all merge moves collide at vertex {label}")
-        sticks, plan = committed
         asm.merge_plans.append(plan)
         asm.markers[label] = (plan.axis[0], plan.axis[1], plan.pivot_level)
-    asm.sticks = sticks
+    asm.sticks = index.state()
 
     for label, d in sorted(degrees.items()):
         if d != 3:
             continue
-        att = _attachments(asm.sticks, asm.vertex_axis[label], asm.vertex_zrange[label])
+        att = index.attachments(asm.vertex_axis[label], asm.vertex_zrange[label])
         if len(att) != 3:
             raise MergeCollision(f"vertex {label}: expected 3 attachments, got {len(att)}")
         ax, ay = asm.vertex_axis[label]
@@ -481,7 +472,7 @@ def straighten_arcs(
             label: ((p[0] + dx, p[1] + dy, p[2]) if z_lo <= p[2] <= z_hi else p)
             for label, p in asm.markers.items()
         }
-        if check_self_avoiding(moved, new_markers, endpoint_census(moved), changed):
+        if check_self_avoiding(moved, new_markers, endpoint_census_at(moved, changed), changed):
             asm.warnings.append(f"{comp_id}: straightening collides, skipped")
             continue
 

@@ -34,10 +34,14 @@ class Stick:
 
     @property
     def axis(self) -> int:
-        for i in range(3):
-            if self.a[i] != self.b[i]:
-                return i
-        raise ValueError(f"zero-length stick at {self.a}")
+        a, b = self.a, self.b
+        if a[0] != b[0]:
+            return 0
+        if a[1] != b[1]:
+            return 1
+        if a[2] != b[2]:
+            return 2
+        raise ValueError(f"zero-length stick at {a}")
 
     @property
     def length(self) -> int:
@@ -91,15 +95,26 @@ def contact(s: Stick, t: Stick):
     when an endpoint of one lies in the interior of the other, ``("cross", p)``
     for an interior-interior crossing.
     """
-    lo = tuple(max(s.a[i], t.a[i]) for i in range(3))
-    hi = tuple(min(s.b[i], t.b[i]) for i in range(3))
-    if any(lo[i] > hi[i] for i in range(3)):
+    (sax, say, saz), (sbx, sby, sbz) = s.a, s.b
+    (tax, tay, taz), (tbx, tby, tbz) = t.a, t.b
+    # the boxes' intersection [lo, hi], axis by axis, stopping at the first empty one
+    lx = sax if sax > tax else tax
+    hx = sbx if sbx < tbx else tbx
+    if lx > hx:
         return None
-    if lo != hi:
-        return ("overlap", lo)
-    p = lo
-    on_s_end = s.has_end(p)
-    on_t_end = t.has_end(p)
+    ly = say if say > tay else tay
+    hy = sby if sby < tby else tby
+    if ly > hy:
+        return None
+    lz = saz if saz > taz else taz
+    hz = sbz if sbz < tbz else tbz
+    if lz > hz:
+        return None
+    p = (lx, ly, lz)
+    if lx != hx or ly != hy or lz != hz:
+        return ("overlap", p)
+    on_s_end = p == s.a or p == s.b
+    on_t_end = p == t.a or p == t.b
     if on_s_end and on_t_end:
         return ("endpoint", p)
     if on_s_end or on_t_end:

@@ -2,7 +2,9 @@
 
 The checks are deliberately independent of how the embedding was built: they
 look only at the stick set and the vertex markers, so they catch construction
-bugs rather than inheriting them.
+bugs rather than inheriting them.  The one structure a build keeps for them
+is ``StickIndex``, its own stick state bucketed so that a merge trial's check
+compares only the changed sticks' buckets; the full audit never takes one.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from collections.abc import Collection
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 
 from .bounds import arc_index_upper, construction_count, crossing_stick_bound
 from .errors import BoundViolated, ReconstructionMismatch
@@ -61,8 +63,28 @@ def endpoint_census(sticks: list[Stick]) -> dict[Vec3, list[int]]:
     return ends
 
 
+def endpoint_census_at(sticks: list[Stick], changed: Collection[int]) -> dict[Vec3, list[int]]:
+    """``endpoint_census`` at the end points of the ``changed`` sticks only:
+    the one place a pair holding a changed stick can share an end, so all a
+    restricted check reads."""
+    ends: dict[Vec3, list[int]] = {p: [] for i in changed for p in sticks[i].ends()}
+    for i, s in enumerate(sticks):
+        if s.a in ends:
+            ends[s.a].append(i)
+        if s.b in ends:
+            ends[s.b].append(i)
+    return ends
+
+
 # the two axes other than 0, 1 and 2, in order
 _OTHER_AXES = ((1, 2), (0, 2), (0, 1))
+
+
+def _buckets(s: Stick):
+    """``s``'s axis, its line and the two planes holding it."""
+    ax = s.axis
+    u, w = _OTHER_AXES[ax]
+    return ax, (ax, s.a[u], s.a[w]), (u, s.a[u]), (w, s.a[w])
 
 
 def _touching_pairs(
@@ -84,18 +106,12 @@ def _touching_pairs(
     bucketed, and only the pairs holding a changed stick are kept: a pair
     meeting anywhere else holds no changed stick.
     """
-
-    def buckets(s: Stick):
-        ax = s.axis
-        u, w = _OTHER_AXES[ax]
-        return ax, (ax, s.a[u], s.a[w]), (u, s.a[u]), (w, s.a[w])
-
     # None keeps every bucket
-    wanted = None if changed is None else {k for i in changed for k in buckets(sticks[i])[1:]}
+    wanted = None if changed is None else {k for i in changed for k in _buckets(sticks[i])[1:]}
     lines: dict[tuple, list[int]] = defaultdict(list)
     planes: dict[tuple, tuple[list[int], ...]] = defaultdict(lambda: ([], [], []))
     for i, s in enumerate(sticks):
-        ax, line, plane_u, plane_w = buckets(s)
+        ax, line, plane_u, plane_w = _buckets(s)
         if wanted is None or line in wanted:
             lines[line].append(i)
         if wanted is None or plane_u in wanted:
@@ -129,11 +145,161 @@ def _touching_pairs(
     return pairs
 
 
+class StickIndex:
+    """One build state's sticks by slot, bucketed for trial checks and for
+    the merge planner, and updated by each committed trial.
+
+    A slot is a stick's place in the state's order.  ``stage`` proposes a
+    trial: some slots' sticks replaced in place, some slots emptied, new
+    sticks appended after the rest.  Its list is the state a list edited the
+    same way holds, so a slot's position in it is the slot less the empty
+    slots before it.  ``commit`` makes the staged trial the state; a trial
+    never committed leaves the index as it was.
+
+    Buckets hold slots: ``lines`` by ``_buckets``' line key, ``planes`` by
+    plane key and then by stick axis, ``ends`` by end point, and
+    ``columns`` the horizontal sticks by the (x, y) of each of their ends.
+    The full audit never uses an index: it takes its own census of the
+    final sticks, so it checks the build instead of inheriting its state.
+    """
+
+    def __init__(self, sticks: list[Stick]):
+        self.sticks: list[Stick | None] = []
+        self.holes: list[int] = []  # the empty slots, ascending
+        self.lines: dict[tuple, set[int]] = defaultdict(set)
+        self.planes: dict[tuple, tuple[set[int], ...]] = defaultdict(lambda: (set(), set(), set()))
+        self.ends: dict[Vec3, set[int]] = defaultdict(set)
+        self.columns: dict[tuple[int, int], set[int]] = defaultdict(set)
+        # the staged trial's replaced and removed slots, its empty slots
+        # (ascending) and the position of its first appended stick
+        self._staged: tuple[dict[int, Stick], Collection[int], list[int], int] | None = None
+        for s in sticks:
+            self.sticks.append(s)
+            self._file(len(self.sticks) - 1)
+
+    def _file(self, k: int, bucket=set.add) -> None:
+        """File slot ``k`` under each key of its stick; with
+        ``bucket=set.discard``, take it out of them."""
+        s = self.sticks[k]
+        ax, line, plane_u, plane_w = _buckets(s)
+        bucket(self.lines[line], k)
+        bucket(self.planes[plane_u][ax], k)
+        bucket(self.planes[plane_w][ax], k)
+        for p in s.ends():
+            bucket(self.ends[p], k)
+            if ax != 2:
+                bucket(self.columns[p[0], p[1]], k)
+
+    def state(self) -> list[Stick]:
+        return [s for s in self.sticks if s is not None]
+
+    def slot(self, position: int) -> int:
+        """The slot of the stick at ``position`` in ``state()``."""
+        k = position
+        for hole in self.holes:
+            if hole > k:
+                break
+            k += 1
+        return k
+
+    def position(self, k: int) -> int:
+        """The position in ``state()`` of the stick in slot ``k``."""
+        return k - bisect_left(self.holes, k)
+
+    def attachments(self, axis: tuple[int, int], zrange: tuple[int, int]):
+        """Horizontal sticks with an end on the vertical line through
+        ``axis`` inside ``zrange``, bottom to top: (level, slot, outward 2d
+        direction)."""
+        zlo, zhi = zrange
+        found = []
+        for k in self.columns.get(axis, ()):
+            s = self.sticks[k]
+            p = s.a if (s.a[0], s.a[1]) == axis else s.b
+            if zlo <= p[2] <= zhi:
+                d = s.direction_from(p)
+                found.append((p[2], k, (d[0], d[1])))
+        return sorted(found)
+
+    def stage(
+        self, replaced: dict[int, Stick], removed: Collection[int], appended: list[Stick]
+    ) -> list[Stick]:
+        """Stage a trial and return its sticks: the state with the sticks of
+        ``replaced`` in their slots, the ``removed`` slots dropped and
+        ``appended`` after the rest."""
+        trial = list(self.sticks)
+        for k, s in replaced.items():
+            trial[k] = s
+        for k in removed:
+            trial[k] = None
+        trial = [s for s in trial if s is not None]
+        self._staged = (replaced, removed, sorted(self.holes + list(removed)), len(trial))
+        return trial + appended
+
+    def changed(self, trial: list[Stick]) -> list[int]:
+        """The positions in the staged ``trial`` of its new sticks: the
+        replacements, then every stick from the first appended one on."""
+        replaced, _, holes, base = self._staged
+        return sorted(k - bisect_left(holes, k) for k in replaced) + list(range(base, len(trial)))
+
+    def commit(self, trial: list[Stick]) -> None:
+        """Make the staged ``trial`` the indexed state."""
+        replaced, removed, holes, base = self._staged
+        for k in (*replaced, *removed):
+            self._file(k, set.discard)
+            self.sticks[k] = replaced.get(k)
+        for k in replaced:
+            self._file(k)
+        self.holes = holes
+        for s in trial[base:]:
+            self.sticks.append(s)
+            self._file(len(self.sticks) - 1)
+        self._staged = None
+
+    def touching_pairs(
+        self, trial: list[Stick], changed: Collection[int]
+    ) -> list[tuple[int, int]]:
+        """Every index pair of the staged ``trial`` that holds a changed
+        stick and whose sticks meet, sorted.  A changed stick is compared
+        with the kept sticks of its line, the perpendicular kept sticks of
+        its two planes and the other changed sticks."""
+        replaced, removed, holes, _ = self._staged
+        changed = sorted(changed)
+        pairs: list[tuple[int, int]] = []
+        for n, i in enumerate(changed):
+            s = trial[i]
+            ax, line, plane_u, plane_w = _buckets(s)
+            u, w = _OTHER_AXES[ax]
+            for k in chain(
+                self.lines.get(line, ()),
+                self.planes.get(plane_u, _NO_SLOTS)[w],
+                self.planes.get(plane_w, _NO_SLOTS)[u],
+            ):
+                if k not in replaced and k not in removed and _meet(s, self.sticks[k]):
+                    j = k - bisect_left(holes, k)
+                    pairs.append((i, j) if i < j else (j, i))
+            pairs.extend((i, j) for j in changed[n + 1 :] if _meet(s, trial[j]))
+        pairs.sort()
+        return pairs
+
+
+_NO_SLOTS: tuple[tuple[int, ...], ...] = ((), (), ())
+
+
+def _meet(s: Stick, t: Stick) -> bool:
+    """Whether two sticks meet: whether their bounding boxes intersect."""
+    (sax, say, saz), (sbx, sby, sbz) = s.a, s.b
+    (tax, tay, taz), (tbx, tby, tbz) = t.a, t.b
+    return (
+        sax <= tbx and tax <= sbx and say <= tby and tay <= sby and saz <= tbz and taz <= sbz
+    )
+
+
 def check_self_avoiding(
     sticks: list[Stick],
     markers: dict[str, Vec3] | None = None,
     ends: dict[Vec3, list[int]] | None = None,
     changed: Collection[int] | None = None,
+    index: StickIndex | None = None,
 ) -> list[tuple[str, Vec3]]:
     """All pairwise stick contacts that are not legitimate, in index-pair order.
 
@@ -149,16 +315,25 @@ def check_self_avoiding(
     result is the one an all-pairs loop over ``i < j`` gives, in that order.
 
     ``changed``, a collection of indices into ``sticks``, restricts the check
-    to the pairs holding at least one changed stick; the endpoint census and
-    the verdicts stay those of the full check.  Precondition: every other
-    pair is as it was in a state that passed this same check, and where it
-    shares an endpoint, that point kept its marker and gained no stick end
-    but a changed stick's.  Under it the result is empty exactly when the
-    full check's result is empty.
+    to the pairs holding at least one changed stick; the verdicts stay those
+    of the full check, and ``ends`` may then be ``endpoint_census_at`` the
+    changed sticks.  Precondition: every other pair is as it was in a state
+    that passed this same check, and where it shares an endpoint, that point
+    kept its marker and gained no stick end but a changed stick's.  Under it
+    the result is empty exactly when the full check's result is empty.
+
+    ``index``, given with ``changed``, takes the compared pairs from a
+    ``StickIndex`` instead of bucketing ``sticks``.  Precondition: ``sticks``
+    is the trial that ``index.stage`` returned, and ``changed`` is
+    ``index.changed(sticks)``.  The result is the one without ``index``.
     """
+    if index is not None:
+        pairs = index.touching_pairs(sticks, changed)
+    else:
+        pairs = _touching_pairs(sticks, None if changed is None else set(changed))
     marker_points = set((markers or {}).values())
     violations: list[tuple[str, Vec3]] = []
-    for i, j in _touching_pairs(sticks, None if changed is None else set(changed)):
+    for i, j in pairs:
         kind, p = contact(sticks[i], sticks[j])
         if kind == "endpoint":
             if ends is None or p in marker_points or len(ends[p]) == 2:

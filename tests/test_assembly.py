@@ -22,6 +22,7 @@ from latticestick.assembly import (
 from latticestick.build import build_component
 from latticestick.errors import (
     AssemblyCollision,
+    BoundViolated,
     LatticeStickError,
     MergeCollision,
     NoFreeDirection,
@@ -30,8 +31,16 @@ from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
 from latticestick.geom import stick, transform, transform_point
 from latticestick.graph import ComponentClass, build_cut_tree, census
 from latticestick.io import embedding_from_document, embedding_to_document, spec_from_document
-from latticestick.validate import check_self_avoiding, count_sticks, endpoint_census, full_audit
+from latticestick.validate import (
+    StickIndex,
+    check_self_avoiding,
+    count_sticks,
+    endpoint_census,
+    full_audit,
+)
+import oracles
 from test_golden import INPUTS as GOLDEN_INPUTS, _bench_workloads, chain
+from test_properties import THETA5
 
 
 def connectors(asm):
@@ -250,19 +259,19 @@ class TestMergePlanner:
         # pivot along +x and the next stick also +x: first free move is a
         # translate in +y, absorbed by the far-end partner
         sticks = synthetic_column([(1, 0), (1, 0), (1, 0), (1, 0)], partner_for=(3,))
-        plan = next(_vertex_plans(sticks, "v", (0, 0), (0, 99), 4, 12))
+        plan = next(_vertex_plans(StickIndex(sticks), "v", (0, 0), (0, 99), 4, 12))
         (step,) = plan.steps
         assert (step.direction, step.move) == ((0, 1), "translate")
         assert step.epsilon == 6  # half a unit of 12 grid points
 
     def test_replayed_translate_moves_its_partner_and_no_other(self):
         sticks = synthetic_column([(1, 0), (1, 0), (1, 0), (1, 0)], partner_for=(3,))
-        plan = next(_vertex_plans(sticks, "v", (0, 0), (0, 99), 4, 12))
+        plan = next(_vertex_plans(StickIndex(sticks), "v", (0, 0), (0, 99), 4, 12))
         (step,) = plan.steps
         assert step.move == "translate"
         partner = sticks[step.partner]
         assert partner.axis == 1 and partner.has_end((3, 0, 3))
-        trial = assembly._apply_vertex_plan(sticks, plan)
+        trial = assembly._apply_vertex_plan(StickIndex(sticks), plan)
         kept = {id(s) for s in trial}
         column = [s for s in sticks if s.axis == 2]
         gone = [s for s in sticks if id(s) not in kept and s not in column]
@@ -272,7 +281,7 @@ class TestMergePlanner:
 
     def test_free_direction_drops_down(self):
         sticks = synthetic_column([(1, 0), (1, 0), (0, -1), (1, 0)])
-        plan = next(_vertex_plans(sticks, "v", (0, 0), (0, 99), 4, 12))
+        plan = next(_vertex_plans(StickIndex(sticks), "v", (0, 0), (0, 99), 4, 12))
         (step,) = plan.steps
         assert (step.direction, step.move) == ((0, -1), "drop")
         assert step.epsilon == 6
@@ -282,7 +291,7 @@ class TestMergePlanner:
         # (opposite), so the sixth one is merged instead, reaching around
         directions = [(0, 1), (0, 1), (1, 0), (0, -1), (1, 0), (1, 0)]
         sticks = synthetic_column(directions)
-        plan = next(_vertex_plans(sticks, "v", (0, 0), (0, 99), 6, 12))
+        plan = next(_vertex_plans(StickIndex(sticks), "v", (0, 0), (0, 99), 6, 12))
         assert [s.level for s in plan.steps] == [3, 4, 6]
         assert [s.epsilon for s in plan.steps] == [3, 6, 9]  # quarters of the unit
         assert plan.steps[-1].direction == (-1, 0)
@@ -294,20 +303,20 @@ class TestMergePlanner:
         # quarter of 12: dropping there would leave a zero-length stick
         directions = [(0, 1), (0, 1), (1, 0), (0, -1), (1, 0), (1, 0)]
         sticks = synthetic_column(directions)
-        plan = next(_vertex_plans(sticks, "v", (0, 0), (0, 99), 6, 12))
+        plan = next(_vertex_plans(StickIndex(sticks), "v", (0, 0), (0, 99), 6, 12))
         assert (plan.steps[0].move, plan.steps[0].epsilon) == ("drop", 3)
-        assert assembly._apply_vertex_plan(sticks, plan) is None
+        assert assembly._apply_vertex_plan(StickIndex(sticks), plan) is None
 
     def test_translate_onto_the_partners_end_is_no_plan(self):
         # half of a unit of 6 moves the far end (3, 0, 3) by 3 in +y, onto
         # the far end of its 3-long partner; the -y translate is fine
         sticks = synthetic_column([(1, 0), (1, 0), (1, 0), (1, 0)], partner_for=(3,))
-        up, down, _ = _vertex_plans(sticks, "v", (0, 0), (0, 99), 4, 6)
+        up, down, _ = _vertex_plans(StickIndex(sticks), "v", (0, 0), (0, 99), 4, 6)
         assert [(s.move, s.direction, s.epsilon) for s in up.steps + down.steps] == [
             ("translate", (0, 1), 3), ("translate", (0, -1), 3)
         ]
-        assert assembly._apply_vertex_plan(sticks, up) is None
-        assert stick((3, -3, 3), (3, 3, 3)) in assembly._apply_vertex_plan(sticks, down)
+        assert assembly._apply_vertex_plan(StickIndex(sticks), up) is None
+        assert stick((3, -3, 3), (3, 3, 3)) in assembly._apply_vertex_plan(StickIndex(sticks), down)
 
     def test_distinct_directions_and_offsets(self):
         for doc in (DEMOS["bouquet3"], DEMOS["theta-composite"], CHAIN):
@@ -350,7 +359,7 @@ def _oracle_candidate_moves(sticks, idx, near, direction, is_top):
 def oracle_plans(sticks, axis, zrange, degree, unit):
     """Every plan as ([(level, direction, move, epsilon)], new_top, old_top),
     in preference order; empty where the planner raises NoFreeDirection."""
-    att = assembly._attachments(sticks, axis, zrange)
+    att = oracles.attachments(sticks, axis, zrange)
     assert len(att) == degree
     pivot_dir = att[1][2]
     old_top = att[-1][0]
@@ -409,7 +418,7 @@ def merge_columns(draw):
 def test_planner_matches_recursive_oracle(column):
     sticks, degree, unit = column
     expected = oracle_plans(sticks, (0, 0), (0, 99), degree, unit)
-    plans = _vertex_plans(sticks, "v", (0, 0), (0, 99), degree, unit)
+    plans = _vertex_plans(StickIndex(sticks), "v", (0, 0), (0, 99), degree, unit)
     if not expected:
         with pytest.raises(NoFreeDirection, match="no merge assignment exists"):
             list(plans)
@@ -1124,3 +1133,81 @@ def test_straighten_without_branch_run():
     out = straighten_arcs(spec, tree, builds, asm)
     assert out.sticks == before
     assert out.warnings == warnings + ["mid: no branch run found, not straightened"]
+
+
+def _merge_outcome(merge, doc):
+    """``merge(cens, asm)`` on the stacked ``doc``: its plans, sticks in
+    order and markers, or the class and message of what it raised."""
+    spec, cens, tree, builds, asm = stages(doc)
+    try:
+        out = merge(cens, asm)
+    except LatticeStickError as exc:
+        return type(exc), str(exc)
+    return out.merge_plans, out.sticks, out.markers
+
+
+MERGE_GROUPS = {
+    "fixtures": lambda: [*DEMOS.values(), CHAIN, SPLIT_PAIR, LOOP_TREFOIL, THETA5],
+    "chains": lambda: [_bench_workloads().chain_input(n) for n in (4, 5, 6)],
+    "trees": lambda: [_bench_workloads().tree_input(random.Random(s)) for s in range(300)],
+}
+
+
+@pytest.mark.parametrize("group", sorted(MERGE_GROUPS))
+def test_merge_stage_matches_scanning_oracle(group):
+    """Merging through the stick index gives the plans, the stick list in
+    its order and the markers that scanning every stick gives, or the same
+    error."""
+    outcomes = Counter()
+    for i, doc in enumerate(MERGE_GROUPS[group]()):
+        got = _merge_outcome(apply_merges, doc)
+        assert got == _merge_outcome(oracles.apply_merges, doc), (group, i)
+        outcomes[got[0] if isinstance(got[0], type) else "merged"] += 1
+    assert outcomes["merged"], outcomes
+
+
+def test_index_only_where_a_vertex_has_degree_three(monkeypatch):
+    """Knots and split forests have only degree-2 vertices: their builds
+    never index the sticks.  A chain's build indexes them once."""
+    built = []
+
+    class Counted(StickIndex):
+        def __init__(self, sticks):
+            built.append(len(sticks))
+            super().__init__(sticks)
+
+    monkeypatch.setattr(assembly, "StickIndex", Counted)
+    workloads = _bench_workloads()
+    for seed in range(3):
+        rng = random.Random(seed)
+        for doc in (workloads.knot_input(rng, 12), workloads.forest_input(rng, 3)):
+            build_full(spec_from_document(doc))
+    assert built == []
+    build_full(spec_from_document(workloads.chain_input(4)))
+    assert len(built) == 1
+
+
+def test_straightening_census_at_changed_ends(monkeypatch):
+    """Each straightening trial, judged on the census at its changed sticks'
+    ends, finds what the full endpoint census finds."""
+    original = assembly.check_self_avoiding
+    trials = []
+
+    def compared(sticks, markers=None, ends=None, changed=None, index=None):
+        result = original(sticks, markers, ends, changed, index)
+        if ends is not None:
+            trials.append(result)
+            assert result == original(sticks, markers, endpoint_census(sticks), changed)
+        return result
+
+    monkeypatch.setattr(assembly, "check_self_avoiding", compared)
+    workloads = _bench_workloads()
+    docs = [*DEMOS.values(), CHAIN, SPLIT_PAIR, LOOP_TREFOIL]
+    docs += [workloads.chain_input(n) for n in (4, 5, 6)]
+    docs += [workloads.tree_input(random.Random(s)) for s in range(300)]
+    for doc in docs:
+        try:
+            build_full(spec_from_document(doc))
+        except (NoFreeDirection, MergeCollision, BoundViolated):
+            continue
+    assert len(trials) > 40 and not any(trials)

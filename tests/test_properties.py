@@ -3,10 +3,12 @@
 Random single-cycle presentations are always buildable (their vertices have
 degree two, so no merging is involved) and every output must pass the full
 audit and the count law; that is the bound's implemented content exercised
-far beyond the fixed fixtures.  Random thetas of 3-4 edges and 2-loop
-bouquets (degree 3-4 vertices, so merging is involved) must build the same
-way.
+far beyond the fixed fixtures.  Random thetas of 3-4 edges, 2-loop
+bouquets and K4s (degree 3-4 vertices, so merging and the degree-3 markers
+are involved) must build the same way.
 """
+
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
@@ -84,14 +86,18 @@ def test_random_split_forests_stack(a, b):
 @st.composite
 def graph_component_specs(draw, shape):
     """One component: a theta on vertices u, w with ``shape`` = "theta3" or
-    "theta4" edges, or a "bouquet2" of two loops at u.  Each edge runs
-    through 0-3 interior binding points (1-3 for a loop); the binding
-    indices and the pages are shuffled."""
+    "theta4" edges, a "bouquet2" of two loops at u, or "k4" on u, w, x, y.
+    Each theta edge runs through 0-3 interior binding points (1-3 for a
+    loop, 0-2 for a K4 edge); the binding indices and the pages are
+    shuffled."""
     if shape == "bouquet2":
         edges = [(0, 0, draw(st.integers(1, 3))) for _ in range(2)]
+    elif shape == "k4":
+        edges = [(a, b, draw(st.integers(0, 2))) for a, b in combinations(range(4), 2)]
     else:
         edges = [(0, 1, draw(st.integers(0, 3))) for _ in range(int(shape[-1]))]
-    n_points = 2 if shape != "bouquet2" else 1
+    vertices = {"bouquet2": "u", "k4": "uwxy"}.get(shape, "uw")
+    n_points = len(vertices)
     pairs = []
     for start, end, interior in edges:
         path = [start, *range(n_points, n_points + interior), end]
@@ -102,12 +108,12 @@ def graph_component_specs(draw, shape):
     arcs = tuple(
         Arc(page, *sorted((index[a], index[b]))) for page, (a, b) in zip(pages, pairs)
     )
-    labels = {index[0]: "u"} if shape == "bouquet2" else {index[0]: "u", index[1]: "w"}
+    labels = {index[n]: v for n, v in enumerate(vertices)}
     return SpatialGraphSpec((ComponentSpec("g", ArcPresentation(arcs, labels)),))
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), shape=st.sampled_from(["theta3", "theta4", "bouquet2"]))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), shape=st.sampled_from(["theta3", "theta4", "bouquet2", "k4"]))
 def test_random_graph_components_build_clean(data, shape):
     assert_builds_clean(data.draw(graph_component_specs(shape)))
 

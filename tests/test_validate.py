@@ -2,7 +2,7 @@ import copy
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latticestick import assembly, build, validate
 from latticestick.assembly import build_full
@@ -17,9 +17,12 @@ from latticestick.validate import (
     check_self_avoiding,
     count_sticks,
     endpoint_census,
+    StickIndex,
+    endpoint_census_at,
     reconstruct_graph,
     walk_edges,
 )
+from oracles import attachments as oracle_attachments, contact as oracle_contact
 from test_golden import chain
 
 
@@ -175,6 +178,28 @@ def _new_stick(draw, sticks):
 
 
 @st.composite
+def stick_pairs(draw):
+    """A lattice stick and another, often through one of its grid points."""
+    s = draw(grid_sticks())
+    return s, _new_stick(draw, [s])
+
+
+@settings(max_examples=500, deadline=None)
+@given(pair=stick_pairs())
+@example(pair=(xs(0, 0, 0, 1), ys(1, 0, 0, 1)))  # shared end
+@example(pair=(xs(0, 0, 0, 2), xs(0, 0, 1, 3)))  # overlap
+@example(pair=(xs(0, 0, 0, 2), zs(1, 0, 0, 1)))  # T-contact
+@example(pair=(xs(0, 1, 0, 2), zs(1, 0, 0, 2)))  # crossing
+@example(pair=(xs(0, 0, 0, 1), xs(5, 5, 0, 1)))  # disjoint
+def test_contact_matches_reference(pair):
+    """Lattice sticks are classified as the tuple-comprehension reference
+    classifies them, either way round."""
+    s, t = pair
+    assert contact(s, t) == oracle_contact(s, t)
+    assert contact(t, s) == oracle_contact(t, s)
+
+
+@st.composite
 def trials(draw):
     """A clean base, then a trial that removes, moves or adds sticks, with
     the moved and added ones often drawn through a point of a base stick.
@@ -218,16 +243,30 @@ def test_restricted_check_matches_oracle(case):
     assert (restricted == []) == (full == [])
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=trials())
+def test_restricted_check_reads_the_census_at_changed_ends(case):
+    """A restricted check judges shared ends only where a changed stick
+    ends, so the census there gives the verdicts of the full census."""
+    sticks, markers, _, changed = case
+    assert check_self_avoiding(
+        sticks, markers, endpoint_census_at(sticks, changed), changed
+    ) == check_self_avoiding(sticks, markers, endpoint_census(sticks), changed)
+
+
 def test_pipeline_checks_match_oracle(monkeypatch):
     """Every self-avoidance decision of a build agrees with the full oracle,
     restricted trial checks included; only the audit checks every pair."""
     original = validate.check_self_avoiding
     calls = []
 
-    def compared(sticks, markers=None, ends=None, changed=None):
+    def compared(sticks, markers=None, ends=None, changed=None, index=None):
         interior_only = ends is None
-        assert interior_only or ends == endpoint_census(sticks)
-        result = original(sticks, markers, ends, changed)
+        if changed is None:
+            assert interior_only or ends == endpoint_census(sticks)
+        else:
+            assert interior_only or ends == endpoint_census_at(sticks, changed)
+        result = original(sticks, markers, ends, changed, index)
         assert result == _all_pairs_self_avoiding(sticks, markers, interior_only, changed)
         full = _all_pairs_self_avoiding(sticks, markers, interior_only)
         assert (result == []) == (full == [])
@@ -241,6 +280,78 @@ def test_pipeline_checks_match_oracle(monkeypatch):
         build_full(spec_from_document(doc))
     assert len(calls) > 9
     assert sum(calls) == len(docs)
+
+
+def _canonical(index):
+    """The index with each slot read as its position in the state: equal
+    for two indexes of one state however their slots were numbered."""
+    live = [k for k, s in enumerate(index.sticks) if s is not None]
+    assert [index.slot(i) for i in range(len(live))] == live
+    assert [index.position(k) for k in live] == list(range(len(live)))
+
+    def positions(slots):
+        assert all(index.sticks[k] is not None for k in slots)
+        return sorted(index.position(k) for k in slots)
+
+    return (
+        index.state(),
+        {key: positions(slots) for key, slots in index.lines.items() if slots},
+        {
+            (key, axis): positions(slots)
+            for key, by_axis in index.planes.items()
+            for axis, slots in enumerate(by_axis)
+            if slots
+        },
+        {p: positions(slots) for p, slots in index.ends.items() if slots},
+        {axis: positions(slots) for axis, slots in index.columns.items() if slots},
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_index_check_matches_bucketed_and_all_pairs(data):
+    """Over random edits that replace, remove and append sticks, the check
+    through the index finds what the bucketed check and the all-pairs
+    oracle find.  A committed edit leaves the index equal to a fresh index
+    of the trial; an edit never committed leaves it as it was."""
+    index = StickIndex(data.draw(st.lists(grid_sticks(), min_size=1, max_size=12)))
+    for _ in range(data.draw(st.integers(1, 4))):
+        live = [k for k, s in enumerate(index.sticks) if s is not None]
+        picked = data.draw(st.lists(st.sampled_from(live), unique=True)) if live else []
+        replaced, removed = {}, set()
+        for k in picked:
+            if data.draw(st.booleans()):
+                replaced[k] = data.draw(grid_sticks())
+            else:
+                removed.add(k)
+        appended = data.draw(st.lists(grid_sticks(), max_size=3))
+        before = _canonical(index)
+        trial = index.stage(replaced, removed, appended)
+        changed = index.changed(trial)
+        kept = [index.sticks[k] for k in live if k not in replaced and k not in removed]
+        unchanged = [s for i, s in enumerate(trial) if i not in changed]
+        assert len(unchanged) == len(kept) and all(s is t for s, t in zip(unchanged, kept))
+        assert [trial[i] for i in changed] == [replaced[k] for k in sorted(replaced)] + appended
+
+        ends = endpoint_census(trial) if data.draw(st.booleans()) else None
+        points = sorted({p for s in trial for p in s.ends()})
+        marked = data.draw(
+            st.lists(st.sampled_from(points), max_size=2, unique=True) if points else st.just([])
+        )
+        markers = {f"m{n}": p for n, p in enumerate(marked)}
+        indexed = check_self_avoiding(trial, markers, ends, changed, index)
+        assert indexed == check_self_avoiding(trial, markers, ends, changed)
+        assert indexed == _all_pairs_self_avoiding(trial, markers, ends is None, set(changed))
+        assert _canonical(index) == before
+        if data.draw(st.booleans()):
+            index.commit(trial)
+            assert _canonical(index) == _canonical(StickIndex(trial))
+            axes = {(p[0], p[1]) for p in points}
+            for axis in axes:
+                zrange = (data.draw(st.sampled_from(GRID)), data.draw(st.sampled_from(GRID)))
+                assert [
+                    (z, index.position(k), d) for z, k, d in index.attachments(axis, zrange)
+                ] == oracle_attachments(trial, axis, zrange)
 
 
 def _random_forest(rng, n_knots, n_arcs=8):
