@@ -69,8 +69,7 @@ class Stick:
 
 def stick(a: Vec3, b: Vec3, comp: str = "") -> Stick:
     """Build a stick, normalising endpoint order and rejecting degeneracy."""
-    diff = [i for i in range(3) if a[i] != b[i]]
-    if len(diff) != 1:
+    if (a[0] != b[0]) + (a[1] != b[1]) + (a[2] != b[2]) != 1:
         raise ValueError(f"not axis-parallel or zero length: {a} -> {b}")
     if a > b:
         a, b = b, a

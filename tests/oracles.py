@@ -1,8 +1,9 @@
 """Test-only reference implementations: the exhaustive coloring count, the
 dense coloring matrix, the algebraic agreement of the two stick bounds, the
-binding-point law, stick contact through tuple comprehensions, and the
-vertex-merging stage that scans every stick where the build reads its stick
-index.
+binding-point law, stick construction and contact through tuple
+comprehensions, the side-slide trial that regenerates and checks the sticks
+where the build compares two column axes, and the vertex-merging stage that
+scans every stick where the build reads its stick index.
 
 The package computes none of these; the tests check its results against
 them.  The module name keeps pytest from collecting it.
@@ -14,7 +15,7 @@ from itertools import product
 from latticestick.assembly import MergeStep, VertexPlan, _far_end
 from latticestick.bounds import arc_index_upper, construction_count, crossing_stick_bound
 from latticestick.errors import InvalidCounts, MergeCollision, NoFreeDirection, TooLarge
-from latticestick.geom import stick
+from latticestick.geom import Stick, stick
 from latticestick.invariants import GaussData, _coloring_rows, _strand_structure
 from latticestick.validate import check_self_avoiding
 
@@ -80,6 +81,16 @@ def p_coloring_count(gauss: GaussData, p: int) -> int:
     return count(0)
 
 
+def listed_stick(a, b, comp=""):
+    """``geom.stick`` through the list of differing coordinates."""
+    diff = [i for i in range(3) if a[i] != b[i]]
+    if len(diff) != 1:
+        raise ValueError(f"not axis-parallel or zero length: {a} -> {b}")
+    if a > b:
+        a, b = b, a
+    return Stick(a, b, comp)
+
+
 def contact(s, t):
     """Classify the contact between two sticks, as ``geom.contact`` does."""
     lo = tuple(max(s.a[i], t.a[i]) for i in range(3))
@@ -96,6 +107,23 @@ def contact(s, t):
     if on_s_end or on_t_end:
         return ("t_contact", p)
     return ("cross", p)
+
+
+def slide_ok(build, moved_bp):
+    """``build._slide_ok`` as a trial: regenerate the component's sticks and
+    check the ones with an end on the moved column's axis against the rest.
+
+    Only those sticks' geometry depends on the moved coordinate, and every
+    other pair is as in the state before the move.
+    """
+    # Column i of 1 < i < beta stands still at (i, i), so only the first
+    # and the last column can meet each other.
+    if build.column_axis(1) == build.column_axis(build.pres.beta):
+        return False
+    axis = build.column_axis(moved_bp)
+    sticks = build.sticks()
+    changed = [i for i, s in enumerate(sticks) if any(p[:2] == axis for p in s.ends())]
+    return not check_self_avoiding(sticks, changed=changed)
 
 
 # --- vertex merging by scans over every stick --------------------------------

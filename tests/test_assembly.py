@@ -845,8 +845,9 @@ class TestBuildFull:
         assert made == []
 
     def test_self_avoidance_checked_where_it_decides(self, monkeypatch):
-        """Slide trials, merge and straightening trials and the audit check
-        self-avoidance; stacking and the finished component builds do not."""
+        """Merge and straightening trials and the audit check self-avoidance;
+        slides, decided from the column axes, stacking and the finished
+        component builds do not."""
         deciders = {
             "side_slide", "build_component", "assemble", "apply_merges",
             "straighten_arcs", "full_audit",
@@ -864,16 +865,16 @@ class TestBuildFull:
         for module in (validate, build, assembly):
             monkeypatch.setattr(module, "check_self_avoiding", counted)
         expected = {
-            "trefoil": (DEMOS["trefoil"], 3),
-            "chain": (CHAIN, 8),
-            "split": (SPLIT_PAIR, 3),
+            "trefoil": (DEMOS["trefoil"], 1),
+            "chain": (CHAIN, 4),
+            "split": (SPLIT_PAIR, 1),
         }
         for name, (doc, total) in expected.items():
             calls.clear()
             build_full(spec_from_document(doc))
             assert sum(calls.values()) == total, (name, calls)
             assert calls["full_audit"] == 1, name
-            assert calls["assemble"] == calls["build_component"] == 0, name
+            assert calls["assemble"] == calls["side_slide"] == calls["build_component"] == 0, name
 
 
 def _crossing(s):

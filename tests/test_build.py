@@ -10,6 +10,8 @@ from latticestick.graph import ComponentClass, ComponentSpec, census
 from latticestick.io import spec_from_document
 from latticestick.fixtures import DEMOS
 from latticestick.validate import check_self_avoiding
+import oracles
+from test_validate import _all_pairs_self_avoiding
 
 
 def lone(pairs, labels, cls, comp_id="c"):
@@ -178,26 +180,40 @@ def test_fresh_arc_diagram_is_clean(pres):
     assert check_self_avoiding(b.sticks()) == []
 
 
-def test_slide_trial_fault_rejected(monkeypatch):
-    """A stick crossing the moved column, present only in the slide trial,
-    blocks that slide."""
-    (trefoil,) = classified(DEMOS["trefoil"])
-    original = build.ComponentBuild.sticks
+def assert_slide_verdict(b):
+    """``_slide_ok`` judges ``b`` as the regenerating trial did, and the
+    all-pairs check agrees: distinct axes are clean, and equal axes are
+    clean only where the two columns share no z-span (a column of one
+    level has none)."""
+    beta = b.pres.beta
+    verdict = build._slide_ok(b)
+    assert all(verdict == oracles.slide_ok(b, bp) for bp in (1, beta))
+    clean = _all_pairs_self_avoiding(b.sticks(), interior_only=True) == []
+    (lo1, hi1), (lo2, hi2) = b.column_zrange(1), b.column_zrange(beta)
+    assert clean == (verdict or min(hi1, hi2) <= max(lo1, lo2))
 
-    def faulty(self):
-        sticks = original(self)
-        if self.first_x != 1:
-            x, y = self.column_axis(1)
-            (column,) = [s for s in sticks if s.axis == 2 and s.a[:2] == (x, y)]
-            assert column.length >= 2
-            z = column.a[2] + 1
-            sticks.append(stick((x - 1, y, z), (x + 1, y, z)))
-        return sticks
 
-    monkeypatch.setattr(build.ComponentBuild, "sticks", faulty)
-    b = side_slide(build_arc_diagram(*trefoil))
-    assert b.column_axis(1) == (1, 1)
-    assert "t: side slide at first binding point blocked" in b.warnings
+@settings(max_examples=300, deadline=None)
+@given(pres=presentations(), data=st.data())
+def test_slide_verdict_from_column_axes(pres, data):
+    """Any first_x and last_y: the column axes decide self-avoidance."""
+    first_x = data.draw(st.integers(1, pres.beta), label="first_x")
+    last_y = data.draw(st.integers(1, pres.beta), label="last_y")
+    fresh = build_arc_diagram(ComponentSpec("c", pres), ComponentClass.KNOT)
+    assert_slide_verdict(replace(fresh, first_x=first_x, last_y=last_y))
+
+
+def test_slide_verdict_from_column_axes_on_fixtures():
+    for doc in DEMOS.values():
+        for comp, cls in classified(doc):
+            fresh = build_arc_diagram(comp, cls)
+            beta = comp.presentation.beta
+            for first_x in range(1, beta + 1):
+                for last_y in range(1, beta + 1):
+                    assert_slide_verdict(replace(fresh, first_x=first_x, last_y=last_y))
+    (unknot,) = classified(DEMOS["unknot"])
+    slid = side_slide(build_arc_diagram(*unknot))
+    assert slid.warnings == ["u: side slide at last binding point blocked"]
 
 
 @dataclass
@@ -302,7 +318,7 @@ def test_sticks_match_dict_oracle(pres, data):
     oracle = oracle_state(pres, first_x, last_y)
     assert_same_state(moved, oracle)
     for bp in (1, beta):
-        assert build._slide_ok(moved, bp) == oracle_slide_ok(oracle, bp)
+        assert build._slide_ok(moved) == oracle_slide_ok(oracle, bp)
 
 
 def test_sticks_match_dict_oracle_on_fixtures():

@@ -22,7 +22,7 @@ from latticestick.validate import (
     reconstruct_graph,
     walk_edges,
 )
-from oracles import attachments as oracle_attachments, contact as oracle_contact
+from oracles import attachments as oracle_attachments, contact as oracle_contact, listed_stick
 from test_golden import chain
 
 
@@ -197,6 +197,27 @@ def test_contact_matches_reference(pair):
     s, t = pair
     assert contact(s, t) == oracle_contact(s, t)
     assert contact(t, s) == oracle_contact(t, s)
+
+
+def _built(make, a, b):
+    try:
+        return make(a, b, "c")
+    except ValueError as err:
+        return str(err)
+
+
+lattice_points = st.tuples(*[st.integers(-2, 2)] * 3)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=lattice_points, b=lattice_points)
+@example(a=(0, 0, 0), b=(0, 0, 0))  # zero length
+@example(a=(0, 0, 3), b=(0, 0, 1))  # reversed
+@example(a=(0, 1, 0), b=(1, 0, 0))  # diagonal
+def test_stick_matches_reference(a, b):
+    """``stick`` accepts, orders and rejects point pairs as the list-based
+    reference does, with the same message."""
+    assert _built(stick, a, b) == _built(listed_stick, a, b)
 
 
 @st.composite
