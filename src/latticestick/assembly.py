@@ -20,11 +20,12 @@ m/(d-2) of a unit are grid points for every degree d <= 6.  ``normalize``
 divides the grid back down to the smallest integer lattice.
 
 Merging works on one ``StickIndex`` of the stacked sticks, built only when
-some vertex has degree 3 or more: the planner reads attachments and far-end
-partners from it, a plan finds its run to fuse in the column's line bucket,
-each trial is checked against its changed sticks' buckets, and the kept
-trial updates it.  Straightening and the final audit bucket their own
-sticks.
+some vertex has degree 3 or more, and names every stick by its slot there:
+the planner reads attachments and far-end partners from it, a plan's steps
+name the slots they reroute, a plan finds its run to fuse in the column's
+line bucket, each trial is staged on it and checked against its new sticks'
+buckets, and the kept trial is committed to it.  Straightening and the
+final audit bucket their own sticks.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ class Assembly:
     comp_zspan: dict[str, tuple[int, int]] = field(default_factory=dict)
     markers: dict[str, Vec3] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
+    # the kept plans in merge order; their steps name slots of the merge
+    # stage's ``StickIndex``, equal to positions in ``sticks`` only until
+    # the first removal
     merge_plans: list[VertexPlan] = field(default_factory=list)
 
 
@@ -200,8 +204,8 @@ class MergeStep:
     direction: tuple[int, int]
     move: str  # "drop" | "translate" | "extend"
     epsilon: int
-    index: int  # the rerouted stick
-    partner: int | None = None  # a translate's far-end partner
+    index: int  # the rerouted stick's slot
+    partner: int | None = None  # the slot of a translate's far-end partner
 
 
 @dataclass(frozen=True)
@@ -225,22 +229,19 @@ def _candidate_moves(index, axis, attachment, is_top) -> list[MergeStep]:
     """Options for merging one attachment, in preference order: drop;
     translate perpendicular, "+" before "-", when the far end has a single
     partner lying along that perpendicular to absorb the shift; and for the
-    top stick, extend the opposite way.  Steps name sticks by position in
-    ``index.state()``.  Epsilon is left 0: it depends on the step's place
-    in the plan."""
+    top stick, extend the opposite way.  Steps name sticks by slot in
+    ``index``.  Epsilon is left 0: it depends on the step's place in the
+    plan."""
     level, k, d = attachment
-    i = index.position(k)
-    options = [MergeStep(level, d, "drop", 0, i)]
+    options = [MergeStep(level, d, "drop", 0, k)]
     partners = index.ends[_far_end(index.sticks[k], axis, level)] - {k}
     if len(partners) == 1:
         (j,) = partners
         if index.sticks[j].axis == (1 if d[0] else 0):
             perps = [(0, 1), (0, -1)] if d[0] else [(1, 0), (-1, 0)]
-            options += [
-                MergeStep(level, w, "translate", 0, i, index.position(j)) for w in perps
-            ]
+            options += [MergeStep(level, w, "translate", 0, k, j) for w in perps]
     if is_top:
-        options.append(MergeStep(level, (-d[0], -d[1]), "extend", 0, i))
+        options.append(MergeStep(level, (-d[0], -d[1]), "extend", 0, k))
     return options
 
 
@@ -268,7 +269,6 @@ def _vertex_plans(index: StickIndex, vertex, axis, zrange, degree, unit):
     last += _candidate_moves(index, axis, att[-1], True)
     # degree - 2 directions meet at the pivot; it divides ``unit`` (a multiple of 12)
     n = degree - 2
-    top = index.position(att[-1][1])
     produced = False
     for chosen in product(*earlier, last):
         # the pivot's and the merged sticks' directions must all differ
@@ -276,7 +276,7 @@ def _vertex_plans(index: StickIndex, vertex, axis, zrange, degree, unit):
             continue
         produced = True
         steps = tuple(replace(c, epsilon=m * unit // n) for m, c in enumerate(chosen, start=1))
-        swapped = chosen[-1].index == top
+        swapped = chosen[-1].index == att[-1][1]
         new_top = att[-2][0] if swapped else att[-1][0]
         yield VertexPlan(
             vertex, axis, pivot_level, pivot_dir, att[0][0], att[-1][0], new_top, steps
@@ -302,8 +302,7 @@ def _apply_vertex_plan(index: StickIndex, plan: VertexPlan) -> list[Stick] | Non
     replaced: dict[int, Stick] = {}
     appended: list[Stick] = []
     for step in plan.steps:
-        k = index.slot(step.index)
-        s = index.sticks[k]
+        s = index.sticks[step.index]
         far = _far_end(s, plan.axis, step.level)
         wx, wy = step.direction
         bx, by = ax + step.epsilon * wx, ay + step.epsilon * wy
@@ -313,16 +312,15 @@ def _apply_vertex_plan(index: StickIndex, plan: VertexPlan) -> list[Stick] | Non
         if step.move in ("drop", "extend"):
             if break_pt == far:
                 return None
-            replaced[k] = stick(break_pt, far, s.comp)
+            replaced[step.index] = stick(break_pt, far, s.comp)
         else:  # translate: the stick shifts to the break point, its partner follows
             moved_far = (far[0] + step.epsilon * wx, far[1] + step.epsilon * wy, far[2])
-            j = index.slot(step.partner)
-            partner = index.sticks[j]
+            partner = index.sticks[step.partner]
             keep = partner.b if partner.a == far else partner.a
             if keep == moved_far:
                 return None
-            replaced[k] = stick(break_pt, moved_far, s.comp)
-            replaced[j] = stick(keep, moved_far, partner.comp)
+            replaced[step.index] = stick(break_pt, moved_far, s.comp)
+            replaced[step.partner] = stick(keep, moved_far, partner.comp)
         appended.append(stick(arm_end, break_pt, s.comp))
         appended.append(stick((ax, ay, plan.pivot_level), arm_end, s.comp))
 
@@ -343,9 +341,9 @@ def apply_merges(cens: GraphCensus, asm: Assembly) -> Assembly:
     One ``StickIndex`` of the stacked sticks serves the whole stage, built
     only when some vertex has degree 3 or more.  Each vertex tries its
     candidate plans in preference order and keeps the first one that leaves
-    no stick of zero length and whose trial, checked through the index
-    against its changed sticks' buckets only, stays intersection-free; the
-    kept trial updates the index and its plan goes to ``asm.merge_plans``.
+    no stick of zero length and whose trial, staged on the index and checked
+    against its new sticks' buckets only, stays intersection-free; the kept
+    trial is committed to the index and its plan goes to ``asm.merge_plans``.
     Exhausting all of them raises MergeCollision.  A vertex's merge offsets
     divide the finest unit among the components holding it.
     """
@@ -367,8 +365,8 @@ def apply_merges(cens: GraphCensus, asm: Assembly) -> Assembly:
             trial = _apply_vertex_plan(index, plan)
             if trial is None:
                 continue
-            if not check_self_avoiding(trial, changed=index.changed(trial), index=index):
-                index.commit(trial)
+            if not check_self_avoiding(trial, index=index):
+                index.commit()
                 break
         else:
             raise MergeCollision(f"all merge moves collide at vertex {label}")

@@ -58,7 +58,6 @@ class GraphDiagram:
     segments: tuple[ProjSeg, ...]
     paths: dict[str, tuple[int, ...]]
     crossings: tuple[Crossing, ...]
-    shear_n: int
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ def project_generic(emb: LatticeEmbedding, comps: set[str] | None = None) -> Gra
     for i, j, at in sorted(pairs):
         over, under = (i, j) if segments[i].a3[2] > segments[j].a3[2] else (j, i)
         crossings.append(Crossing(over, under, at))
-    return GraphDiagram(tuple(segments), paths, tuple(crossings), n)
+    return GraphDiagram(tuple(segments), paths, tuple(crossings))
 
 
 def extract_knot_cycle(diagram: GraphDiagram, comp: str) -> GaussData:

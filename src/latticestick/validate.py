@@ -3,8 +3,9 @@
 The checks are deliberately independent of how the embedding was built: they
 look only at the stick set and the vertex markers, so they catch construction
 bugs rather than inheriting them.  The one structure a build keeps for them
-is ``StickIndex``, its own stick state bucketed so that a merge trial's check
-compares only the changed sticks' buckets; the full audit never takes one.
+is ``StickIndex``, its own stick state named by slot and bucketed so that a
+merge trial's check compares only the new sticks' buckets; the full audit
+never takes one.
 """
 
 from __future__ import annotations
@@ -149,12 +150,13 @@ class StickIndex:
     """One build state's sticks by slot, bucketed for trial checks and for
     the merge planner, and updated by each committed trial.
 
-    A slot is a stick's place in the state's order.  ``stage`` proposes a
-    trial: some slots' sticks replaced in place, some slots emptied, new
-    sticks appended after the rest.  Its list is the state a list edited the
-    same way holds, so a slot's position in it is the slot less the empty
-    slots before it.  ``commit`` makes the staged trial the state; a trial
-    never committed leaves the index as it was.
+    A slot names a stick for as long as the index holds it: a replaced
+    stick keeps its slot, a removed slot is never reused and an appended
+    stick takes the next unused slot.  So ``sticks``, a dict from slot to
+    stick, runs in the state's order, and slot order is position order in
+    ``state()``.  ``stage`` proposes a trial: some slots' sticks replaced,
+    some slots removed and new sticks appended.  ``commit`` makes the staged
+    trial the state; a trial never committed leaves the index as it was.
 
     Buckets hold slots: ``lines`` by ``_buckets``' line key, ``planes`` by
     plane key and then by stick axis, ``ends`` by end point, and
@@ -164,18 +166,18 @@ class StickIndex:
     """
 
     def __init__(self, sticks: list[Stick]):
-        self.sticks: list[Stick | None] = []
-        self.holes: list[int] = []  # the empty slots, ascending
+        self.sticks: dict[int, Stick] = dict(enumerate(sticks))
         self.lines: dict[tuple, set[int]] = defaultdict(set)
         self.planes: dict[tuple, tuple[set[int], ...]] = defaultdict(lambda: (set(), set(), set()))
         self.ends: dict[Vec3, set[int]] = defaultdict(set)
         self.columns: dict[tuple[int, int], set[int]] = defaultdict(set)
-        # the staged trial's replaced and removed slots, its empty slots
-        # (ascending) and the position of its first appended stick
-        self._staged: tuple[dict[int, Stick], Collection[int], list[int], int] | None = None
-        for s in sticks:
-            self.sticks.append(s)
-            self._file(len(self.sticks) - 1)
+        # the staged trial by slot, then its replaced sticks, removed slots
+        # and appended slots
+        self.trial: dict[int, Stick] | None = None
+        self._staged: tuple[dict[int, Stick], Collection[int], range] | None = None
+        self._next = len(sticks)  # the next unused slot
+        for k in self.sticks:
+            self._file(k)
 
     def _file(self, k: int, bucket=set.add) -> None:
         """File slot ``k`` under each key of its stick; with
@@ -191,20 +193,7 @@ class StickIndex:
                 bucket(self.columns[p[0], p[1]], k)
 
     def state(self) -> list[Stick]:
-        return [s for s in self.sticks if s is not None]
-
-    def slot(self, position: int) -> int:
-        """The slot of the stick at ``position`` in ``state()``."""
-        k = position
-        for hole in self.holes:
-            if hole > k:
-                break
-            k += 1
-        return k
-
-    def position(self, k: int) -> int:
-        """The position in ``state()`` of the stick in slot ``k``."""
-        return k - bisect_left(self.holes, k)
+        return list(self.sticks.values())
 
     def attachments(self, axis: tuple[int, int], zrange: tuple[int, int]):
         """Horizontal sticks with an end on the vertical line through
@@ -225,45 +214,36 @@ class StickIndex:
     ) -> list[Stick]:
         """Stage a trial and return its sticks: the state with the sticks of
         ``replaced`` in their slots, the ``removed`` slots dropped and
-        ``appended`` after the rest."""
-        trial = list(self.sticks)
-        for k, s in replaced.items():
-            trial[k] = s
+        ``appended`` after the rest, in the next unused slots."""
+        trial = dict(self.sticks)
+        trial.update(replaced)
         for k in removed:
-            trial[k] = None
-        trial = [s for s in trial if s is not None]
-        self._staged = (replaced, removed, sorted(self.holes + list(removed)), len(trial))
-        return trial + appended
+            del trial[k]
+        added = range(self._next, self._next + len(appended))
+        trial.update(zip(added, appended))
+        self.trial = trial
+        self._staged = (replaced, removed, added)
+        return list(trial.values())
 
-    def changed(self, trial: list[Stick]) -> list[int]:
-        """The positions in the staged ``trial`` of its new sticks: the
-        replacements, then every stick from the first appended one on."""
-        replaced, _, holes, base = self._staged
-        return sorted(k - bisect_left(holes, k) for k in replaced) + list(range(base, len(trial)))
-
-    def commit(self, trial: list[Stick]) -> None:
-        """Make the staged ``trial`` the indexed state."""
-        replaced, removed, holes, base = self._staged
+    def commit(self) -> None:
+        """Make the staged trial the indexed state."""
+        replaced, removed, added = self._staged
         for k in (*replaced, *removed):
             self._file(k, set.discard)
-            self.sticks[k] = replaced.get(k)
-        for k in replaced:
+        self.sticks = self.trial
+        for k in (*replaced, *added):
             self._file(k)
-        self.holes = holes
-        for s in trial[base:]:
-            self.sticks.append(s)
-            self._file(len(self.sticks) - 1)
-        self._staged = None
+        self._next = added.stop
+        self.trial = self._staged = None
 
-    def touching_pairs(
-        self, trial: list[Stick], changed: Collection[int]
-    ) -> list[tuple[int, int]]:
-        """Every index pair of the staged ``trial`` that holds a changed
-        stick and whose sticks meet, sorted.  A changed stick is compared
-        with the kept sticks of its line, the perpendicular kept sticks of
-        its two planes and the other changed sticks."""
-        replaced, removed, holes, _ = self._staged
-        changed = sorted(changed)
+    def touching_pairs(self) -> list[tuple[int, int]]:
+        """Every slot pair of the staged trial that holds a new stick and
+        whose sticks meet, sorted.  A new stick is compared with the kept
+        sticks of its line, the perpendicular kept sticks of its two planes
+        and the other new sticks."""
+        replaced, removed, added = self._staged
+        trial = self.trial
+        changed = [*sorted(replaced), *added]
         pairs: list[tuple[int, int]] = []
         for n, i in enumerate(changed):
             s = trial[i]
@@ -275,8 +255,7 @@ class StickIndex:
                 self.planes.get(plane_w, _NO_SLOTS)[u],
             ):
                 if k not in replaced and k not in removed and _meet(s, self.sticks[k]):
-                    j = k - bisect_left(holes, k)
-                    pairs.append((i, j) if i < j else (j, i))
+                    pairs.append((i, k) if i < k else (k, i))
             pairs.extend((i, j) for j in changed[n + 1 :] if _meet(s, trial[j]))
         pairs.sort()
         return pairs
@@ -322,13 +301,16 @@ def check_self_avoiding(
     kept its marker and gained no stick end but a changed stick's.  Under it
     the result is empty exactly when the full check's result is empty.
 
-    ``index``, given with ``changed``, takes the compared pairs from a
-    ``StickIndex`` instead of bucketing ``sticks``.  Precondition: ``sticks``
-    is the trial that ``index.stage`` returned, and ``changed`` is
-    ``index.changed(sticks)``.  The result is the one without ``index``.
+    ``index``, with ``sticks`` the trial that ``index.stage`` returned,
+    restricts the check the same way to the staged trial's new sticks and
+    takes the compared pairs from the index's buckets instead of bucketing
+    ``sticks``.  It takes no ``changed``: the staged trial names its new
+    sticks.  Pairs come in slot order, which is position order in
+    ``sticks``, so the result is the one ``changed`` at the new sticks'
+    positions gives.
     """
     if index is not None:
-        pairs = index.touching_pairs(sticks, changed)
+        sticks, pairs = index.trial, index.touching_pairs()
     else:
         pairs = _touching_pairs(sticks, None if changed is None else set(changed))
     marker_points = set((markers or {}).values())

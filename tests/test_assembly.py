@@ -2,7 +2,7 @@ import copy
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -254,7 +254,31 @@ def synthetic_column(directions, partner_for=()):
     return sticks
 
 
+def edited_column(directions, change):
+    """``synthetic_column(directions)`` through a ``StickIndex``, with one
+    attachment committed to it: a -y stick added at level 2, or the top
+    attachment removed."""
+    index = StickIndex(synthetic_column(directions))
+    if change == "added":
+        index.stage({}, (), [stick((0, -3, 2), (0, 0, 2))])
+    else:
+        index.stage({}, (index.attachments((0, 0), (0, 99))[-1][1],), [])
+    index.commit()
+    return index
+
+
 class TestMergePlanner:
+    @pytest.mark.parametrize("change,found", [("added", 5), ("removed", 3)])
+    def test_attachment_count_guard(self, change, found):
+        """A column whose attachments disagree with the vertex's degree
+        yields no plan."""
+        index = edited_column([(1, 0), (1, 0), (0, 1), (-1, 0)], change)
+        plans = _vertex_plans(index, "v", (0, 0), (0, 99), 4, 12)
+        with pytest.raises(
+            MergeCollision, match=f"^vertex v: found {found} attachments, expected 4$"
+        ):
+            next(plans)
+
     def test_parallel_target_translates_perpendicular(self):
         # pivot along +x and the next stick also +x: first free move is a
         # translate in +y, absorbed by the far-end partner
@@ -447,6 +471,18 @@ class TestApplyMerges:
         assert sum(len(vp.steps) for vp in merged.merge_plans) == n_merges
         after = _counts(merged.sticks, merged.markers).total
         assert after - before == n_merges
+
+    @pytest.mark.parametrize("change,got", [("added", 4), ("removed", 2)])
+    def test_degree3_attachment_count_guard(self, change, got):
+        """A degree-3 vertex whose column does not hold exactly three
+        attachments gets no marker."""
+        index = edited_column([(1, 0), (1, 0), (0, 1)], change)
+        asm = assembly.Assembly(
+            sticks=index.state(), unit=12, vertex_axis={"v": (0, 0)}, vertex_zrange={"v": (0, 99)}
+        )
+        cens = SimpleNamespace(degrees={"v": 3})
+        with pytest.raises(MergeCollision, match=f"^vertex v: expected 3 attachments, got {got}$"):
+            apply_merges(cens, asm)
 
     def test_pivot_marker_incidence(self):
         spec, cens, tree, builds, asm = stages(DEMOS["bouquet3"])
@@ -922,15 +958,15 @@ def test_stacked_and_merged_states_are_clean(name):
 
 @pytest.mark.parametrize("doc", [DEMOS["bouquet3"], CHAIN], ids=["bouquet3", "chain"])
 def test_merge_trial_fault_rejected(monkeypatch, doc):
-    """A stick crossing a kept stick, added to every merge trial, makes
-    every plan collide."""
-    original = assembly._apply_vertex_plan
+    """A stick crossing a kept stick, appended to every merge trial the
+    index stages, makes every plan collide."""
+    original = StickIndex.stage
 
-    def faulty(sticks, plan):
-        trial = original(sticks, plan)
-        return trial + [_crossing(trial[0])]
+    def faulty(index, replaced, removed, appended):
+        trial = original(index, replaced, removed, appended)
+        return original(index, replaced, removed, [*appended, _crossing(trial[0])])
 
-    monkeypatch.setattr(assembly, "_apply_vertex_plan", faulty)
+    monkeypatch.setattr(StickIndex, "stage", faulty)
     with pytest.raises(MergeCollision, match="all merge moves collide"):
         build_full(spec_from_document(doc))
 
@@ -1136,15 +1172,43 @@ def test_straighten_without_branch_run():
     assert out.warnings == warnings + ["mid: no branch run found, not straightened"]
 
 
-def _merge_outcome(merge, doc):
-    """``merge(cens, asm)`` on the stacked ``doc``: its plans, sticks in
-    order and markers, or the class and message of what it raised."""
+def _index_states(sticks, plans):
+    """The state, by slot, of the stick index each plan was applied to."""
+    index = StickIndex(sticks)
+    for plan in plans:
+        yield dict(index.sticks)
+        assembly._apply_vertex_plan(index, plan)
+        index.commit()
+
+
+def _list_states(sticks, plans):
+    """The stick list each scanning-oracle plan was applied to."""
+    for plan in plans:
+        yield sticks
+        sticks = oracles.apply_vertex_plan(sticks, plan)
+
+
+def _merge_outcome(merge, states, doc):
+    """``merge(cens, asm)`` on the stacked ``doc``: its plans with each
+    step's stick numbers read as the sticks they name in ``states`` (the
+    states the plans were applied to), the sticks in order and the markers,
+    or the class and message of what it raised."""
     spec, cens, tree, builds, asm = stages(doc)
+    stacked = list(asm.sticks)
     try:
         out = merge(cens, asm)
     except LatticeStickError as exc:
         return type(exc), str(exc)
-    return out.merge_plans, out.sticks, out.markers
+
+    def named(step, state):
+        partner = None if step.partner is None else state[step.partner]
+        return replace(step, index=state[step.index], partner=partner)
+
+    plans = [
+        replace(plan, steps=tuple(named(step, state) for step in plan.steps))
+        for plan, state in zip(out.merge_plans, states(stacked, out.merge_plans))
+    ]
+    return plans, out.sticks, out.markers
 
 
 MERGE_GROUPS = {
@@ -1156,15 +1220,32 @@ MERGE_GROUPS = {
 
 @pytest.mark.parametrize("group", sorted(MERGE_GROUPS))
 def test_merge_stage_matches_scanning_oracle(group):
-    """Merging through the stick index gives the plans, the stick list in
-    its order and the markers that scanning every stick gives, or the same
+    """Merging through the stick index gives the plans, each step naming
+    the same sticks of the state it was applied to, the stick list in its
+    order and the markers that scanning every stick gives, or the same
     error."""
     outcomes = Counter()
     for i, doc in enumerate(MERGE_GROUPS[group]()):
-        got = _merge_outcome(apply_merges, doc)
-        assert got == _merge_outcome(oracles.apply_merges, doc), (group, i)
+        got = _merge_outcome(apply_merges, _index_states, doc)
+        assert got == _merge_outcome(oracles.apply_merges, _list_states, doc), (group, i)
         outcomes[got[0] if isinstance(got[0], type) else "merged"] += 1
     assert outcomes["merged"], outcomes
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(min_value=300, max_value=2**32 - 1))
+def test_fresh_random_trees(seed):
+    """Random cut trees beyond the pinned seeds 0-299: merging through the
+    index gives what scanning every stick gives, and the build returns a
+    certified embedding or raises one of the named build failures."""
+    doc = _bench_workloads().tree_input(random.Random(seed))
+    got = _merge_outcome(apply_merges, _index_states, doc)
+    assert got == _merge_outcome(oracles.apply_merges, _list_states, doc)
+    try:
+        _, counts, bounds = build_full(spec_from_document(doc))
+    except (NoFreeDirection, BoundViolated, MergeCollision):
+        return
+    assert bounds.ok and bounds.total == counts.total
 
 
 def test_index_only_where_a_vertex_has_degree_three(monkeypatch):

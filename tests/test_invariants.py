@@ -416,7 +416,7 @@ def lattice_traces(draw):
 
 def assert_matches_reference(traces):
     """``project_generic`` against the rational reference at n = N, 2N and
-    4N, where N is its shear: if the sticks touch, the reference is not
+    4N, where N = 2 << max|c|.bit_length() is its shear: if the sticks touch, the reference is not
     generic at any n; otherwise it finds the same (over, under) pairs at
     every n, at N the same points, and the diagram is returned."""
     emb = LatticeEmbedding((), {}, traces, ((0, 0, 0), (0, 0, 0)))
@@ -428,7 +428,14 @@ def assert_matches_reference(traces):
         assert "not self-avoiding" in str(exc)
         assert all(ref_try_project(traces, k * n) is None for k in (1, 2, 4))
         return None
-    assert dia.shear_n == n > 2 * top
+    # the shear is N, crossings or not: each segment's image is
+    # (N²x + Nz, N²y + z) of its ends
+    assert n > 2 * top
+    nsq = n * n
+    assert all(
+        (s.a, s.b) == tuple((nsq * x + n * z, nsq * y + z) for x, y, z in (s.a3, s.b3))
+        for s in dia.segments
+    )
     for k in (1, 2, 4):
         ref = ref_try_project(traces, k * n)
         assert ref is not None
@@ -438,7 +445,6 @@ def assert_matches_reference(traces):
             (over, under) for over, under, _ in crossings
         ]
         if k == 1:
-            nsq = n * n
             assert [c.at for c in dia.crossings] == [(nsq * x, nsq * y) for *_, (x, y) in crossings]
     return dia
 

@@ -283,11 +283,18 @@ def test_pipeline_checks_match_oracle(monkeypatch):
 
     def compared(sticks, markers=None, ends=None, changed=None, index=None):
         interior_only = ends is None
+        if index is not None:
+            # the staged trial's new sticks: those no slot of the state holds
+            assert changed is None and list(index.trial.values()) == sticks
+            staged = enumerate(index.trial.items())
+            changed = [i for i, (k, s) in staged if index.sticks.get(k) is not s]
+            result = original(sticks, markers, ends, index=index)
+        else:
+            result = original(sticks, markers, ends, changed)
         if changed is None:
             assert interior_only or ends == endpoint_census(sticks)
         else:
             assert interior_only or ends == endpoint_census_at(sticks, changed)
-        result = original(sticks, markers, ends, changed, index)
         assert result == _all_pairs_self_avoiding(sticks, markers, interior_only, changed)
         full = _all_pairs_self_avoiding(sticks, markers, interior_only)
         assert (result == []) == (full == [])
@@ -306,13 +313,12 @@ def test_pipeline_checks_match_oracle(monkeypatch):
 def _canonical(index):
     """The index with each slot read as its position in the state: equal
     for two indexes of one state however their slots were numbered."""
-    live = [k for k, s in enumerate(index.sticks) if s is not None]
-    assert [index.slot(i) for i in range(len(live))] == live
-    assert [index.position(k) for k in live] == list(range(len(live)))
+    slots = list(index.sticks)
+    assert slots == sorted(slots)
+    position = {k: i for i, k in enumerate(slots)}
 
-    def positions(slots):
-        assert all(index.sticks[k] is not None for k in slots)
-        return sorted(index.position(k) for k in slots)
+    def positions(bucket):
+        return sorted(position[k] for k in bucket)
 
     return (
         index.state(),
@@ -336,8 +342,9 @@ def test_index_check_matches_bucketed_and_all_pairs(data):
     oracle find.  A committed edit leaves the index equal to a fresh index
     of the trial; an edit never committed leaves it as it was."""
     index = StickIndex(data.draw(st.lists(grid_sticks(), min_size=1, max_size=12)))
+    used = set(index.sticks)  # every slot the state has held
     for _ in range(data.draw(st.integers(1, 4))):
-        live = [k for k, s in enumerate(index.sticks) if s is not None]
+        live = list(index.sticks)
         picked = data.draw(st.lists(st.sampled_from(live), unique=True)) if live else []
         replaced, removed = {}, set()
         for k in picked:
@@ -348,7 +355,12 @@ def test_index_check_matches_bucketed_and_all_pairs(data):
         appended = data.draw(st.lists(grid_sticks(), max_size=3))
         before = _canonical(index)
         trial = index.stage(replaced, removed, appended)
-        changed = index.changed(trial)
+        # slot order is position order, and no appended stick takes a slot
+        # the state has held, removed ones included
+        slots = list(index.trial)
+        assert slots == sorted(slots) and list(index.trial.values()) == trial
+        assert not used & set(slots[len(slots) - len(appended) :])
+        changed = [i for i, k in enumerate(slots) if k in replaced or k not in live]
         kept = [index.sticks[k] for k in live if k not in replaced and k not in removed]
         unchanged = [s for i, s in enumerate(trial) if i not in changed]
         assert len(unchanged) == len(kept) and all(s is t for s, t in zip(unchanged, kept))
@@ -360,18 +372,20 @@ def test_index_check_matches_bucketed_and_all_pairs(data):
             st.lists(st.sampled_from(points), max_size=2, unique=True) if points else st.just([])
         )
         markers = {f"m{n}": p for n, p in enumerate(marked)}
-        indexed = check_self_avoiding(trial, markers, ends, changed, index)
+        indexed = check_self_avoiding(trial, markers, ends, index=index)
         assert indexed == check_self_avoiding(trial, markers, ends, changed)
         assert indexed == _all_pairs_self_avoiding(trial, markers, ends is None, set(changed))
         assert _canonical(index) == before
         if data.draw(st.booleans()):
-            index.commit(trial)
+            index.commit()
+            used.update(index.sticks)
             assert _canonical(index) == _canonical(StickIndex(trial))
+            position = {k: i for i, k in enumerate(index.sticks)}
             axes = {(p[0], p[1]) for p in points}
             for axis in axes:
                 zrange = (data.draw(st.sampled_from(GRID)), data.draw(st.sampled_from(GRID)))
                 assert [
-                    (z, index.position(k), d) for z, k, d in index.attachments(axis, zrange)
+                    (z, position[k], d) for z, k, d in index.attachments(axis, zrange)
                 ] == oracle_attachments(trial, axis, zrange)
 
 
