@@ -6,7 +6,9 @@ Binding points either carry a vertex label or are interior points of an edge,
 in which case exactly two arcs must meet there.
 
 A presentation tabulates the arcs at each binding point, in page order, once
-on first use; beta, degrees and column levels are all read from that table.
+on first use; degrees, column levels and beta are read from that table, but
+beta also counts every binding point the input lists, so that validation
+rejects a listed point no arc meets wherever it sits.
 """
 
 from __future__ import annotations
@@ -37,10 +39,12 @@ class Arc:
 
 @dataclass(frozen=True)
 class ArcPresentation:
-    """Arcs plus vertex labels keyed by binding index (1-based)."""
+    """Arcs plus vertex labels keyed by binding index (1-based); ``points``,
+    if nonzero, is how many binding points the input lists, all in beta."""
 
     arcs: tuple[Arc, ...]
     labels: dict[int, str] = field(default_factory=dict)
+    points: int = 0
 
     @property
     def alpha(self) -> int:
@@ -57,7 +61,8 @@ class ArcPresentation:
 
     @cached_property
     def beta(self) -> int:
-        return max(self._incidence, default=0)
+        beta = max(self._incidence, default=0)
+        return max(beta, self.points) if self.points else beta
 
     def arcs_at(self, bp: int) -> tuple[Arc, ...]:
         return self._incidence.get(bp, ())

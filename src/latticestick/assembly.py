@@ -15,7 +15,7 @@ stem up by 8*2^k, so each subtree's own component gets a power-of-two unit,
 and only the subtree's top and x/y box travel up the tree.  The second puts
 every tree on the unit ``12 * max(root unit)`` and walks the components in
 tree order, composing each one's final scale and offset from its stem's and
-mapping its sticks through them.  12 is lcm(2, 3, 4), so the merge offsets
+making its sticks there.  12 is lcm(2, 3, 4), so the merge offsets
 m/(d-2) of a unit are grid points for every degree d <= 6.  ``normalize``
 divides the grid back down to the smallest integer lattice.
 
@@ -41,7 +41,7 @@ from .errors import (
     NoFreeDirection,
     ReconstructionMismatch,
 )
-from .geom import Stick, Vec3, stick, transform, transform_point
+from .geom import Stick, Vec3, stick
 from .graph import ComponentClass, CutTree, GraphCensus, SpatialGraphSpec, build_cut_tree, census
 from .validate import (
     BoundReport,
@@ -147,7 +147,7 @@ def assemble(
 
     ``_size_subtree`` sizes each tree bottom-up.  Then one pass over
     ``tree.order`` composes each component's final scale and offset from its
-    stem's, maps the component's sticks through them once and joins a branch
+    stem's, makes the component's sticks there, each once, and joins a branch
     to its stem by its connector.
     """
     placed: dict[str, tuple[int, int, Vec3]] = {}
@@ -165,7 +165,7 @@ def assemble(
             stem_id, cut_vertex = tree.parent[cid]
             g, o = grid[stem_id]
             u, f, off = placed[cid]
-            g, o = g * f, transform_point(off, g, o)
+            g, o = g * f, tuple(g * c + oc for c, oc in zip(off, o))
         else:  # a root: every tree of the forest spans its own z-range
             u, ztop, _ = sized[cid]
             g, o = unit // u, (0, 0, top)
@@ -174,7 +174,7 @@ def assemble(
         grid[cid] = (g, o)
         scale = asm.comp_scale[cid] = g * u
         asm.comp_zspan[cid] = (scale + o[2], scale * max(1, b.pres.alpha) + o[2])
-        asm.sticks.extend(transform(s, scale, o) for s in b.sticks())
+        asm.sticks.extend(b.sticks(scale, o))
         for bp, label in b.pres.labels.items():
             ax, ay = b.column_axis(bp)
             axis = (scale * ax + o[0], scale * ay + o[1])
@@ -192,7 +192,8 @@ def assemble(
             ))
         corner = b.knot_corner()
         if corner is not None:  # a lone circle: its vertex sits on a bend
-            asm.markers[next(iter(b.pres.labels.values()))] = transform_point(corner, scale, o)
+            label = next(iter(b.pres.labels.values()))
+            asm.markers[label] = tuple(scale * c + oc for c, oc in zip(corner, o))
     return asm
 
 
@@ -285,11 +286,11 @@ def _vertex_plans(index: StickIndex, vertex, axis, zrange, degree, unit):
         raise NoFreeDirection(f"vertex {vertex}: no merge assignment exists")
 
 
-def _apply_vertex_plan(index: StickIndex, plan: VertexPlan) -> list[Stick] | None:
-    """Stage one vertex's merges on ``index`` and return the trial's sticks,
-    or return None if a step would leave a stick of zero length: a drop or
-    extend whose break point is the far end, or a translate that moves the
-    far end onto its partner's other end.
+def _apply_vertex_plan(index: StickIndex, plan: VertexPlan) -> bool:
+    """Stage one vertex's merges on ``index`` and return True, or return
+    False, staging nothing, if a step would leave a stick of zero length: a
+    drop or extend whose break point is the far end, or a translate that
+    moves the far end onto its partner's other end.
 
     A step replaces only sticks at its own level (its own, and a translate's
     partner, which is horizontal there) and appends only sticks that end at
@@ -311,14 +312,14 @@ def _apply_vertex_plan(index: StickIndex, plan: VertexPlan) -> list[Stick] | Non
 
         if step.move in ("drop", "extend"):
             if break_pt == far:
-                return None
+                return False
             replaced[step.index] = stick(break_pt, far, s.comp)
         else:  # translate: the stick shifts to the break point, its partner follows
             moved_far = (far[0] + step.epsilon * wx, far[1] + step.epsilon * wy, far[2])
             partner = index.sticks[step.partner]
             keep = partner.b if partner.a == far else partner.a
             if keep == moved_far:
-                return None
+                return False
             replaced[step.index] = stick(break_pt, moved_far, s.comp)
             replaced[step.partner] = stick(keep, moved_far, partner.comp)
         appended.append(stick(arm_end, break_pt, s.comp))
@@ -331,7 +332,8 @@ def _apply_vertex_plan(index: StickIndex, plan: VertexPlan) -> list[Stick] | Non
     }
     appended.append(stick((ax, ay, plan.column_base), (ax, ay, plan.pivot_level)))
     appended.append(stick((ax, ay, plan.pivot_level), (ax, ay, plan.new_top)))
-    return index.stage(replaced, run, appended)
+    index.stage(replaced, run, appended)
+    return True
 
 
 def apply_merges(cens: GraphCensus, asm: Assembly) -> Assembly:
@@ -362,10 +364,9 @@ def apply_merges(cens: GraphCensus, asm: Assembly) -> Assembly:
             degrees[label],
             min(asm.comp_scale[c] for c in cens.points[label]),
         ):
-            trial = _apply_vertex_plan(index, plan)
-            if trial is None:
-                continue
-            if not check_self_avoiding(trial, index=index):
+            if _apply_vertex_plan(index, plan) and not check_self_avoiding(
+                index.trial, index=index
+            ):
                 index.commit()
                 break
         else:
@@ -397,16 +398,18 @@ def straighten_arcs(
     sliding its branch subtree sideways over the stem's cut-vertex column.
 
     One pass over the sticks per link sorts each stick into one group: the
-    elbow (the link's x-stick at the near column, its y-stick at the far
-    one); the far-axis run from the elbow to the bottom of the branch's
-    z-slab (the connector, or the fused run a merge rebuilt); the sticks
-    inside the slab, rebuilt moved onto the near column; straddlers, with
-    exactly one end in the slab; and the rest, which stay.  The elbow and
-    the run give way to one vertical stick on the near axis.  Only the new
-    stick and the unmoved sticks spanning the slab are checked: the branch
-    moves rigidly in x and y, so pairs inside it keep their contact kinds,
-    and every other unmoved stick has both ends outside the slab.  Removing
-    sticks only lowers endpoint counts, and markers move with their sticks.
+    elbow (the link's sticks at its page level, one ending on the near
+    column and one on the far, whichever binding point holds which vertex;
+    a merge that rerouted one leaves the link as it is); the far-axis run
+    from the elbow to the bottom of the branch's z-slab (the connector, or
+    the fused run a merge rebuilt); the sticks inside the slab, rebuilt
+    moved onto the near column; straddlers, with exactly one end in the
+    slab; and the rest, which stay.  The elbow and the run give way to one
+    vertical stick on the near axis.  Only the new stick and the unmoved
+    sticks spanning the slab are checked: the branch moves rigidly in x and
+    y, so pairs inside it keep their contact kinds, and every other unmoved
+    stick has both ends outside the slab.  Removing sticks only lowers
+    endpoint counts, and markers move with their sticks.
 
     Components realising more than one arc stay untouched (they may be
     knotted, and flattening them would change the embedding's type); every
@@ -436,15 +439,15 @@ def straighten_arcs(
         dx, dy = nx - fx, ny - fy
         near, far = (nx, ny, z_arc), (fx, fy, z_arc)
 
-        elbow = [0, 0]  # link x-sticks ending at near, y-sticks ending at far
+        elbow = [0, 0]  # link sticks at z_arc ending at near, and at far
         run_top = None
         straddles = False
         moved: list[Stick] = []
         changed: list[int] = []
         for s in asm.sticks:
             (ax, ay, az), (bx, by, bz) = s.a, s.b
-            if s.comp == comp_id and az == bz and s.has_end(near if ay == by else far):
-                elbow[ay != by] += 1
+            if s.comp == comp_id and az == bz and (s.has_end(near) or s.has_end(far)):
+                elbow[s.has_end(far)] += 1
             elif z_arc <= az < z_lo and (ax, ay) == (bx, by) == (fx, fy):
                 run_top = bz if run_top is None else max(run_top, bz)
             elif z_lo <= az and bz <= z_hi:

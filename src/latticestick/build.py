@@ -16,7 +16,8 @@ a component's state is two integers, the first column's x and the last
 one's y.  Lemma: whatever the two are, the sticks meet only at shared ends
 unless columns 1 and beta share an axis, as every other stick lies inside
 its fresh one and meets a moved column only at its own end.  So a slide is
-kept exactly when the axes differ; no slide regenerates or checks sticks.
+kept exactly when the axes differ, which after the first slide they always
+do.  ``assemble`` makes each stick once, at its final scale and offset.
 """
 
 from __future__ import annotations
@@ -51,22 +52,23 @@ class ComponentBuild:
     def vertex_bp(self, label: str) -> int:
         return {lab: bp for bp, lab in self.pres.labels.items()}[label]
 
-    def sticks(self) -> list[Stick]:
-        """Regenerate the stick list from the current column positions."""
+    def sticks(self, scale: int, origin: Vec3) -> list[Stick]:
+        """The sticks of the current column positions, made once at ``scale *
+        local + origin``; a positive ``scale`` keeps each axis and end order."""
+        ox, oy, oz = origin
         out: list[Stick] = []
-        cid = self.comp_id
         for a in self.pres.arcs:
+            x, y, z = scale * a.hi + ox, scale * a.lo + oy, scale * a.page + oz
             x_start = self.column_axis(a.lo)[0]
             y_end = self.column_axis(a.hi)[1]
             if x_start < a.hi:
-                out.append(stick((x_start, a.lo, a.page), (a.hi, a.lo, a.page), cid))
+                out.append(stick((scale * x_start + ox, y, z), (x, y, z), self.comp_id))
             if y_end > a.lo:
-                out.append(stick((a.hi, a.lo, a.page), (a.hi, y_end, a.page), cid))
+                out.append(stick((x, y, z), (x, scale * y_end + oy, z), self.comp_id))
         for bp in range(1, self.pres.beta + 1):
-            levels = incident_levels(self.pres, bp)
-            x, y = self.column_axis(bp)
-            for z1, z2 in zip(levels, levels[1:]):
-                out.append(stick((x, y, z1), (x, y, z2)))
+            x, y = (scale * c + o for c, o in zip(self.column_axis(bp), origin))
+            zs = [scale * z + oz for z in incident_levels(self.pres, bp)]
+            out.extend(stick((x, y, z1), (x, y, z2)) for z1, z2 in zip(zs, zs[1:]))
         return out
 
     def knot_corner(self) -> Vec3 | None:
@@ -111,21 +113,18 @@ def _slide_ok(build: ComponentBuild) -> bool:
 
 def side_slide(build: ComponentBuild) -> ComponentBuild:
     """Translate the first column in +x and the last in -y, absorbing the
-    shortest attached stick(s); either move is skipped when it would
-    degenerate or collide, which is reported but never fatal."""
+    shortest attached stick(s).  The first slide is always made: it leaves
+    column 1 on (first_x, 1) and column beta on (beta, beta), which differ
+    as beta >= 2.  The last is skipped when ``_slide_ok`` finds the two
+    columns on one axis, which is reported but never fatal."""
     if build.cls is ComponentClass.ARC:
         return build
     pres = build.pres
-    slides = (
-        ("first", "first_x", min(a.hi for a in pres.arcs_at(1))),
-        ("last", "last_y", max(a.lo for a in pres.arcs_at(pres.beta))),
-    )
-    for where, coord, target in slides:
-        trial = replace(build, **{coord: target})
-        if _slide_ok(trial):
-            build = trial
-        else:
-            build.warnings.append(f"{build.comp_id}: side slide at {where} binding point blocked")
+    build = replace(build, first_x=min(a.hi for a in pres.arcs_at(1)))
+    trial = replace(build, last_y=max(a.lo for a in pres.arcs_at(pres.beta)))
+    if _slide_ok(trial):
+        return trial
+    build.warnings.append(f"{build.comp_id}: side slide at last binding point blocked")
     return build
 
 

@@ -76,15 +76,6 @@ def stick(a: Vec3, b: Vec3, comp: str = "") -> Stick:
     return Stick(a, b, comp)
 
 
-def transform(s: Stick, scale: int, offset: Vec3) -> Stick:
-    """Scale ``s`` by a positive integer, then translate it by ``offset``."""
-    return Stick(transform_point(s.a, scale, offset), transform_point(s.b, scale, offset), s.comp)
-
-
-def transform_point(p: Vec3, scale: int, offset: Vec3) -> Vec3:
-    return tuple(scale * c + o for c, o in zip(p, offset))
-
-
 def contact(s: Stick, t: Stick):
     """Classify the contact between two sticks.
 

@@ -90,7 +90,8 @@ def spec_from_document(doc) -> SpatialGraphSpec:
             if not {a["from"], a["to"]} <= indices:
                 raise DocumentError(f"arc references unlisted binding point in {comp_id}")
             arcs.append(Arc(a["page"], min(a["from"], a["to"]), max(a["from"], a["to"])))
-        components.append(ComponentSpec(comp_id, ArcPresentation(tuple(arcs), labels)))
+        pres = ArcPresentation(tuple(arcs), labels, len(indices))
+        components.append(ComponentSpec(comp_id, pres))
     attachments = []
     for att in _list(doc.get("attachments", []), "attachments"):
         keys = ("stem", "branch", "cut_vertex")

@@ -211,8 +211,8 @@ class StickIndex:
 
     def stage(
         self, replaced: dict[int, Stick], removed: Collection[int], appended: list[Stick]
-    ) -> list[Stick]:
-        """Stage a trial and return its sticks: the state with the sticks of
+    ) -> None:
+        """Stage a trial as ``trial``: the state with the sticks of
         ``replaced`` in their slots, the ``removed`` slots dropped and
         ``appended`` after the rest, in the next unused slots."""
         trial = dict(self.sticks)
@@ -223,7 +223,6 @@ class StickIndex:
         trial.update(zip(added, appended))
         self.trial = trial
         self._staged = (replaced, removed, added)
-        return list(trial.values())
 
     def commit(self) -> None:
         """Make the staged trial the indexed state."""
@@ -301,13 +300,13 @@ def check_self_avoiding(
     kept its marker and gained no stick end but a changed stick's.  Under it
     the result is empty exactly when the full check's result is empty.
 
-    ``index``, with ``sticks`` the trial that ``index.stage`` returned,
+    ``index``, with ``sticks`` its staged ``index.trial`` (slot to stick),
     restricts the check the same way to the staged trial's new sticks and
     takes the compared pairs from the index's buckets instead of bucketing
     ``sticks``.  It takes no ``changed``: the staged trial names its new
-    sticks.  Pairs come in slot order, which is position order in
-    ``sticks``, so the result is the one ``changed`` at the new sticks'
-    positions gives.
+    sticks.  Pairs come in slot order, which is position order in the
+    trial's sticks, so the result is the one ``changed`` at the new sticks'
+    positions gives for the list of them.
     """
     if index is not None:
         sticks, pairs = index.trial, index.touching_pairs()

@@ -2,8 +2,10 @@
 dense coloring matrix, the algebraic agreement of the two stick bounds, the
 binding-point law, stick construction and contact through tuple
 comprehensions, the side-slide trial that regenerates and checks the sticks
-where the build compares two column axes, and the vertex-merging stage that
-scans every stick where the build reads its stick index.
+where the build compares two column axes, the rigid map that carried local
+sticks to their stacked place where the build makes them there, and the
+vertex-merging stage that scans every stick where the build reads its stick
+index.
 
 The package computes none of these; the tests check its results against
 them.  The module name keeps pytest from collecting it.
@@ -121,9 +123,18 @@ def slide_ok(build, moved_bp):
     if build.column_axis(1) == build.column_axis(build.pres.beta):
         return False
     axis = build.column_axis(moved_bp)
-    sticks = build.sticks()
+    sticks = build.sticks(1, (0, 0, 0))
     changed = [i for i, s in enumerate(sticks) if any(p[:2] == axis for p in s.ends())]
     return not check_self_avoiding(sticks, changed=changed)
+
+
+def transform(s, scale, offset):
+    """Scale ``s`` by a positive integer, then translate it by ``offset``."""
+    return Stick(transform_point(s.a, scale, offset), transform_point(s.b, scale, offset), s.comp)
+
+
+def transform_point(p, scale, offset):
+    return tuple(scale * c + o for c, o in zip(p, offset))
 
 
 # --- vertex merging by scans over every stick --------------------------------

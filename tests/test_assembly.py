@@ -28,8 +28,8 @@ from latticestick.errors import (
     NoFreeDirection,
 )
 from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
-from latticestick.geom import stick, transform, transform_point
-from latticestick.graph import ComponentClass, build_cut_tree, census
+from latticestick.geom import Stick, stick
+from latticestick.graph import ComponentClass, ComponentSpec, build_cut_tree, census
 from latticestick.io import embedding_from_document, embedding_to_document, spec_from_document
 from latticestick.validate import (
     StickIndex,
@@ -39,6 +39,8 @@ from latticestick.validate import (
     full_audit,
 )
 import oracles
+from oracles import transform, transform_point
+from test_build import presentations
 from test_golden import INPUTS as GOLDEN_INPUTS, _bench_workloads, chain
 from test_properties import THETA5
 
@@ -138,7 +140,7 @@ def _oracle_realize(comp_id, builds, tree):
         subs.append((sub, cut_vertex, (cx, cy, u * cb.column_zrange(cbp)[0]), width))
     unit = max((8 * width for *_, width in subs), default=1)
     out = _OracleRealized(
-        sticks=[transform(s, unit, (0, 0, 0)) for s in b.sticks()],
+        sticks=[transform(s, unit, (0, 0, 0)) for s in b.sticks(1, (0, 0, 0))],
         scale={comp_id: unit},
         offset={comp_id: (0, 0, 0)},
         zmax=unit * max(1, b.pres.alpha),
@@ -219,23 +221,39 @@ def test_stacking_matches_oracle(group):
         assert Counter(asm.sticks) == Counter(ref.sticks), (group, i)
 
 
-def test_each_stick_transformed_once(monkeypatch):
-    """The whole build maps every component stick once, in ``assemble``
-    through its final scale and offset, and transforms nothing else:
-    straightening rebuilds the sticks it moves itself."""
-    original = assembly.transform
+def test_each_stacked_stick_constructed_once(monkeypatch):
+    """Every stick ``assemble`` stacks is constructed exactly once, at its
+    final coordinates: component sticks and connectors alike."""
+    original = Stick.__init__
     calls = []
 
-    def counted(s, scale, offset):
-        calls.append(s)
-        return original(s, scale, offset)
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
 
-    monkeypatch.setattr(assembly, "transform", counted)
+    monkeypatch.setattr(Stick, "__init__", counted)
     for n in (4, 5, 6):
-        spec, cens, tree, builds, asm = stages(chain(n))
+        spec, cens, tree, builds, _ = stages(chain(n))
         calls.clear()
-        build_full(spec)
-        assert len(calls) == sum(len(b.sticks()) for b in builds.values()), n
+        asm = assemble(spec, tree, builds)
+        assert len(calls) == len(asm.sticks), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pres=presentations(),
+    slid=st.booleans(),
+    scale=st.integers(1, 1000),
+    origin=st.tuples(*[st.integers(-(10**6), 10**6)] * 3),
+)
+def test_sticks_in_place_match_the_rigid_map(pres, slid, scale, origin):
+    """A component's sticks made at ``scale`` and ``origin`` are its local
+    sticks mapped through the rigid map, in the same order."""
+    b = build.build_arc_diagram(ComponentSpec("c", pres), ComponentClass.KNOT)
+    if slid:
+        b = build.side_slide(b)
+    local = b.sticks(1, (0, 0, 0))
+    assert b.sticks(scale, origin) == [transform(s, scale, origin) for s in local]
 
 
 def synthetic_column(directions, partner_for=()):
@@ -295,7 +313,9 @@ class TestMergePlanner:
         assert step.move == "translate"
         partner = sticks[step.partner]
         assert partner.axis == 1 and partner.has_end((3, 0, 3))
-        trial = assembly._apply_vertex_plan(StickIndex(sticks), plan)
+        index = StickIndex(sticks)
+        assert assembly._apply_vertex_plan(index, plan)
+        trial = list(index.trial.values())
         kept = {id(s) for s in trial}
         column = [s for s in sticks if s.axis == 2]
         gone = [s for s in sticks if id(s) not in kept and s not in column]
@@ -329,7 +349,9 @@ class TestMergePlanner:
         sticks = synthetic_column(directions)
         plan = next(_vertex_plans(StickIndex(sticks), "v", (0, 0), (0, 99), 6, 12))
         assert (plan.steps[0].move, plan.steps[0].epsilon) == ("drop", 3)
-        assert assembly._apply_vertex_plan(StickIndex(sticks), plan) is None
+        index = StickIndex(sticks)
+        assert assembly._apply_vertex_plan(index, plan) is False
+        assert index.trial is None
 
     def test_translate_onto_the_partners_end_is_no_plan(self):
         # half of a unit of 6 moves the far end (3, 0, 3) by 3 in +y, onto
@@ -339,8 +361,11 @@ class TestMergePlanner:
         assert [(s.move, s.direction, s.epsilon) for s in up.steps + down.steps] == [
             ("translate", (0, 1), 3), ("translate", (0, -1), 3)
         ]
-        assert assembly._apply_vertex_plan(StickIndex(sticks), up) is None
-        assert stick((3, -3, 3), (3, 3, 3)) in assembly._apply_vertex_plan(StickIndex(sticks), down)
+        index = StickIndex(sticks)
+        assert assembly._apply_vertex_plan(index, up) is False
+        assert index.trial is None
+        assert assembly._apply_vertex_plan(index, down) is True
+        assert stick((3, -3, 3), (3, 3, 3)) in index.trial.values()
 
     def test_distinct_directions_and_offsets(self):
         for doc in (DEMOS["bouquet3"], DEMOS["theta-composite"], CHAIN):
@@ -963,8 +988,9 @@ def test_merge_trial_fault_rejected(monkeypatch, doc):
     original = StickIndex.stage
 
     def faulty(index, replaced, removed, appended):
-        trial = original(index, replaced, removed, appended)
-        return original(index, replaced, removed, [*appended, _crossing(trial[0])])
+        original(index, replaced, removed, appended)
+        first = next(iter(index.trial.values()))
+        original(index, replaced, removed, [*appended, _crossing(first)])
 
     monkeypatch.setattr(StickIndex, "stage", faulty)
     with pytest.raises(MergeCollision, match="all merge moves collide"):
@@ -1119,6 +1145,42 @@ def test_straightening_matches_oracle(group):
         for key in ("sticks", "markers", "vertex_axis", "warnings"):
             assert getattr(out, key) == getattr(ref, key), (group, i, key)
     assert reached, group
+
+
+def _flip_links(doc, ids):
+    """``doc`` with the two vertex labels of each link in ``ids`` swapped:
+    the same graph, with the link's near vertex on binding point 2."""
+    doc = copy.deepcopy(doc)
+    for comp in doc["components"]:
+        if comp["id"] in ids:
+            points = comp["binding_points"]
+            points[0]["vertex"], points[1]["vertex"] = points[1]["vertex"], points[0]["vertex"]
+    return doc
+
+
+def test_flipped_links_straighten():
+    """Links written either way round straighten: a 3-theta chain with both
+    links flipped builds the 50 sticks of the chain as drawn, with no note."""
+    doc = _bench_workloads().chain_input(3)
+    drawn, _, _ = build_full(spec_from_document(doc))
+    for ids in (["a2"], ["a3"], ["a2", "a3"]):
+        emb, counts, _ = build_full(spec_from_document(_flip_links(doc, ids)))
+        assert counts.total == len(drawn.sticks) == 50, ids
+        assert emb.warnings == drawn.warnings, ids
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_flipped_links_build_as_drawn(n, seed, data):
+    """A random chain with any of its links written the other way round
+    builds a certified embedding with the stick count of the chain as
+    drawn, and straightens every link it flips."""
+    doc = _bench_workloads().chain_input(n, random.Random(seed))
+    flipped = data.draw(st.sets(st.sampled_from([f"a{i}" for i in range(2, n + 1)])))
+    _, drawn, _ = build_full(spec_from_document(doc))
+    emb, counts, _ = build_full(spec_from_document(_flip_links(doc, flipped)))
+    assert counts == drawn
+    assert not any("rerouted by merging" in w for w in emb.warnings)
 
 
 def _chain_link():

@@ -8,7 +8,7 @@ from latticestick.build import build_arc_diagram, build_component, side_slide
 from latticestick.geom import stick
 from latticestick.graph import ComponentClass, ComponentSpec, census
 from latticestick.io import spec_from_document
-from latticestick.fixtures import DEMOS
+from latticestick.fixtures import CHAIN, DEMOS
 from latticestick.validate import check_self_avoiding
 import oracles
 from test_validate import _all_pairs_self_avoiding
@@ -32,13 +32,13 @@ def classified(doc):
 
 def on_axis(b, axis):
     """x-sticks (axis 0) and y-sticks (axis 1) realise arcs; axis 2 are columns."""
-    return [s for s in b.sticks() if s.axis == axis]
+    return [s for s in b.sticks(1, (0, 0, 0)) if s.axis == axis]
 
 
 class TestArcDiagram:
     def test_single_arc_elbow(self):
         b = build_arc_diagram(*ARC13)
-        horizontals = [s for s in b.sticks() if s.axis != 2]
+        horizontals = [s for s in b.sticks(1, (0, 0, 0)) if s.axis != 2]
         assert [(s.a, s.b) for s in horizontals] == [
             ((1, 1, 1), (3, 1, 1)),
             ((3, 1, 1), (3, 3, 1)),
@@ -48,7 +48,7 @@ class TestArcDiagram:
         b = build_arc_diagram(*U2)
         assert len(on_axis(b, 0)) == 2 and len(on_axis(b, 1)) == 2
         assert {s.comp for s in on_axis(b, 0) + on_axis(b, 1)} == {"u"}
-        assert {s.a[2] for s in b.sticks()} <= {1, 2}
+        assert {s.a[2] for s in b.sticks(1, (0, 0, 0))} <= {1, 2}
 
     def test_th3_spans(self):
         b = build_arc_diagram(*TH3)
@@ -83,7 +83,7 @@ class TestColumns:
         assert len(cols) == 2
         assert {(s.a[0], s.a[1]) for s in cols} == {(1, 1), (2, 2)}
         assert {s.comp for s in cols} == {""}
-        assert len(b.sticks()) == 6
+        assert len(b.sticks(1, (0, 0, 0))) == 6
 
     def test_th3_column_segments(self):
         b = build_arc_diagram(*TH3)
@@ -98,7 +98,7 @@ class TestColumns:
 class TestSideSlide:
     def test_u2_rectangle(self):
         b = side_slide(build_arc_diagram(*U2))
-        sticks = b.sticks()
+        sticks = b.sticks(1, (0, 0, 0))
         assert len(sticks) == 4
         got = {(s.a, s.b) for s in sticks}
         assert got == {
@@ -112,7 +112,7 @@ class TestSideSlide:
     def test_th3_all_three_absorbed(self):
         b = side_slide(build_arc_diagram(*TH3))
         assert on_axis(b, 0) == []
-        assert len(b.sticks()) == 7
+        assert len(b.sticks(1, (0, 0, 0))) == 7
         assert any("blocked" in w for w in b.warnings)
 
     def test_trefoil_single_absorption_each_side(self):
@@ -125,8 +125,6 @@ class TestSideSlide:
         assert after.column_axis(5) == (5, 3)
 
     def test_arc_component_untouched(self):
-        from latticestick.fixtures import CHAIN
-
         (mid,) = [(c, cls) for c, cls in classified(CHAIN) if c.id == "mid"]
         b = side_slide(build_arc_diagram(*mid))
         assert b.column_axis(1) == (1, 1)
@@ -139,14 +137,14 @@ class TestSideSlide:
                 after = side_slide(before)
                 if after.cls.value == "arc":
                     continue
-                n_before = len([s for s in before.sticks() if s.axis != 2])
-                n_after = len([s for s in after.sticks() if s.axis != 2])
+                n_before = len([s for s in before.sticks(1, (0, 0, 0)) if s.axis != 2])
+                n_after = len([s for s in after.sticks(1, (0, 0, 0)) if s.axis != 2])
                 assert n_before - n_after >= 2, (name, comp.id)
 
     def test_build_component_self_avoiding(self):
         for doc in DEMOS.values():
             for comp, cls in classified(doc):
-                sticks = build_component(comp, cls).sticks()
+                sticks = build_component(comp, cls).sticks(1, (0, 0, 0))
                 assert check_self_avoiding(sticks) == []
 
 
@@ -177,7 +175,7 @@ def presentations(draw):
 def test_fresh_arc_diagram_is_clean(pres):
     """The base of the first slide trial, which no build checks, is clean."""
     b = build_arc_diagram(ComponentSpec("c", pres), ComponentClass.KNOT)
-    assert check_self_avoiding(b.sticks()) == []
+    assert check_self_avoiding(b.sticks(1, (0, 0, 0))) == []
 
 
 def assert_slide_verdict(b):
@@ -188,7 +186,7 @@ def assert_slide_verdict(b):
     beta = b.pres.beta
     verdict = build._slide_ok(b)
     assert all(verdict == oracles.slide_ok(b, bp) for bp in (1, beta))
-    clean = _all_pairs_self_avoiding(b.sticks(), interior_only=True) == []
+    clean = _all_pairs_self_avoiding(b.sticks(1, (0, 0, 0)), interior_only=True) == []
     (lo1, hi1), (lo2, hi2) = b.column_zrange(1), b.column_zrange(beta)
     assert clean == (verdict or min(hi1, hi2) <= max(lo1, lo2))
 
@@ -214,6 +212,19 @@ def test_slide_verdict_from_column_axes_on_fixtures():
     (unknot,) = classified(DEMOS["unknot"])
     slid = side_slide(build_arc_diagram(*unknot))
     assert slid.warnings == ["u: side slide at last binding point blocked"]
+
+
+def test_one_slide_trial_per_component(monkeypatch):
+    """Only the last slide can be blocked, so ``side_slide`` judges one
+    trial per sliding component and none for an arc component."""
+    original = build._slide_ok
+    calls = []
+    monkeypatch.setattr(build, "_slide_ok", lambda b: calls.append(b) or original(b))
+    for doc in (*DEMOS.values(), CHAIN):
+        for comp, cls in classified(doc):
+            calls.clear()
+            side_slide(build_arc_diagram(comp, cls))
+            assert len(calls) == (cls is not ComponentClass.ARC), comp.id
 
 
 @dataclass
@@ -297,7 +308,7 @@ def assert_same_state(b, oracle):
     assert [b.column_axis(bp) for bp in range(1, beta + 1)] == [
         oracle.column_axis(bp) for bp in range(1, beta + 1)
     ]
-    assert b.sticks() == oracle.sticks()
+    assert b.sticks(1, (0, 0, 0)) == oracle.sticks()
 
 
 @settings(max_examples=200, deadline=None)

@@ -172,6 +172,20 @@ class TestBuild:
         assert run("build", "--input", str(inp), "--output", str(tmp_path / "o.json")) == 1
         assert "degree" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("to", [2, 3], ids=["trailing", "inside"])
+    def test_listed_point_without_arc_rejected(self, tmp_path, capsys, to):
+        """A listed binding point that no arc meets is invalid, whether it
+        comes after every point an arc reaches or sits between two."""
+        points = [*LOOP["binding_points"], {"index": 3}]
+        arcs = [{"page": p, "from": 1, "to": to} for p in (1, 2)]
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps({"components": [{**LOOP, "binding_points": points, "arcs": arcs}]}))
+        message = f"invalid: component c: binding point {5 - to} has no incident arc\n"
+        assert run("build", "--input", str(inp), "--output", str(tmp_path / "o.json")) == 1
+        assert capsys.readouterr().err == message
+        assert run("bound", "--input", str(inp)) == 1
+        assert capsys.readouterr().err == message
+
 
 class TestValidate:
     def test_build_then_validate(self, tmp_path):
