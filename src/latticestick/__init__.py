@@ -1,16 +1,10 @@
 """Lattice stick embeddings of spatial graphs from arc presentations."""
 
 from .arcs import Arc, ArcPresentation, incident_levels, presentation, validate_presentation
-from .assembly import (
-    LatticeEmbedding,
-    apply_merges,
-    assemble,
-    build_full,
-    normalize,
-    straighten_arcs,
-)
+from .assembly import apply_merges, assemble, build_full, normalize, straighten_arcs
 from .bounds import arc_index_upper, construction_count, crossing_stick_bound
 from .build import build_arc_diagram, build_component, side_slide
+from .geom import LatticeEmbedding
 from .graph import (
     ComponentClass,
     ComponentSpec,

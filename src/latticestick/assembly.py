@@ -23,15 +23,19 @@ Merging works on one ``StickIndex`` of the stacked sticks, built only when
 some vertex has degree 3 or more, and names every stick by its slot there:
 the planner reads attachments and far-end partners from it, a plan's steps
 name the slots they reroute, a plan finds its run to fuse in the column's
-line bucket, each trial is staged on it and checked against its new sticks'
-buckets, and the kept trial is committed to it.  Straightening and the
-final audit bucket their own sticks.
+line bucket, each trial is staged on it, its new sticks' pairs are read
+from its buckets, and the kept trial is committed to it.  The index is
+merge-stage state and lives here: ``validate.check_self_avoiding`` only
+judges the pairs a trial names.  Straightening finds its trial's pairs
+with ``validate.touching_pairs``; the final audit finds its own.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Collection
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import chain, product
 from math import gcd
 
 from .build import ComponentBuild, build_component
@@ -41,17 +45,17 @@ from .errors import (
     NoFreeDirection,
     ReconstructionMismatch,
 )
-from .geom import Stick, Vec3, stick
+from .geom import OTHER_AXES, LatticeEmbedding, Stick, Vec3, buckets, stick
 from .graph import ComponentClass, CutTree, GraphCensus, SpatialGraphSpec, build_cut_tree, census
 from .validate import (
     BoundReport,
     StickCounts,
-    StickIndex,
     check_bound,
     check_self_avoiding,
     endpoint_census,
     endpoint_census_at,
     full_audit,
+    touching_pairs,
     walk_edges,
 )
 
@@ -76,22 +80,6 @@ class Assembly:
     # stage's ``StickIndex``, equal to positions in ``sticks`` only until
     # the first removal
     merge_plans: list[VertexPlan] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class LatticeEmbedding:
-    """Final integer-coordinate embedding; minima are zero on every axis.
-
-    ``sticks`` are the fused sticks, one per counted stick, read off the
-    edge ``traces`` in edge id order, whether the embedding was built or
-    loaded from a document.
-    """
-
-    sticks: tuple[Stick, ...]
-    markers: dict[str, Vec3]
-    traces: dict[str, list[Vec3]]
-    bbox: tuple[Vec3, Vec3]
-    warnings: tuple[str, ...] = ()
 
 
 def _size_subtree(
@@ -198,6 +186,134 @@ def assemble(
 
 
 # --- vertex merging -------------------------------------------------------
+
+class StickIndex:
+    """One build state's sticks by slot, bucketed for the merge planner and
+    for the pairs each trial's check compares, and updated by each
+    committed trial.
+
+    A slot names a stick for as long as the index holds it: a replaced
+    stick keeps its slot, a removed slot is never reused and an appended
+    stick takes the next unused slot.  So ``sticks``, a dict from slot to
+    stick, runs in the state's order, and slot order is position order in
+    ``state()``.  ``stage`` proposes a trial: some slots' sticks replaced,
+    some slots removed and new sticks appended.  ``commit`` makes the staged
+    trial the state; a trial never committed leaves the index as it was.
+
+    Buckets hold slots: ``lines`` by ``buckets``' line key, ``planes`` by
+    plane key and then by stick axis, ``ends`` by end point, and
+    ``columns`` the horizontal sticks by the (x, y) of each of their ends.
+    The full audit never uses an index: it takes its own census of the
+    final sticks, so it checks the build instead of inheriting its state.
+    """
+
+    def __init__(self, sticks: list[Stick]):
+        self.sticks: dict[int, Stick] = dict(enumerate(sticks))
+        self.lines: dict[tuple, set[int]] = defaultdict(set)
+        self.planes: dict[tuple, tuple[set[int], ...]] = defaultdict(lambda: (set(), set(), set()))
+        self.ends: dict[Vec3, set[int]] = defaultdict(set)
+        self.columns: dict[tuple[int, int], set[int]] = defaultdict(set)
+        # the staged trial by slot, then its replaced sticks, removed slots
+        # and appended slots
+        self.trial: dict[int, Stick] | None = None
+        self._staged: tuple[dict[int, Stick], Collection[int], range] | None = None
+        self._next = len(sticks)  # the next unused slot
+        for k in self.sticks:
+            self._file(k)
+
+    def _file(self, k: int, bucket=set.add) -> None:
+        """File slot ``k`` under each key of its stick; with
+        ``bucket=set.discard``, take it out of them."""
+        s = self.sticks[k]
+        ax, line, plane_u, plane_w = buckets(s)
+        bucket(self.lines[line], k)
+        bucket(self.planes[plane_u][ax], k)
+        bucket(self.planes[plane_w][ax], k)
+        for p in s.ends():
+            bucket(self.ends[p], k)
+            if ax != 2:
+                bucket(self.columns[p[0], p[1]], k)
+
+    def state(self) -> list[Stick]:
+        return list(self.sticks.values())
+
+    def attachments(self, axis: tuple[int, int], zrange: tuple[int, int]):
+        """Horizontal sticks with an end on the vertical line through
+        ``axis`` inside ``zrange``, bottom to top: (level, slot, outward 2d
+        direction)."""
+        zlo, zhi = zrange
+        found = []
+        for k in self.columns.get(axis, ()):
+            s = self.sticks[k]
+            p = s.a if (s.a[0], s.a[1]) == axis else s.b
+            if zlo <= p[2] <= zhi:
+                d = s.direction_from(p)
+                found.append((p[2], k, (d[0], d[1])))
+        return sorted(found)
+
+    def stage(
+        self, replaced: dict[int, Stick], removed: Collection[int], appended: list[Stick]
+    ) -> None:
+        """Stage a trial as ``trial``: the state with the sticks of
+        ``replaced`` in their slots, the ``removed`` slots dropped and
+        ``appended`` after the rest, in the next unused slots."""
+        trial = dict(self.sticks)
+        trial.update(replaced)
+        for k in removed:
+            del trial[k]
+        added = range(self._next, self._next + len(appended))
+        trial.update(zip(added, appended))
+        self.trial = trial
+        self._staged = (replaced, removed, added)
+
+    def commit(self) -> None:
+        """Make the staged trial the indexed state."""
+        replaced, removed, added = self._staged
+        for k in (*replaced, *removed):
+            self._file(k, set.discard)
+        self.sticks = self.trial
+        for k in (*replaced, *added):
+            self._file(k)
+        self._next = added.stop
+        self.trial = self._staged = None
+
+    def touching_pairs(self) -> list[tuple[int, int]]:
+        """Every slot pair of the staged trial that holds a new stick and
+        whose sticks meet, sorted: the ``pairs`` a check of ``trial`` takes.
+        A new stick is compared with the kept sticks of its line, the
+        perpendicular kept sticks of its two planes and the other new
+        sticks."""
+        replaced, removed, added = self._staged
+        trial = self.trial
+        changed = [*sorted(replaced), *added]
+        pairs: list[tuple[int, int]] = []
+        for n, i in enumerate(changed):
+            s = trial[i]
+            ax, line, plane_u, plane_w = buckets(s)
+            u, w = OTHER_AXES[ax]
+            for k in chain(
+                self.lines.get(line, ()),
+                self.planes.get(plane_u, _NO_SLOTS)[w],
+                self.planes.get(plane_w, _NO_SLOTS)[u],
+            ):
+                if k not in replaced and k not in removed and _meet(s, self.sticks[k]):
+                    pairs.append((i, k) if i < k else (k, i))
+            pairs.extend((i, j) for j in changed[n + 1 :] if _meet(s, trial[j]))
+        pairs.sort()
+        return pairs
+
+
+_NO_SLOTS: tuple[tuple[int, ...], ...] = ((), (), ())
+
+
+def _meet(s: Stick, t: Stick) -> bool:
+    """Whether two sticks meet: whether their bounding boxes intersect."""
+    (sax, say, saz), (sbx, sby, sbz) = s.a, s.b
+    (tax, tay, taz), (tbx, tby, tbz) = t.a, t.b
+    return (
+        sax <= tbx and tax <= sbx and say <= tby and tay <= sby and saz <= tbz and taz <= sbz
+    )
+
 
 @dataclass(frozen=True)
 class MergeStep:
@@ -365,7 +481,7 @@ def apply_merges(cens: GraphCensus, asm: Assembly) -> Assembly:
             min(asm.comp_scale[c] for c in cens.points[label]),
         ):
             if _apply_vertex_plan(index, plan) and not check_self_avoiding(
-                index.trial, index=index
+                index.trial, pairs=index.touching_pairs()
             ):
                 index.commit()
                 break
@@ -443,7 +559,7 @@ def straighten_arcs(
         run_top = None
         straddles = False
         moved: list[Stick] = []
-        changed: list[int] = []
+        changed: set[int] = set()
         for s in asm.sticks:
             (ax, ay, az), (bx, by, bz) = s.a, s.b
             if s.comp == comp_id and az == bz and (s.has_end(near) or s.has_end(far)):
@@ -456,7 +572,7 @@ def straighten_arcs(
                 straddles = True
             else:
                 if az < z_lo and bz > z_hi:
-                    changed.append(len(moved))
+                    changed.add(len(moved))
                 moved.append(s)
         if elbow != [1, 1]:
             asm.warnings.append(f"{comp_id}: rerouted by merging, not straightened")
@@ -467,13 +583,14 @@ def straighten_arcs(
         if straddles:
             asm.warnings.append(f"{comp_id}: branch subtree not separable, not straightened")
             continue
-        changed.append(len(moved))
+        changed.add(len(moved))
         moved.append(stick(near, (nx, ny, run_top), comp_id))
         new_markers = {
             label: ((p[0] + dx, p[1] + dy, p[2]) if z_lo <= p[2] <= z_hi else p)
             for label, p in asm.markers.items()
         }
-        if check_self_avoiding(moved, new_markers, endpoint_census_at(moved, changed), changed):
+        pairs = touching_pairs(moved, changed)
+        if check_self_avoiding(moved, new_markers, endpoint_census_at(moved, changed), pairs):
             asm.warnings.append(f"{comp_id}: straightening collides, skipped")
             continue
 
@@ -567,7 +684,6 @@ def normalize(
         sticks=fused,
         markers={k: shrink(p) for k, p in markers.items()},
         traces=new_traces,
-        bbox=((0, 0, 0), shrink(tuple(max(p[i] for p in ends) for i in range(3)))),
         warnings=warnings,
     )
 

@@ -7,8 +7,12 @@ length.  Contact classification between two sticks reduces to interval
 arithmetic per coordinate, since the intersection of two axis-parallel
 segments is the intersection of their bounding boxes.  So two
 parallel sticks can meet only on one line, and two perpendicular sticks only
-in one plane, the one fixing the coordinate of the third axis in both; the
-self-avoidance check compares only such pairs, in index-pair order.
+in one plane, the one fixing the coordinate of the third axis in both:
+``buckets`` names those keys of a stick, and every pair finder, the audit's
+and the merge stage's alike, compares only sticks that share one.
+
+``LatticeEmbedding`` is the finished embedding, as a build returns it and a
+document loads to it.
 """
 
 from __future__ import annotations
@@ -76,6 +80,19 @@ def stick(a: Vec3, b: Vec3, comp: str = "") -> Stick:
     return Stick(a, b, comp)
 
 
+# the two axes other than 0, 1 and 2, in order
+OTHER_AXES = ((1, 2), (0, 2), (0, 1))
+
+
+def buckets(s: Stick):
+    """``s``'s axis, its line and the two planes holding it: the line key
+    is (axis, its two fixed coordinates), a plane key (normal axis,
+    coordinate)."""
+    ax = s.axis
+    u, w = OTHER_AXES[ax]
+    return ax, (ax, s.a[u], s.a[w]), (u, s.a[u]), (w, s.a[w])
+
+
 def contact(s: Stick, t: Stick):
     """Classify the contact between two sticks.
 
@@ -118,3 +135,24 @@ def collinear(s: Stick, t: Stick) -> bool:
         return False
     fixed = [i for i in range(3) if i != s.axis]
     return all(s.a[i] == t.a[i] for i in fixed)
+
+
+@dataclass(frozen=True)
+class LatticeEmbedding:
+    """An integer-coordinate embedding, built or loaded from a document.
+
+    ``sticks`` are the fused sticks, one per counted stick, read off the
+    edge ``traces`` in edge id order.  A built embedding has its minima at
+    zero on every axis; a loaded one sits where its document put it.
+    """
+
+    sticks: tuple[Stick, ...]
+    markers: dict[str, Vec3]
+    traces: dict[str, list[Vec3]]
+    warnings: tuple[str, ...] = ()
+
+    @property
+    def bbox(self) -> tuple[Vec3, Vec3]:
+        """The (min, max) corners of the sticks' bounding box."""
+        axes = list(zip(*(p for s in self.sticks for p in (s.a, s.b))))
+        return tuple(map(min, axes)), tuple(map(max, axes))

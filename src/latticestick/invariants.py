@@ -22,9 +22,8 @@ import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .assembly import LatticeEmbedding
 from .errors import NotACycle, TooLarge
-from .geom import Vec3, stick
+from .geom import LatticeEmbedding, Vec3, stick
 from .validate import check_self_avoiding
 
 Vec2 = tuple[int, int]

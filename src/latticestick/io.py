@@ -15,9 +15,8 @@ import json
 from json.encoder import encode_basestring_ascii
 
 from .arcs import Arc, ArcPresentation
-from .assembly import LatticeEmbedding
 from .errors import DocumentError
-from .geom import Vec3, stick
+from .geom import LatticeEmbedding, Vec3, stick
 from .graph import ComponentSpec, CutAttachment, SpatialGraphSpec
 from .validate import BoundReport, StickCounts
 
@@ -243,14 +242,7 @@ def embedding_from_document(doc) -> tuple[LatticeEmbedding, StickCounts]:
         ["alpha_total", "construction_bound", "crossing_bound", "total_within_bounds"],
         where="bounds_report",
     )
-    bbox_hi = tuple(max(p[i] for s in doc_sticks for p in s.ends()) for i in range(3))
-    emb = LatticeEmbedding(
-        sticks=tuple(doc_sticks),
-        markers=markers,
-        traces=traces,
-        bbox=((0, 0, 0), bbox_hi),
-    )
-    return emb, got
+    return LatticeEmbedding(sticks=tuple(doc_sticks), markers=markers, traces=traces), got
 
 
 def load_embedding(path) -> tuple[LatticeEmbedding, StickCounts]:

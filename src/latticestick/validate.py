@@ -1,24 +1,25 @@
 """Certification of embeddings: self-avoidance, junctions, reconstruction.
 
-The checks are deliberately independent of how the embedding was built: they
-look only at the stick set and the vertex markers, so they catch construction
-bugs rather than inheriting them.  The one structure a build keeps for them
-is ``StickIndex``, its own stick state named by slot and bucketed so that a
-merge trial's check compares only the new sticks' buckets; the full audit
-never takes one.
+The checks are independent of how the embedding was built: they look only
+at the stick set and the vertex markers, so they catch construction bugs
+rather than inheriting them.  This module belongs to the certification
+kernel (``geom``, ``arcs``, ``graph``, ``bounds``, ``errors``, ``validate``,
+``io`` and ``invariants``), which imports no build module.  A build's trial
+narrows ``check_self_avoiding`` to the pairs it names; the full audit takes
+its own census and pairs of the final sticks.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from collections.abc import Collection
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 
 from .bounds import arc_index_upper, construction_count, crossing_stick_bound
 from .errors import BoundViolated, ReconstructionMismatch
-from .geom import Stick, Vec3, collinear, contact
+from .geom import OTHER_AXES, Stick, Vec3, buckets, collinear, contact
 from .graph import GraphCensus, SpatialGraphSpec
 
 
@@ -77,21 +78,10 @@ def endpoint_census_at(sticks: list[Stick], changed: Collection[int]) -> dict[Ve
     return ends
 
 
-# the two axes other than 0, 1 and 2, in order
-_OTHER_AXES = ((1, 2), (0, 2), (0, 1))
-
-
-def _buckets(s: Stick):
-    """``s``'s axis, its line and the two planes holding it."""
-    ax = s.axis
-    u, w = _OTHER_AXES[ax]
-    return ax, (ax, s.a[u], s.a[w]), (u, s.a[u]), (w, s.a[w])
-
-
-def _touching_pairs(
-    sticks: list[Stick], changed: set[int] | None = None
+def touching_pairs(
+    sticks: Sequence[Stick], changed: set[int] | None = None
 ) -> list[tuple[int, int]]:
-    """Every index pair ``(i, j)``, ``i < j``, of sticks that meet, sorted.
+    """Every position pair ``(i, j)``, ``i < j``, of sticks that meet, sorted.
 
     Parallel sticks can meet only on one line, so each line bucket is swept
     in order of start.  Perpendicular sticks can meet only in the plane that
@@ -105,14 +95,20 @@ def _touching_pairs(
 
     With ``changed``, only the lines and planes a changed stick lies in are
     bucketed, and only the pairs holding a changed stick are kept: a pair
-    meeting anywhere else holds no changed stick.
+    meeting anywhere else holds no changed stick.  Checking only these
+    pairs decides a trial as the full check does under one precondition:
+    every other pair is as it was in a state that passed the same check, and
+    where it shares an endpoint, that point kept its marker and gained no
+    stick end but a changed stick's.  Then ``check_self_avoiding`` on them
+    is empty exactly when the full check is, and its ``ends`` may be
+    ``endpoint_census_at`` the changed sticks.
     """
     # None keeps every bucket
-    wanted = None if changed is None else {k for i in changed for k in _buckets(sticks[i])[1:]}
+    wanted = None if changed is None else {k for i in changed for k in buckets(sticks[i])[1:]}
     lines: dict[tuple, list[int]] = defaultdict(list)
     planes: dict[tuple, tuple[list[int], ...]] = defaultdict(lambda: ([], [], []))
     for i, s in enumerate(sticks):
-        ax, line, plane_u, plane_w = _buckets(s)
+        ax, line, plane_u, plane_w = buckets(s)
         if wanted is None or line in wanted:
             lines[line].append(i)
         if wanted is None or plane_u in wanted:
@@ -130,7 +126,7 @@ def _touching_pairs(
                     break
                 pairs.append((i, j) if i < j else (j, i))
     for (normal, _), by_axis in planes.items():
-        u, w = _OTHER_AXES[normal]
+        u, w = OTHER_AXES[normal]
         if not (by_axis[u] and by_axis[w]):
             continue
         across = sorted(by_axis[u], key=lambda j: sticks[j].a[w])
@@ -146,140 +142,14 @@ def _touching_pairs(
     return pairs
 
 
-class StickIndex:
-    """One build state's sticks by slot, bucketed for trial checks and for
-    the merge planner, and updated by each committed trial.
-
-    A slot names a stick for as long as the index holds it: a replaced
-    stick keeps its slot, a removed slot is never reused and an appended
-    stick takes the next unused slot.  So ``sticks``, a dict from slot to
-    stick, runs in the state's order, and slot order is position order in
-    ``state()``.  ``stage`` proposes a trial: some slots' sticks replaced,
-    some slots removed and new sticks appended.  ``commit`` makes the staged
-    trial the state; a trial never committed leaves the index as it was.
-
-    Buckets hold slots: ``lines`` by ``_buckets``' line key, ``planes`` by
-    plane key and then by stick axis, ``ends`` by end point, and
-    ``columns`` the horizontal sticks by the (x, y) of each of their ends.
-    The full audit never uses an index: it takes its own census of the
-    final sticks, so it checks the build instead of inheriting its state.
-    """
-
-    def __init__(self, sticks: list[Stick]):
-        self.sticks: dict[int, Stick] = dict(enumerate(sticks))
-        self.lines: dict[tuple, set[int]] = defaultdict(set)
-        self.planes: dict[tuple, tuple[set[int], ...]] = defaultdict(lambda: (set(), set(), set()))
-        self.ends: dict[Vec3, set[int]] = defaultdict(set)
-        self.columns: dict[tuple[int, int], set[int]] = defaultdict(set)
-        # the staged trial by slot, then its replaced sticks, removed slots
-        # and appended slots
-        self.trial: dict[int, Stick] | None = None
-        self._staged: tuple[dict[int, Stick], Collection[int], range] | None = None
-        self._next = len(sticks)  # the next unused slot
-        for k in self.sticks:
-            self._file(k)
-
-    def _file(self, k: int, bucket=set.add) -> None:
-        """File slot ``k`` under each key of its stick; with
-        ``bucket=set.discard``, take it out of them."""
-        s = self.sticks[k]
-        ax, line, plane_u, plane_w = _buckets(s)
-        bucket(self.lines[line], k)
-        bucket(self.planes[plane_u][ax], k)
-        bucket(self.planes[plane_w][ax], k)
-        for p in s.ends():
-            bucket(self.ends[p], k)
-            if ax != 2:
-                bucket(self.columns[p[0], p[1]], k)
-
-    def state(self) -> list[Stick]:
-        return list(self.sticks.values())
-
-    def attachments(self, axis: tuple[int, int], zrange: tuple[int, int]):
-        """Horizontal sticks with an end on the vertical line through
-        ``axis`` inside ``zrange``, bottom to top: (level, slot, outward 2d
-        direction)."""
-        zlo, zhi = zrange
-        found = []
-        for k in self.columns.get(axis, ()):
-            s = self.sticks[k]
-            p = s.a if (s.a[0], s.a[1]) == axis else s.b
-            if zlo <= p[2] <= zhi:
-                d = s.direction_from(p)
-                found.append((p[2], k, (d[0], d[1])))
-        return sorted(found)
-
-    def stage(
-        self, replaced: dict[int, Stick], removed: Collection[int], appended: list[Stick]
-    ) -> None:
-        """Stage a trial as ``trial``: the state with the sticks of
-        ``replaced`` in their slots, the ``removed`` slots dropped and
-        ``appended`` after the rest, in the next unused slots."""
-        trial = dict(self.sticks)
-        trial.update(replaced)
-        for k in removed:
-            del trial[k]
-        added = range(self._next, self._next + len(appended))
-        trial.update(zip(added, appended))
-        self.trial = trial
-        self._staged = (replaced, removed, added)
-
-    def commit(self) -> None:
-        """Make the staged trial the indexed state."""
-        replaced, removed, added = self._staged
-        for k in (*replaced, *removed):
-            self._file(k, set.discard)
-        self.sticks = self.trial
-        for k in (*replaced, *added):
-            self._file(k)
-        self._next = added.stop
-        self.trial = self._staged = None
-
-    def touching_pairs(self) -> list[tuple[int, int]]:
-        """Every slot pair of the staged trial that holds a new stick and
-        whose sticks meet, sorted.  A new stick is compared with the kept
-        sticks of its line, the perpendicular kept sticks of its two planes
-        and the other new sticks."""
-        replaced, removed, added = self._staged
-        trial = self.trial
-        changed = [*sorted(replaced), *added]
-        pairs: list[tuple[int, int]] = []
-        for n, i in enumerate(changed):
-            s = trial[i]
-            ax, line, plane_u, plane_w = _buckets(s)
-            u, w = _OTHER_AXES[ax]
-            for k in chain(
-                self.lines.get(line, ()),
-                self.planes.get(plane_u, _NO_SLOTS)[w],
-                self.planes.get(plane_w, _NO_SLOTS)[u],
-            ):
-                if k not in replaced and k not in removed and _meet(s, self.sticks[k]):
-                    pairs.append((i, k) if i < k else (k, i))
-            pairs.extend((i, j) for j in changed[n + 1 :] if _meet(s, trial[j]))
-        pairs.sort()
-        return pairs
-
-
-_NO_SLOTS: tuple[tuple[int, ...], ...] = ((), (), ())
-
-
-def _meet(s: Stick, t: Stick) -> bool:
-    """Whether two sticks meet: whether their bounding boxes intersect."""
-    (sax, say, saz), (sbx, sby, sbz) = s.a, s.b
-    (tax, tay, taz), (tbx, tby, tbz) = t.a, t.b
-    return (
-        sax <= tbx and tax <= sbx and say <= tby and tay <= sby and saz <= tbz and taz <= sbz
-    )
-
-
 def check_self_avoiding(
-    sticks: list[Stick],
+    sticks: Sequence[Stick] | Mapping[int, Stick],
     markers: dict[str, Vec3] | None = None,
     ends: dict[Vec3, list[int]] | None = None,
-    changed: Collection[int] | None = None,
-    index: StickIndex | None = None,
+    pairs: list[tuple[int, int]] | None = None,
 ) -> list[tuple[str, Vec3]]:
-    """All pairwise stick contacts that are not legitimate, in index-pair order.
+    """Every contact among ``pairs`` of sticks that is not legitimate, in
+    pair order.
 
     Interior crossings, collinear overlaps and endpoint-in-interior contacts
     are always violations.  ``ends``, the ``endpoint_census`` of ``sticks``,
@@ -288,30 +158,16 @@ def check_self_avoiding(
     passes, as mid-pipeline states need: they have no markers yet, and their
     binding columns legitimately carry degree-3 junction points.
 
-    Only pairs that can touch are compared: parallel sticks on one line and
-    perpendicular sticks in one plane (both fix the third coordinate).  The
-    result is the one an all-pairs loop over ``i < j`` gives, in that order.
-
-    ``changed``, a collection of indices into ``sticks``, restricts the check
-    to the pairs holding at least one changed stick; the verdicts stay those
-    of the full check, and ``ends`` may then be ``endpoint_census_at`` the
-    changed sticks.  Precondition: every other pair is as it was in a state
-    that passed this same check, and where it shares an endpoint, that point
-    kept its marker and gained no stick end but a changed stick's.  Under it
-    the result is empty exactly when the full check's result is empty.
-
-    ``index``, with ``sticks`` its staged ``index.trial`` (slot to stick),
-    restricts the check the same way to the staged trial's new sticks and
-    takes the compared pairs from the index's buckets instead of bucketing
-    ``sticks``.  It takes no ``changed``: the staged trial names its new
-    sticks.  Pairs come in slot order, which is position order in the
-    trial's sticks, so the result is the one ``changed`` at the new sticks'
-    positions gives for the list of them.
+    ``pairs`` holds sorted key pairs ``(i, j)``, ``i < j``, into
+    ``sticks``: positions in a list, or slots of a mapping from slot to
+    stick.  For a list it defaults to ``touching_pairs(sticks)``, every pair
+    that can touch, so the result is the one an all-pairs loop over
+    ``i < j`` gives, in that order.  A build's trial passes only the pairs
+    holding its changed sticks; ``touching_pairs`` states when that decides
+    the trial.
     """
-    if index is not None:
-        sticks, pairs = index.trial, index.touching_pairs()
-    else:
-        pairs = _touching_pairs(sticks, None if changed is None else set(changed))
+    if pairs is None:
+        pairs = touching_pairs(sticks)
     marker_points = set((markers or {}).values())
     violations: list[tuple[str, Vec3]] = []
     for i, j in pairs:

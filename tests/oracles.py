@@ -19,7 +19,7 @@ from latticestick.bounds import arc_index_upper, construction_count, crossing_st
 from latticestick.errors import InvalidCounts, MergeCollision, NoFreeDirection, TooLarge
 from latticestick.geom import Stick, stick
 from latticestick.invariants import GaussData, _coloring_rows, _strand_structure
-from latticestick.validate import check_self_avoiding
+from latticestick.validate import check_self_avoiding, touching_pairs
 
 MAX_STRANDS = 12
 
@@ -124,8 +124,8 @@ def slide_ok(build, moved_bp):
         return False
     axis = build.column_axis(moved_bp)
     sticks = build.sticks(1, (0, 0, 0))
-    changed = [i for i, s in enumerate(sticks) if any(p[:2] == axis for p in s.ends())]
-    return not check_self_avoiding(sticks, changed=changed)
+    changed = {i for i, s in enumerate(sticks) if any(p[:2] == axis for p in s.ends())}
+    return not check_self_avoiding(sticks, pairs=touching_pairs(sticks, changed))
 
 
 def transform(s, scale, offset):
@@ -270,8 +270,8 @@ def apply_merges(cens, asm):
             trial = apply_vertex_plan(sticks, plan)
             if trial is None:
                 continue
-            changed = [i for i, s in enumerate(trial) if id(s) not in kept]
-            if not check_self_avoiding(trial, changed=changed):
+            changed = {i for i, s in enumerate(trial) if id(s) not in kept}
+            if not check_self_avoiding(trial, pairs=touching_pairs(trial, changed)):
                 committed = (trial, plan)
                 break
         if committed is None:

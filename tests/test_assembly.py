@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from latticestick import assembly, build, validate
 from latticestick.assembly import (
+    StickIndex,
     _vertex_plans,
     apply_merges,
     assemble,
@@ -32,17 +33,18 @@ from latticestick.geom import Stick, stick
 from latticestick.graph import ComponentClass, ComponentSpec, build_cut_tree, census
 from latticestick.io import embedding_from_document, embedding_to_document, spec_from_document
 from latticestick.validate import (
-    StickIndex,
     check_self_avoiding,
     count_sticks,
     endpoint_census,
     full_audit,
+    touching_pairs,
 )
 import oracles
-from oracles import transform, transform_point
+from oracles import attachments as oracle_attachments, transform, transform_point
 from test_build import presentations
 from test_golden import INPUTS as GOLDEN_INPUTS, _bench_workloads, chain
 from test_properties import THETA5
+from test_validate import GRID, _all_pairs_self_avoiding, grid_sticks
 
 
 def connectors(asm):
@@ -589,8 +591,9 @@ class TestNormalize:
             stick((0, 0, 0), (1, 0, 0)),
             stick((1, 0, 0), (1, 4, 0)),
         ]
-        emb = normalize(sticks, {}, {}, 4)
-        assert emb.bbox[1] == (1, 4, 0)
+        # the bbox spans the fused sticks, so the test traces its one edge
+        emb = normalize(sticks, {}, {"c/e0": [(0, 0, 0), (1, 0, 0), (1, 4, 0)]}, 4)
+        assert emb.bbox == ((0, 0, 0), (1, 4, 0))
 
     def test_integral_input_only_translated(self):
         sticks = [stick((5, 5, 5), (5, 5, 7))]
@@ -1116,7 +1119,8 @@ def oracle_straighten(spec, tree, builds, asm):
             label: (transform_point(p, 1, delta) if z_lo <= p[2] <= z_hi else p)
             for label, p in asm.markers.items()
         }
-        if check_self_avoiding(moved, new_markers, endpoint_census(moved), changed):
+        pairs = touching_pairs(moved, set(changed))
+        if check_self_avoiding(moved, new_markers, endpoint_census(moved), pairs):
             asm.warnings.append(f"{comp_id}: straightening collides, skipped")
             continue
 
@@ -1234,6 +1238,87 @@ def test_straighten_without_branch_run():
     assert out.warnings == warnings + ["mid: no branch run found, not straightened"]
 
 
+def _canonical(index):
+    """The index with each slot read as its position in the state: equal
+    for two indexes of one state however their slots were numbered."""
+    slots = list(index.sticks)
+    assert slots == sorted(slots)
+    position = {k: i for i, k in enumerate(slots)}
+
+    def positions(bucket):
+        return sorted(position[k] for k in bucket)
+
+    return (
+        index.state(),
+        {key: positions(slots) for key, slots in index.lines.items() if slots},
+        {
+            (key, axis): positions(slots)
+            for key, by_axis in index.planes.items()
+            for axis, slots in enumerate(by_axis)
+            if slots
+        },
+        {p: positions(slots) for p, slots in index.ends.items() if slots},
+        {axis: positions(slots) for axis, slots in index.columns.items() if slots},
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_index_check_matches_bucketed_and_all_pairs(data):
+    """Over random edits that replace, remove and append sticks, the check
+    through the index finds what the bucketed check and the all-pairs
+    oracle find.  A committed edit leaves the index equal to a fresh index
+    of the trial; an edit never committed leaves it as it was."""
+    index = StickIndex(data.draw(st.lists(grid_sticks(), min_size=1, max_size=12)))
+    used = set(index.sticks)  # every slot the state has held
+    for _ in range(data.draw(st.integers(1, 4))):
+        live = list(index.sticks)
+        picked = data.draw(st.lists(st.sampled_from(live), unique=True)) if live else []
+        replaced, removed = {}, set()
+        for k in picked:
+            if data.draw(st.booleans()):
+                replaced[k] = data.draw(grid_sticks())
+            else:
+                removed.add(k)
+        appended = data.draw(st.lists(grid_sticks(), max_size=3))
+        before = _canonical(index)
+        assert index.stage(replaced, removed, appended) is None
+        # slot order is position order, and no appended stick takes a slot
+        # the state has held, removed ones included
+        slots = list(index.trial)
+        trial = list(index.trial.values())
+        assert slots == sorted(slots)
+        assert not used & set(slots[len(slots) - len(appended) :])
+        changed = [i for i, k in enumerate(slots) if k in replaced or k not in live]
+        kept = [index.sticks[k] for k in live if k not in replaced and k not in removed]
+        unchanged = [s for i, s in enumerate(trial) if i not in changed]
+        assert len(unchanged) == len(kept) and all(s is t for s, t in zip(unchanged, kept))
+        assert [trial[i] for i in changed] == [replaced[k] for k in sorted(replaced)] + appended
+
+        ends = endpoint_census(trial) if data.draw(st.booleans()) else None
+        points = sorted({p for s in trial for p in s.ends()})
+        marked = data.draw(
+            st.lists(st.sampled_from(points), max_size=2, unique=True) if points else st.just([])
+        )
+        markers = {f"m{n}": p for n, p in enumerate(marked)}
+        indexed = check_self_avoiding(index.trial, markers, ends, index.touching_pairs())
+        bucketed = check_self_avoiding(trial, markers, ends, touching_pairs(trial, set(changed)))
+        assert indexed == bucketed
+        assert indexed == _all_pairs_self_avoiding(trial, markers, ends is None, set(changed))
+        assert _canonical(index) == before
+        if data.draw(st.booleans()):
+            index.commit()
+            used.update(index.sticks)
+            assert _canonical(index) == _canonical(StickIndex(trial))
+            position = {k: i for i, k in enumerate(index.sticks)}
+            axes = {(p[0], p[1]) for p in points}
+            for axis in axes:
+                zrange = (data.draw(st.sampled_from(GRID)), data.draw(st.sampled_from(GRID)))
+                assert [
+                    (z, position[k], d) for z, k, d in index.attachments(axis, zrange)
+                ] == oracle_attachments(trial, axis, zrange)
+
+
 def _index_states(sticks, plans):
     """The state, by slot, of the stick index each plan was applied to."""
     index = StickIndex(sticks)
@@ -1337,11 +1422,11 @@ def test_straightening_census_at_changed_ends(monkeypatch):
     original = assembly.check_self_avoiding
     trials = []
 
-    def compared(sticks, markers=None, ends=None, changed=None, index=None):
-        result = original(sticks, markers, ends, changed, index)
+    def compared(sticks, markers=None, ends=None, pairs=None):
+        result = original(sticks, markers, ends, pairs)
         if ends is not None:
             trials.append(result)
-            assert result == original(sticks, markers, endpoint_census(sticks), changed)
+            assert result == original(sticks, markers, endpoint_census(sticks), pairs)
         return result
 
     monkeypatch.setattr(assembly, "check_self_avoiding", compared)

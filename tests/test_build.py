@@ -9,7 +9,7 @@ from latticestick.geom import stick
 from latticestick.graph import ComponentClass, ComponentSpec, census
 from latticestick.io import spec_from_document
 from latticestick.fixtures import CHAIN, DEMOS
-from latticestick.validate import check_self_avoiding
+from latticestick.validate import check_self_avoiding, touching_pairs
 import oracles
 from test_validate import _all_pairs_self_avoiding
 
@@ -282,8 +282,8 @@ def oracle_slide_ok(b, moved_bp):
         return False
     axis = b.column_axis(moved_bp)
     sticks = b.sticks()
-    changed = [i for i, s in enumerate(sticks) if any(p[:2] == axis for p in s.ends())]
-    return not check_self_avoiding(sticks, changed=changed)
+    changed = {i for i, s in enumerate(sticks) if any(p[:2] == axis for p in s.ends())}
+    return not check_self_avoiding(sticks, pairs=touching_pairs(sticks, changed))
 
 
 def oracle_side_slide(b):

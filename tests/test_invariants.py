@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latticestick.assembly import LatticeEmbedding, build_full
+from latticestick.assembly import build_full
 from latticestick.errors import NotACycle, TooLarge
 from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
+from latticestick.geom import LatticeEmbedding
 from latticestick.invariants import (
     GaussData,
     _abs_det,
@@ -205,7 +206,7 @@ class TestProjection:
             "a/e0": [(0, 0, 0), (2, 0, 0)],
             "b/e0": [(0, 0, 1), (2, 0, 1)],
         }
-        emb = LatticeEmbedding((), {}, traces, ((0, 0, 0), (2, 0, 1)))
+        emb = LatticeEmbedding((), {}, traces)
         dia = project_generic(emb)
         assert len(dia.crossings) == 0
         assert dia.segments[0].a != dia.segments[1].a
@@ -236,7 +237,7 @@ class TestProjection:
                 eid: [tuple(c + d for c, d in zip(p, shift)) for p in line]
                 for eid, line in emb.traces.items()
             }
-            moved = LatticeEmbedding((), {}, traces, ((0, 0, 0), (0, 0, 0)))
+            moved = LatticeEmbedding((), {}, traces)
             dia = project_generic(moved, {"k"})
             gauss = extract_knot_cycle(dia, "k")
             found.add((len(dia.crossings), gauss.visits, knot_determinant(gauss)))
@@ -419,7 +420,7 @@ def assert_matches_reference(traces):
     4N, where N = 2 << max|c|.bit_length() is its shear: if the sticks touch, the reference is not
     generic at any n; otherwise it finds the same (over, under) pairs at
     every n, at N the same points, and the diagram is returned."""
-    emb = LatticeEmbedding((), {}, traces, ((0, 0, 0), (0, 0, 0)))
+    emb = LatticeEmbedding((), {}, traces)
     top = max(abs(c) for line in traces.values() for p in line for c in p)
     n = 2 << top.bit_length()
     try:

@@ -1,5 +1,7 @@
-"""The embedding document's text: exactly ``json.dumps(doc, indent=2)``."""
+"""The embedding document's text: exactly ``json.dumps(doc, indent=2)``;
+and where a loaded document sits."""
 
+import copy
 import json
 
 import pytest
@@ -7,7 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from latticestick.assembly import build_full
 from latticestick.fixtures import DEMOS
-from latticestick.io import embedding_document_text, embedding_to_document, spec_from_document
+from latticestick.io import (
+    embedding_document_text,
+    embedding_from_document,
+    embedding_to_document,
+    spec_from_document,
+)
 
 
 def oracle(doc):
@@ -69,3 +76,20 @@ def test_built_documents_match_json_indent(name):
     emb, counts, bounds = build_full(spec_from_document(DEMOS[name]))
     doc = embedding_to_document(emb, counts, bounds)
     assert embedding_document_text(doc) == oracle(doc)
+
+
+def test_loaded_bbox_spans_the_document_sticks():
+    """A loaded document's bbox is its sticks' own, wherever they sit: the
+    built trefoil spans (0, 0, 0) to (3, 3, 4), and moved so that each
+    axis's maximum is 0, as the CI's translated documents are, it spans
+    (-3, -3, -4) to (0, 0, 0)."""
+    emb, counts, bounds = build_full(spec_from_document(DEMOS["trefoil"]))
+    doc = embedding_to_document(emb, counts, bounds)
+    assert emb.bbox == embedding_from_document(doc)[0].bbox == ((0, 0, 0), (3, 3, 4))
+    shifted = copy.deepcopy(doc)
+    points = [p for s in shifted["sticks"] for p in (s["start"], s["end"])]
+    points += [v["position"] for v in shifted["vertices"]]
+    points += [p for e in shifted["edges"] for p in e["polyline"]]
+    for p in points:
+        p[:] = [c - t for c, t in zip(p, emb.bbox[1])]
+    assert embedding_from_document(shifted)[0].bbox == ((-3, -3, -4), (0, 0, 0))

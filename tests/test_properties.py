@@ -5,7 +5,8 @@ degree two, so no merging is involved) and every output must pass the full
 audit and the count law; that is the bound's implemented content exercised
 far beyond the fixed fixtures.  Random thetas of 3-4 edges, 2-loop
 bouquets and K4s (degree 3-4 vertices, so merging and the degree-3 markers
-are involved) must build the same way.
+are involved) must build the same way.  Wider shapes, with vertices of
+degree 5-6, must build the same way or fail with a named merge error.
 """
 
 from itertools import combinations
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from latticestick.arcs import Arc, ArcPresentation
 from latticestick.assembly import build_full
 from latticestick.bounds import construction_count
+from latticestick.errors import MergeCollision, NoFreeDirection
 from latticestick.graph import ComponentSpec, SpatialGraphSpec, census, validate_spec
 from latticestick.invariants import extract_knot_cycle, knot_determinant, project_generic
 from latticestick.io import embedding_from_document, embedding_to_document, spec_from_document
@@ -85,18 +87,22 @@ def test_random_split_forests_stack(a, b):
 
 @st.composite
 def graph_component_specs(draw, shape):
-    """One component: a theta on vertices u, w with ``shape`` = "theta3" or
-    "theta4" edges, a "bouquet2" of two loops at u, or "k4" on u, w, x, y.
-    Each theta edge runs through 0-3 interior binding points (1-3 for a
-    loop, 0-2 for a K4 edge); the binding indices and the pages are
-    shuffled."""
-    if shape == "bouquet2":
-        edges = [(0, 0, draw(st.integers(1, 3))) for _ in range(2)]
-    elif shape == "k4":
+    """One component: a theta on vertices u, w with ``shape`` = "theta3" to
+    "theta6" edges, a "bouquet2" or "bouquet3" of loops at u, "k4" on u, w,
+    x, y, or "theta+loop" or "k4+loop", a 3-edge theta or a K4 with one
+    more loop at u.  Each theta edge runs through 0-3 interior binding
+    points (1-3 for a loop, 0-2 for a K4 edge); the binding indices and the
+    pages are shuffled."""
+    if shape.startswith("k4"):
         edges = [(a, b, draw(st.integers(0, 2))) for a, b in combinations(range(4), 2)]
+    elif shape.startswith("theta"):
+        n_edges = 3 if shape == "theta+loop" else int(shape[-1])
+        edges = [(0, 1, draw(st.integers(0, 3))) for _ in range(n_edges)]
     else:
-        edges = [(0, 1, draw(st.integers(0, 3))) for _ in range(int(shape[-1]))]
-    vertices = {"bouquet2": "u", "k4": "uwxy"}.get(shape, "uw")
+        edges = []
+    loops = int(shape[-1]) if shape.startswith("bouquet") else int(shape.endswith("+loop"))
+    edges += [(0, 0, draw(st.integers(1, 3))) for _ in range(loops)]
+    vertices = "uwxy" if shape.startswith("k4") else "uw" if shape.startswith("theta") else "u"
     n_points = len(vertices)
     pairs = []
     for start, end, interior in edges:
@@ -116,6 +122,24 @@ def graph_component_specs(draw, shape):
 @given(data=st.data(), shape=st.sampled_from(["theta3", "theta4", "bouquet2", "k4"]))
 def test_random_graph_components_build_clean(data, shape):
     assert_builds_clean(data.draw(graph_component_specs(shape)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    shape=st.sampled_from(["theta5", "theta6", "bouquet3", "theta+loop", "k4+loop"]),
+)
+def test_wider_graph_components_build_clean_or_fail_by_name(data, shape):
+    """Degree 5-6 vertices: a certified build, or one of the two merge
+    failures random draws of these shapes are known to meet.  Until a rule
+    picks each attachment's moves from the presentation (ROADMAP item 1),
+    this asserts only that no draw ends in an internal error; any other
+    exception fails it, named or not."""
+    spec = data.draw(graph_component_specs(shape))
+    try:
+        assert_builds_clean(spec)
+    except (NoFreeDirection, MergeCollision):
+        pass
 
 
 # A 4-edge theta whose last merge step once dropped a stick exactly its

@@ -17,12 +17,12 @@ from latticestick.validate import (
     check_self_avoiding,
     count_sticks,
     endpoint_census,
-    StickIndex,
     endpoint_census_at,
     reconstruct_graph,
+    touching_pairs,
     walk_edges,
 )
-from oracles import attachments as oracle_attachments, contact as oracle_contact, listed_stick
+from oracles import contact as oracle_contact, listed_stick
 from test_golden import chain
 
 
@@ -258,7 +258,7 @@ def test_restricted_check_matches_oracle(case):
     some exactly when the full oracle does."""
     sticks, markers, interior_only, changed = case
     ends = None if interior_only else endpoint_census(sticks)
-    restricted = check_self_avoiding(sticks, markers, ends, changed)
+    restricted = check_self_avoiding(sticks, markers, ends, touching_pairs(sticks, changed))
     assert restricted == _all_pairs_self_avoiding(sticks, markers, interior_only, changed)
     full = _all_pairs_self_avoiding(sticks, markers, interior_only)
     assert (restricted == []) == (full == [])
@@ -270,28 +270,43 @@ def test_restricted_check_reads_the_census_at_changed_ends(case):
     """A restricted check judges shared ends only where a changed stick
     ends, so the census there gives the verdicts of the full census."""
     sticks, markers, _, changed = case
+    pairs = touching_pairs(sticks, changed)
     assert check_self_avoiding(
-        sticks, markers, endpoint_census_at(sticks, changed), changed
-    ) == check_self_avoiding(sticks, markers, endpoint_census(sticks), changed)
+        sticks, markers, endpoint_census_at(sticks, changed), pairs
+    ) == check_self_avoiding(sticks, markers, endpoint_census(sticks), pairs)
 
 
 def test_pipeline_checks_match_oracle(monkeypatch):
     """Every self-avoidance decision of a build agrees with the full oracle,
-    restricted trial checks included; only the audit checks every pair."""
+    trial checks on the pairs of their changed sticks included; only the
+    audit checks every pair."""
     original = validate.check_self_avoiding
+    index_pairs = assembly.StickIndex.touching_pairs
+    found = {}  # what the last trial's pairs were found for
     calls = []
 
-    def compared(sticks, markers=None, ends=None, changed=None, index=None):
+    def merge_pairs(index):
+        found["index"] = index
+        return index_pairs(index)
+
+    def straighten_pairs(sticks, changed=None):
+        found["changed"] = (sticks, changed)
+        return touching_pairs(sticks, changed)
+
+    def compared(sticks, markers=None, ends=None, pairs=None):
         interior_only = ends is None
-        if index is not None:
-            # the staged trial's new sticks: those no slot of the state holds
-            assert changed is None and sticks is index.trial
+        result = original(sticks, markers, ends, pairs)
+        changed = None
+        if pairs is not None and "index" in found:
+            # a merge trial: its new sticks are those no slot of the state holds
+            index = found.pop("index")
+            assert sticks is index.trial
             staged = enumerate(index.trial.items())
-            changed = [i for i, (k, s) in staged if index.sticks.get(k) is not s]
-            result = original(sticks, markers, ends, index=index)
+            changed = {i for i, (k, s) in staged if index.sticks.get(k) is not s}
             sticks = list(index.trial.values())
-        else:
-            result = original(sticks, markers, ends, changed)
+        elif pairs is not None:
+            listed, changed = found.pop("changed")
+            assert listed is sticks
         if changed is None:
             assert interior_only or ends == endpoint_census(sticks)
         else:
@@ -304,91 +319,13 @@ def test_pipeline_checks_match_oracle(monkeypatch):
 
     for module in (validate, build, assembly):
         monkeypatch.setattr(module, "check_self_avoiding", compared)
+    monkeypatch.setattr(assembly.StickIndex, "touching_pairs", merge_pairs)
+    monkeypatch.setattr(assembly, "touching_pairs", straighten_pairs)
     docs = [*DEMOS.values(), CHAIN, SPLIT_PAIR, LOOP_TREFOIL, chain(8)]
     for doc in docs:
         build_full(spec_from_document(doc))
     assert len(calls) > 9
     assert sum(calls) == len(docs)
-
-
-def _canonical(index):
-    """The index with each slot read as its position in the state: equal
-    for two indexes of one state however their slots were numbered."""
-    slots = list(index.sticks)
-    assert slots == sorted(slots)
-    position = {k: i for i, k in enumerate(slots)}
-
-    def positions(bucket):
-        return sorted(position[k] for k in bucket)
-
-    return (
-        index.state(),
-        {key: positions(slots) for key, slots in index.lines.items() if slots},
-        {
-            (key, axis): positions(slots)
-            for key, by_axis in index.planes.items()
-            for axis, slots in enumerate(by_axis)
-            if slots
-        },
-        {p: positions(slots) for p, slots in index.ends.items() if slots},
-        {axis: positions(slots) for axis, slots in index.columns.items() if slots},
-    )
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_index_check_matches_bucketed_and_all_pairs(data):
-    """Over random edits that replace, remove and append sticks, the check
-    through the index finds what the bucketed check and the all-pairs
-    oracle find.  A committed edit leaves the index equal to a fresh index
-    of the trial; an edit never committed leaves it as it was."""
-    index = StickIndex(data.draw(st.lists(grid_sticks(), min_size=1, max_size=12)))
-    used = set(index.sticks)  # every slot the state has held
-    for _ in range(data.draw(st.integers(1, 4))):
-        live = list(index.sticks)
-        picked = data.draw(st.lists(st.sampled_from(live), unique=True)) if live else []
-        replaced, removed = {}, set()
-        for k in picked:
-            if data.draw(st.booleans()):
-                replaced[k] = data.draw(grid_sticks())
-            else:
-                removed.add(k)
-        appended = data.draw(st.lists(grid_sticks(), max_size=3))
-        before = _canonical(index)
-        assert index.stage(replaced, removed, appended) is None
-        # slot order is position order, and no appended stick takes a slot
-        # the state has held, removed ones included
-        slots = list(index.trial)
-        trial = list(index.trial.values())
-        assert slots == sorted(slots)
-        assert not used & set(slots[len(slots) - len(appended) :])
-        changed = [i for i, k in enumerate(slots) if k in replaced or k not in live]
-        kept = [index.sticks[k] for k in live if k not in replaced and k not in removed]
-        unchanged = [s for i, s in enumerate(trial) if i not in changed]
-        assert len(unchanged) == len(kept) and all(s is t for s, t in zip(unchanged, kept))
-        assert [trial[i] for i in changed] == [replaced[k] for k in sorted(replaced)] + appended
-
-        ends = endpoint_census(trial) if data.draw(st.booleans()) else None
-        points = sorted({p for s in trial for p in s.ends()})
-        marked = data.draw(
-            st.lists(st.sampled_from(points), max_size=2, unique=True) if points else st.just([])
-        )
-        markers = {f"m{n}": p for n, p in enumerate(marked)}
-        indexed = check_self_avoiding(index.trial, markers, ends, index=index)
-        assert indexed == check_self_avoiding(trial, markers, ends, changed)
-        assert indexed == _all_pairs_self_avoiding(trial, markers, ends is None, set(changed))
-        assert _canonical(index) == before
-        if data.draw(st.booleans()):
-            index.commit()
-            used.update(index.sticks)
-            assert _canonical(index) == _canonical(StickIndex(trial))
-            position = {k: i for i, k in enumerate(index.sticks)}
-            axes = {(p[0], p[1]) for p in points}
-            for axis in axes:
-                zrange = (data.draw(st.sampled_from(GRID)), data.draw(st.sampled_from(GRID)))
-                assert [
-                    (z, position[k], d) for z, k, d in index.attachments(axis, zrange)
-                ] == oracle_attachments(trial, axis, zrange)
 
 
 def _random_forest(rng, n_knots, n_arcs=8):
