@@ -604,17 +604,15 @@ def straighten_arcs(
 
 # --- traces and normalization ---------------------------------------------
 
-def _sign_step(a: Vec3, b: Vec3) -> tuple[int, int, int]:
-    return tuple((b[i] > a[i]) - (b[i] < a[i]) for i in range(3))
-
-
 def _simplify(polyline: list[Vec3], marker_points: set[Vec3]) -> list[Vec3]:
-    out = [polyline[0]]
-    for prev, cur, nxt in zip(polyline, polyline[1:], polyline[2:]):
-        if _sign_step(prev, cur) != _sign_step(cur, nxt) or cur in marker_points:
-            out.append(cur)
-    out.append(polyline[-1])
-    return out
+    """The polyline's ends and each interior point where the sign step (-1,
+    0 or 1 per axis) changes or a marker sits; each segment's step is taken once."""
+    steps = [
+        ((bx > ax) - (bx < ax), (by > ay) - (by < ay), (bz > az) - (bz < az))
+        for (ax, ay, az), (bx, by, bz) in zip(polyline, polyline[1:])
+    ]
+    kept = zip(polyline[1:], steps, steps[1:])
+    return [polyline[0], *(p for p, s, t in kept if s != t or p in marker_points), polyline[-1]]
 
 
 def derive_traces(
@@ -665,14 +663,14 @@ def normalize(
     multiple of the construction's denominators.  The step and the minima
     come from the construction sticks, not the fused ones: a collinear joint
     that fusion drops may lie off the coarser lattice, and dropping it would
-    change the output coordinates.
+    change the output coordinates.  Both are taken over one coordinate column per axis.
     """
-    ends = [p for s in sticks for p in s.ends()]
-    step = gcd(unit, *(c for p in ends + list(markers.values()) for c in p))
-    mins = tuple(min(p[i] for p in ends) for i in range(3))
+    xs, ys, zs = zip(*[p for s in sticks for p in (s.a, s.b)])
+    step = gcd(unit, *xs, *ys, *zs, *chain.from_iterable(markers.values()))
+    x0, y0, z0 = min(xs), min(ys), min(zs)
 
     def shrink(p: Vec3) -> Vec3:
-        return tuple((c - m) // step for c, m in zip(p, mins))
+        return ((p[0] - x0) // step, (p[1] - y0) // step, (p[2] - z0) // step)
 
     new_traces = {eid: [shrink(p) for p in line] for eid, line in traces.items()}
     fused = tuple(

@@ -18,11 +18,14 @@ from .fixtures import DEMOS
 from .graph import census
 from .invariants import extract_knot_cycle, knot_determinant, project_generic
 from .io import (
+    bounds_report,
     embedding_document_text,
+    embedding_from_document,
     embedding_to_document,
     export_obj,
     load_embedding,
     load_spec,
+    read_json,
 )
 from .validate import check_bound, full_audit
 
@@ -55,7 +58,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    emb, counts = load_embedding(args.embedding)
+    doc = read_json(args.embedding)
+    emb, counts = embedding_from_document(doc)
     spec = load_spec(args.input)
     cens = census(spec)
     report = full_audit(list(emb.sticks), emb.markers, spec, cens.degrees)
@@ -75,6 +79,11 @@ def cmd_validate(args) -> int:
     except BoundViolated as exc:
         print(f"bound violated: {exc}")
         ok = False
+    else:
+        declared, recomputed = doc["bounds_report"], bounds_report(bounds)
+        if declared != recomputed:
+            print(f"bounds_report mismatch: document says {declared}, recomputed {recomputed}")
+            ok = False
     return 0 if ok else 1
 
 

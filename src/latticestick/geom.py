@@ -87,10 +87,13 @@ OTHER_AXES = ((1, 2), (0, 2), (0, 1))
 def buckets(s: Stick):
     """``s``'s axis, its line and the two planes holding it: the line key
     is (axis, its two fixed coordinates), a plane key (normal axis,
-    coordinate)."""
-    ax = s.axis
-    u, w = OTHER_AXES[ax]
-    return ax, (ax, s.a[u], s.a[w]), (u, s.a[u]), (w, s.a[w])
+    coordinate).  The end points are read once, with ``Stick.axis``'s rule."""
+    (ax, ay, az), (bx, by, bz) = s.a, s.b
+    if ax != bx:
+        return 0, (0, ay, az), (1, ay), (2, az)
+    if ay != by:
+        return 1, (1, ax, az), (0, ax), (2, az)
+    return 2, (2, ax, ay), (0, ax), (1, ay)
 
 
 def contact(s: Stick, t: Stick):
@@ -130,11 +133,8 @@ def contact(s: Stick, t: Stick):
 
 
 def collinear(s: Stick, t: Stick) -> bool:
-    """True when the two sticks lie on one axis-parallel line."""
-    if s.axis != t.axis:
-        return False
-    fixed = [i for i in range(3) if i != s.axis]
-    return all(s.a[i] == t.a[i] for i in fixed)
+    """True when the two sticks lie on one axis-parallel line: share a line key."""
+    return buckets(s)[1] == buckets(t)[1]
 
 
 @dataclass(frozen=True)

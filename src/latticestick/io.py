@@ -102,7 +102,7 @@ def spec_from_document(doc) -> SpatialGraphSpec:
     return SpatialGraphSpec(tuple(components), tuple(attachments), crossings)
 
 
-def _read_json(path):
+def read_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -111,7 +111,7 @@ def _read_json(path):
 
 
 def load_spec(path) -> SpatialGraphSpec:
-    return spec_from_document(_read_json(path))
+    return spec_from_document(read_json(path))
 
 
 # --- embedding documents ----------------------------------------------------
@@ -137,12 +137,18 @@ def embedding_to_document(
             for eid in sorted(emb.traces)
         ],
         "counts": {"x": counts.x, "y": counts.y, "z": counts.z, "total": counts.total},
-        "bounds_report": {
-            "alpha_total": bounds.alpha_total,
-            "construction_bound": bounds.construction_bound,
-            "crossing_bound": bounds.crossing_bound,
-            "total_within_bounds": bounds.ok,
-        },
+        "bounds_report": bounds_report(bounds),
+    }
+
+
+def bounds_report(bounds: BoundReport) -> dict:
+    """The document's ``bounds_report`` of ``bounds``: ``validate`` compares
+    a loaded document's with the one it recomputes."""
+    return {
+        "alpha_total": bounds.alpha_total,
+        "construction_bound": bounds.construction_bound,
+        "crossing_bound": bounds.crossing_bound,
+        "total_within_bounds": bounds.ok,
     }
 
 
@@ -237,16 +243,27 @@ def embedding_from_document(doc) -> tuple[LatticeEmbedding, StickCounts]:
     got = StickCounts(counts["x"], counts["y"], counts["z"])
     if got.total != counts["total"] or counts["total"] != len(doc_sticks):
         raise DocumentError("counts do not match the stick list")
+    report = doc["bounds_report"]
     _check_keys(
-        doc["bounds_report"],
+        report,
         ["alpha_total", "construction_bound", "crossing_bound", "total_within_bounds"],
         where="bounds_report",
     )
+    if not (
+        _is_int(report["alpha_total"])
+        and _is_int(report["construction_bound"])
+        and (report["crossing_bound"] is None or _is_int(report["crossing_bound"]))
+        and isinstance(report["total_within_bounds"], bool)
+    ):
+        raise DocumentError(
+            "bounds_report must hold integers (crossing_bound may be null) "
+            "and a boolean total_within_bounds"
+        )
     return LatticeEmbedding(sticks=tuple(doc_sticks), markers=markers, traces=traces), got
 
 
 def load_embedding(path) -> tuple[LatticeEmbedding, StickCounts]:
-    return embedding_from_document(_read_json(path))
+    return embedding_from_document(read_json(path))
 
 
 # --- OBJ export -------------------------------------------------------------

@@ -83,15 +83,16 @@ def touching_pairs(
 ) -> list[tuple[int, int]]:
     """Every position pair ``(i, j)``, ``i < j``, of sticks that meet, sorted.
 
-    Parallel sticks can meet only on one line, so each line bucket is swept
-    in order of start.  Perpendicular sticks can meet only in the plane that
+    Each stick is filed from one ``buckets`` call.  Parallel sticks can meet
+    only on one line, so each line bucket of two or more sticks is swept in
+    order of start.  Perpendicular sticks can meet only in the plane that
     fixes their common third coordinate.  In each plane bucket the sticks
     along the earlier axis are sorted by their fixed coordinate on the later
-    one; each stick along the later axis takes the range its span covers and
-    keeps the sticks whose span contains its own fixed coordinate.  Ranging
-    along the later axis keeps a vertical stick's range inside its own
-    z-slab, where a horizontal stick would take the columns of every stacked
-    component above and below it.
+    one, as (key, slot) tuples; each stick along the later axis takes the
+    range its span covers and keeps the sticks whose span contains its own
+    fixed coordinate.  Ranging along the later axis keeps a vertical stick's
+    range inside its own z-slab, where a horizontal stick would take the
+    columns of every stacked component above and below it.
 
     With ``changed``, only the lines and planes a changed stick lies in are
     bucketed, and only the pairs holding a changed stick are kept: a pair
@@ -118,22 +119,23 @@ def touching_pairs(
 
     pairs: list[tuple[int, int]] = []
     for (ax, _, _), line in lines.items():
-        line.sort(key=lambda i: sticks[i].a[ax])
-        for k, i in enumerate(line):
-            end = sticks[i].b[ax]
-            for j in islice(line, k + 1, None):
-                if sticks[j].a[ax] > end:
+        if len(line) < 2:
+            continue
+        run = sorted([(sticks[i].a[ax], sticks[i].b[ax], i) for i in line])
+        for k, (_, end, i) in enumerate(run):
+            for start, _, j in islice(run, k + 1, None):
+                if start > end:
                     break
                 pairs.append((i, j) if i < j else (j, i))
     for (normal, _), by_axis in planes.items():
         u, w = OTHER_AXES[normal]
         if not (by_axis[u] and by_axis[w]):
             continue
-        across = sorted(by_axis[u], key=lambda j: sticks[j].a[w])
-        keys = [sticks[j].a[w] for j in across]
+        across = sorted([(sticks[j].a[w], j) for j in by_axis[u]])
+        keys = [key for key, _ in across]
         for i in by_axis[w]:
             s = sticks[i]
-            for j in across[bisect_left(keys, s.a[w]) : bisect_right(keys, s.b[w])]:
+            for _, j in across[bisect_left(keys, s.a[w]) : bisect_right(keys, s.b[w])]:
                 if sticks[j].a[u] <= s.a[u] <= sticks[j].b[u]:
                     pairs.append((i, j) if i < j else (j, i))
     if changed is not None:

@@ -3,9 +3,11 @@ dense coloring matrix, the algebraic agreement of the two stick bounds, the
 binding-point law, stick construction and contact through tuple
 comprehensions, the side-slide trial that regenerates and checks the sticks
 where the build compares two column axes, the rigid map that carried local
-sticks to their stacked place where the build makes them there, and the
+sticks to their stacked place where the build makes them there, the
 vertex-merging stage that scans every stick where the build reads its stick
-index.
+index, the stick keys through ``Stick.axis``, and the trace simplification
+and normalization that walk every point through generators where the build
+takes each step once and works per axis.
 
 The package computes none of these; the tests check its results against
 them.  The module name keeps pytest from collecting it.
@@ -13,11 +15,12 @@ them.  The module name keeps pytest from collecting it.
 
 from dataclasses import replace
 from itertools import product
+from math import gcd
 
 from latticestick.assembly import MergeStep, VertexPlan, _far_end
 from latticestick.bounds import arc_index_upper, construction_count, crossing_stick_bound
 from latticestick.errors import InvalidCounts, MergeCollision, NoFreeDirection, TooLarge
-from latticestick.geom import Stick, stick
+from latticestick.geom import OTHER_AXES, LatticeEmbedding, Stick, stick
 from latticestick.invariants import GaussData, _coloring_rows, _strand_structure
 from latticestick.validate import check_self_avoiding, touching_pairs
 
@@ -109,6 +112,13 @@ def contact(s, t):
     if on_s_end or on_t_end:
         return ("t_contact", p)
     return ("cross", p)
+
+
+def buckets(s):
+    """``geom.buckets`` through ``Stick.axis``."""
+    ax = s.axis
+    u, w = OTHER_AXES[ax]
+    return ax, (ax, s.a[u], s.a[w]), (u, s.a[u]), (w, s.a[w])
 
 
 def slide_ok(build, moved_bp):
@@ -289,3 +299,43 @@ def apply_merges(cens, asm):
         ax, ay = asm.vertex_axis[label]
         asm.markers[label] = (ax, ay, att[1][0])
     return asm
+
+
+# --- traces and normalization point by point ---------------------------------
+
+def _sign_step(a, b):
+    return tuple((b[i] > a[i]) - (b[i] < a[i]) for i in range(3))
+
+
+def simplify(polyline, marker_points):
+    """``assembly._simplify`` with two sign steps per interior point."""
+    out = [polyline[0]]
+    for prev, cur, nxt in zip(polyline, polyline[1:], polyline[2:]):
+        if _sign_step(prev, cur) != _sign_step(cur, nxt) or cur in marker_points:
+            out.append(cur)
+    out.append(polyline[-1])
+    return out
+
+
+def normalize(sticks, markers, traces, unit, warnings=()):
+    """``assembly.normalize`` with one gcd over every coordinate of every
+    point and one minimum per axis over every point."""
+    ends = [p for s in sticks for p in s.ends()]
+    step = gcd(unit, *(c for p in ends + list(markers.values()) for c in p))
+    mins = tuple(min(p[i] for p in ends) for i in range(3))
+
+    def shrink(p):
+        return tuple((c - m) // step for c, m in zip(p, mins))
+
+    new_traces = {eid: [shrink(p) for p in line] for eid, line in traces.items()}
+    fused = tuple(
+        stick(a, b)
+        for eid in sorted(new_traces)
+        for a, b in zip(new_traces[eid], new_traces[eid][1:])
+    )
+    return LatticeEmbedding(
+        sticks=fused,
+        markers={k: shrink(p) for k, p in markers.items()},
+        traces=new_traces,
+        warnings=warnings,
+    )

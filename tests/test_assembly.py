@@ -631,6 +631,42 @@ class TestNormalize:
         )
         assert scaled == normalize(sticks, markers, traces, unit)
 
+    @settings(max_examples=300, deadline=None)
+    @given(state=grid_states())
+    def test_matches_point_by_point_oracle(self, state):
+        """Per-axis columns give the gcd, the minima and the shrunk points
+        that one pass over every coordinate gives, with markers and
+        without."""
+        sticks, markers, traces, unit = state
+        assert normalize(sticks, markers, traces, unit) == oracles.normalize(
+            sticks, markers, traces, unit
+        )
+        assert normalize(sticks, {}, traces, unit) == oracles.normalize(sticks, {}, traces, unit)
+
+
+@st.composite
+def axis_walks(draw):
+    """A polyline of axis-parallel steps of random axis, sign and length
+    (zero included), so it doubles back and runs straight through points,
+    and markers drawn from its points."""
+    p = tuple(draw(st.integers(-3, 3)) for _ in range(3))
+    line = [p]
+    for _ in range(draw(st.integers(1, 12))):
+        axis, sign = draw(st.integers(0, 2)), draw(st.sampled_from((-1, 1)))
+        p = tuple(c + sign * draw(st.integers(0, 3)) * (i == axis) for i, c in enumerate(p))
+        line.append(p)
+    markers = draw(st.sets(st.sampled_from(line), max_size=3))
+    return line, markers
+
+
+@settings(max_examples=500, deadline=None)
+@given(walk=axis_walks())
+def test_simplify_matches_two_steps_per_point(walk):
+    """One sign step per segment keeps the points that two steps per
+    interior point keep."""
+    line, markers = walk
+    assert assembly._simplify(line, markers) == oracles.simplify(line, markers)
+
 
 def _parallel_edges_doc(n):
     return {

@@ -269,6 +269,63 @@ class TestValidate:
         assert "counts mismatch" not in outp
         assert "bound violated: built 15 sticks, bounds: construction 13, crossing 13" in outp
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"construction_bound": 999, "alpha_total": 1, "total_within_bounds": False},
+            {"alpha_total": 6},
+            {"construction_bound": 14},
+            {"crossing_bound": None},
+            {"crossing_bound": 12},
+            {"total_within_bounds": False},
+        ],
+    )
+    def test_bounds_report_mismatch(self, tmp_path, capsys, edit):
+        """A document whose ``bounds_report`` differs from the recomputed
+        one in any value fails validation, with both reports printed."""
+        inp, out = demo_paths(tmp_path, "trefoil")
+        run("build", "--input", str(inp), "--output", str(out))
+        doc = json.loads(out.read_text())
+        doc["bounds_report"].update(edit)
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("validate", "--embedding", str(out), "--input", str(inp)) == 1
+        outp = capsys.readouterr().out
+        assert "stick count 13 <= bound 13" in outp
+        assert f"bounds_report mismatch: document says {doc['bounds_report']}, " in outp
+        assert (
+            "recomputed {'alpha_total': 5, 'construction_bound': 13, "
+            "'crossing_bound': 13, 'total_within_bounds': True}"
+        ) in outp
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"alpha_total": "5"},
+            {"alpha_total": True},
+            {"construction_bound": 13.0},
+            {"construction_bound": None},
+            {"crossing_bound": "13"},
+            {"crossing_bound": False},
+            {"total_within_bounds": 1},
+            {"total_within_bounds": None},
+        ],
+    )
+    def test_bounds_report_wrong_type(self, tmp_path, capsys, edit):
+        """A ``bounds_report`` value of the wrong type is a syntax error:
+        ``True`` is no integer and ``1`` no boolean, though they compare
+        equal."""
+        inp, out = demo_paths(tmp_path, "trefoil")
+        run("build", "--input", str(inp), "--output", str(out))
+        doc = json.loads(out.read_text())
+        doc["bounds_report"].update(edit)
+        with pytest.raises(DocumentError, match="bounds_report"):
+            embedding_from_document(doc)
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("validate", "--embedding", str(out), "--input", str(inp)) == 2
+        assert capsys.readouterr().err.startswith("error: bounds_report ")
+
     def test_missing_embedding_is_a_syntax_error(self, tmp_path, capsys):
         inp, _ = demo_paths(tmp_path, "trefoil")
         missing = tmp_path / "nowhere.json"

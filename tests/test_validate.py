@@ -8,7 +8,7 @@ from latticestick import assembly, build, validate
 from latticestick.assembly import build_full
 from latticestick.errors import ReconstructionMismatch
 from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
-from latticestick.geom import collinear, contact, stick
+from latticestick.geom import buckets, collinear, contact, stick
 from latticestick.graph import ComponentSpec, SpatialGraphSpec, census
 from latticestick.arcs import presentation
 from latticestick.io import spec_from_document
@@ -22,7 +22,7 @@ from latticestick.validate import (
     touching_pairs,
     walk_edges,
 )
-from oracles import contact as oracle_contact, listed_stick
+from oracles import buckets as oracle_buckets, contact as oracle_contact, listed_stick
 from test_golden import chain
 
 
@@ -166,6 +166,28 @@ def test_matches_all_pairs_oracle(case):
     assert check_self_avoiding(sticks, markers, ends) == _all_pairs_self_avoiding(
         sticks, markers, interior_only
     )
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=stick_sets(), data=st.data())
+def test_pairs_match_all_pairs_contacts(case, data):
+    """The pair list itself, not only its violations: every pair whose
+    sticks meet, clean shared ends included, and with ``changed`` just the
+    pairs holding a changed stick; and each stick's keys are the ones
+    ``Stick.axis`` gives."""
+    sticks, _, _ = case
+    meeting = [
+        (i, j)
+        for i in range(len(sticks))
+        for j in range(i + 1, len(sticks))
+        if contact(sticks[i], sticks[j]) is not None
+    ]
+    assert touching_pairs(sticks) == meeting
+    changed = data.draw(st.sets(st.integers(0, len(sticks) - 1)))
+    assert touching_pairs(sticks, changed) == [
+        (i, j) for i, j in meeting if i in changed or j in changed
+    ]
+    assert [buckets(s) for s in sticks] == [oracle_buckets(s) for s in sticks]
 
 
 def _new_stick(draw, sticks):
