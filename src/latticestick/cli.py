@@ -1,7 +1,8 @@
 """Command line surface: build, validate, bound, invariant, export, demo.
 
 Exit codes: 0 success, 1 semantic failure (validation, bounds, audits),
-2 syntactic or usage failure (bad JSON, unknown keys, unknown names).
+2 syntactic or usage failure (a missing or unreadable file, bad JSON, unknown
+keys, unknown names).
 """
 
 from __future__ import annotations

@@ -7,6 +7,13 @@ loaded embeddings alike hold the fused sticks, one per counted stick, so a
 document reloads to the sticks that were written.  Its text is exactly the
 ``json.dumps(doc, indent=2)`` layout plus a newline, ASCII-escaped; the golden
 digests in the tests pin those bytes.
+
+The readers take what ``json.load`` returns, so each value has an exact
+type: an integer is an ``int``, never a ``bool``, and a list is a ``list``.
+Each object is checked with one cheap test: its key set against module-level
+frozensets, a triple for three exact ``int``s, a stick's ends coordinate by
+coordinate.  Only an object that fails is examined again, to name its first
+fault.
 """
 
 from __future__ import annotations
@@ -16,25 +23,48 @@ from json.encoder import encode_basestring_ascii
 
 from .arcs import Arc, ArcPresentation
 from .errors import DocumentError
-from .geom import LatticeEmbedding, Vec3, stick
+from .geom import LatticeEmbedding, Stick, Vec3
 from .graph import ComponentSpec, CutAttachment, SpatialGraphSpec
 from .validate import BoundReport, StickCounts
 
 
-def _check_keys(obj, required, optional=(), where="document"):
+def _keys(*required, optional=()):
+    """An object's (required, allowed) key sets."""
+    return frozenset(required), frozenset(required + optional)
+
+
+_SPEC = _keys("components", optional=("attachments", "diagram_crossings"))
+_COMPONENT = _keys("id", "binding_points", "arcs")
+_BINDING_POINT = _keys("index", optional=("vertex",))
+_ARC = _keys("page", "from", "to")
+_ATTACHMENT = _keys("stem", "branch", "cut_vertex")
+_EMBEDDING = _keys("sticks", "vertices", "edges", "counts", "bounds_report")
+_VERTEX = _keys("id", "position")
+_EDGE = _keys("id", "polyline")
+_STICK = _keys("axis", "start", "end")
+_COUNTS = _keys("x", "y", "z", "total")
+_BOUNDS_REPORT = _keys(
+    "alpha_total", "construction_bound", "crossing_bound", "total_within_bounds"
+)
+
+
+def _check_keys(obj, keys, where="document"):
+    """Pass a dict whose keys hold the required ones and lie within the
+    allowed ones; name the first fault of anything else."""
     if not isinstance(obj, dict):
         raise DocumentError(f"{where} must be an object")
-    unknown = sorted(set(obj) - set(required) - set(optional))
+    required, allowed = keys
+    if required <= obj.keys() <= allowed:
+        return
+    unknown = sorted(obj.keys() - allowed)
     if unknown:
         raise DocumentError(f"unknown keys {unknown} in {where}")
-    missing = sorted(set(required) - set(obj))
-    if missing:
-        raise DocumentError(f"missing keys {missing} in {where}")
+    raise DocumentError(f"missing keys {sorted(required - obj.keys())} in {where}")
 
 
 def _is_int(value) -> bool:
     """JSON integers only: ``true`` and ``false`` are not numbers here."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    return type(value) is int
 
 
 def _list(value, where):
@@ -50,51 +80,58 @@ def _label(value, where):
 
 
 def _int_triple(value, where):
-    if not isinstance(value, list) or len(value) != 3 or not all(map(_is_int, value)):
-        raise DocumentError(f"{where} must be a list of three integers")
-    return tuple(value)
+    if (
+        type(value) is list
+        and len(value) == 3
+        and type(value[0]) is type(value[1]) is type(value[2]) is int
+    ):
+        return tuple(value)
+    raise DocumentError(f"{where} must be a list of three integers")
 
 
 # --- input documents --------------------------------------------------------
 
 def spec_from_document(doc) -> SpatialGraphSpec:
-    _check_keys(doc, ["components"], ["attachments", "diagram_crossings"])
+    _check_keys(doc, _SPEC)
     components = []
     for c in _list(doc["components"], "components"):
-        _check_keys(c, ["id", "binding_points", "arcs"], where="component")
+        _check_keys(c, _COMPONENT, "component")
         comp_id = _label(c["id"], "component id")
         labels = {}
         indices = set()
         for bp in _list(c["binding_points"], "binding_points"):
-            _check_keys(bp, ["index"], ["vertex"], where="binding point")
-            if not _is_int(bp["index"]) or bp["index"] < 1:
+            _check_keys(bp, _BINDING_POINT, "binding point")
+            index = bp["index"]
+            if not _is_int(index) or index < 1:
                 raise DocumentError("binding point index must be a positive integer")
-            if bp["index"] in indices:
-                raise DocumentError(f"duplicate binding point index {bp['index']}")
-            indices.add(bp["index"])
+            if index in indices:
+                raise DocumentError(f"duplicate binding point index {index}")
+            indices.add(index)
             if "vertex" in bp:
-                labels[bp["index"]] = _label(bp["vertex"], "vertex label")
-        if indices != set(range(1, len(indices) + 1)):
+                labels[index] = _label(bp["vertex"], "vertex label")
+        # distinct positive integers cover 1..n exactly when the largest is n
+        if indices and max(indices) != len(indices):
             raise DocumentError(
                 f"component {comp_id}: binding points must cover 1..{len(indices)}"
             )
         arcs = []
         for a in _list(c["arcs"], "arcs"):
-            _check_keys(a, ["page", "from", "to"], where="arc")
-            for key in ("page", "from", "to"):
-                if not _is_int(a[key]):
-                    raise DocumentError(f"arc {key} must be an integer")
-            if a["from"] == a["to"]:
+            _check_keys(a, _ARC, "arc")
+            page, lo, hi = a["page"], a["from"], a["to"]
+            if not type(page) is type(lo) is type(hi) is int:
+                key = next(k for k in ("page", "from", "to") if not _is_int(a[k]))
+                raise DocumentError(f"arc {key} must be an integer")
+            if lo == hi:
                 raise DocumentError("arc endpoints must differ")
-            if not {a["from"], a["to"]} <= indices:
+            if lo not in indices or hi not in indices:
                 raise DocumentError(f"arc references unlisted binding point in {comp_id}")
-            arcs.append(Arc(a["page"], min(a["from"], a["to"]), max(a["from"], a["to"])))
+            arcs.append(Arc(page, lo, hi) if lo < hi else Arc(page, hi, lo))
         pres = ArcPresentation(tuple(arcs), labels, len(indices))
         components.append(ComponentSpec(comp_id, pres))
     attachments = []
     for att in _list(doc.get("attachments", []), "attachments"):
+        _check_keys(att, _ATTACHMENT, "attachment")
         keys = ("stem", "branch", "cut_vertex")
-        _check_keys(att, keys, where="attachment")
         attachments.append(CutAttachment(*(_label(att[k], f"attachment {k}") for k in keys)))
     crossings = doc.get("diagram_crossings")
     if crossings is not None and (not _is_int(crossings) or crossings < 0):
@@ -106,7 +143,9 @@ def read_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bad JSON, bytes that are not UTF-8 and integers past
+    # int's digit limit; RecursionError covers nesting deeper than the parser
+    except (OSError, ValueError, RecursionError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
 
 
@@ -196,17 +235,17 @@ def embedding_document_text(doc: dict) -> str:
 
 
 def embedding_from_document(doc) -> tuple[LatticeEmbedding, StickCounts]:
-    _check_keys(doc, ["sticks", "vertices", "edges", "counts", "bounds_report"])
+    _check_keys(doc, _EMBEDDING)
     markers: dict[str, Vec3] = {}
     for v in _list(doc["vertices"], "vertices"):
-        _check_keys(v, ["id", "position"], where="vertex")
+        _check_keys(v, _VERTEX, "vertex")
         if _label(v["id"], "vertex id") in markers:
             raise DocumentError(f"duplicate vertex id {v['id']}")
         markers[v["id"]] = _int_triple(v["position"], "vertex position")
     traces: dict[str, list[Vec3]] = {}
     polyline_pairs = set()
     for e in _list(doc["edges"], "edges"):
-        _check_keys(e, ["id", "polyline"], where="edge")
+        _check_keys(e, _EDGE, "edge")
         if _label(e["id"], "edge id") in traces:
             raise DocumentError(f"duplicate edge id {e['id']}")
         line = [_int_triple(p, "polyline point") for p in _list(e["polyline"], "polyline")]
@@ -214,41 +253,44 @@ def embedding_from_document(doc) -> tuple[LatticeEmbedding, StickCounts]:
             raise DocumentError(f"edge {e['id']} polyline too short")
         traces[e["id"]] = line
         for a, b in zip(line, line[1:]):
-            if sum(x != y for x, y in zip(a, b)) != 1:
+            if (a[0] != b[0]) + (a[1] != b[1]) + (a[2] != b[2]) != 1:
                 raise DocumentError(f"edge {e['id']} polyline is not axis-parallel")
-            polyline_pairs.add((min(a, b), max(a, b)))
+            polyline_pairs.add((a, b) if a < b else (b, a))
     doc_sticks = []
     stick_pairs = set()
     for s in _list(doc["sticks"], "sticks"):
-        _check_keys(s, ["axis", "start", "end"], where="stick")
+        _check_keys(s, _STICK, "stick")
         a = _int_triple(s["start"], "stick start")
         b = _int_triple(s["end"], "stick end")
-        if not a < b:
+        (ax, ay, az), (bx, by, bz) = a, b
+        # the first coordinate that differs orders the ends and names the axis
+        if ax != bx:
+            ordered, parallel, axis = ax < bx, ay == by and az == bz, "x"
+        elif ay != by:
+            ordered, parallel, axis = ay < by, az == bz, "y"
+        else:
+            ordered, parallel, axis = az < bz, True, "z"
+        if not ordered:
             raise DocumentError("stick start must be lexicographically before end")
-        if sum(x != y for x, y in zip(a, b)) != 1:
+        if not parallel:
             raise DocumentError(f"stick {s['start']}-{s['end']} is not axis-parallel")
-        st = stick(a, b)
-        if s["axis"] != "xyz"[st.axis]:
+        if s["axis"] != axis:
             raise DocumentError(f"stick axis {s['axis']} does not match endpoints")
-        doc_sticks.append(st)
+        doc_sticks.append(Stick(a, b))
         stick_pairs.add((a, b))
     if not doc_sticks:
         raise DocumentError("embedding has no sticks")
     if stick_pairs != polyline_pairs:
         raise DocumentError("sticks and edge polylines are not mutually derivable")
     counts = doc["counts"]
-    _check_keys(counts, ["x", "y", "z", "total"], where="counts")
+    _check_keys(counts, _COUNTS, "counts")
     if not all(map(_is_int, counts.values())):
         raise DocumentError("counts must be integers")
     got = StickCounts(counts["x"], counts["y"], counts["z"])
     if got.total != counts["total"] or counts["total"] != len(doc_sticks):
         raise DocumentError("counts do not match the stick list")
     report = doc["bounds_report"]
-    _check_keys(
-        report,
-        ["alpha_total", "construction_bound", "crossing_bound", "total_within_bounds"],
-        where="bounds_report",
-    )
+    _check_keys(report, _BOUNDS_REPORT, "bounds_report")
     if not (
         _is_int(report["alpha_total"])
         and _is_int(report["construction_bound"])

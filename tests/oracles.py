@@ -5,9 +5,11 @@ comprehensions, the side-slide trial that regenerates and checks the sticks
 where the build compares two column axes, the rigid map that carried local
 sticks to their stacked place where the build makes them there, the
 vertex-merging stage that scans every stick where the build reads its stick
-index, the stick keys through ``Stick.axis``, and the trace simplification
+index, the stick keys through ``Stick.axis``, the trace simplification
 and normalization that walk every point through generators where the build
-takes each step once and works per axis.
+takes each step once and works per axis, and the document readers that check
+every key list, integer and stick through generic helpers where ``io`` makes
+one test per object.
 
 The package computes none of these; the tests check its results against
 them.  The module name keeps pytest from collecting it.
@@ -17,12 +19,20 @@ from dataclasses import replace
 from itertools import product
 from math import gcd
 
+from latticestick.arcs import Arc, ArcPresentation
 from latticestick.assembly import MergeStep, VertexPlan, _far_end
 from latticestick.bounds import arc_index_upper, construction_count, crossing_stick_bound
-from latticestick.errors import InvalidCounts, MergeCollision, NoFreeDirection, TooLarge
-from latticestick.geom import OTHER_AXES, LatticeEmbedding, Stick, stick
+from latticestick.errors import (
+    DocumentError,
+    InvalidCounts,
+    MergeCollision,
+    NoFreeDirection,
+    TooLarge,
+)
+from latticestick.geom import OTHER_AXES, LatticeEmbedding, Stick, Vec3, stick
+from latticestick.graph import ComponentSpec, CutAttachment, SpatialGraphSpec
 from latticestick.invariants import GaussData, _coloring_rows, _strand_structure
-from latticestick.validate import check_self_avoiding, touching_pairs
+from latticestick.validate import StickCounts, check_self_avoiding, touching_pairs
 
 MAX_STRANDS = 12
 
@@ -339,3 +349,153 @@ def normalize(sticks, markers, traces, unit, warnings=()):
         traces=new_traces,
         warnings=warnings,
     )
+
+
+def _check_keys(obj, required, optional=(), where="document"):
+    if not isinstance(obj, dict):
+        raise DocumentError(f"{where} must be an object")
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise DocumentError(f"unknown keys {unknown} in {where}")
+    missing = sorted(set(required) - set(obj))
+    if missing:
+        raise DocumentError(f"missing keys {missing} in {where}")
+
+
+def _is_int(value) -> bool:
+    """JSON integers only: ``true`` and ``false`` are not numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list(value, where):
+    if not isinstance(value, list):
+        raise DocumentError(f"{where} must be a list")
+    return value
+
+
+def _label(value, where):
+    if not isinstance(value, str) or not value:
+        raise DocumentError(f"{where} must be a nonempty string")
+    return value
+
+
+def _int_triple(value, where):
+    if not isinstance(value, list) or len(value) != 3 or not all(map(_is_int, value)):
+        raise DocumentError(f"{where} must be a list of three integers")
+    return tuple(value)
+
+
+def spec_from_document(doc) -> SpatialGraphSpec:
+    """``io.spec_from_document`` through the generic key, integer and label
+    checks: set differences for every object, one test per arc integer."""
+    _check_keys(doc, ["components"], ["attachments", "diagram_crossings"])
+    components = []
+    for c in _list(doc["components"], "components"):
+        _check_keys(c, ["id", "binding_points", "arcs"], where="component")
+        comp_id = _label(c["id"], "component id")
+        labels = {}
+        indices = set()
+        for bp in _list(c["binding_points"], "binding_points"):
+            _check_keys(bp, ["index"], ["vertex"], where="binding point")
+            if not _is_int(bp["index"]) or bp["index"] < 1:
+                raise DocumentError("binding point index must be a positive integer")
+            if bp["index"] in indices:
+                raise DocumentError(f"duplicate binding point index {bp['index']}")
+            indices.add(bp["index"])
+            if "vertex" in bp:
+                labels[bp["index"]] = _label(bp["vertex"], "vertex label")
+        if indices != set(range(1, len(indices) + 1)):
+            raise DocumentError(
+                f"component {comp_id}: binding points must cover 1..{len(indices)}"
+            )
+        arcs = []
+        for a in _list(c["arcs"], "arcs"):
+            _check_keys(a, ["page", "from", "to"], where="arc")
+            for key in ("page", "from", "to"):
+                if not _is_int(a[key]):
+                    raise DocumentError(f"arc {key} must be an integer")
+            if a["from"] == a["to"]:
+                raise DocumentError("arc endpoints must differ")
+            if not {a["from"], a["to"]} <= indices:
+                raise DocumentError(f"arc references unlisted binding point in {comp_id}")
+            arcs.append(Arc(a["page"], min(a["from"], a["to"]), max(a["from"], a["to"])))
+        pres = ArcPresentation(tuple(arcs), labels, len(indices))
+        components.append(ComponentSpec(comp_id, pres))
+    attachments = []
+    for att in _list(doc.get("attachments", []), "attachments"):
+        keys = ("stem", "branch", "cut_vertex")
+        _check_keys(att, keys, where="attachment")
+        attachments.append(CutAttachment(*(_label(att[k], f"attachment {k}") for k in keys)))
+    crossings = doc.get("diagram_crossings")
+    if crossings is not None and (not _is_int(crossings) or crossings < 0):
+        raise DocumentError("diagram_crossings must be a nonnegative integer")
+    return SpatialGraphSpec(tuple(components), tuple(attachments), crossings)
+
+
+def embedding_from_document(doc) -> tuple[LatticeEmbedding, StickCounts]:
+    """``io.embedding_from_document`` through the generic checks, a generator
+    count of differing coordinates and ``geom.stick`` for every stick."""
+    _check_keys(doc, ["sticks", "vertices", "edges", "counts", "bounds_report"])
+    markers: dict[str, Vec3] = {}
+    for v in _list(doc["vertices"], "vertices"):
+        _check_keys(v, ["id", "position"], where="vertex")
+        if _label(v["id"], "vertex id") in markers:
+            raise DocumentError(f"duplicate vertex id {v['id']}")
+        markers[v["id"]] = _int_triple(v["position"], "vertex position")
+    traces: dict[str, list[Vec3]] = {}
+    polyline_pairs = set()
+    for e in _list(doc["edges"], "edges"):
+        _check_keys(e, ["id", "polyline"], where="edge")
+        if _label(e["id"], "edge id") in traces:
+            raise DocumentError(f"duplicate edge id {e['id']}")
+        line = [_int_triple(p, "polyline point") for p in _list(e["polyline"], "polyline")]
+        if len(line) < 2:
+            raise DocumentError(f"edge {e['id']} polyline too short")
+        traces[e["id"]] = line
+        for a, b in zip(line, line[1:]):
+            if sum(x != y for x, y in zip(a, b)) != 1:
+                raise DocumentError(f"edge {e['id']} polyline is not axis-parallel")
+            polyline_pairs.add((min(a, b), max(a, b)))
+    doc_sticks = []
+    stick_pairs = set()
+    for s in _list(doc["sticks"], "sticks"):
+        _check_keys(s, ["axis", "start", "end"], where="stick")
+        a = _int_triple(s["start"], "stick start")
+        b = _int_triple(s["end"], "stick end")
+        if not a < b:
+            raise DocumentError("stick start must be lexicographically before end")
+        if sum(x != y for x, y in zip(a, b)) != 1:
+            raise DocumentError(f"stick {s['start']}-{s['end']} is not axis-parallel")
+        st = stick(a, b)
+        if s["axis"] != "xyz"[st.axis]:
+            raise DocumentError(f"stick axis {s['axis']} does not match endpoints")
+        doc_sticks.append(st)
+        stick_pairs.add((a, b))
+    if not doc_sticks:
+        raise DocumentError("embedding has no sticks")
+    if stick_pairs != polyline_pairs:
+        raise DocumentError("sticks and edge polylines are not mutually derivable")
+    counts = doc["counts"]
+    _check_keys(counts, ["x", "y", "z", "total"], where="counts")
+    if not all(map(_is_int, counts.values())):
+        raise DocumentError("counts must be integers")
+    got = StickCounts(counts["x"], counts["y"], counts["z"])
+    if got.total != counts["total"] or counts["total"] != len(doc_sticks):
+        raise DocumentError("counts do not match the stick list")
+    report = doc["bounds_report"]
+    _check_keys(
+        report,
+        ["alpha_total", "construction_bound", "crossing_bound", "total_within_bounds"],
+        where="bounds_report",
+    )
+    if not (
+        _is_int(report["alpha_total"])
+        and _is_int(report["construction_bound"])
+        and (report["crossing_bound"] is None or _is_int(report["crossing_bound"]))
+        and isinstance(report["total_within_bounds"], bool)
+    ):
+        raise DocumentError(
+            "bounds_report must hold integers (crossing_bound may be null) "
+            "and a boolean total_within_bounds"
+        )
+    return LatticeEmbedding(sticks=tuple(doc_sticks), markers=markers, traces=traces), got

@@ -48,6 +48,14 @@ MALFORMED_LABELS = {
 }
 
 
+# files no reader gets to see: bytes that are not UTF-8, and JSON nested
+# deeper than the parser recurses
+UNREADABLE = {
+    "non-utf8": b"\xff\xfe{}",
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
 def run(*argv):
     return main(list(argv))
 
@@ -467,6 +475,38 @@ class TestExport:
 
 
 class TestDocuments:
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    @pytest.mark.parametrize(
+        "command, role",
+        [
+            ("build", "input"),
+            ("validate", "embedding"),
+            ("validate", "input"),
+            ("bound", "input"),
+            ("invariant", "embedding"),
+            ("export", "embedding"),
+        ],
+    )
+    def test_unreadable_file_is_a_syntax_error(self, tmp_path, capsys, command, role, case):
+        """Every file a command reads exits 2 with ``error: cannot read``."""
+        inp, out = demo_paths(tmp_path, "unknot")
+        run("build", "--input", str(inp), "--output", str(out))
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(UNREADABLE[case])
+        paths = {"input": inp, "embedding": out, role: bad}
+        sink = tmp_path / "written"
+        args = {
+            "build": ["--input", paths["input"], "--output", sink],
+            "validate": ["--embedding", paths["embedding"], "--input", paths["input"]],
+            "bound": ["--input", paths["input"]],
+            "invariant": ["--embedding", paths["embedding"], "--component", "u"],
+            "export": ["--embedding", paths["embedding"], "--format", "obj", "--output", sink],
+        }[command]
+        capsys.readouterr()
+        assert run(command, *map(str, args)) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: ")
+        assert not sink.exists()
+
     def test_sticks_polyline_consistency_enforced(self, tmp_path):
         inp, out = demo_paths(tmp_path, "unknot")
         run("build", "--input", str(inp), "--output", str(out))

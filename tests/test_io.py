@@ -1,5 +1,5 @@
 """The embedding document's text: exactly ``json.dumps(doc, indent=2)``;
-and where a loaded document sits."""
+where a loaded document sits; and the readers against their oracles."""
 
 import copy
 import json
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from latticestick.assembly import build_full
+from latticestick.errors import DocumentError
 from latticestick.fixtures import DEMOS
 from latticestick.io import (
     embedding_document_text,
@@ -15,6 +16,8 @@ from latticestick.io import (
     embedding_to_document,
     spec_from_document,
 )
+
+import oracles
 
 
 def oracle(doc):
@@ -93,3 +96,113 @@ def test_loaded_bbox_spans_the_document_sticks():
     for p in points:
         p[:] = [c - t for c, t in zip(p, emb.bbox[1])]
     assert embedding_from_document(shifted)[0].bbox == ((-3, -3, -4), (0, 0, 0))
+
+
+def containers(value, shape=()):
+    """Every dict and list of a JSON document with its shape: its path from
+    the root, list positions left out."""
+    if isinstance(value, (dict, list)):
+        yield shape, value
+        items = value.items() if isinstance(value, dict) else ((None, v) for v in value)
+        for key, child in items:
+            yield from containers(child, shape + (key,))
+
+
+def _built(name):
+    emb, counts, bounds = build_full(spec_from_document(DEMOS[name]))
+    return json.loads(json.dumps(embedding_to_document(emb, counts, bounds)))
+
+
+# the valid documents the mutations start from: the demo inputs and the
+# embedding documents built from them
+VALID = [("spec", DEMOS[name]) for name in sorted(DEMOS)]
+VALID += [("embedding", _built(name)) for name in sorted(DEMOS)]
+READERS = {
+    "spec": (spec_from_document, oracles.spec_from_document),
+    "embedding": (embedding_from_document, oracles.embedding_from_document),
+}
+# every key of both documents, and one of neither
+KEYS = sorted(
+    {k for _, doc in VALID for _, obj in containers(doc) if isinstance(obj, dict) for k in obj}
+    | {"vertex", "diagram_crossings", "extra"}
+)
+# values of the wrong type or shape, and small integers
+ODD_VALUES = [True, False, 1.0, "1", None, 0, -1, 2, "", "x", [], {}, [0, 0], [0] * 4, {"x": 0}]
+
+EDITS = ["drop", "add", "rename", "odd", "swap", "bump", "copy", "reverse"]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with up to three edits, each at a dict or list of a
+    shape drawn from the document's (so a count is as likely a target as a
+    polyline point): a key dropped, added or renamed; a value replaced
+    by one of ``ODD_VALUES``; two values or items swapped; an integer off by
+    one (a count, an index, a coordinate that makes a stick or step
+    diagonal or zero-length); an item dropped, duplicated or appended (a
+    repeated id, a 2- or 4-element triple); a list reversed."""
+    kind, doc = draw(st.sampled_from(VALID))
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(0, 3))):
+        shapes = {}
+        for shape, obj in containers(doc):
+            shapes.setdefault(shape, []).append(obj)
+        target = draw(st.sampled_from(shapes[draw(st.sampled_from(list(shapes)))]))
+        slots = list(target) if isinstance(target, dict) else list(range(len(target)))
+        edit = draw(st.sampled_from(EDITS))
+        if edit == "add":
+            value = draw(st.sampled_from(ODD_VALUES))
+            if isinstance(target, dict):
+                target[draw(st.sampled_from(KEYS))] = copy.deepcopy(value)
+            else:
+                target.append(copy.deepcopy(value))
+            continue
+        if not slots:
+            continue
+        slot, other = draw(st.sampled_from(slots)), draw(st.sampled_from(slots))
+        if edit == "drop":
+            del target[slot]
+        elif edit == "rename" and isinstance(target, dict):
+            target[draw(st.sampled_from(KEYS))] = target.pop(slot)
+        elif edit == "odd":
+            target[slot] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        elif edit == "swap":
+            target[slot], target[other] = target[other], target[slot]
+        elif edit == "bump" and type(target[slot]) is int:
+            target[slot] += draw(st.sampled_from([-1, 1]))
+        elif edit == "copy" and isinstance(target, list):
+            target.insert(other, copy.deepcopy(target[slot]))
+        elif edit == "reverse" and isinstance(target, list):
+            target.reverse()
+    return kind, doc
+
+
+def outcome(read, doc):
+    try:
+        return read(doc)
+    except DocumentError as exc:
+        return f"DocumentError: {exc}"
+
+
+# an arc with two integers wrong at once: the first in page, from, to order is named
+TWO_BAD_ARC_INTS = {
+    "components": [
+        {
+            "id": "u",
+            "binding_points": [{"index": 1, "vertex": "v"}, {"index": 2}],
+            "arcs": [{"page": 1, "from": 1, "to": 2}, {"page": None, "from": "2", "to": 1.0}],
+        }
+    ]
+}
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=mutated_documents())
+@example(case=("spec", TWO_BAD_ARC_INTS))
+def test_readers_match_oracle(case):
+    """Each reader returns what its oracle returns, or raises
+    ``DocumentError`` with the same message, on valid and mutated
+    documents alike."""
+    kind, doc = case
+    read, oracle_read = READERS[kind]
+    assert outcome(read, doc) == outcome(oracle_read, doc)
