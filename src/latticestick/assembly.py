@@ -17,7 +17,8 @@ every tree on the unit ``12 * max(root unit)`` and walks the components in
 tree order, composing each one's final scale and offset from its stem's and
 making its sticks there.  12 is lcm(2, 3, 4), so the merge offsets
 m/(d-2) of a unit are grid points for every degree d <= 6.  ``normalize``
-divides the grid back down to the smallest integer lattice.
+maps each axis through the ranks of its distinct values, so the output
+coordinates are small whatever the grid.
 
 Merging works on one ``StickIndex`` of the stacked sticks, built only when
 some vertex has degree 3 or more, and names every stick by its slot there:
@@ -36,7 +37,6 @@ from collections import defaultdict
 from collections.abc import Collection
 from dataclasses import dataclass, field, replace
 from itertools import chain, product
-from math import gcd
 
 from .build import ComponentBuild, build_component
 from .errors import (
@@ -65,8 +65,6 @@ Axis2 = tuple[int, int]
 @dataclass
 class Assembly:
     sticks: list[Stick]
-    # grid points per unit of the roots' frame; merge offsets divide it
-    unit: int
     vertex_axis: dict[str, Axis2] = field(default_factory=dict)
     # Stacked trees reuse local (x, y) coordinates, so every per-vertex scan
     # is confined to the z-range of the vertex's own tree.
@@ -142,7 +140,7 @@ def assemble(
     sized = {root: _size_subtree(root, builds, tree, placed) for root in tree.roots}
     unit = 12 * max(u for u, _, _ in sized.values())
     warnings = [w for comp in spec.components for w in builds[comp.id].warnings]
-    asm = Assembly(sticks=[], unit=unit, warnings=warnings)
+    asm = Assembly(sticks=[], warnings=warnings)
     # per component: final grid points per point of its subtree's grid, and
     # that grid's origin, which is also the component's own
     grid: dict[str, tuple[int, Vec3]] = {}
@@ -648,29 +646,26 @@ def derive_traces(
 
 
 def normalize(
-    sticks: list[Stick],
     markers: dict[str, Vec3],
     traces: dict[str, list[Vec3]],
-    unit: int,
     warnings: tuple[str, ...] = (),
 ) -> LatticeEmbedding:
-    """Translate minima to the origin, shrink the grid to the coarsest
-    lattice holding every point, and fuse each trace into one stick per
-    straight run.
+    """Map each axis through the ranks of its distinct values and fuse each
+    trace into one stick per straight run.
 
-    ``unit`` grid points make one unit of the construction, so the step
-    ``gcd(unit, all coordinates)`` gives the lattice of the least common
-    multiple of the construction's denominators.  The step and the minima
-    come from the construction sticks, not the fused ones: a collinear joint
-    that fusion drops may lie off the coarser lattice, and dropping it would
-    change the output coordinates.  Both are taken over one coordinate column per axis.
+    The ranks are taken over the trace points, which are the fused sticks'
+    ends, and the markers.  A map that keeps the order of each axis's values
+    is an ambient isotopy of the embedding: every stick keeps its axis, two
+    sticks meet exactly where they met before, since contact is interval
+    overlap per axis, and so every count and every knot type is kept.  The
+    output's minima are zero and each coordinate is below the number of
+    distinct values on its axis, whatever grid the construction used.
     """
-    xs, ys, zs = zip(*[p for s in sticks for p in (s.a, s.b)])
-    step = gcd(unit, *xs, *ys, *zs, *chain.from_iterable(markers.values()))
-    x0, y0, z0 = min(xs), min(ys), min(zs)
+    points = [*chain.from_iterable(traces.values()), *markers.values()]
+    rx, ry, rz = ({v: i for i, v in enumerate(sorted(set(axis)))} for axis in zip(*points))
 
     def shrink(p: Vec3) -> Vec3:
-        return ((p[0] - x0) // step, (p[1] - y0) // step, (p[2] - z0) // step)
+        return (rx[p[0]], ry[p[1]], rz[p[2]])
 
     new_traces = {eid: [shrink(p) for p in line] for eid, line in traces.items()}
     fused = tuple(
@@ -700,7 +695,7 @@ def build_full(spec: SpatialGraphSpec) -> tuple[LatticeEmbedding, StickCounts, B
     asm = apply_merges(cens, asm)
     asm = straighten_arcs(spec, tree, builds, asm)
     traces = derive_traces(cens, asm.sticks, asm.markers)
-    emb = normalize(asm.sticks, asm.markers, traces, asm.unit, tuple(asm.warnings))
+    emb = normalize(asm.markers, traces, tuple(asm.warnings))
 
     report = full_audit(list(emb.sticks), emb.markers, spec, cens.degrees)
     if not report.clean:

@@ -142,8 +142,9 @@ class LatticeEmbedding:
     """An integer-coordinate embedding, built or loaded from a document.
 
     ``sticks`` are the fused sticks, one per counted stick, read off the
-    edge ``traces`` in edge id order.  A built embedding has its minima at
-    zero on every axis; a loaded one sits where its document put it.
+    edge ``traces`` in edge id order.  A built embedding's coordinates on
+    each axis are the ranks 0, 1, 2, ... of that axis's distinct values; a
+    loaded one sits where its document put it.
     """
 
     sticks: tuple[Stick, ...]

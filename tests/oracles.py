@@ -6,10 +6,11 @@ where the build compares two column axes, the rigid map that carried local
 sticks to their stacked place where the build makes them there, the
 vertex-merging stage that scans every stick where the build reads its stick
 index, the stick keys through ``Stick.axis``, the trace simplification
-and normalization that walk every point through generators where the build
-takes each step once and works per axis, and the document readers that check
-every key list, integer and stick through generic helpers where ``io`` makes
-one test per object.
+that takes two steps per point where the build takes each step once, the
+rank normalization through list indices where the build reads one map per
+axis, the gcd normalization and the whole build it ended before the rank map
+replaced it, and the document readers that check every key list, integer
+and stick through generic helpers where ``io`` makes one test per object.
 
 The package computes none of these; the tests check its results against
 them.  The module name keeps pytest from collecting it.
@@ -20,9 +21,12 @@ from itertools import product
 from math import gcd
 
 from latticestick.arcs import Arc, ArcPresentation
+from latticestick import assembly
 from latticestick.assembly import MergeStep, VertexPlan, _far_end
 from latticestick.bounds import arc_index_upper, construction_count, crossing_stick_bound
+from latticestick.build import build_component
 from latticestick.errors import (
+    AssemblyCollision,
     DocumentError,
     InvalidCounts,
     MergeCollision,
@@ -30,9 +34,21 @@ from latticestick.errors import (
     TooLarge,
 )
 from latticestick.geom import OTHER_AXES, LatticeEmbedding, Stick, Vec3, stick
-from latticestick.graph import ComponentSpec, CutAttachment, SpatialGraphSpec
+from latticestick.graph import (
+    ComponentSpec,
+    CutAttachment,
+    SpatialGraphSpec,
+    build_cut_tree,
+    census,
+)
 from latticestick.invariants import GaussData, _coloring_rows, _strand_structure
-from latticestick.validate import StickCounts, check_self_avoiding, touching_pairs
+from latticestick.validate import (
+    StickCounts,
+    check_bound,
+    check_self_avoiding,
+    full_audit,
+    touching_pairs,
+)
 
 MAX_STRANDS = 12
 
@@ -327,16 +343,7 @@ def simplify(polyline, marker_points):
     return out
 
 
-def normalize(sticks, markers, traces, unit, warnings=()):
-    """``assembly.normalize`` with one gcd over every coordinate of every
-    point and one minimum per axis over every point."""
-    ends = [p for s in sticks for p in s.ends()]
-    step = gcd(unit, *(c for p in ends + list(markers.values()) for c in p))
-    mins = tuple(min(p[i] for p in ends) for i in range(3))
-
-    def shrink(p):
-        return tuple((c - m) // step for c, m in zip(p, mins))
-
+def _fused_embedding(shrink, markers, traces, warnings):
     new_traces = {eid: [shrink(p) for p in line] for eid, line in traces.items()}
     fused = tuple(
         stick(a, b)
@@ -349,6 +356,47 @@ def normalize(sticks, markers, traces, unit, warnings=()):
         traces=new_traces,
         warnings=warnings,
     )
+
+
+def normalize(markers, traces, warnings=()):
+    """``assembly.normalize`` with each coordinate's rank found by its index
+    in the sorted distinct values of its axis, point by point."""
+    points = [p for line in traces.values() for p in line] + list(markers.values())
+    axes = [sorted(set(p[i] for p in points)) for i in range(3)]
+    return _fused_embedding(
+        lambda p: tuple(axis.index(c) for axis, c in zip(axes, p)), markers, traces, warnings
+    )
+
+
+def gcd_normalize(sticks, markers, traces, unit, warnings=()):
+    """The normalization before the rank map: minima to the origin, then the
+    grid shrunk by one gcd of ``unit`` and every coordinate of the
+    construction ``sticks`` and the markers."""
+    ends = [p for s in sticks for p in s.ends()]
+    step = gcd(unit, *(c for p in ends + list(markers.values()) for c in p))
+    mins = tuple(min(p[i] for p in ends) for i in range(3))
+    return _fused_embedding(
+        lambda p: tuple((c - m) // step for c, m in zip(p, mins)), markers, traces, warnings
+    )
+
+
+def gcd_build_full(spec):
+    """``assembly.build_full`` as it was before the rank map: its stages up
+    to the traces, ``gcd_normalize`` on the roots' unit, which is the
+    largest component scale, then the audit and the bound."""
+    cens = census(spec)
+    tree = build_cut_tree(spec, cens)
+    builds = {c.id: build_component(c, cens.classes[c.id]) for c in spec.components}
+    asm = assembly.assemble(spec, tree, builds)
+    asm = assembly.straighten_arcs(spec, tree, builds, assembly.apply_merges(cens, asm))
+    traces = assembly.derive_traces(cens, asm.sticks, asm.markers)
+    unit = max(asm.comp_scale.values())
+    emb = gcd_normalize(asm.sticks, asm.markers, traces, unit, tuple(asm.warnings))
+    report = full_audit(list(emb.sticks), emb.markers, spec, cens.degrees)
+    if not report.clean:
+        raise AssemblyCollision("built embedding failed its audit")
+    bounds = check_bound(report.counts, cens, cens.alpha_total, spec.declared_crossings)
+    return emb, report.counts, bounds
 
 
 def _check_keys(obj, required, optional=(), where="document"):

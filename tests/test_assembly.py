@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -30,7 +31,14 @@ from latticestick.errors import (
 )
 from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
 from latticestick.geom import Stick, stick
-from latticestick.graph import ComponentClass, ComponentSpec, build_cut_tree, census
+from latticestick.graph import (
+    ComponentClass,
+    ComponentSpec,
+    SpatialGraphSpec,
+    build_cut_tree,
+    census,
+)
+from latticestick.invariants import extract_knot_cycle, knot_determinant, project_generic
 from latticestick.io import embedding_from_document, embedding_to_document, spec_from_document
 from latticestick.validate import (
     check_self_avoiding,
@@ -43,7 +51,7 @@ import oracles
 from oracles import attachments as oracle_attachments, transform, transform_point
 from test_build import presentations
 from test_golden import INPUTS as GOLDEN_INPUTS, _bench_workloads, chain
-from test_properties import THETA5
+from test_properties import THETA5, graph_component_specs, knot_specs
 from test_validate import GRID, _all_pairs_self_avoiding, grid_sticks
 
 
@@ -110,8 +118,10 @@ class TestAssemble:
 
     def test_branch_scales_nest(self):
         spec, cens, tree, builds, asm = stages(CHAIN)
-        # the root's unit is the grid unit; a branch is at most 1/8 of its stem
-        assert asm.comp_scale["th1"] == asm.unit
+        # the root's unit is the grid unit, the largest scale and a multiple
+        # of 12; a branch is at most 1/8 of its stem
+        assert asm.comp_scale["th1"] == max(asm.comp_scale.values())
+        assert asm.comp_scale["th1"] % 12 == 0
         assert 8 * asm.comp_scale["mid"] <= asm.comp_scale["th1"]
         assert 4 * asm.comp_scale["th2"] < asm.comp_scale["mid"]
 
@@ -169,7 +179,7 @@ def oracle_assemble(spec, tree, builds):
     subs = {root: _oracle_realize(root, builds, tree) for root in tree.roots}
     unit = 12 * max(sub.scale[root] for root, sub in subs.items())
     asm = SimpleNamespace(
-        sticks=[], unit=unit, vertex_axis={}, vertex_zrange={}, comp_scale={},
+        sticks=[], vertex_axis={}, vertex_zrange={}, comp_scale={},
         comp_zspan={}, markers={}, warnings=[],
     )
     top = 0
@@ -217,8 +227,8 @@ def test_stacking_matches_oracle(group):
     for i, doc in enumerate(STACKING_GROUPS[group]()):
         spec, cens, tree, builds, asm = stages(doc)
         ref = oracle_assemble(spec, tree, builds)
-        for key in ("unit", "comp_scale", "comp_zspan", "vertex_axis", "vertex_zrange",
-                    "markers", "warnings"):
+        for key in ("comp_scale", "comp_zspan", "vertex_axis", "vertex_zrange", "markers",
+                    "warnings"):
             assert getattr(asm, key) == getattr(ref, key), (group, i, key)
         assert Counter(asm.sticks) == Counter(ref.sticks), (group, i)
 
@@ -505,7 +515,7 @@ class TestApplyMerges:
         attachments gets no marker."""
         index = edited_column([(1, 0), (1, 0), (0, 1)], change)
         asm = assembly.Assembly(
-            sticks=index.state(), unit=12, vertex_axis={"v": (0, 0)}, vertex_zrange={"v": (0, 99)}
+            sticks=index.state(), vertex_axis={"v": (0, 0)}, vertex_zrange={"v": (0, 99)}
         )
         cens = SimpleNamespace(degrees={"v": 3})
         with pytest.raises(MergeCollision, match=f"^vertex v: expected 3 attachments, got {got}$"):
@@ -569,37 +579,66 @@ class TestStraighten:
 
 @st.composite
 def grid_states(draw):
-    """Sticks on a small grid with traces and markers on their ends, and a
-    unit of any size: ``normalize`` must not depend on the grid's scale."""
+    """Traces along sticks on a small grid, at least one, and markers on
+    the sticks' ends."""
     sticks = []
     for _ in range(draw(st.integers(1, 8))):
         a = tuple(draw(st.integers(-9, 9)) for _ in range(3))
         axis = draw(st.integers(0, 2))
         b = tuple(c + draw(st.integers(1, 9)) * (i == axis) for i, c in enumerate(a))
         sticks.append(stick(a, b))
-    traces = {f"c/e{i}": [s.a, s.b] for i, s in enumerate(sticks) if draw(st.booleans())}
+    traced = draw(st.lists(st.booleans(), min_size=len(sticks), max_size=len(sticks)))
+    traced[0] = True
+    traces = {f"c/e{i}": [s.a, s.b] for i, s in enumerate(sticks) if traced[i]}
     ends = sorted({p for s in sticks for p in s.ends()})
     points = draw(st.lists(st.sampled_from(ends), max_size=3, unique=True))
     markers = {f"v{i}": p for i, p in enumerate(points)}
-    return sticks, markers, traces, draw(st.integers(1, 48))
+    return markers, traces
+
+
+def rank_of_pre_change_build(spec):
+    """``build_full`` gives the pre-change embedding mapped through the
+    per-axis ranks, the same counts and the same determinant of every knot
+    component, and normalizing its own traces and markers changes nothing."""
+    emb, counts, bounds = build_full(spec)
+    old, old_counts, old_bounds = oracles.gcd_build_full(spec)
+    assert emb == oracles.normalize(old.markers, old.traces, old.warnings)
+    assert (list(emb.traces), list(emb.markers), emb.warnings) == (
+        list(old.traces), list(old.markers), old.warnings
+    )
+    assert (counts, bounds) == (old_counts, old_bounds)
+    for comp_id, cls in census(spec).classes.items():
+        if cls is ComponentClass.KNOT:
+            det = [knot_determinant(extract_knot_cycle(project_generic(e, {comp_id}), comp_id))
+                   for e in (emb, old)]
+            assert det[0] == det[1], comp_id
+    assert normalize(emb.markers, emb.traces, emb.warnings) == emb
+
+
+def tree_is_rank_of_pre_change_build(seed):
+    """``rank_of_pre_change_build`` on the random cut tree of ``seed``, or
+    the same failure before the rank map; whether the tree built."""
+    spec = spec_from_document(_bench_workloads().tree_input(random.Random(seed)))
+    try:
+        build_full(spec)
+    except (NoFreeDirection, BoundViolated, MergeCollision) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            oracles.gcd_build_full(spec)
+        return False
+    rank_of_pre_change_build(spec)
+    return True
 
 
 class TestNormalize:
-    def test_quarter_denominators_scale_by_four(self):
-        # four grid points per unit: the quarter-unit stick is one lattice step
-        sticks = [
-            stick((0, 0, 0), (1, 0, 0)),
-            stick((1, 0, 0), (1, 4, 0)),
+    def test_each_axis_maps_to_its_ranks(self):
+        # uneven gaps close up: x takes 0, 3, 10 -> 0, 1, 2 and z 5, 7 -> 0, 1
+        line = [(0, 4, 5), (3, 4, 5), (3, 4, 7), (10, 4, 7)]
+        emb = normalize({"v": (3, 4, 5)}, {"c/e0": line})
+        assert emb.traces == {"c/e0": [(0, 0, 0), (1, 0, 0), (1, 0, 1), (2, 0, 1)]}
+        assert emb.markers == {"v": (1, 0, 0)}
+        assert [(s.a, s.b) for s in emb.sticks] == [
+            ((0, 0, 0), (1, 0, 0)), ((1, 0, 0), (1, 0, 1)), ((1, 0, 1), (2, 0, 1))
         ]
-        # the bbox spans the fused sticks, so the test traces its one edge
-        emb = normalize(sticks, {}, {"c/e0": [(0, 0, 0), (1, 0, 0), (1, 4, 0)]}, 4)
-        assert emb.bbox == ((0, 0, 0), (1, 4, 0))
-
-    def test_integral_input_only_translated(self):
-        sticks = [stick((5, 5, 5), (5, 5, 7))]
-        emb = normalize(sticks, {}, {"c/e0": [(5, 5, 5), (5, 5, 7)]}, 1)
-        assert emb.sticks[0].a == (0, 0, 0)
-        assert emb.sticks[0].b == (0, 0, 2)
 
     def test_counts_preserved(self):
         spec, cens, tree, builds, asm = stages(CHAIN)
@@ -607,7 +646,7 @@ class TestNormalize:
         out = straighten_arcs(spec, tree, builds, merged)
         before = _counts(out.sticks, out.markers)
         traces = derive_traces(cens, out.sticks, out.markers)
-        emb = normalize(out.sticks, out.markers, traces, out.unit)
+        emb = normalize(out.markers, traces)
         after = _counts(list(emb.sticks), emb.markers)
         assert (before.x, before.y, before.z) == (after.x, after.y, after.z)
 
@@ -619,29 +658,70 @@ class TestNormalize:
         for s in emb.sticks:
             assert all(type(c) is int and c >= 0 for c in s.a + s.b)
 
+    @pytest.mark.parametrize("n", [6, 12, 24])
+    def test_chain_coordinates_below_stick_count(self, n):
+        """Nesting scales each branch up by 8*2^k, but the ranks leave every
+        coordinate of a chain below its stick count."""
+        emb, counts, _ = build_full(spec_from_document(_bench_workloads().chain_input(n)))
+        assert max(c for s in emb.sticks for c in s.a + s.b) < counts.total
+
     @settings(max_examples=200, deadline=None)
-    @given(state=grid_states(), k=st.integers(1, 1000))
-    def test_grid_scale_does_not_change_output(self, state, k):
-        sticks, markers, traces, unit = state
-        scaled = normalize(
-            [transform(s, k, (0, 0, 0)) for s in sticks],
-            {label: tuple(k * c for c in p) for label, p in markers.items()},
-            {eid: [tuple(k * c for c in p) for p in line] for eid, line in traces.items()},
-            k * unit,
+    @given(state=grid_states(), data=st.data())
+    def test_grid_scale_does_not_change_output(self, state, data):
+        """Any strictly increasing map per axis, not only a common scale
+        k*x, leaves the ranks and so the output as they are."""
+        markers, traces = state
+        k = data.draw(st.tuples(*[st.integers(1, 1000)] * 3))
+        d = data.draw(st.tuples(*[st.integers(-1000, 1000)] * 3))
+
+        def move(p):
+            return tuple(ki * c + c**3 + di for ki, c, di in zip(k, p, d))
+
+        moved = normalize(
+            {label: move(p) for label, p in markers.items()},
+            {eid: [move(p) for p in line] for eid, line in traces.items()},
         )
-        assert scaled == normalize(sticks, markers, traces, unit)
+        assert moved == normalize(markers, traces)
 
     @settings(max_examples=300, deadline=None)
     @given(state=grid_states())
     def test_matches_point_by_point_oracle(self, state):
-        """Per-axis columns give the gcd, the minima and the shrunk points
-        that one pass over every coordinate gives, with markers and
-        without."""
-        sticks, markers, traces, unit = state
-        assert normalize(sticks, markers, traces, unit) == oracles.normalize(
-            sticks, markers, traces, unit
-        )
-        assert normalize(sticks, {}, traces, unit) == oracles.normalize(sticks, {}, traces, unit)
+        """One rank map per axis gives the ranks that each coordinate's
+        index among its axis's sorted values gives, with markers and
+        without, and a second pass changes nothing."""
+        markers, traces = state
+        emb = normalize(markers, traces)
+        assert emb == oracles.normalize(markers, traces)
+        assert normalize({}, traces) == oracles.normalize({}, traces)
+        assert normalize(emb.markers, emb.traces) == emb
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
+    def test_fixture_is_rank_of_pre_change_build(self, name):
+        rank_of_pre_change_build(spec_from_document(GOLDEN_INPUTS[name]))
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), source=st.sampled_from(["knot", "forest", "graph", "tree"]))
+    def test_random_build_is_rank_of_pre_change_build(self, data, source):
+        """Knots, split forests of two knots, 3- and 4-edge thetas, 2-loop
+        bouquets and K4s, and random cut trees: a tree that fails to build
+        fails the same way before the rank map, which runs only at the end."""
+        if source == "knot":
+            spec = data.draw(knot_specs())
+        elif source == "forest":
+            a, b = data.draw(knot_specs("a", 5)), data.draw(knot_specs("b", 5))
+            spec = SpatialGraphSpec(a.components + b.components)
+        elif source == "graph":
+            shape = data.draw(st.sampled_from(["theta3", "theta4", "bouquet2", "k4"]))
+            spec = data.draw(graph_component_specs(shape))
+        else:
+            seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+            tree_is_rank_of_pre_change_build(seed)
+            return
+        rank_of_pre_change_build(spec)
+
+    def test_pinned_trees_are_rank_of_pre_change_build(self):
+        built = sum(map(tree_is_rank_of_pre_change_build, range(300)))
+        assert built == 37
 
 
 @st.composite
