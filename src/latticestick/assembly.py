@@ -8,27 +8,20 @@ merging reroutes the junctions' horizontal sticks onto the pivot (the second
 attachment from the bottom) through offset verticals, one extra stick per
 merge, after which the run fuses and the pivot is the vertex.
 
-All coordinates are integers on one grid per build.  Stacking makes two
-passes over the components and builds each stick once.  The first sizes the
-subtrees bottom-up: rather than shrink a branch by 1/(8*2^k), it scales its
-stem up by 8*2^k, so each subtree's own component gets a power-of-two unit,
-and only the subtree's top and x/y box travel up the tree.  The second puts
-every tree on the unit ``12 * max(root unit)`` and walks the components in
-tree order, composing each one's final scale and offset from its stem's and
-making its sticks there.  12 is lcm(2, 3, 4), so the merge offsets
-m/(d-2) of a unit are grid points for every degree d <= 6.  ``normalize``
-maps each axis through the ranks of its distinct values, so the output
-coordinates are small whatever the grid.
+All coordinates are integers on one grid per build.  Stacking sizes the
+subtrees bottom-up, scaling each stem up by 8*2^k rather than shrinking its
+branch, then puts every tree on the unit ``12 * max(root unit)`` and makes
+each stick once at its component's composed scale and offset.  12 is
+lcm(2, 3, 4), so the merge offsets m/(d-2) of a unit are grid points for
+every degree d <= 6.  ``normalize`` maps each axis through the ranks of its
+distinct values, so the output coordinates are small whatever the grid.
 
-Merging works on one ``StickIndex`` of the stacked sticks, built only when
-some vertex has degree 3 or more, and names every stick by its slot there:
-the planner reads attachments and far-end partners from it, a plan's steps
-name the slots they reroute, a plan finds its run to fuse in the column's
-line bucket, each trial is staged on it, its new sticks' pairs are read
-from its buckets, and the kept trial is committed to it.  The index is
-merge-stage state and lives here: ``validate.check_self_avoiding`` only
-judges the pairs a trial names.  Straightening finds its trial's pairs
-with ``validate.touching_pairs``; the final audit finds its own.
+Merging works on one ``StickIndex`` of the stacked sticks and names every
+stick by its slot there: the planner, each plan's steps and run, each
+trial's staging and pairs, and the kept trial's commit all read or update
+it.  ``validate.check_self_avoiding`` only judges the pairs a trial names.
+Straightening finds its trial's pairs and census with
+``validate.scan_changed``; the final audit finds its own.
 """
 
 from __future__ import annotations
@@ -53,9 +46,8 @@ from .validate import (
     check_bound,
     check_self_avoiding,
     endpoint_census,
-    endpoint_census_at,
     full_audit,
-    touching_pairs,
+    scan_changed,
     walk_edges,
 )
 
@@ -201,8 +193,6 @@ class StickIndex:
     Buckets hold slots: ``lines`` by ``buckets``' line key, ``planes`` by
     plane key and then by stick axis, ``ends`` by end point, and
     ``columns`` the horizontal sticks by the (x, y) of each of their ends.
-    The full audit never uses an index: it takes its own census of the
-    final sticks, so it checks the build instead of inheriting its state.
     """
 
     def __init__(self, sticks: list[Stick]):
@@ -276,11 +266,9 @@ class StickIndex:
         self.trial = self._staged = None
 
     def touching_pairs(self) -> list[tuple[int, int]]:
-        """Every slot pair of the staged trial that holds a new stick and
-        whose sticks meet, sorted: the ``pairs`` a check of ``trial`` takes.
-        A new stick is compared with the kept sticks of its line, the
-        perpendicular kept sticks of its two planes and the other new
-        sticks."""
+        """The ``pairs`` a check of ``trial`` takes: every slot pair holding
+        a new stick whose sticks meet, sorted, from each new stick's line,
+        its two planes' perpendicular sticks and the other new sticks."""
         replaced, removed, added = self._staged
         trial = self.trial
         changed = [*sorted(replaced), *added]
@@ -454,14 +442,13 @@ def apply_merges(cens: GraphCensus, asm: Assembly) -> Assembly:
     """Merge every vertex of degree >= 4, then place the markers of the
     degree-3 vertices (``assemble`` placed those of lone circles).
 
-    One ``StickIndex`` of the stacked sticks serves the whole stage, built
-    only when some vertex has degree 3 or more.  Each vertex tries its
-    candidate plans in preference order and keeps the first one that leaves
-    no stick of zero length and whose trial, staged on the index and checked
-    against its new sticks' buckets only, stays intersection-free; the kept
-    trial is committed to the index and its plan goes to ``asm.merge_plans``.
-    Exhausting all of them raises MergeCollision.  A vertex's merge offsets
-    divide the finest unit among the components holding it.
+    One ``StickIndex`` serves the whole stage, built only when some vertex
+    has degree 3 or more.  Each vertex keeps its first candidate plan that
+    leaves no stick of zero length and whose trial, checked against its new
+    sticks' buckets only, stays intersection-free; that trial is committed
+    and its plan goes to ``asm.merge_plans``.  Exhausting all of them raises
+    MergeCollision.  A vertex's merge offsets divide the finest unit among
+    the components holding it.
     """
     degrees = cens.degrees
     if all(d < 3 for d in degrees.values()):
@@ -513,21 +500,18 @@ def straighten_arcs(
 
     One pass over the sticks per link sorts each stick into one group: the
     elbow (the link's sticks at its page level, one ending on the near
-    column and one on the far, whichever binding point holds which vertex;
-    a merge that rerouted one leaves the link as it is); the far-axis run
-    from the elbow to the bottom of the branch's z-slab (the connector, or
-    the fused run a merge rebuilt); the sticks inside the slab, rebuilt
-    moved onto the near column; straddlers, with exactly one end in the
-    slab; and the rest, which stay.  The elbow and the run give way to one
-    vertical stick on the near axis.  Only the new stick and the unmoved
-    sticks spanning the slab are checked: the branch moves rigidly in x and
-    y, so pairs inside it keep their contact kinds, and every other unmoved
-    stick has both ends outside the slab.  Removing sticks only lowers
-    endpoint counts, and markers move with their sticks.
-
-    Components realising more than one arc stay untouched (they may be
-    knotted, and flattening them would change the embedding's type); every
-    skip is reported.
+    column and one on the far, either way round; a merge that rerouted one
+    leaves the link as it is); the far-axis run from the elbow to the
+    bottom of the branch's z-slab (the connector, or the fused run a merge
+    rebuilt); the sticks inside the slab, moved onto the near column;
+    straddlers, with one end in the slab; and the rest, which stay.  The
+    elbow and the run give way to one vertical stick on the near axis.  Only
+    it and the unmoved sticks spanning the slab are checked, by
+    ``scan_changed``, whose precondition holds: the branch moves rigidly in
+    x and y, every other unmoved stick has both ends outside the slab,
+    removing sticks only lowers endpoint counts, and markers move with their
+    sticks.  Components realising more than one arc stay untouched (they may
+    be knotted); every skip is reported.
     """
     for comp_id in tree.order:
         b = builds[comp_id]
@@ -587,8 +571,8 @@ def straighten_arcs(
             label: ((p[0] + dx, p[1] + dy, p[2]) if z_lo <= p[2] <= z_hi else p)
             for label, p in asm.markers.items()
         }
-        pairs = touching_pairs(moved, changed)
-        if check_self_avoiding(moved, new_markers, endpoint_census_at(moved, changed), pairs):
+        pairs, ends = scan_changed(moved, changed)
+        if check_self_avoiding(moved, new_markers, ends, pairs):
             asm.warnings.append(f"{comp_id}: straightening collides, skipped")
             continue
 
@@ -650,24 +634,20 @@ def normalize(
     traces: dict[str, list[Vec3]],
     warnings: tuple[str, ...] = (),
 ) -> LatticeEmbedding:
-    """Map each axis through the ranks of its distinct values and fuse each
+    """Map each axis through the ranks of its distinct values, taken over
+    the trace points (the fused sticks' ends) and the markers, and fuse each
     trace into one stick per straight run.
 
-    The ranks are taken over the trace points, which are the fused sticks'
-    ends, and the markers.  A map that keeps the order of each axis's values
-    is an ambient isotopy of the embedding: every stick keeps its axis, two
-    sticks meet exactly where they met before, since contact is interval
-    overlap per axis, and so every count and every knot type is kept.  The
-    output's minima are zero and each coordinate is below the number of
-    distinct values on its axis, whatever grid the construction used.
+    An order-preserving map of each axis is an ambient isotopy: every stick
+    keeps its axis and two sticks meet exactly where they met before, since
+    contact is interval overlap per axis, so every count and knot type is
+    kept.  Each output coordinate is below its axis's number of values.
     """
     points = [*chain.from_iterable(traces.values()), *markers.values()]
     rx, ry, rz = ({v: i for i, v in enumerate(sorted(set(axis)))} for axis in zip(*points))
-
-    def shrink(p: Vec3) -> Vec3:
-        return (rx[p[0]], ry[p[1]], rz[p[2]])
-
-    new_traces = {eid: [shrink(p) for p in line] for eid, line in traces.items()}
+    new_traces = {
+        eid: [(rx[x], ry[y], rz[z]) for x, y, z in line] for eid, line in traces.items()
+    }
     fused = tuple(
         stick(a, b)
         for eid in sorted(new_traces)
@@ -675,7 +655,7 @@ def normalize(
     )
     return LatticeEmbedding(
         sticks=fused,
-        markers={k: shrink(p) for k, p in markers.items()},
+        markers={k: (rx[x], ry[y], rz[z]) for k, (x, y, z) in markers.items()},
         traces=new_traces,
         warnings=warnings,
     )

@@ -22,7 +22,6 @@ from .io import (
     bounds_report,
     embedding_document_text,
     embedding_from_document,
-    embedding_to_document,
     export_obj,
     load_embedding,
     load_spec,
@@ -47,7 +46,7 @@ def _write(path, text: str) -> None:
 def cmd_build(args) -> int:
     spec = load_spec(args.input)
     emb, counts, bounds = build_full(spec)
-    _write(args.output, embedding_document_text(embedding_to_document(emb, counts, bounds)))
+    _write(args.output, embedding_document_text(emb, counts, bounds))
     for w in emb.warnings:
         print(f"note: {w}")
     print(f"sticks: x={counts.x} y={counts.y} z={counts.z} total={counts.total}")

@@ -1,15 +1,11 @@
 """Exact axis-parallel segment geometry on the integer lattice.
 
-Every coordinate is a Python ``int``: a build works on one integer grid
-whose unit ``assembly`` chooses, so there are no tolerances.  A stick
-is a closed segment parallel to one of the three axes with strictly positive
-length.  Contact classification between two sticks reduces to interval
-arithmetic per coordinate, since the intersection of two axis-parallel
-segments is the intersection of their bounding boxes.  So two
-parallel sticks can meet only on one line, and two perpendicular sticks only
-in one plane, the one fixing the coordinate of the third axis in both:
-``buckets`` names those keys of a stick, and every pair finder, the audit's
-and the merge stage's alike, compares only sticks that share one.
+Every coordinate is a Python ``int``, so there are no tolerances.  A stick
+is an immutable closed segment of positive length parallel to one axis.  Two
+sticks meet where their bounding boxes do: parallel ones only on one line,
+perpendicular ones only in the plane fixing their common third coordinate.
+``buckets`` names those keys of a stick; the audit's filing pass computes
+them by the same rule.
 
 ``LatticeEmbedding`` is the finished embedding, as a build returns it and a
 document loads to it.
@@ -22,19 +18,44 @@ from dataclasses import dataclass
 Vec3 = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
 class Stick:
     """Closed axis-parallel segment from ``a`` to ``b`` (ordered along its axis).
 
     ``comp`` names the component whose arcs the stick realises: an elbow
     stick, the vertical stick that replaces a straightened arc, or a piece a
     merge cut from one of them.  Columns, connectors and fused runs carry
-    ``""``.  The tag is metadata and never affects geometry.
+    ``""``.  The tag is metadata and never affects geometry.  A stick is
+    immutable, and equal, hashed and printed as a frozen dataclass of the
+    three fields would be; slots filled through their descriptors make it
+    about three times cheaper to build, and faster to read than a named tuple.
     """
 
-    a: Vec3
-    b: Vec3
-    comp: str = ""
+    __slots__ = ("a", "b", "comp")
+
+    def __init__(self, a: Vec3, b: Vec3, comp: str = "") -> None:
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_comp(self, comp)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.comp) == (other.a, other.b, other.comp)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.comp))
+
+    def __repr__(self):
+        return f"Stick(a={self.a!r}, b={self.b!r}, comp={self.comp!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, never through __setattr__
+        return (Stick, (self.a, self.b, self.comp))
 
     @property
     def axis(self) -> int:
@@ -47,11 +68,6 @@ class Stick:
             return 2
         raise ValueError(f"zero-length stick at {a}")
 
-    @property
-    def length(self) -> int:
-        i = self.axis
-        return self.b[i] - self.a[i]
-
     def ends(self) -> tuple[Vec3, Vec3]:
         return (self.a, self.b)
 
@@ -60,15 +76,13 @@ class Stick:
 
     def direction_from(self, p: Vec3) -> tuple[int, int, int]:
         """Unit direction pointing from endpoint ``p`` into the stick."""
-        if p == self.a:
-            other = self.b
-        elif p == self.b:
-            other = self.a
-        else:
+        if p != self.a and p != self.b:
             raise ValueError(f"{p} is not an endpoint")
-        return tuple(
-            0 if other[i] == p[i] else (1 if other[i] > p[i] else -1) for i in range(3)
-        )
+        other = self.b if p == self.a else self.a
+        return tuple((o > c) - (o < c) for o, c in zip(other, p))
+
+
+_set_a, _set_b, _set_comp = (Stick.__dict__[name].__set__ for name in Stick.__slots__)
 
 
 def stick(a: Vec3, b: Vec3, comp: str = "") -> Stick:
@@ -130,11 +144,6 @@ def contact(s: Stick, t: Stick):
     if on_s_end or on_t_end:
         return ("t_contact", p)
     return ("cross", p)
-
-
-def collinear(s: Stick, t: Stick) -> bool:
-    """True when the two sticks lie on one axis-parallel line: share a line key."""
-    return buckets(s)[1] == buckets(t)[1]
 
 
 @dataclass(frozen=True)

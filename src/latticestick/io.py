@@ -5,8 +5,9 @@ document stores the embedding's sticks together with the edge polylines they
 came from; the two views are checked against each other on load.  Built and
 loaded embeddings alike hold the fused sticks, one per counted stick, so a
 document reloads to the sticks that were written.  Its text is exactly the
-``json.dumps(doc, indent=2)`` layout plus a newline, ASCII-escaped; the golden
-digests in the tests pin those bytes.
+``json.dumps(embedding_to_document(...), indent=2)`` layout plus a newline,
+ASCII-escaped, which the writer makes straight from the embedding; the
+golden digests in the tests pin those bytes.
 
 The readers take what ``json.load`` returns, so each value has an exact
 type: an integer is an ``int``, never a ``bool``, and a list is a ``list``.
@@ -160,16 +161,10 @@ def embedding_to_document(
 ) -> dict:
     return {
         "sticks": [
-            {
-                "axis": "xyz"[s.axis],
-                "start": list(s.a),
-                "end": list(s.b),
-            }
-            for s in emb.sticks
+            {"axis": "xyz"[s.axis], "start": list(s.a), "end": list(s.b)} for s in emb.sticks
         ],
         "vertices": [
-            {"id": label, "position": list(p)}
-            for label, p in sorted(emb.markers.items())
+            {"id": label, "position": list(p)} for label, p in sorted(emb.markers.items())
         ],
         "edges": [
             {"id": eid, "polyline": [list(p) for p in emb.traces[eid]]}
@@ -191,46 +186,49 @@ def bounds_report(bounds: BoundReport) -> dict:
     }
 
 
-def embedding_document_text(doc: dict) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"`` for a document of
-    ``embedding_to_document``, written from its fixed shape: one template per
-    stick, vertex and polyline point, one join per list, and strings through
-    json's own escaper.  Any ``indent`` sends ``json.dumps`` through its
-    pure-Python encoder, one generator step per token.
-    """
-    q = encode_basestring_ascii
-    p6 = " " * 6
-
-    def items(parts: list[str], pad: str) -> str:
-        return f"[\n{pad}  " + f",\n{pad}  ".join(parts) + f"\n{pad}]" if parts else "[]"
-
-    def triple(p, pad: str) -> str:
-        return f"[\n{pad}  {p[0]},\n{pad}  {p[1]},\n{pad}  {p[2]}\n{pad}]"
-
-    def scalar(v) -> str:
-        return "null" if v is None else str(v).lower() if isinstance(v, bool) else int.__repr__(v)
-
-    def scalars(d: dict) -> str:
-        return "{\n    " + ",\n    ".join(f"{q(k)}: {scalar(v)}" for k, v in d.items()) + "\n  }"
-
+def embedding_document_text(
+    emb: LatticeEmbedding, counts: StickCounts, bounds: BoundReport
+) -> str:
+    """``json.dumps(embedding_to_document(emb, counts, bounds), indent=2)``
+    plus a newline, written straight from a built embedding.  Its stick ends
+    and markers are trace points, so each trace point's two indented forms
+    (stick end or vertex position, polyline item) are made once; strings go
+    through json's own escaper.  Any ``indent`` sends ``json.dumps`` through
+    its pure-Python encoder, one generator step per token."""
+    forms = {
+        p: (
+            f"[\n        {p[0]},\n        {p[1]},\n        {p[2]}\n      ]",
+            f"[\n          {p[0]},\n          {p[1]},\n          {p[2]}\n        ]",
+        )
+        for p in {p for line in emb.traces.values() for p in line}
+    }
     sticks = [
-        f'{{\n{p6}"axis": {q(s["axis"])},\n{p6}"start": {triple(s["start"], p6)},\n'
-        f'{p6}"end": {triple(s["end"], p6)}\n    }}'
-        for s in doc["sticks"]
+        f'{{\n      "axis": "{"x" if s.a[0] != s.b[0] else "y" if s.a[1] != s.b[1] else "z"}",'
+        f'\n      "start": {forms[s.a][0]},\n      "end": {forms[s.b][0]}\n    }}'
+        for s in emb.sticks
     ]
     vertices = [
-        f'{{\n{p6}"id": {q(v["id"])},\n{p6}"position": {triple(v["position"], p6)}\n    }}'
-        for v in doc["vertices"]
+        f'{{\n      "id": {encode_basestring_ascii(label)},\n      "position": {forms[p][0]}\n    }}'
+        for label, p in sorted(emb.markers.items())
     ]
     edges = [
-        f'{{\n{p6}"id": {q(e["id"])},\n{p6}"polyline": '
-        f'{items([triple(p, " " * 8) for p in e["polyline"]], p6)}\n    }}'
-        for e in doc["edges"]
+        f'{{\n      "id": {encode_basestring_ascii(eid)},\n      "polyline": [\n        '
+        + ",\n        ".join([forms[p][1] for p in emb.traces[eid]])
+        + "\n      ]\n    }"
+        for eid in sorted(emb.traces)
+    ]
+    lists = [
+        "[\n    " + ",\n    ".join(parts) + "\n  ]" if parts else "[]"
+        for parts in (sticks, vertices, edges)
     ]
     return (
-        f'{{\n  "sticks": {items(sticks, "  ")},\n  "vertices": {items(vertices, "  ")},\n'
-        f'  "edges": {items(edges, "  ")},\n  "counts": {scalars(doc["counts"])},\n'
-        f'  "bounds_report": {scalars(doc["bounds_report"])}\n}}\n'
+        f'{{\n  "sticks": {lists[0]},\n  "vertices": {lists[1]},\n  "edges": {lists[2]},\n'
+        f'  "counts": {{\n    "x": {counts.x},\n    "y": {counts.y},\n    "z": {counts.z},\n'
+        f'    "total": {counts.total}\n  }},\n  "bounds_report": {{\n'
+        f'    "alpha_total": {bounds.alpha_total},\n'
+        f'    "construction_bound": {bounds.construction_bound},\n'
+        f'    "crossing_bound": {json.dumps(bounds.crossing_bound)},\n'
+        f'    "total_within_bounds": {json.dumps(bounds.ok)}\n  }}\n}}\n'
     )
 
 

@@ -4,9 +4,17 @@ The checks are independent of how the embedding was built: they look only
 at the stick set and the vertex markers, so they catch construction bugs
 rather than inheriting them.  This module belongs to the certification
 kernel (``geom``, ``arcs``, ``graph``, ``bounds``, ``errors``, ``validate``,
-``io`` and ``invariants``), which imports no build module.  A build's trial
-narrows ``check_self_avoiding`` to the pairs it names; the full audit takes
-its own census and pairs of the final sticks.
+``io`` and ``invariants``), which imports no build module.
+
+The full audit files the final sticks once, in ``file_sticks``: axes,
+endpoint census, and line and plane buckets by ``geom.buckets``' rule, read
+by the pair sweep, the run count, the junction check and the edge walk.  A
+build's trial checks only the pairs it names; a straightening trial finds
+them, with the census at its changed sticks' ends, in one box scan,
+``scan_changed``.  That decides the trial as the full check does when every
+other pair is as it was in a state that passed the same check, and where it
+shares an endpoint, that point kept its marker and gained no stick end but
+a changed stick's.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from itertools import islice
 
 from .bounds import arc_index_upper, construction_count, crossing_stick_bound
 from .errors import BoundViolated, ReconstructionMismatch
-from .geom import OTHER_AXES, Stick, Vec3, buckets, collinear, contact
+from .geom import OTHER_AXES, Stick, Vec3, contact
 from .graph import GraphCensus, SpatialGraphSpec
 
 
@@ -58,65 +66,52 @@ class AuditReport:
 
 
 def endpoint_census(sticks: list[Stick]) -> dict[Vec3, list[int]]:
-    ends: dict[Vec3, list[int]] = {}
+    ends: dict[Vec3, list[int]] = defaultdict(list)
     for i, s in enumerate(sticks):
-        for p in s.ends():
-            ends.setdefault(p, []).append(i)
+        ends[s.a].append(i)
+        ends[s.b].append(i)
     return ends
 
 
-def endpoint_census_at(sticks: list[Stick], changed: Collection[int]) -> dict[Vec3, list[int]]:
-    """``endpoint_census`` at the end points of the ``changed`` sticks only:
-    the one place a pair holding a changed stick can share an end, so all a
-    restricted check reads."""
-    ends: dict[Vec3, list[int]] = {p: [] for i in changed for p in sticks[i].ends()}
-    for i, s in enumerate(sticks):
-        if s.a in ends:
-            ends[s.a].append(i)
-        if s.b in ends:
-            ends[s.b].append(i)
-    return ends
-
-
-def touching_pairs(
-    sticks: Sequence[Stick], changed: set[int] | None = None
-) -> list[tuple[int, int]]:
-    """Every position pair ``(i, j)``, ``i < j``, of sticks that meet, sorted.
-
-    Each stick is filed from one ``buckets`` call.  Parallel sticks can meet
-    only on one line, so each line bucket of two or more sticks is swept in
-    order of start.  Perpendicular sticks can meet only in the plane that
-    fixes their common third coordinate.  In each plane bucket the sticks
-    along the earlier axis are sorted by their fixed coordinate on the later
-    one, as (key, slot) tuples; each stick along the later axis takes the
-    range its span covers and keeps the sticks whose span contains its own
-    fixed coordinate.  Ranging along the later axis keeps a vertical stick's
-    range inside its own z-slab, where a horizontal stick would take the
-    columns of every stacked component above and below it.
-
-    With ``changed``, only the lines and planes a changed stick lies in are
-    bucketed, and only the pairs holding a changed stick are kept: a pair
-    meeting anywhere else holds no changed stick.  Checking only these
-    pairs decides a trial as the full check does under one precondition:
-    every other pair is as it was in a state that passed the same check, and
-    where it shares an endpoint, that point kept its marker and gained no
-    stick end but a changed stick's.  Then ``check_self_avoiding`` on them
-    is empty exactly when the full check is, and its ``ends`` may be
-    ``endpoint_census_at`` the changed sticks.
-    """
-    # None keeps every bucket
-    wanted = None if changed is None else {k for i in changed for k in buckets(sticks[i])[1:]}
+def file_sticks(sticks: Sequence[Stick]):
+    """The filing pass: ``(axes, ends, lines, planes)``, the sticks' axes,
+    their ``endpoint_census``, and positions by line key and by plane key
+    and stick axis.  Each stick's end points are read once."""
+    axes: list[int] = []
+    ends: dict[Vec3, list[int]] = defaultdict(list)
     lines: dict[tuple, list[int]] = defaultdict(list)
     planes: dict[tuple, tuple[list[int], ...]] = defaultdict(lambda: ([], [], []))
     for i, s in enumerate(sticks):
-        ax, line, plane_u, plane_w = buckets(s)
-        if wanted is None or line in wanted:
-            lines[line].append(i)
-        if wanted is None or plane_u in wanted:
-            planes[plane_u][ax].append(i)
-        if wanted is None or plane_w in wanted:
-            planes[plane_w][ax].append(i)
+        a, b = s.a, s.b
+        (ax, ay, az), (bx, by, bz) = a, b
+        if ax != bx:
+            axis, line, plane_u, plane_w = 0, (0, ay, az), (1, ay), (2, az)
+        elif ay != by:
+            axis, line, plane_u, plane_w = 1, (1, ax, az), (0, ax), (2, az)
+        else:
+            axis, line, plane_u, plane_w = 2, (2, ax, ay), (0, ax), (1, ay)
+        axes.append(axis)
+        lines[line].append(i)
+        planes[plane_u][axis].append(i)
+        planes[plane_w][axis].append(i)
+        ends[a].append(i)
+        ends[b].append(i)
+    return axes, ends, lines, planes
 
+
+def touching_pairs(sticks: Sequence[Stick]) -> list[tuple[int, int]]:
+    """Every position pair ``(i, j)``, ``i < j``, of sticks that meet, sorted."""
+    return _sweep(sticks, *file_sticks(sticks)[2:])
+
+
+def _sweep(sticks: Sequence[Stick], lines: dict, planes: dict) -> list[tuple[int, int]]:
+    """The sorted pairs of filed sticks that meet.  Each line bucket is swept
+    in order of start.  In each plane bucket the sticks along the earlier
+    axis are sorted by their fixed coordinate on the later one, and each
+    stick along the later axis takes the range its span covers, which keeps
+    a vertical stick's range inside its own z-slab, where a horizontal stick
+    would take the columns of every stacked component above and below it.
+    """
     pairs: list[tuple[int, int]] = []
     for (ax, _, _), line in lines.items():
         if len(line) < 2:
@@ -138,10 +133,35 @@ def touching_pairs(
             for _, j in across[bisect_left(keys, s.a[w]) : bisect_right(keys, s.b[w])]:
                 if sticks[j].a[u] <= s.a[u] <= sticks[j].b[u]:
                     pairs.append((i, j) if i < j else (j, i))
-    if changed is not None:
-        pairs = [(i, j) for i, j in pairs if i in changed or j in changed]
     pairs.sort()
     return pairs
+
+
+def scan_changed(
+    sticks: Sequence[Stick], changed: Collection[int]
+) -> tuple[list[tuple[int, int]], dict[Vec3, list[int]]]:
+    """A trial's ``(pairs, ends)``: the sorted position pairs ``(i, j)``,
+    ``i < j``, holding a ``changed`` stick whose sticks meet, found by
+    comparing every stick's bounding box with each changed one's, and the
+    ``endpoint_census`` at the changed sticks' end points, the only points
+    where such a pair can share an end."""
+    boxes = [(i, *sticks[i].a, *sticks[i].b) for i in sorted(changed)]
+    ends: dict[Vec3, list[int]] = {p: [] for i in changed for p in sticks[i].ends()}
+    pairs: list[tuple[int, int]] = []
+    for j, t in enumerate(sticks):
+        (tax, tay, taz), (tbx, tby, tbz) = ta, tb = t.a, t.b
+        if ta in ends:
+            ends[ta].append(j)
+        if tb in ends:
+            ends[tb].append(j)
+        for i, sax, say, saz, sbx, sby, sbz in boxes:
+            if (
+                sax <= tbx and tax <= sbx and say <= tby and tay <= sby and saz <= tbz
+                and taz <= sbz and i != j and (i < j or j not in changed)
+            ):
+                pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return pairs, ends
 
 
 def check_self_avoiding(
@@ -160,13 +180,10 @@ def check_self_avoiding(
     passes, as mid-pipeline states need: they have no markers yet, and their
     binding columns legitimately carry degree-3 junction points.
 
-    ``pairs`` holds sorted key pairs ``(i, j)``, ``i < j``, into
-    ``sticks``: positions in a list, or slots of a mapping from slot to
-    stick.  For a list it defaults to ``touching_pairs(sticks)``, every pair
-    that can touch, so the result is the one an all-pairs loop over
-    ``i < j`` gives, in that order.  A build's trial passes only the pairs
-    holding its changed sticks; ``touching_pairs`` states when that decides
-    the trial.
+    ``pairs`` holds sorted key pairs ``(i, j)``, ``i < j``, into ``sticks``:
+    positions in a list, or slots of a mapping from slot to stick.  For a
+    list it defaults to ``touching_pairs(sticks)``, so the result is the one
+    an all-pairs loop over ``i < j`` gives, in that order.
     """
     if pairs is None:
         pairs = touching_pairs(sticks)
@@ -219,15 +236,13 @@ def audit_junctions(
 
 
 def count_sticks(
-    sticks: list[Stick], markers: dict[str, Vec3], ends: dict[Vec3, list[int]]
+    axes: Sequence[int], markers: dict[str, Vec3], ends: dict[Vec3, list[int]]
 ) -> StickCounts:
-    """Count maximal straight runs; a vertex marker always ends a run.
-
-    Collinear sticks joined end to end at an unmarked bend-free point are one
-    stick; a marker in the middle of a straight line still separates two.
-    """
+    """Count maximal straight runs of the sticks with ``axes``: two sticks
+    joined at an unmarked point are one run when their axes agree, as both
+    then lie on one line; a vertex marker always ends a run."""
     marker_points = set(markers.values())
-    parent = list(range(len(sticks)))
+    parent = list(range(len(axes)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -239,11 +254,11 @@ def count_sticks(
         if len(incident) != 2 or p in marker_points:
             continue
         i, j = incident
-        if collinear(sticks[i], sticks[j]):
+        if axes[i] == axes[j]:
             parent[find(i)] = find(j)
 
-    by_axis = Counter(sticks[find(i)].axis for i in {find(i) for i in range(len(sticks))})
-    return StickCounts(x=by_axis.get(0, 0), y=by_axis.get(1, 0), z=by_axis.get(2, 0))
+    by_axis = Counter(axis for i, axis in enumerate(axes) if parent[i] == i)
+    return StickCounts(x=by_axis[0], y=by_axis[1], z=by_axis[2])
 
 
 def walk_edges(
@@ -285,8 +300,7 @@ def walk_edges(
             if p in marker_points:
                 edges.append((label, marker_points[p], polyline, indices))
     if not all(used):
-        leftover = [i for i, u in enumerate(used) if not u]
-        problems.append(f"{len(leftover)} sticks unreachable from any marker")
+        problems.append(f"{used.count(False)} sticks unreachable from any marker")
     return edges, problems
 
 
@@ -374,15 +388,15 @@ def full_audit(
     spec: SpatialGraphSpec,
     degrees: dict[str, int],
 ) -> AuditReport:
-    """Every check of the final sticks, on one endpoint census taken here
-    from the sticks alone."""
-    ends = endpoint_census(sticks)
+    """Every check of the final sticks, all reading one ``file_sticks``
+    pass taken here from the sticks alone."""
+    axes, ends, lines, planes = file_sticks(sticks)
     report = AuditReport()
-    report.violations = check_self_avoiding(sticks, markers, ends)
+    report.violations = check_self_avoiding(sticks, markers, ends, _sweep(sticks, lines, planes))
     report.unmarked_junctions, report.marker_problems = audit_junctions(
         sticks, markers, degrees, ends
     )
-    report.counts = count_sticks(sticks, markers, ends)
+    report.counts = count_sticks(axes, markers, ends)
     try:
         reconstruct_graph(sticks, markers, spec, ends)
         report.reconstruction_ok = True

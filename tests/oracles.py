@@ -9,15 +9,25 @@ index, the stick keys through ``Stick.axis``, the trace simplification
 that takes two steps per point where the build takes each step once, the
 rank normalization through list indices where the build reads one map per
 axis, the gcd normalization and the whole build it ended before the rank map
-replaced it, and the document readers that check every key list, integer
-and stick through generic helpers where ``io`` makes one test per object.
+replaced it, the document readers that check every key list, integer
+and stick through generic helpers where ``io`` makes one test per object,
+the frozen-dataclass stick that the slotted ``geom.Stick`` replaced, the
+bucketed pair finder with its ``changed`` mode and the census at changed
+ends where a straightening trial makes one box scan, the run count through
+``collinear``'s two key lookups where the audit compares axes, and the
+document writer that takes ``embedding_to_document``'s dict where ``io``
+writes straight from the embedding.
 
 The package computes none of these; the tests check its results against
 them.  The module name keeps pytest from collecting it.
 """
 
-from dataclasses import replace
-from itertools import product
+from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
+from collections.abc import Collection, Sequence
+from dataclasses import dataclass, replace
+from itertools import islice, product
+from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from latticestick.arcs import Arc, ArcPresentation
@@ -47,7 +57,6 @@ from latticestick.validate import (
     check_bound,
     check_self_avoiding,
     full_audit,
-    touching_pairs,
 )
 
 MAX_STRANDS = 12
@@ -547,3 +556,215 @@ def embedding_from_document(doc) -> tuple[LatticeEmbedding, StickCounts]:
             "and a boolean total_within_bounds"
         )
     return LatticeEmbedding(sticks=tuple(doc_sticks), markers=markers, traces=traces), got
+
+
+# --- the stick as a frozen dataclass, and the replaced pair finders ---------
+
+@dataclass(frozen=True)
+class DataclassStick:
+    """The frozen dataclass ``geom.Stick`` was before its fields moved into
+    slots, named as it was named, so that reprs compare.
+
+    Closed axis-parallel segment from ``a`` to ``b`` (ordered along its axis).
+
+    ``comp`` names the component whose arcs the stick realises: an elbow
+    stick, the vertical stick that replaces a straightened arc, or a piece a
+    merge cut from one of them.  Columns, connectors and fused runs carry
+    ``""``.  The tag is metadata and never affects geometry.
+    """
+
+    a: Vec3
+    b: Vec3
+    comp: str = ""
+
+    @property
+    def axis(self) -> int:
+        a, b = self.a, self.b
+        if a[0] != b[0]:
+            return 0
+        if a[1] != b[1]:
+            return 1
+        if a[2] != b[2]:
+            return 2
+        raise ValueError(f"zero-length stick at {a}")
+
+    @property
+    def length(self) -> int:
+        i = self.axis
+        return self.b[i] - self.a[i]
+
+    def ends(self) -> tuple[Vec3, Vec3]:
+        return (self.a, self.b)
+
+    def has_end(self, p: Vec3) -> bool:
+        return p == self.a or p == self.b
+
+    def direction_from(self, p: Vec3) -> tuple[int, int, int]:
+        """Unit direction pointing from endpoint ``p`` into the stick."""
+        if p == self.a:
+            other = self.b
+        elif p == self.b:
+            other = self.a
+        else:
+            raise ValueError(f"{p} is not an endpoint")
+        return tuple(
+            0 if other[i] == p[i] else (1 if other[i] > p[i] else -1) for i in range(3)
+        )
+
+
+DataclassStick.__name__ = DataclassStick.__qualname__ = "Stick"
+
+
+def endpoint_census_at(sticks: list[Stick], changed: Collection[int]) -> dict[Vec3, list[int]]:
+    """``endpoint_census`` at the end points of the ``changed`` sticks only:
+    the one place a pair holding a changed stick can share an end, so all a
+    restricted check reads."""
+    ends: dict[Vec3, list[int]] = {p: [] for i in changed for p in sticks[i].ends()}
+    for i, s in enumerate(sticks):
+        if s.a in ends:
+            ends[s.a].append(i)
+        if s.b in ends:
+            ends[s.b].append(i)
+    return ends
+
+
+def touching_pairs(
+    sticks: Sequence[Stick], changed: set[int] | None = None
+) -> list[tuple[int, int]]:
+    """Every position pair ``(i, j)``, ``i < j``, of sticks that meet, sorted.
+
+    Each stick is filed from one ``buckets`` call.  Parallel sticks can meet
+    only on one line, so each line bucket of two or more sticks is swept in
+    order of start.  Perpendicular sticks can meet only in the plane that
+    fixes their common third coordinate.  In each plane bucket the sticks
+    along the earlier axis are sorted by their fixed coordinate on the later
+    one, as (key, slot) tuples; each stick along the later axis takes the
+    range its span covers and keeps the sticks whose span contains its own
+    fixed coordinate.  Ranging along the later axis keeps a vertical stick's
+    range inside its own z-slab, where a horizontal stick would take the
+    columns of every stacked component above and below it.
+
+    With ``changed``, only the lines and planes a changed stick lies in are
+    bucketed, and only the pairs holding a changed stick are kept: a pair
+    meeting anywhere else holds no changed stick.  Checking only these
+    pairs decides a trial as the full check does under one precondition:
+    every other pair is as it was in a state that passed the same check, and
+    where it shares an endpoint, that point kept its marker and gained no
+    stick end but a changed stick's.  Then ``check_self_avoiding`` on them
+    is empty exactly when the full check is, and its ``ends`` may be
+    ``endpoint_census_at`` the changed sticks.
+    """
+    # None keeps every bucket
+    wanted = None if changed is None else {k for i in changed for k in buckets(sticks[i])[1:]}
+    lines: dict[tuple, list[int]] = defaultdict(list)
+    planes: dict[tuple, tuple[list[int], ...]] = defaultdict(lambda: ([], [], []))
+    for i, s in enumerate(sticks):
+        ax, line, plane_u, plane_w = buckets(s)
+        if wanted is None or line in wanted:
+            lines[line].append(i)
+        if wanted is None or plane_u in wanted:
+            planes[plane_u][ax].append(i)
+        if wanted is None or plane_w in wanted:
+            planes[plane_w][ax].append(i)
+
+    pairs: list[tuple[int, int]] = []
+    for (ax, _, _), line in lines.items():
+        if len(line) < 2:
+            continue
+        run = sorted([(sticks[i].a[ax], sticks[i].b[ax], i) for i in line])
+        for k, (_, end, i) in enumerate(run):
+            for start, _, j in islice(run, k + 1, None):
+                if start > end:
+                    break
+                pairs.append((i, j) if i < j else (j, i))
+    for (normal, _), by_axis in planes.items():
+        u, w = OTHER_AXES[normal]
+        if not (by_axis[u] and by_axis[w]):
+            continue
+        across = sorted([(sticks[j].a[w], j) for j in by_axis[u]])
+        keys = [key for key, _ in across]
+        for i in by_axis[w]:
+            s = sticks[i]
+            for _, j in across[bisect_left(keys, s.a[w]) : bisect_right(keys, s.b[w])]:
+                if sticks[j].a[u] <= s.a[u] <= sticks[j].b[u]:
+                    pairs.append((i, j) if i < j else (j, i))
+    if changed is not None:
+        pairs = [(i, j) for i, j in pairs if i in changed or j in changed]
+    pairs.sort()
+    return pairs
+
+
+def collinear(s: Stick, t: Stick) -> bool:
+    """True when the two sticks lie on one axis-parallel line: share a line key."""
+    return buckets(s)[1] == buckets(t)[1]
+
+
+def count_sticks(
+    sticks: list[Stick], markers: dict[str, Vec3], ends: dict[Vec3, list[int]]
+) -> StickCounts:
+    """Count maximal straight runs; a vertex marker always ends a run.
+
+    Collinear sticks joined end to end at an unmarked bend-free point are one
+    stick; a marker in the middle of a straight line still separates two.
+    """
+    marker_points = set(markers.values())
+    parent = list(range(len(sticks)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for p, incident in ends.items():
+        if len(incident) != 2 or p in marker_points:
+            continue
+        i, j = incident
+        if collinear(sticks[i], sticks[j]):
+            parent[find(i)] = find(j)
+
+    by_axis = Counter(sticks[find(i)].axis for i in {find(i) for i in range(len(sticks))})
+    return StickCounts(x=by_axis.get(0, 0), y=by_axis.get(1, 0), z=by_axis.get(2, 0))
+
+
+def embedding_document_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"`` for a document of
+    ``embedding_to_document``, written from its fixed shape: one template per
+    stick, vertex and polyline point, one join per list, and strings through
+    json's own escaper.  Any ``indent`` sends ``json.dumps`` through its
+    pure-Python encoder, one generator step per token.
+    """
+    q = encode_basestring_ascii
+    p6 = " " * 6
+
+    def items(parts: list[str], pad: str) -> str:
+        return f"[\n{pad}  " + f",\n{pad}  ".join(parts) + f"\n{pad}]" if parts else "[]"
+
+    def triple(p, pad: str) -> str:
+        return f"[\n{pad}  {p[0]},\n{pad}  {p[1]},\n{pad}  {p[2]}\n{pad}]"
+
+    def scalar(v) -> str:
+        return "null" if v is None else str(v).lower() if isinstance(v, bool) else int.__repr__(v)
+
+    def scalars(d: dict) -> str:
+        return "{\n    " + ",\n    ".join(f"{q(k)}: {scalar(v)}" for k, v in d.items()) + "\n  }"
+
+    sticks = [
+        f'{{\n{p6}"axis": {q(s["axis"])},\n{p6}"start": {triple(s["start"], p6)},\n'
+        f'{p6}"end": {triple(s["end"], p6)}\n    }}'
+        for s in doc["sticks"]
+    ]
+    vertices = [
+        f'{{\n{p6}"id": {q(v["id"])},\n{p6}"position": {triple(v["position"], p6)}\n    }}'
+        for v in doc["vertices"]
+    ]
+    edges = [
+        f'{{\n{p6}"id": {q(e["id"])},\n{p6}"polyline": '
+        f'{items([triple(p, " " * 8) for p in e["polyline"]], p6)}\n    }}'
+        for e in doc["edges"]
+    ]
+    return (
+        f'{{\n  "sticks": {items(sticks, "  ")},\n  "vertices": {items(vertices, "  ")},\n'
+        f'  "edges": {items(edges, "  ")},\n  "counts": {scalars(doc["counts"])},\n'
+        f'  "bounds_report": {scalars(doc["bounds_report"])}\n}}\n'
+    )

@@ -44,8 +44,9 @@ from latticestick.validate import (
     check_self_avoiding,
     count_sticks,
     endpoint_census,
+    file_sticks,
     full_audit,
-    touching_pairs,
+    scan_changed,
 )
 import oracles
 from oracles import attachments as oracle_attachments, transform, transform_point
@@ -88,7 +89,8 @@ def stages(doc):
 
 
 def _counts(sticks, markers):
-    return count_sticks(sticks, markers, endpoint_census(sticks))
+    axes, ends, _, _ = file_sticks(sticks)
+    return count_sticks(axes, markers, ends)
 
 
 def _violations(sticks, markers):
@@ -1060,10 +1062,11 @@ class TestBuildFull:
 def _crossing(s):
     """A stick of the same length crossing the interior of ``s`` at its middle
     (stacked coordinates are multiples of the grid unit, so halves are exact)."""
-    assert s.length % 2 == 0
+    length = s.b[s.axis] - s.a[s.axis]
+    assert length % 2 == 0
     axis = (s.axis + 1) % 3
     mid = tuple((p + q) // 2 for p, q in zip(s.a, s.b))
-    half = tuple(s.length // 2 if i == axis else 0 for i in range(3))
+    half = tuple(length // 2 if i == axis else 0 for i in range(3))
     return stick(
         tuple(m - h for m, h in zip(mid, half)), tuple(m + h for m, h in zip(mid, half))
     )
@@ -1235,7 +1238,7 @@ def oracle_straighten(spec, tree, builds, asm):
             label: (transform_point(p, 1, delta) if z_lo <= p[2] <= z_hi else p)
             for label, p in asm.markers.items()
         }
-        pairs = touching_pairs(moved, set(changed))
+        pairs = oracles.touching_pairs(moved, set(changed))
         if check_self_avoiding(moved, new_markers, endpoint_census(moved), pairs):
             asm.warnings.append(f"{comp_id}: straightening collides, skipped")
             continue
@@ -1418,7 +1421,7 @@ def test_index_check_matches_bucketed_and_all_pairs(data):
         )
         markers = {f"m{n}": p for n, p in enumerate(marked)}
         indexed = check_self_avoiding(index.trial, markers, ends, index.touching_pairs())
-        bucketed = check_self_avoiding(trial, markers, ends, touching_pairs(trial, set(changed)))
+        bucketed = check_self_avoiding(trial, markers, ends, scan_changed(trial, changed)[0])
         assert indexed == bucketed
         assert indexed == _all_pairs_self_avoiding(trial, markers, ends is None, set(changed))
         assert _canonical(index) == before

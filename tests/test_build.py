@@ -9,7 +9,7 @@ from latticestick.geom import stick
 from latticestick.graph import ComponentClass, ComponentSpec, census
 from latticestick.io import spec_from_document
 from latticestick.fixtures import CHAIN, DEMOS
-from latticestick.validate import check_self_avoiding, touching_pairs
+from latticestick.validate import check_self_avoiding, scan_changed
 import oracles
 from test_validate import _all_pairs_self_avoiding
 
@@ -54,7 +54,7 @@ class TestArcDiagram:
         b = build_arc_diagram(*TH3)
         arcs = on_axis(b, 0) + on_axis(b, 1)
         assert len(arcs) == 6
-        assert all(s.length == 1 for s in arcs)
+        assert all(s.b[s.axis] - s.a[s.axis] == 1 for s in arcs)
 
     def test_page_two_arc_coordinates(self):
         b = build_arc_diagram(*lone([(1, 2), (1, 3), (2, 3)], {1: "v"}, ComponentClass.KNOT))
@@ -283,7 +283,7 @@ def oracle_slide_ok(b, moved_bp):
     axis = b.column_axis(moved_bp)
     sticks = b.sticks()
     changed = {i for i, s in enumerate(sticks) if any(p[:2] == axis for p in s.ends())}
-    return not check_self_avoiding(sticks, pairs=touching_pairs(sticks, changed))
+    return not check_self_avoiding(sticks, pairs=scan_changed(sticks, changed)[0])
 
 
 def oracle_side_slide(b):

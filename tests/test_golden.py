@@ -25,7 +25,6 @@ from latticestick.graph import ComponentClass, census
 from latticestick.invariants import extract_knot_cycle, project_generic
 from latticestick.io import (
     embedding_document_text,
-    embedding_to_document,
     load_embedding,
     spec_from_document,
 )
@@ -180,8 +179,7 @@ def test_pre_rank_documents_still_load(name, tmp_path, capsys):
     spec = spec_from_document(INPUTS[name])
     inp, old, new = tmp_path / "in.json", tmp_path / "old.json", tmp_path / "new.json"
     inp.write_text(json.dumps(INPUTS[name]))
-    old_doc = embedding_to_document(*oracles.gcd_build_full(spec))
-    old.write_text(embedding_document_text(old_doc))
+    old.write_text(embedding_document_text(*oracles.gcd_build_full(spec)))
     assert sha256(old) == PRE_RANK_JSON.get(name, GOLDEN[name][0])
     assert main(["build", "--input", str(inp), "--output", str(new)]) == 0
     assert main(["validate", "--embedding", str(old), "--input", str(inp)]) == 0
@@ -296,7 +294,7 @@ def tree_outcomes(seeds):
             outcome = f"{type(exc).__name__}: {exc}"
             tally[type(exc).__name__] += 1
         else:
-            outcome = embedding_document_text(embedding_to_document(emb, counts, bounds))
+            outcome = embedding_document_text(emb, counts, bounds)
             outcome += "".join(f"note: {w}\n" for w in emb.warnings)
             tally["build"] += 1
         h.update(hashlib.sha256(outcome.encode()).digest())

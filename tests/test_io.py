@@ -1,5 +1,6 @@
-"""The embedding document's text: exactly ``json.dumps(doc, indent=2)``;
-where a loaded document sits; and the readers against their oracles."""
+"""The embedding document's text: exactly ``json.dumps(doc, indent=2)`` of
+the document dict; where a loaded document sits; and the readers against
+their oracles."""
 
 import copy
 import json
@@ -10,75 +11,96 @@ from hypothesis import example, given, settings, strategies as st
 from latticestick.assembly import build_full
 from latticestick.errors import DocumentError
 from latticestick.fixtures import DEMOS
+from latticestick.geom import LatticeEmbedding, stick
 from latticestick.io import (
     embedding_document_text,
     embedding_from_document,
     embedding_to_document,
     spec_from_document,
 )
+from latticestick.validate import BoundReport, StickCounts
 
 import oracles
+from test_golden import INPUTS as GOLDEN_INPUTS
+from test_properties import graph_component_specs, knot_specs
 
 
-def oracle(doc):
-    return json.dumps(doc, indent=2) + "\n"
+def oracle(emb, counts, bounds):
+    return json.dumps(embedding_to_document(emb, counts, bounds), indent=2) + "\n"
 
 
 # negative, zero and positive coordinates, past 2^64 both ways
 coords = st.one_of(st.integers(-4, 4), st.integers(-(2**70), 2**70))
-points = st.lists(coords, min_size=3, max_size=3)
+points = st.tuples(coords, coords, coords)
 # any text: non-ASCII, quotes, backslashes and control characters included
 ids = st.text()
 
 
-def shaped(**fields):
-    """Dicts with exactly these keys in this order, the order the document is
-    written in (``st.fixed_dictionaries`` varies the order of its keys)."""
-    return st.tuples(*fields.values()).map(lambda values: dict(zip(fields, values)))
-
-
-documents = shaped(
-    sticks=st.lists(shaped(axis=st.sampled_from("xyz"), start=points, end=points), max_size=4),
-    vertices=st.lists(shaped(id=ids, position=points), max_size=4),
-    edges=st.lists(shaped(id=ids, polyline=st.lists(points, min_size=2, max_size=8)), max_size=4),
-    counts=shaped(x=coords, y=coords, z=coords, total=coords),
-    bounds_report=shaped(
-        alpha_total=coords,
-        construction_bound=coords,
-        crossing_bound=st.one_of(st.none(), coords),
-        total_within_bounds=st.booleans(),
-    ),
-)
+@st.composite
+def embeddings(draw):
+    """An embedding as a build leaves it, with counts and a bound report of
+    any integers: axis-parallel traces under any ids, the sticks fused from
+    them, and markers on trace points."""
+    traces = {}
+    for eid in draw(st.lists(ids, max_size=4, unique=True)):
+        line = [draw(points)]
+        for _ in range(draw(st.integers(1, 6))):
+            axis, step = draw(st.integers(0, 2)), draw(coords.filter(bool))
+            line.append(tuple(c + step * (k == axis) for k, c in enumerate(line[-1])))
+        traces[eid] = line
+    sticks = tuple(stick(p, q) for line in traces.values() for p, q in zip(line, line[1:]))
+    on_traces = sorted({p for line in traces.values() for p in line})
+    labels = draw(st.lists(ids, max_size=4, unique=True)) if on_traces else []
+    markers = {label: draw(st.sampled_from(on_traces)) for label in labels}
+    counts = StickCounts(draw(coords), draw(coords), draw(coords))
+    bounds = BoundReport(
+        counts.total, draw(coords), draw(coords), draw(st.one_of(st.none(), coords)), None,
+        draw(st.booleans()),
+    )
+    return LatticeEmbedding(sticks, markers, traces), counts, bounds
 
 
 # an id with a quote, a backslash, a newline, NUL, non-ASCII and "</", a
-# coordinate past 2^64, a null bound and empty stick and vertex lists
-ODD = {
-    "sticks": [],
-    "vertices": [],
-    "edges": [{"id": 'q"b\\n\n\x00é☃</', "polyline": [[-1, 2**70, 0], [1, 2, 3]]}],
-    "counts": {"x": 0, "y": 0, "z": 0, "total": 0},
-    "bounds_report": {
-        "alpha_total": 1,
-        "construction_bound": 12,
-        "crossing_bound": None,
-        "total_within_bounds": False,
-    },
-}
+# coordinate past 2^64, a null bound and an empty vertex list
+ODD_LINE = [(-1, 2**70, 0), (1, 2**70, 0)]
+ODD = (
+    LatticeEmbedding((stick(*ODD_LINE),), {}, {'q"b\\n\n\x00é☃</': ODD_LINE}),
+    StickCounts(1, 0, 0),
+    BoundReport(1, 1, 12, None, None, False),
+)
+
+
+# an empty embedding, with a crossing bound and a true verdict
+EMPTY = (LatticeEmbedding((), {}, {}), StickCounts(0, 0, 0), BoundReport(0, 0, 0, 3, True, True))
 
 
 @settings(max_examples=300, deadline=None)
-@given(doc=documents)
-@example(doc=ODD)
-def test_text_matches_json_indent(doc):
-    assert embedding_document_text(doc) == oracle(doc)
+@given(case=embeddings())
+@example(case=ODD)
+@example(case=EMPTY)
+def test_text_matches_json_indent(case):
+    """The writer's text is ``json.dumps`` of the document dict, indent 2,
+    plus a newline."""
+    assert embedding_document_text(*case) == oracle(*case)
+    doc = embedding_to_document(*case)
+    assert oracles.embedding_document_text(doc) == oracle(*case)
 
 
-@pytest.mark.parametrize("name", sorted(DEMOS))
+@pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
 def test_built_documents_match_json_indent(name):
-    emb, counts, bounds = build_full(spec_from_document(DEMOS[name]))
-    doc = embedding_to_document(emb, counts, bounds)
-    assert embedding_document_text(doc) == oracle(doc)
+    built = build_full(spec_from_document(GOLDEN_INPUTS[name]))
+    assert embedding_document_text(*built) == oracle(*built)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    shape=st.sampled_from(["knot", "theta3", "theta4", "bouquet2", "k4"]),
+)
+def test_hypothesis_builds_match_json_indent(data, shape):
+    spec = data.draw(knot_specs() if shape == "knot" else graph_component_specs(shape))
+    built = build_full(spec)
+    assert embedding_document_text(*built) == oracle(*built)
 
 
 def test_loaded_bbox_spans_the_document_sticks():

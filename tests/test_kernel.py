@@ -15,7 +15,7 @@ from pathlib import Path
 import latticestick
 from latticestick.assembly import build_full
 from latticestick.fixtures import DEMOS
-from latticestick.io import embedding_document_text, embedding_to_document, spec_from_document
+from latticestick.io import embedding_document_text, spec_from_document
 
 BUILD_MODULES = {f"latticestick.{name}" for name in ("assembly", "build", "cli", "fixtures")}
 
@@ -46,7 +46,7 @@ print(json.dumps([knot_determinant(gauss), sorted(sys.modules)]))
 def test_kernel_certifies_without_the_build(tmp_path):
     emb, counts, bounds = build_full(spec_from_document(DEMOS["trefoil"]))
     embedding = tmp_path / "trefoil.emb.json"
-    embedding.write_text(embedding_document_text(embedding_to_document(emb, counts, bounds)))
+    embedding.write_text(embedding_document_text(emb, counts, bounds))
     spec = tmp_path / "trefoil.json"
     spec.write_text(json.dumps(DEMOS["trefoil"]))
     package = Path(latticestick.__file__).parent

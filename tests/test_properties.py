@@ -6,18 +6,26 @@ audit and the count law; that is the bound's implemented content exercised
 far beyond the fixed fixtures.  Random thetas of 3-4 edges, 2-loop
 bouquets and K4s (degree 3-4 vertices, so merging and the degree-3 markers
 are involved) must build the same way.  Wider shapes, with vertices of
-degree 5-6, must build the same way or fail with a named merge error.
+degree 5-6, must build the same way or fail with a named merge error, alone
+or as the branch of a small cut tree, where a degree out of range is
+rejected by name.
 """
 
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from latticestick.arcs import Arc, ArcPresentation
+from latticestick.arcs import Arc, ArcPresentation, presentation
 from latticestick.assembly import build_full
 from latticestick.bounds import construction_count
-from latticestick.errors import MergeCollision, NoFreeDirection
-from latticestick.graph import ComponentSpec, SpatialGraphSpec, census, validate_spec
+from latticestick.errors import LatticeStickError, MergeCollision, NoFreeDirection
+from latticestick.graph import (
+    ComponentSpec,
+    CutAttachment,
+    SpatialGraphSpec,
+    census,
+    validate_spec,
+)
 from latticestick.invariants import extract_knot_cycle, knot_determinant, project_generic
 from latticestick.io import embedding_from_document, embedding_to_document, spec_from_document
 from latticestick.validate import full_audit
@@ -124,10 +132,14 @@ def test_random_graph_components_build_clean(data, shape):
     assert_builds_clean(data.draw(graph_component_specs(shape)))
 
 
+# vertices of degree 5 and 6
+WIDER_SHAPES = ["theta5", "theta6", "bouquet3", "theta+loop", "k4+loop"]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     data=st.data(),
-    shape=st.sampled_from(["theta5", "theta6", "bouquet3", "theta+loop", "k4+loop"]),
+    shape=st.sampled_from(WIDER_SHAPES),
 )
 def test_wider_graph_components_build_clean_or_fail_by_name(data, shape):
     """Degree 5-6 vertices: a certified build, or one of the two merge
@@ -140,6 +152,52 @@ def test_wider_graph_components_build_clean_or_fail_by_name(data, shape):
         assert_builds_clean(spec)
     except (NoFreeDirection, MergeCollision):
         pass
+
+
+# a 3-edge theta: binding points 1 and 2 carry its vertices
+THETA_ARCS = [(1, 2), (1, 3), (1, 2), (2, 3)]
+
+
+@st.composite
+def wider_branch_trees(draw, shape):
+    """A small cut tree with a ``shape`` component ``g`` of
+    ``graph_component_specs`` as its branch.  The root ``t`` is a 3-edge
+    theta on r and its other vertex; ``g`` hangs at one of its binding
+    points, a vertex or an interior point of an edge, which then becomes the
+    vertex c.  It is glued straight onto the root's other vertex, or hangs
+    from it through a single-arc link ``a``, which straightening replaces.
+    A cut vertex may so exceed degree 6, which ``validate_spec`` rejects."""
+    pres = draw(graph_component_specs(shape)).components[0].presentation
+    bp = draw(st.integers(1, pres.beta))
+    cut = pres.labels.get(bp, "c")
+    g = ComponentSpec("g", ArcPresentation(pres.arcs, {**pres.labels, bp: cut}))
+    if draw(st.booleans()):
+        root = ComponentSpec("t", presentation(THETA_ARCS, {1: "r", 2: cut}))
+        return SpatialGraphSpec((root, g), (CutAttachment("t", "g", cut),))
+    root = ComponentSpec("t", presentation(THETA_ARCS, {1: "r", 2: "p"}))
+    link = ComponentSpec("a", presentation([(1, 2)], {1: "p", 2: cut}))
+    attachments = (CutAttachment("t", "a", "p"), CutAttachment("a", "g", cut))
+    return SpatialGraphSpec((root, link, g), attachments)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), shape=st.sampled_from(WIDER_SHAPES))
+def test_wider_shapes_as_tree_branches_end_clean_or_named(data, shape):
+    """Each draw ends in a clean audit within the bound or a named
+    ``LatticeStickError``: a merge failure, or ``validate_spec``'s rejection
+    of a degree out of range.  Until a rule picks each attachment's moves
+    from the presentation (ROADMAP item 1), this asserts only "no internal
+    error": any exception that is not a ``LatticeStickError`` fails it."""
+    spec = data.draw(wider_branch_trees(shape))
+    try:
+        emb, counts, bounds = build_full(spec)
+    except LatticeStickError:
+        return
+    cens = census(spec)
+    report = full_audit(list(emb.sticks), emb.markers, spec, cens.degrees)
+    assert report.clean and report.counts == counts
+    assert counts.total <= construction_count(cens.alpha_total, cens.e, cens.v, cens.s, cens.k)
+    assert bounds.ok and bounds.total == counts.total
 
 
 # A 4-edge theta whose last merge step once dropped a stick exactly its

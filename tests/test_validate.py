@@ -1,4 +1,5 @@
 import copy
+import pickle
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from latticestick import assembly, build, validate
 from latticestick.assembly import build_full
 from latticestick.errors import ReconstructionMismatch
 from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
-from latticestick.geom import buckets, collinear, contact, stick
+from latticestick.geom import Stick, buckets, contact, stick
 from latticestick.graph import ComponentSpec, SpatialGraphSpec, census
 from latticestick.arcs import presentation
 from latticestick.io import spec_from_document
@@ -17,11 +18,13 @@ from latticestick.validate import (
     check_self_avoiding,
     count_sticks,
     endpoint_census,
-    endpoint_census_at,
+    file_sticks,
     reconstruct_graph,
+    scan_changed,
     touching_pairs,
     walk_edges,
 )
+import oracles
 from oracles import buckets as oracle_buckets, contact as oracle_contact, listed_stick
 from test_golden import chain
 
@@ -66,10 +69,18 @@ class TestContact:
     def test_disjoint(self):
         assert contact(xs(0, 0, 0, 1), xs(5, 5, 0, 1)) is None
 
-    def test_collinear_helper(self):
-        assert collinear(xs(0, 0, 0, 1), xs(0, 0, 3, 4))
-        assert not collinear(xs(0, 0, 0, 1), xs(1, 0, 3, 4))
-        assert not collinear(xs(0, 0, 0, 1), ys(0, 0, 1, 2))
+    def test_joined_sticks_collinear_exactly_when_axes_agree(self):
+        """Two sticks sharing an end lie on one line exactly when their axes
+        agree, so ``count_sticks`` compares axes where ``collinear``
+        compared line keys."""
+        for s, t in (
+            (xs(0, 0, 0, 1), xs(0, 0, 1, 4)),
+            (xs(0, 0, 0, 1), ys(1, 0, 0, 2)),
+            (zs(0, 0, 0, 1), zs(0, 0, 1, 2)),
+            (xs(0, 0, 0, 1), zs(1, 0, 0, 3)),
+            (ys(0, 0, 1, 2), zs(0, 2, 0, 1)),
+        ):
+            assert (s.axis == t.axis) == oracles.collinear(s, t)
 
 
 class TestSelfAvoiding:
@@ -172,9 +183,9 @@ def test_matches_all_pairs_oracle(case):
 @given(case=stick_sets(), data=st.data())
 def test_pairs_match_all_pairs_contacts(case, data):
     """The pair list itself, not only its violations: every pair whose
-    sticks meet, clean shared ends included, and with ``changed`` just the
-    pairs holding a changed stick; and each stick's keys are the ones
-    ``Stick.axis`` gives."""
+    sticks meet, clean shared ends included, and from the scan of
+    ``changed`` just the pairs holding a changed stick; and each stick's
+    axis and keys, filed or bucketed, are the ones ``Stick.axis`` gives."""
     sticks, _, _ = case
     meeting = [
         (i, j)
@@ -184,10 +195,47 @@ def test_pairs_match_all_pairs_contacts(case, data):
     ]
     assert touching_pairs(sticks) == meeting
     changed = data.draw(st.sets(st.integers(0, len(sticks) - 1)))
-    assert touching_pairs(sticks, changed) == [
+    assert scan_changed(sticks, changed)[0] == [
         (i, j) for i, j in meeting if i in changed or j in changed
     ]
-    assert [buckets(s) for s in sticks] == [oracle_buckets(s) for s in sticks]
+    keys = [oracle_buckets(s) for s in sticks]
+    assert [buckets(s) for s in sticks] == keys
+    axes, ends, lines, planes = file_sticks(sticks)
+    assert axes == [k[0] for k in keys]
+    assert ends == endpoint_census(sticks)
+    assert lines == {k[1]: [i for i, m in enumerate(keys) if m[1] == k[1]] for k in keys}
+    assert planes == {
+        plane: tuple(
+            [i for i, m in enumerate(keys) if m[0] == axis and plane in m[2:]] for axis in range(3)
+        )
+        for k in keys
+        for plane in k[2:]
+    }
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=stick_sets(), data=st.data())
+def test_scan_matches_oracle(case, data):
+    """A trial's box scan gives the bucketed oracle's pairs of its changed
+    sticks and the oracle census at their end points."""
+    sticks, _, _ = case
+    changed = data.draw(st.sets(st.integers(0, len(sticks) - 1)))
+    assert scan_changed(sticks, changed) == (
+        oracles.touching_pairs(sticks, changed),
+        oracles.endpoint_census_at(sticks, changed),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=stick_sets())
+def test_count_matches_collinear_oracle(case):
+    """Runs counted by comparing axes at each two-stick end are the runs
+    the ``collinear`` oracle counts."""
+    sticks, markers, _ = case
+    axes, ends, _, _ = file_sticks(sticks)
+    assert count_sticks(axes, markers, ends) == oracles.count_sticks(
+        sticks, markers, endpoint_census(sticks)
+    )
 
 
 def _new_stick(draw, sticks):
@@ -242,6 +290,43 @@ def test_stick_matches_reference(a, b):
     assert _built(stick, a, b) == _built(listed_stick, a, b)
 
 
+comps = st.sampled_from(["", "c", "k/1", 'q"\\é'])
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=lattice_points, b=lattice_points, c=comps, d=lattice_points, e=lattice_points, f=comps)
+@example(a=(0, 0, 0), b=(1, 0, 0), c="", d=(0, 0, 0), e=(1, 0, 0), f="")
+@example(a=(0, 0, 0), b=(1, 0, 0), c="c", d=(0, 0, 0), e=(1, 0, 0), f="")
+def test_stick_compares_as_the_dataclass(a, b, c, d, e, f):
+    """Equality, hash and repr of sticks are the frozen dataclass's; a
+    stick equals no other type's object, the dataclass's included."""
+    s, t = Stick(a, b, c), Stick(d, e, f)
+    ds, dt = oracles.DataclassStick(a, b, c), oracles.DataclassStick(d, e, f)
+    assert (s == t) == (ds == dt) and (s != t) == (ds != dt)
+    assert hash(s) == hash(ds) and repr(s) == repr(ds)
+    assert s != ds and s != (a, b, c) and s == Stick(a, b, c)
+
+
+def test_stick_is_immutable():
+    s = Stick((0, 0, 0), (1, 0, 0), "c")
+    for name in ("a", "b", "comp", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, (2, 0, 0))
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    assert (s.a, s.b, s.comp) == ((0, 0, 0), (1, 0, 0), "c")
+    assert not hasattr(s, "__dict__")
+
+
+def test_stick_copies_and_pickles():
+    """Copies and pickles rebuild a stick through its constructor, so an
+    ``Assembly`` holding sticks deep-copies."""
+    s = Stick((0, 0, 0), (0, 0, 2**70), "k/1")
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert twin == s and type(twin) is Stick and repr(twin) == repr(s)
+    assert copy.deepcopy([s, s])[0] == s
+
+
 @st.composite
 def trials(draw):
     """A clean base, then a trial that removes, moves or adds sticks, with
@@ -280,7 +365,7 @@ def test_restricted_check_matches_oracle(case):
     some exactly when the full oracle does."""
     sticks, markers, interior_only, changed = case
     ends = None if interior_only else endpoint_census(sticks)
-    restricted = check_self_avoiding(sticks, markers, ends, touching_pairs(sticks, changed))
+    restricted = check_self_avoiding(sticks, markers, ends, scan_changed(sticks, changed)[0])
     assert restricted == _all_pairs_self_avoiding(sticks, markers, interior_only, changed)
     full = _all_pairs_self_avoiding(sticks, markers, interior_only)
     assert (restricted == []) == (full == [])
@@ -290,12 +375,13 @@ def test_restricted_check_matches_oracle(case):
 @given(case=trials())
 def test_restricted_check_reads_the_census_at_changed_ends(case):
     """A restricted check judges shared ends only where a changed stick
-    ends, so the census there gives the verdicts of the full census."""
+    ends, so the scan's census there gives the verdicts of the full
+    census."""
     sticks, markers, _, changed = case
-    pairs = touching_pairs(sticks, changed)
-    assert check_self_avoiding(
-        sticks, markers, endpoint_census_at(sticks, changed), pairs
-    ) == check_self_avoiding(sticks, markers, endpoint_census(sticks), pairs)
+    pairs, ends = scan_changed(sticks, changed)
+    assert check_self_avoiding(sticks, markers, ends, pairs) == check_self_avoiding(
+        sticks, markers, endpoint_census(sticks), pairs
+    )
 
 
 def test_pipeline_checks_match_oracle(monkeypatch):
@@ -311,28 +397,28 @@ def test_pipeline_checks_match_oracle(monkeypatch):
         found["index"] = index
         return index_pairs(index)
 
-    def straighten_pairs(sticks, changed=None):
+    def straighten_scan(sticks, changed):
         found["changed"] = (sticks, changed)
-        return touching_pairs(sticks, changed)
+        return scan_changed(sticks, changed)
 
     def compared(sticks, markers=None, ends=None, pairs=None):
         interior_only = ends is None
         result = original(sticks, markers, ends, pairs)
-        changed = None
-        if pairs is not None and "index" in found:
+        changed = None  # the audit's check, on every pair that meets
+        if "index" in found:
             # a merge trial: its new sticks are those no slot of the state holds
             index = found.pop("index")
             assert sticks is index.trial
             staged = enumerate(index.trial.items())
             changed = {i for i, (k, s) in staged if index.sticks.get(k) is not s}
             sticks = list(index.trial.values())
-        elif pairs is not None:
+        elif "changed" in found:
             listed, changed = found.pop("changed")
             assert listed is sticks
         if changed is None:
             assert interior_only or ends == endpoint_census(sticks)
         else:
-            assert interior_only or ends == endpoint_census_at(sticks, changed)
+            assert interior_only or ends == oracles.endpoint_census_at(sticks, changed)
         assert result == _all_pairs_self_avoiding(sticks, markers, interior_only, changed)
         full = _all_pairs_self_avoiding(sticks, markers, interior_only)
         assert (result == []) == (full == [])
@@ -342,7 +428,7 @@ def test_pipeline_checks_match_oracle(monkeypatch):
     for module in (validate, build, assembly):
         monkeypatch.setattr(module, "check_self_avoiding", compared)
     monkeypatch.setattr(assembly.StickIndex, "touching_pairs", merge_pairs)
-    monkeypatch.setattr(assembly, "touching_pairs", straighten_pairs)
+    monkeypatch.setattr(assembly, "scan_changed", straighten_scan)
     docs = [*DEMOS.values(), CHAIN, SPLIT_PAIR, LOOP_TREFOIL, chain(8)]
     for doc in docs:
         build_full(spec_from_document(doc))
@@ -445,18 +531,22 @@ class TestJunctions:
         assert problems == []
 
 
+def _count(sticks, markers):
+    axes, ends, _, _ = file_sticks(sticks)
+    return count_sticks(axes, markers, ends)
+
+
 class TestCounting:
     def test_rectangle(self):
-        assert count_sticks(RECT, {"v": (0, 0, 0)}, endpoint_census(RECT)).total == 4
+        assert _count(RECT, {"v": (0, 0, 0)}).total == 4
 
     def test_marker_splits_straight_column(self):
         sticks = [zs(0, 0, 1, 2), zs(0, 0, 2, 3)]
-        ends = endpoint_census(sticks)
-        assert count_sticks(sticks, {}, ends).total == 1
-        assert count_sticks(sticks, {"v": (0, 0, 2)}, ends).total == 2
+        assert _count(sticks, {}).total == 1
+        assert _count(sticks, {"v": (0, 0, 2)}).total == 2
 
     def test_axis_breakdown(self):
-        c = count_sticks(RECT, {}, endpoint_census(RECT))
+        c = _count(RECT, {})
         assert (c.x, c.y, c.z) == (0, 2, 2)
 
 
@@ -494,17 +584,21 @@ class TestReconstruction:
 
 @pytest.mark.parametrize("name", sorted(DEMOS))
 def test_full_audit_takes_one_endpoint_census(monkeypatch, name):
-    """The audit indexes the final sticks once and hands that index to all
-    four checks, which index nothing themselves."""
+    """The audit files the final sticks once and hands that filing to all
+    four checks, which file nothing themselves."""
     spec = spec_from_document(DEMOS[name])
     emb, counts, _ = build_full(spec)
     calls = []
 
-    def counted(sticks):
-        calls.append(len(sticks))
-        return endpoint_census(sticks)
+    def counted(original):
+        def filing(sticks):
+            calls.append((original.__name__, len(sticks)))
+            return original(sticks)
 
-    monkeypatch.setattr(validate, "endpoint_census", counted)
+        return filing
+
+    for original in (file_sticks, endpoint_census, touching_pairs):
+        monkeypatch.setattr(validate, original.__name__, counted(original))
     report = validate.full_audit(list(emb.sticks), emb.markers, spec, census(spec).degrees)
     assert report.clean and report.counts == counts
-    assert calls == [len(emb.sticks)]
+    assert calls == [("file_sticks", len(emb.sticks))]
