@@ -19,8 +19,8 @@ distinct values, so the output coordinates are small whatever the grid.
 Merging works on one ``StickIndex`` of the stacked sticks and names every
 stick by its slot there: the planner, each plan's steps and run, each
 trial's staging and pairs, and the kept trial's commit all read or update
-it.  ``validate.check_self_avoiding`` only judges the pairs a trial names.
-Straightening finds its trial's pairs and census with
+it.  ``validate.check_self_avoiding`` only judges the contacts of the pairs
+a trial names.  Straightening finds its trial's pairs with
 ``validate.scan_changed``; the final audit finds its own.
 """
 
@@ -72,50 +72,54 @@ class Assembly:
     merge_plans: list[VertexPlan] = field(default_factory=list)
 
 
-def _size_subtree(
-    comp_id: str, builds: dict[str, ComponentBuild], tree: CutTree, placed: dict
-) -> tuple[int, int, tuple[int, int, int, int]]:
-    """Size the subtree of ``comp_id`` on its own grid, without building it.
+def _size_subtrees(builds: dict[str, ComponentBuild], tree: CutTree) -> tuple[dict, dict]:
+    """Size every subtree on its own grid, without building it, branches
+    before their stems (``tree.order`` reversed), so no call recurses
+    however deep the tree.
 
-    On that grid ``comp_id`` has ``unit`` grid points per unit, its origin
+    On that grid a component has ``unit`` grid points per unit, its origin
     at zero and so its lowest level, z = 1, at one unit.  A child whose
     extent around its cut-vertex column is at most ``2^k`` of its own units
     is placed at 1/(8*2^k) of a stem unit, so the stem's unit is the largest
     ``8 * 2^k * child unit``: every child scales up by a power of two.
-    Returns ``unit``, the subtree's top z and its x/y box (xlo, xhi, ylo,
-    yhi); ``placed`` maps each branch to its unit on its own grid and that
-    grid's factor and offset in its stem's grid.  Connectors stand on stem
-    columns, so they never widen a box.
+    Returns ``sized``, each component's ``unit``, its subtree's top z and
+    x/y box (xlo, xhi, ylo, yhi), and ``placed``, each branch's unit on its
+    own grid and that grid's factor and offset in its stem's grid.
+    Connectors stand on stem columns, so they never widen a box.
     """
-    b = builds[comp_id]
-    subs = []
-    for child_id, cut_vertex in tree.children(comp_id):
-        u, ztop, (xlo, xhi, ylo, yhi) = _size_subtree(child_id, builds, tree, placed)
-        cb = builds[child_id]
-        cx, cy = (u * c for c in cb.column_axis(cb.vertex_bp(cut_vertex)))
-        extent = max(cx - xlo, xhi - cx, cy - ylo, yhi - cy)
-        # 2^k * u: the least power of two covering max(1, extent / u) units
-        width = 1 << (max(u, extent) - 1).bit_length()
-        subs.append((child_id, cut_vertex, u, (cx, cy), ztop, (xlo, xhi, ylo, yhi), width))
-    unit = max((8 * sub[-1] for sub in subs), default=1)
-    # The columns span the component: every stick ends on a column axis or
-    # on an elbow (hi, lo), which has column hi's x and column lo's y, and
-    # every column holds a stick end.
-    axes = [b.column_axis(bp) for bp in range(1, b.pres.beta + 1)]
-    xs = {unit * x for x, _ in axes}
-    ys = {unit * y for _, y in axes}
-    top = unit * max(1, b.pres.alpha)
-    for child_id, cut_vertex, u, (cx, cy), ztop, (xlo, xhi, ylo, yhi), width in subs:
-        ax, ay = (unit * c for c in b.column_axis(b.vertex_bp(cut_vertex)))
-        f = unit // (8 * width)
-        # one child unit of clearance above ``top``: the child's z = 1 level
-        # lands at top + f * u, so its grid's origin sits at ``top``
-        off = (ax - f * cx, ay - f * cy, top)
-        placed[child_id] = (u, f, off)
-        xs.update((f * xlo + off[0], f * xhi + off[0]))
-        ys.update((f * ylo + off[1], f * yhi + off[1]))
-        top += f * ztop
-    return unit, top, (min(xs), max(xs), min(ys), max(ys))
+    sized: dict[str, tuple[int, int, tuple[int, int, int, int]]] = {}
+    placed: dict[str, tuple[int, int, Vec3]] = {}
+    for comp_id in reversed(tree.order):
+        b = builds[comp_id]
+        subs = []
+        for child_id, cut_vertex in tree.children(comp_id):
+            u, ztop, (xlo, xhi, ylo, yhi) = sized[child_id]
+            cb = builds[child_id]
+            cx, cy = (u * c for c in cb.column_axis(cb.vertex_bp(cut_vertex)))
+            extent = max(cx - xlo, xhi - cx, cy - ylo, yhi - cy)
+            # 2^k * u: the least power of two covering max(1, extent / u) units
+            width = 1 << (max(u, extent) - 1).bit_length()
+            subs.append((child_id, cut_vertex, u, (cx, cy), ztop, (xlo, xhi, ylo, yhi), width))
+        unit = max((8 * sub[-1] for sub in subs), default=1)
+        # The columns span the component: every stick ends on a column axis
+        # or on an elbow (hi, lo), which has column hi's x and column lo's
+        # y, and every column holds a stick end.
+        axes = [b.column_axis(bp) for bp in range(1, b.pres.beta + 1)]
+        xs = {unit * x for x, _ in axes}
+        ys = {unit * y for _, y in axes}
+        top = unit * max(1, b.pres.alpha)
+        for child_id, cut_vertex, u, (cx, cy), ztop, (xlo, xhi, ylo, yhi), width in subs:
+            ax, ay = (unit * c for c in b.column_axis(b.vertex_bp(cut_vertex)))
+            f = unit // (8 * width)
+            # one child unit of clearance above ``top``: the child's z = 1
+            # level lands at top + f * u, so its grid's origin sits at ``top``
+            off = (ax - f * cx, ay - f * cy, top)
+            placed[child_id] = (u, f, off)
+            xs.update((f * xlo + off[0], f * xhi + off[0]))
+            ys.update((f * ylo + off[1], f * yhi + off[1]))
+            top += f * ztop
+        sized[comp_id] = unit, top, (min(xs), max(xs), min(ys), max(ys))
+    return sized, placed
 
 
 def assemble(
@@ -123,14 +127,13 @@ def assemble(
 ) -> Assembly:
     """Stack every tree of the forest on one grid; roots get no connector.
 
-    ``_size_subtree`` sizes each tree bottom-up.  Then one pass over
+    ``_size_subtrees`` sizes each tree bottom-up.  Then one pass over
     ``tree.order`` composes each component's final scale and offset from its
     stem's, makes the component's sticks there, each once, and joins a branch
     to its stem by its connector.
     """
-    placed: dict[str, tuple[int, int, Vec3]] = {}
-    sized = {root: _size_subtree(root, builds, tree, placed) for root in tree.roots}
-    unit = 12 * max(u for u, _, _ in sized.values())
+    sized, placed = _size_subtrees(builds, tree)
+    unit = 12 * max(sized[root][0] for root in tree.roots)
     warnings = [w for comp in spec.components for w in builds[comp.id].warnings]
     asm = Assembly(sticks=[], warnings=warnings)
     # per component: final grid points per point of its subtree's grid, and
@@ -490,7 +493,7 @@ def apply_merges(cens: GraphCensus, asm: Assembly) -> Assembly:
 # --- arc straightening ----------------------------------------------------
 
 def straighten_arcs(
-    spec: SpatialGraphSpec,
+    spec: SpatialGraphSpec,  # unread here; bench/tracing.py counts single-arc links from it
     tree: CutTree,
     builds: dict[str, ComponentBuild],
     asm: Assembly,
@@ -508,10 +511,9 @@ def straighten_arcs(
     elbow and the run give way to one vertical stick on the near axis.  Only
     it and the unmoved sticks spanning the slab are checked, by
     ``scan_changed``, whose precondition holds: the branch moves rigidly in
-    x and y, every other unmoved stick has both ends outside the slab,
-    removing sticks only lowers endpoint counts, and markers move with their
-    sticks.  Components realising more than one arc stay untouched (they may
-    be knotted); every skip is reported.
+    x and y, and every other unmoved stick has both ends outside the slab.
+    Components realising more than one arc stay untouched (they may be
+    knotted); every skip is reported.
     """
     for comp_id in tree.order:
         b = builds[comp_id]
@@ -567,17 +569,15 @@ def straighten_arcs(
             continue
         changed.add(len(moved))
         moved.append(stick(near, (nx, ny, run_top), comp_id))
-        new_markers = {
-            label: ((p[0] + dx, p[1] + dy, p[2]) if z_lo <= p[2] <= z_hi else p)
-            for label, p in asm.markers.items()
-        }
-        pairs, ends = scan_changed(moved, changed)
-        if check_self_avoiding(moved, new_markers, ends, pairs):
+        if check_self_avoiding(moved, scan_changed(moved, changed)):
             asm.warnings.append(f"{comp_id}: straightening collides, skipped")
             continue
 
         asm.sticks = moved
-        asm.markers = new_markers
+        asm.markers = {
+            label: ((p[0] + dx, p[1] + dy, p[2]) if z_lo <= p[2] <= z_hi else p)
+            for label, p in asm.markers.items()
+        }
         for label in {lab for c in subtree for lab in builds[c].pres.labels.values()}:
             ax, ay = asm.vertex_axis[label]
             asm.vertex_axis[label] = (ax + dx, ay + dy)

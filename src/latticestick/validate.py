@@ -6,15 +6,18 @@ rather than inheriting them.  This module belongs to the certification
 kernel (``geom``, ``arcs``, ``graph``, ``bounds``, ``errors``, ``validate``,
 ``io`` and ``invariants``), which imports no build module.
 
+Each fault has one judge.  ``check_self_avoiding`` judges contacts: a
+crossing, an overlap or a T-contact; a shared end point always passes it.
+``audit_junctions`` judges the points where stick ends meet: three or more
+need a vertex marker, and a marker's incidence must equal its degree.
+
 The full audit files the final sticks once, in ``file_sticks``: axes,
 endpoint census, and line and plane buckets by ``geom.buckets``' rule, read
 by the pair sweep, the run count, the junction check and the edge walk.  A
 build's trial checks only the pairs it names; a straightening trial finds
-them, with the census at its changed sticks' ends, in one box scan,
-``scan_changed``.  That decides the trial as the full check does when every
-other pair is as it was in a state that passed the same check, and where it
-shares an endpoint, that point kept its marker and gained no stick end but
-a changed stick's.
+them in one box scan, ``scan_changed``.  That decides the trial as the full
+check does when every other pair is as it was in a state that passed the
+same check.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ class AuditReport:
 
     @property
     def self_avoiding(self) -> bool:
+        """No contact but shared end points; an unmarked junction is not a
+        violation here but an entry of ``unmarked_junctions``."""
         return not self.violations
 
     @property
@@ -137,23 +142,21 @@ def _sweep(sticks: Sequence[Stick], lines: dict, planes: dict) -> list[tuple[int
     return pairs
 
 
-def scan_changed(
-    sticks: Sequence[Stick], changed: Collection[int]
-) -> tuple[list[tuple[int, int]], dict[Vec3, list[int]]]:
-    """A trial's ``(pairs, ends)``: the sorted position pairs ``(i, j)``,
-    ``i < j``, holding a ``changed`` stick whose sticks meet, found by
-    comparing every stick's bounding box with each changed one's, and the
-    ``endpoint_census`` at the changed sticks' end points, the only points
-    where such a pair can share an end."""
+def scan_changed(sticks: Sequence[Stick], changed: Collection[int]) -> list[tuple[int, int]]:
+    """The sorted position pairs ``(i, j)``, ``i < j``, holding a ``changed``
+    stick whose sticks meet, found by comparing every stick's bounding box
+    with each changed one's.
+
+    A straightening trial takes no census at the changed sticks' ends: every
+    stick it moves has both ends inside the branch's slab and every stick it
+    keeps has both ends outside, so the move makes no end point newly
+    shared, and the new vertical stick takes over the ends of the elbow and
+    the run it replaces one for one.  Each point keeps its count of ends.
+    """
     boxes = [(i, *sticks[i].a, *sticks[i].b) for i in sorted(changed)]
-    ends: dict[Vec3, list[int]] = {p: [] for i in changed for p in sticks[i].ends()}
     pairs: list[tuple[int, int]] = []
     for j, t in enumerate(sticks):
-        (tax, tay, taz), (tbx, tby, tbz) = ta, tb = t.a, t.b
-        if ta in ends:
-            ends[ta].append(j)
-        if tb in ends:
-            ends[tb].append(j)
+        (tax, tay, taz), (tbx, tby, tbz) = t.a, t.b
         for i, sax, say, saz, sbx, sby, sbz in boxes:
             if (
                 sax <= tbx and tax <= sbx and say <= tby and tay <= sby and saz <= tbz
@@ -161,24 +164,16 @@ def scan_changed(
             ):
                 pairs.append((i, j) if i < j else (j, i))
     pairs.sort()
-    return pairs, ends
+    return pairs
 
 
 def check_self_avoiding(
-    sticks: Sequence[Stick] | Mapping[int, Stick],
-    markers: dict[str, Vec3] | None = None,
-    ends: dict[Vec3, list[int]] | None = None,
-    pairs: list[tuple[int, int]] | None = None,
+    sticks: Sequence[Stick] | Mapping[int, Stick], pairs: list[tuple[int, int]] | None = None
 ) -> list[tuple[str, Vec3]]:
-    """Every contact among ``pairs`` of sticks that is not legitimate, in
-    pair order.
-
-    Interior crossings, collinear overlaps and endpoint-in-interior contacts
-    are always violations.  ``ends``, the ``endpoint_census`` of ``sticks``,
-    judges shared endpoints: one is fine where a polyline bend joins exactly
-    two sticks or a vertex marker sits.  Without it every shared endpoint
-    passes, as mid-pipeline states need: they have no markers yet, and their
-    binding columns legitimately carry degree-3 junction points.
+    """Every contact among ``pairs`` of sticks but a shared end point, in
+    pair order: interior crossings, collinear overlaps and endpoint-in-
+    interior contacts.  A shared end point always passes; whether it may
+    join more than two stick ends is ``audit_junctions``' call.
 
     ``pairs`` holds sorted key pairs ``(i, j)``, ``i < j``, into ``sticks``:
     positions in a list, or slots of a mapping from slot to stick.  For a
@@ -187,30 +182,18 @@ def check_self_avoiding(
     """
     if pairs is None:
         pairs = touching_pairs(sticks)
-    marker_points = set((markers or {}).values())
-    violations: list[tuple[str, Vec3]] = []
-    for i, j in pairs:
-        kind, p = contact(sticks[i], sticks[j])
-        if kind == "endpoint":
-            if ends is None or p in marker_points or len(ends[p]) == 2:
-                continue
-            violations.append(("endpoint_junction_unmarked", p))
-        else:
-            violations.append((kind, p))
-    return violations
+    return [c for i, j in pairs if (c := contact(sticks[i], sticks[j]))[0] != "endpoint"]
 
 
 def audit_junctions(
-    sticks: list[Stick],
-    markers: dict[str, Vec3],
-    degrees: dict[str, int],
-    ends: dict[Vec3, list[int]],
+    markers: dict[str, Vec3], degrees: dict[str, int], ends: dict[Vec3, list[int]]
 ) -> tuple[list[Vec3], list[str]]:
-    """Check that junction points and vertex markers agree.
+    """The sorted points where three or more stick ends meet without a
+    vertex marker, and the marker problems: two markers on one point, a
+    marker on no stick end, or one whose incidence differs from its degree.
 
-    Every point where three or more stick ends meet must carry a marker;
-    marker incidences must use pairwise distinct axis directions and match
-    the expected degrees exactly.
+    Two sticks leaving a marker in one direction overlap, so
+    ``check_self_avoiding`` reports them.
     """
     marker_points = {p: label for label, p in markers.items()}
     if len(marker_points) != len(markers):
@@ -224,11 +207,7 @@ def audit_junctions(
         incident = ends.get(p, [])
         if not incident:
             problems.append(f"marker {label} at {p} not on any stick endpoint")
-            continue
-        dirs = [sticks[i].direction_from(p) for i in incident]
-        if len(set(dirs)) != len(dirs):
-            problems.append(f"marker {label} has repeated incident directions")
-        if len(incident) != degrees.get(label):
+        elif len(incident) != degrees.get(label):
             problems.append(
                 f"marker {label} incidence {len(incident)} != degree {degrees.get(label)}"
             )
@@ -392,10 +371,8 @@ def full_audit(
     pass taken here from the sticks alone."""
     axes, ends, lines, planes = file_sticks(sticks)
     report = AuditReport()
-    report.violations = check_self_avoiding(sticks, markers, ends, _sweep(sticks, lines, planes))
-    report.unmarked_junctions, report.marker_problems = audit_junctions(
-        sticks, markers, degrees, ends
-    )
+    report.violations = check_self_avoiding(sticks, _sweep(sticks, lines, planes))
+    report.unmarked_junctions, report.marker_problems = audit_junctions(markers, degrees, ends)
     report.counts = count_sticks(axes, markers, ends)
     try:
         reconstruct_graph(sticks, markers, spec, ends)

@@ -14,9 +14,14 @@ and stick through generic helpers where ``io`` makes one test per object,
 the frozen-dataclass stick that the slotted ``geom.Stick`` replaced, the
 bucketed pair finder with its ``changed`` mode and the census at changed
 ends where a straightening trial makes one box scan, the run count through
-``collinear``'s two key lookups where the audit compares axes, and the
+``collinear``'s two key lookups where the audit compares axes, the
 document writer that takes ``embedding_to_document``'s dict where ``io``
-writes straight from the embedding.
+writes straight from the embedding, and the judges that reported some
+faults twice, with the audit made of them: the contact check with its
+marker and census modes, which also flagged an unmarked junction once per
+pair; the box scan that also took the census at a trial's changed ends;
+and the junction check that also flagged two sticks leaving a marker in
+one direction, which always overlap.
 
 The package computes none of these; the tests check its results against
 them.  The module name keeps pytest from collecting it.
@@ -41,9 +46,11 @@ from latticestick.errors import (
     InvalidCounts,
     MergeCollision,
     NoFreeDirection,
+    ReconstructionMismatch,
     TooLarge,
 )
 from latticestick.geom import OTHER_AXES, LatticeEmbedding, Stick, Vec3, stick
+from latticestick.geom import contact as geom_contact
 from latticestick.graph import (
     ComponentSpec,
     CutAttachment,
@@ -53,10 +60,13 @@ from latticestick.graph import (
 )
 from latticestick.invariants import GaussData, _coloring_rows, _strand_structure
 from latticestick.validate import (
+    AuditReport,
     StickCounts,
+    _sweep,
     check_bound,
-    check_self_avoiding,
-    full_audit,
+    count_sticks as axis_count_sticks,
+    file_sticks,
+    reconstruct_graph,
 )
 
 MAX_STRANDS = 12
@@ -768,3 +778,114 @@ def embedding_document_text(doc: dict) -> str:
         f'  "edges": {items(edges, "  ")},\n  "counts": {scalars(doc["counts"])},\n'
         f'  "bounds_report": {scalars(doc["bounds_report"])}\n}}\n'
     )
+
+
+# --- the judges that reported some faults twice -------------------------------
+
+def check_self_avoiding(
+    sticks: Sequence[Stick] | dict[int, Stick],
+    markers: dict[str, Vec3] | None = None,
+    ends: dict[Vec3, list[int]] | None = None,
+    pairs: list[tuple[int, int]] | None = None,
+) -> list[tuple[str, Vec3]]:
+    """``validate.check_self_avoiding`` with its marker and census modes.
+
+    Every contact among ``pairs`` that is not legitimate, in pair order.
+    ``ends``, the ``endpoint_census`` of ``sticks``, judges shared endpoints
+    too: one is fine where a polyline bend joins exactly two sticks or a
+    vertex marker sits, and otherwise an ``endpoint_junction_unmarked``
+    violation, once per pair.  Without it every shared endpoint passes.
+    """
+    if pairs is None:
+        pairs = touching_pairs(sticks)
+    marker_points = set((markers or {}).values())
+    violations: list[tuple[str, Vec3]] = []
+    for i, j in pairs:
+        kind, p = geom_contact(sticks[i], sticks[j])
+        if kind == "endpoint":
+            if ends is None or p in marker_points or len(ends[p]) == 2:
+                continue
+            violations.append(("endpoint_junction_unmarked", p))
+        else:
+            violations.append((kind, p))
+    return violations
+
+
+def scan_changed(
+    sticks: Sequence[Stick], changed: Collection[int]
+) -> tuple[list[tuple[int, int]], dict[Vec3, list[int]]]:
+    """``validate.scan_changed`` with its census: a trial's ``(pairs,
+    ends)``, the pairs from the box scan and the ``endpoint_census`` at the
+    changed sticks' end points, the only points where such a pair can share
+    an end."""
+    boxes = [(i, *sticks[i].a, *sticks[i].b) for i in sorted(changed)]
+    ends: dict[Vec3, list[int]] = {p: [] for i in changed for p in sticks[i].ends()}
+    pairs: list[tuple[int, int]] = []
+    for j, t in enumerate(sticks):
+        (tax, tay, taz), (tbx, tby, tbz) = ta, tb = t.a, t.b
+        if ta in ends:
+            ends[ta].append(j)
+        if tb in ends:
+            ends[tb].append(j)
+        for i, sax, say, saz, sbx, sby, sbz in boxes:
+            if (
+                sax <= tbx and tax <= sbx and say <= tby and tay <= sby and saz <= tbz
+                and taz <= sbz and i != j and (i < j or j not in changed)
+            ):
+                pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return pairs, ends
+
+
+def audit_junctions(
+    sticks: list[Stick],
+    markers: dict[str, Vec3],
+    degrees: dict[str, int],
+    ends: dict[Vec3, list[int]],
+) -> tuple[list[Vec3], list[str]]:
+    """``validate.audit_junctions`` with its direction test: marker
+    incidences must also use pairwise distinct axis directions."""
+    marker_points = {p: label for label, p in markers.items()}
+    if len(marker_points) != len(markers):
+        return [], ["two vertex markers share one point"]
+
+    unmarked = [
+        p for p, incident in ends.items() if len(incident) > 2 and p not in marker_points
+    ]
+    problems: list[str] = []
+    for label, p in sorted(markers.items()):
+        incident = ends.get(p, [])
+        if not incident:
+            problems.append(f"marker {label} at {p} not on any stick endpoint")
+            continue
+        dirs = [sticks[i].direction_from(p) for i in incident]
+        if len(set(dirs)) != len(dirs):
+            problems.append(f"marker {label} has repeated incident directions")
+        if len(incident) != degrees.get(label):
+            problems.append(
+                f"marker {label} incidence {len(incident)} != degree {degrees.get(label)}"
+            )
+    return sorted(unmarked), problems
+
+
+def full_audit(
+    sticks: list[Stick],
+    markers: dict[str, Vec3],
+    spec: SpatialGraphSpec,
+    degrees: dict[str, int],
+) -> AuditReport:
+    """``validate.full_audit`` through the two judges above: the check in
+    its census mode and the junction check with its direction test."""
+    axes, ends, lines, planes = file_sticks(sticks)
+    report = AuditReport()
+    report.violations = check_self_avoiding(sticks, markers, ends, _sweep(sticks, lines, planes))
+    report.unmarked_junctions, report.marker_problems = audit_junctions(
+        sticks, markers, degrees, ends
+    )
+    report.counts = axis_count_sticks(axes, markers, ends)
+    try:
+        reconstruct_graph(sticks, markers, spec, ends)
+        report.reconstruction_ok = True
+    except ReconstructionMismatch as exc:
+        report.reconstruction_diff = exc.diff
+    return report

@@ -41,6 +41,7 @@ from latticestick.graph import (
 from latticestick.invariants import extract_knot_cycle, knot_determinant, project_generic
 from latticestick.io import embedding_from_document, embedding_to_document, spec_from_document
 from latticestick.validate import (
+    audit_junctions,
     check_self_avoiding,
     count_sticks,
     endpoint_census,
@@ -53,7 +54,7 @@ from oracles import attachments as oracle_attachments, transform, transform_poin
 from test_build import presentations
 from test_golden import INPUTS as GOLDEN_INPUTS, _bench_workloads, chain
 from test_properties import THETA5, graph_component_specs, knot_specs
-from test_validate import GRID, _all_pairs_self_avoiding, grid_sticks
+from test_validate import GRID, _all_pairs_self_avoiding, assert_audit_matches_oracle, grid_sticks
 
 
 def connectors(asm):
@@ -94,8 +95,8 @@ def _counts(sticks, markers):
 
 
 def _violations(sticks, markers):
-    """The full check, shared endpoints judged, as the audit makes it."""
-    return check_self_avoiding(sticks, markers, endpoint_census(sticks))
+    """The full oracle check, shared endpoints judged."""
+    return oracles.check_self_avoiding(sticks, markers, endpoint_census(sticks))
 
 
 class TestAssemble:
@@ -130,6 +131,32 @@ class TestAssemble:
 
 # The stacking that carried every subtree's sticks up the tree, transforming
 # each stick once per ancestor level, kept as an oracle for ``assemble``.
+
+def test_deep_tree_stacks_without_recursion():
+    """Stacking sizes the subtrees in one loop, branches before stems, so
+    its frames do not grow with the depth of the cut tree: a 16-theta chain,
+    32 components deep, stacks with 20 frames to spare.  Sizing by recursion
+    took a frame per level, and ``chain_input(520)``, 1,040 deep, ran out of
+    the default 1,000 in ``build``."""
+    spec = spec_from_document(_bench_workloads().chain_input(16))
+    cens = census(spec)
+    tree = build_cut_tree(spec, cens)
+    builds = {c.id: build_component(c, cens.classes[c.id]) for c in spec.components}
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 20)
+    try:
+        asm = assemble(spec, tree, builds)
+    finally:
+        sys.setrecursionlimit(limit)
+    levels = {}
+    for c in tree.order:  # stems first
+        levels[c] = levels[tree.parent[c][0]] + 1 if c in tree.parent else 1
+    assert max(levels.values()) == 32
+    assert asm.sticks == assemble(spec, tree, builds).sticks
+
 
 @dataclass
 class _OracleRealized:
@@ -660,7 +687,7 @@ class TestNormalize:
         for s in emb.sticks:
             assert all(type(c) is int and c >= 0 for c in s.a + s.b)
 
-    @pytest.mark.parametrize("n", [6, 12, 24])
+    @pytest.mark.parametrize("n", [6, 12, 24, 48])
     def test_chain_coordinates_below_stick_count(self, n):
         """Nesting scales each branch up by 8*2^k, but the ranks leave every
         coordinate of a chain below its stick count."""
@@ -1096,11 +1123,16 @@ def test_stacking_fault_never_certified(monkeypatch, doc, fault):
 @pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
 def test_stacked_and_merged_states_are_clean(name):
     """The bases of the first merge trial and of the first straightening
-    trial, which no build checks, pass the checks those trials make."""
+    trial, which no build checks, pass the checks those trials make; the
+    merged state also has no unmarked junction, by the junction check and
+    by the oracle check that judged shared ends."""
     spec, cens, _, _, asm = stages(GOLDEN_INPUTS[name])
     assert check_self_avoiding(asm.sticks) == []
     merged = apply_merges(cens, asm)
-    assert check_self_avoiding(merged.sticks, merged.markers, endpoint_census(merged.sticks)) == []
+    ends = endpoint_census(merged.sticks)
+    assert check_self_avoiding(merged.sticks) == []
+    assert audit_junctions(merged.markers, cens.degrees, ends)[0] == []
+    assert oracles.check_self_avoiding(merged.sticks, merged.markers, ends) == []
 
 
 @pytest.mark.parametrize("doc", [DEMOS["bouquet3"], CHAIN], ids=["bouquet3", "chain"])
@@ -1239,7 +1271,7 @@ def oracle_straighten(spec, tree, builds, asm):
             for label, p in asm.markers.items()
         }
         pairs = oracles.touching_pairs(moved, set(changed))
-        if check_self_avoiding(moved, new_markers, endpoint_census(moved), pairs):
+        if oracles.check_self_avoiding(moved, new_markers, endpoint_census(moved), pairs):
             asm.warnings.append(f"{comp_id}: straightening collides, skipped")
             continue
 
@@ -1420,10 +1452,13 @@ def test_index_check_matches_bucketed_and_all_pairs(data):
             st.lists(st.sampled_from(points), max_size=2, unique=True) if points else st.just([])
         )
         markers = {f"m{n}": p for n, p in enumerate(marked)}
-        indexed = check_self_avoiding(index.trial, markers, ends, index.touching_pairs())
-        bucketed = check_self_avoiding(trial, markers, ends, scan_changed(trial, changed)[0])
-        assert indexed == bucketed
-        assert indexed == _all_pairs_self_avoiding(trial, markers, ends is None, set(changed))
+        index_pairs, scanned = index.touching_pairs(), scan_changed(trial, changed)
+        indexed = check_self_avoiding(index.trial, index_pairs)
+        assert indexed == check_self_avoiding(trial, scanned)
+        assert indexed == _all_pairs_self_avoiding(trial, interior_only=True, changed=set(changed))
+        judged = oracles.check_self_avoiding(index.trial, markers, ends, index_pairs)
+        assert judged == oracles.check_self_avoiding(trial, markers, ends, scanned)
+        assert judged == _all_pairs_self_avoiding(trial, markers, ends is None, set(changed))
         assert _canonical(index) == before
         if data.draw(st.booleans()):
             index.commit()
@@ -1535,20 +1570,34 @@ def test_index_only_where_a_vertex_has_degree_three(monkeypatch):
     assert len(built) == 1
 
 
-def test_straightening_census_at_changed_ends(monkeypatch):
-    """Each straightening trial, judged on the census at its changed sticks'
-    ends, finds what the full endpoint census finds."""
-    original = assembly.check_self_avoiding
-    trials = []
+def test_straightening_needs_no_census(monkeypatch):
+    """Each straightening trial, judged on contacts alone, decides as the
+    oracle stage that judged it with the full endpoint census and the
+    trial's markers, and none collides; every audit a build reaches matches
+    the oracle audit and is clean."""
+    straighten, scan = assembly.straighten_arcs, assembly.scan_changed
+    trials, audits = [], []
 
-    def compared(sticks, markers=None, ends=None, pairs=None):
-        result = original(sticks, markers, ends, pairs)
-        if ends is not None:
-            trials.append(result)
-            assert result == original(sticks, markers, endpoint_census(sticks), pairs)
-        return result
+    def compared(spec, tree, builds, asm):
+        ref = oracle_straighten(spec, tree, builds, copy.deepcopy(asm))
+        out = straighten(spec, tree, builds, asm)
+        for key in ("sticks", "markers", "vertex_axis", "warnings"):
+            assert getattr(out, key) == getattr(ref, key), key
+        return out
 
-    monkeypatch.setattr(assembly, "check_self_avoiding", compared)
+    def scanned(sticks, changed):
+        pairs = scan(sticks, changed)
+        trials.append(check_self_avoiding(sticks, pairs))
+        return pairs
+
+    def audited(sticks, markers, spec, degrees):
+        report, _ = assert_audit_matches_oracle(sticks, markers, spec, degrees)
+        audits.append(report.clean)
+        return report
+
+    monkeypatch.setattr(assembly, "straighten_arcs", compared)
+    monkeypatch.setattr(assembly, "scan_changed", scanned)
+    monkeypatch.setattr(assembly, "full_audit", audited)
     workloads = _bench_workloads()
     docs = [*DEMOS.values(), CHAIN, SPLIT_PAIR, LOOP_TREFOIL]
     docs += [workloads.chain_input(n) for n in (4, 5, 6)]
@@ -1559,3 +1608,4 @@ def test_straightening_census_at_changed_ends(monkeypatch):
         except (NoFreeDirection, MergeCollision, BoundViolated):
             continue
     assert len(trials) > 40 and not any(trials)
+    assert len(audits) > 40 and all(audits)

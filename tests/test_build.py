@@ -283,7 +283,7 @@ def oracle_slide_ok(b, moved_bp):
     axis = b.column_axis(moved_bp)
     sticks = b.sticks()
     changed = {i for i, s in enumerate(sticks) if any(p[:2] == axis for p in s.ends())}
-    return not check_self_avoiding(sticks, pairs=scan_changed(sticks, changed)[0])
+    return not check_self_avoiding(sticks, pairs=scan_changed(sticks, changed))
 
 
 def oracle_side_slide(b):

@@ -202,6 +202,21 @@ class TestValidate:
             assert run("build", "--input", str(inp), "--output", str(out)) == 0
             assert run("validate", "--embedding", str(out), "--input", str(inp)) == 0
 
+    def test_unmarked_junction_listed_once(self, tmp_path, capsys):
+        """A vertex marker dropped leaves an unmarked junction: no contact,
+        so the document reads self-avoiding, but the junction is counted
+        and validation fails."""
+        inp, out = demo_paths(tmp_path, "theta-planar")
+        assert run("build", "--input", str(inp), "--output", str(out)) == 0
+        doc = json.loads(out.read_text())
+        doc["vertices"] = [v for v in doc["vertices"] if v["id"] != "v2"]
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("validate", "--embedding", str(out), "--input", str(inp)) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["self-avoiding: True", "unmarked junctions: 1"]
+        assert not any("violation" in line for line in lines)
+
     def test_corrupted_stick(self, tmp_path):
         inp, out = demo_paths(tmp_path, "unknot")
         run("build", "--input", str(inp), "--output", str(out))

@@ -226,23 +226,24 @@ class TestProjection:
         assert knot_determinant(extract_knot_cycle(dia, "t")) == 3
 
     def test_translation_keeps_the_diagram(self):
-        """Shifted copies of a built 12-arc knot, one with every axis's
-        maximum at 0, project to the same crossings and Gauss visits."""
-        doc = _bench_workloads().knot_input(random.Random(12), 12)
-        emb, _, _ = build_full(spec_from_document(doc))
-        top = [max(p[a] for line in emb.traces.values() for p in line) for a in range(3)]
-        found = set()
-        for shift in ((0, 0, 0), tuple(-t for t in top), (5, -7, -100)):
-            traces = {
-                eid: [tuple(c + d for c, d in zip(p, shift)) for p in line]
-                for eid, line in emb.traces.items()
-            }
-            moved = LatticeEmbedding((), {}, traces)
-            dia = project_generic(moved, {"k"})
-            gauss = extract_knot_cycle(dia, "k")
-            found.add((len(dia.crossings), gauss.visits, knot_determinant(gauss)))
-        assert len(found) == 1
-        assert [(n, det) for n, _, det in found] == [(21, 5)]
+        """Shifted copies of built 12- and 80-arc knots, one with every
+        axis's maximum at 0, project to the same crossings and Gauss visits."""
+        for arcs, expected in ((12, (21, 5)), (80, (927, 6432713697327))):
+            doc = _bench_workloads().knot_input(random.Random(arcs), arcs)
+            emb, _, _ = build_full(spec_from_document(doc))
+            top = [max(p[a] for line in emb.traces.values() for p in line) for a in range(3)]
+            found = set()
+            for shift in ((0, 0, 0), tuple(-t for t in top), (5, -7, -100)):
+                traces = {
+                    eid: [tuple(c + d for c, d in zip(p, shift)) for p in line]
+                    for eid, line in emb.traces.items()
+                }
+                moved = LatticeEmbedding((), {}, traces)
+                dia = project_generic(moved, {"k"})
+                gauss = extract_knot_cycle(dia, "k")
+                found.add((len(dia.crossings), gauss.visits, knot_determinant(gauss)))
+            assert len(found) == 1
+            assert [(n, det) for n, _, det in found] == [expected]
 
 
 class TestExtractCycle:

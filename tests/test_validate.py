@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +20,7 @@ from latticestick.validate import (
     count_sticks,
     endpoint_census,
     file_sticks,
+    full_audit,
     reconstruct_graph,
     scan_changed,
     touching_pairs,
@@ -85,33 +87,38 @@ class TestContact:
 
 class TestSelfAvoiding:
     def test_rectangle_clean(self):
-        assert check_self_avoiding(RECT, {"v": (0, 0, 0)}, endpoint_census(RECT)) == []
+        assert check_self_avoiding(RECT) == []
+        assert oracles.check_self_avoiding(RECT, {"v": (0, 0, 0)}, endpoint_census(RECT)) == []
 
     def test_overlap_reported(self):
         sticks = [xs(0, 0, 0, 2), xs(0, 0, 1, 3)]
-        violations = check_self_avoiding(sticks, ends=endpoint_census(sticks))
-        assert [v[0] for v in violations] == ["overlap"]
+        assert [v[0] for v in check_self_avoiding(sticks)] == ["overlap"]
 
     def test_crossing_reported(self):
         sticks = [xs(0, 1, 0, 2), zs(1, 0, 0, 2)]
-        violations = check_self_avoiding(sticks, ends=endpoint_census(sticks))
-        assert [v[0] for v in violations] == ["cross"]
+        assert [v[0] for v in check_self_avoiding(sticks)] == ["cross"]
 
     def test_order_independent(self):
         sticks = [xs(0, 0, 0, 2), xs(0, 0, 1, 3), zs(5, 5, 0, 1)]
-        a = check_self_avoiding(sticks, ends=endpoint_census(sticks))
-        rev = list(reversed(sticks))
-        b = check_self_avoiding(rev, ends=endpoint_census(rev))
-        assert {(k, p) for k, p in a} == {(k, p) for k, p in b}
+        a = check_self_avoiding(sticks)
+        b = check_self_avoiding(list(reversed(sticks)))
+        assert a and {(k, p) for k, p in a} == {(k, p) for k, p in b}
 
     def test_unmarked_three_way_corner(self):
         sticks = [xs(0, 0, 0, 1), ys(1, 0, 0, 1), zs(1, 0, 0, 1)]
-        # all three share (1,0,0); without a marker that is junction abuse
+        # all three share (1,0,0); without a marker that is junction abuse,
+        # which the junction check reports and the contact check passes
         ends = endpoint_census(sticks)
-        assert check_self_avoiding(sticks, ends=ends)
-        assert check_self_avoiding(sticks, {"v": (1, 0, 0)}, ends) == []
-        # without a census, as mid-pipeline, shared ends are not judged
         assert check_self_avoiding(sticks) == []
+        report = full_audit(sticks, {}, LOOP_SPEC, {})
+        assert report.self_avoiding and not report.clean
+        assert report.unmarked_junctions == [(1, 0, 0)]
+        assert audit_junctions({"v": (1, 0, 0)}, {"v": 3}, ends) == ([], [])
+        # the census-mode oracle reported it once per pair
+        assert oracles.check_self_avoiding(sticks, ends=ends) == [
+            ("endpoint_junction_unmarked", (1, 0, 0))
+        ] * 3
+        assert oracles.check_self_avoiding(sticks, {"v": (1, 0, 0)}, ends) == []
 
 
 def _all_pairs_self_avoiding(sticks, markers=None, interior_only=False, changed=None):
@@ -172,9 +179,12 @@ def stick_sets(draw):
 @settings(max_examples=400, deadline=None)
 @given(case=stick_sets())
 def test_matches_all_pairs_oracle(case):
+    """The check finds every contact but shared ends that all pairs give;
+    the census-mode oracle finds what all pairs give with the census."""
     sticks, markers, interior_only = case
+    assert check_self_avoiding(sticks) == _all_pairs_self_avoiding(sticks, interior_only=True)
     ends = None if interior_only else endpoint_census(sticks)
-    assert check_self_avoiding(sticks, markers, ends) == _all_pairs_self_avoiding(
+    assert oracles.check_self_avoiding(sticks, markers, ends) == _all_pairs_self_avoiding(
         sticks, markers, interior_only
     )
 
@@ -195,7 +205,7 @@ def test_pairs_match_all_pairs_contacts(case, data):
     ]
     assert touching_pairs(sticks) == meeting
     changed = data.draw(st.sets(st.integers(0, len(sticks) - 1)))
-    assert scan_changed(sticks, changed)[0] == [
+    assert scan_changed(sticks, changed) == [
         (i, j) for i, j in meeting if i in changed or j in changed
     ]
     keys = [oracle_buckets(s) for s in sticks]
@@ -217,11 +227,14 @@ def test_pairs_match_all_pairs_contacts(case, data):
 @given(case=stick_sets(), data=st.data())
 def test_scan_matches_oracle(case, data):
     """A trial's box scan gives the bucketed oracle's pairs of its changed
-    sticks and the oracle census at their end points."""
+    sticks; the census-taking scan oracle gives them too, with the oracle
+    census at their end points."""
     sticks, _, _ = case
     changed = data.draw(st.sets(st.integers(0, len(sticks) - 1)))
-    assert scan_changed(sticks, changed) == (
-        oracles.touching_pairs(sticks, changed),
+    pairs = oracles.touching_pairs(sticks, changed)
+    assert scan_changed(sticks, changed) == pairs
+    assert oracles.scan_changed(sticks, changed) == (
+        pairs,
         oracles.endpoint_census_at(sticks, changed),
     )
 
@@ -362,26 +375,38 @@ def trials(draw):
 def test_restricted_check_matches_oracle(case):
     """Restricted to the changed sticks, the check returns the oracle's
     contacts among the pairs holding one; as the base was clean, it finds
-    some exactly when the full oracle does."""
+    some exactly when the full oracle does.  The census-mode oracle check
+    does the same with shared ends judged."""
     sticks, markers, interior_only, changed = case
-    ends = None if interior_only else endpoint_census(sticks)
-    restricted = check_self_avoiding(sticks, markers, ends, scan_changed(sticks, changed)[0])
-    assert restricted == _all_pairs_self_avoiding(sticks, markers, interior_only, changed)
-    full = _all_pairs_self_avoiding(sticks, markers, interior_only)
+    pairs = scan_changed(sticks, changed)
+    restricted = check_self_avoiding(sticks, pairs)
+    assert restricted == _all_pairs_self_avoiding(sticks, interior_only=True, changed=changed)
+    full = _all_pairs_self_avoiding(sticks, interior_only=True)
     assert (restricted == []) == (full == [])
+    ends = None if interior_only else endpoint_census(sticks)
+    judged = oracles.check_self_avoiding(sticks, markers, ends, pairs)
+    assert judged == _all_pairs_self_avoiding(sticks, markers, interior_only, changed)
+    full = _all_pairs_self_avoiding(sticks, markers, interior_only)
+    assert (judged == []) == (full == [])
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=trials())
-def test_restricted_check_reads_the_census_at_changed_ends(case):
-    """A restricted check judges shared ends only where a changed stick
-    ends, so the scan's census there gives the verdicts of the full
-    census."""
+def test_restricted_check_needs_no_census(case):
+    """The oracle judged shared ends only where a changed stick ends, so
+    the census at those ends gave the verdicts of the full census.  The
+    check gives those verdicts less their unmarked-junction entries, each
+    a point the junction check reports."""
     sticks, markers, _, changed = case
-    pairs, ends = scan_changed(sticks, changed)
-    assert check_self_avoiding(sticks, markers, ends, pairs) == check_self_avoiding(
-        sticks, markers, endpoint_census(sticks), pairs
-    )
+    pairs, ends = oracles.scan_changed(sticks, changed)
+    full_ends = endpoint_census(sticks)
+    judged = oracles.check_self_avoiding(sticks, markers, full_ends, pairs)
+    assert oracles.check_self_avoiding(sticks, markers, ends, pairs) == judged
+    assert check_self_avoiding(sticks, pairs) == [
+        v for v in judged if v[0] != "endpoint_junction_unmarked"
+    ]
+    unmarked, _ = audit_junctions(markers, {}, full_ends)
+    assert {p for kind, p in judged if kind == "endpoint_junction_unmarked"} <= set(unmarked)
 
 
 def test_pipeline_checks_match_oracle(monkeypatch):
@@ -401,9 +426,8 @@ def test_pipeline_checks_match_oracle(monkeypatch):
         found["changed"] = (sticks, changed)
         return scan_changed(sticks, changed)
 
-    def compared(sticks, markers=None, ends=None, pairs=None):
-        interior_only = ends is None
-        result = original(sticks, markers, ends, pairs)
+    def compared(sticks, pairs=None):
+        result = original(sticks, pairs)
         changed = None  # the audit's check, on every pair that meets
         if "index" in found:
             # a merge trial: its new sticks are those no slot of the state holds
@@ -415,12 +439,8 @@ def test_pipeline_checks_match_oracle(monkeypatch):
         elif "changed" in found:
             listed, changed = found.pop("changed")
             assert listed is sticks
-        if changed is None:
-            assert interior_only or ends == endpoint_census(sticks)
-        else:
-            assert interior_only or ends == oracles.endpoint_census_at(sticks, changed)
-        assert result == _all_pairs_self_avoiding(sticks, markers, interior_only, changed)
-        full = _all_pairs_self_avoiding(sticks, markers, interior_only)
+        assert result == _all_pairs_self_avoiding(sticks, interior_only=True, changed=changed)
+        full = _all_pairs_self_avoiding(sticks, interior_only=True)
         assert (result == []) == (full == [])
         calls.append(changed is None)
         return result
@@ -506,29 +526,36 @@ def test_contacts_compared_grow_linearly(monkeypatch):
 class TestJunctions:
     def test_marked_junction_clean(self):
         sticks = [zs(0, 0, 0, 1), zs(0, 0, 1, 2), xs(0, 1, 0, 3)]
-        unmarked, problems = audit_junctions(
-            sticks, {"v": (0, 0, 1)}, {"v": 3}, endpoint_census(sticks)
-        )
+        unmarked, problems = audit_junctions({"v": (0, 0, 1)}, {"v": 3}, endpoint_census(sticks))
         assert unmarked == [] and problems == []
 
     def test_unmarked_junction_flagged(self):
         sticks = [zs(0, 0, 0, 1), zs(0, 0, 1, 2), xs(0, 1, 0, 3)]
-        unmarked, _ = audit_junctions(sticks, {}, {}, endpoint_census(sticks))
+        unmarked, _ = audit_junctions({}, {}, endpoint_census(sticks))
         assert unmarked == [(0, 0, 1)]
 
     def test_incidence_mismatch(self):
-        _, problems = audit_junctions(RECT, {"v": (0, 0, 0)}, {"v": 3}, endpoint_census(RECT))
+        _, problems = audit_junctions({"v": (0, 0, 0)}, {"v": 3}, endpoint_census(RECT))
         assert any("incidence 2 != degree 3" in p for p in problems)
 
     def test_repeated_direction_detected(self):
         sticks = [xs(0, 0, 0, 1), xs(0, 0, 1, 2)]
-        _, problems = audit_junctions(sticks, {"v": (1, 0, 0)}, {"v": 2}, endpoint_census(sticks))
+        _, problems = audit_junctions({"v": (1, 0, 0)}, {"v": 2}, endpoint_census(sticks))
         assert problems == []  # +x and -x are distinct directions
         sticks = [xs(0, 0, 0, 1), ys(1, 0, 0, 2), zs(1, 0, 0, 1)]
-        _, problems = audit_junctions(
-            sticks, {"v": (1, 0, 0)}, {"v": 3}, endpoint_census(sticks)
-        )
+        _, problems = audit_junctions({"v": (1, 0, 0)}, {"v": 3}, endpoint_census(sticks))
         assert problems == []
+        # two sticks leaving v along +x overlap: the contact check reports
+        # them, and the junction check, whose oracle reported them again,
+        # does not
+        sticks = [xs(0, 0, 0, 1), xs(0, 0, 1, 2), xs(0, 0, 1, 3)]
+        markers, ends = {"v": (1, 0, 0)}, endpoint_census(sticks)
+        assert check_self_avoiding(sticks) == [("overlap", (1, 0, 0))]
+        assert audit_junctions(markers, {"v": 3}, ends) == ([], [])
+        assert oracles.audit_junctions(sticks, markers, {"v": 3}, ends) == (
+            [],
+            ["marker v has repeated incident directions"],
+        )
 
 
 def _count(sticks, markers):
@@ -602,3 +629,139 @@ def test_full_audit_takes_one_endpoint_census(monkeypatch, name):
     report = validate.full_audit(list(emb.sticks), emb.markers, spec, census(spec).degrees)
     assert report.clean and report.counts == counts
     assert calls == [("file_sticks", len(emb.sticks))]
+
+
+REPEATED = " has repeated incident directions"
+
+
+def assert_audit_matches_oracle(sticks, markers, spec, degrees):
+    """The audit against the oracle audit, whose judges reported an unmarked
+    junction once per pair as a violation too and two sticks leaving a
+    marker in one direction as a marker problem too: equal but for those
+    entries, each of which keeps its counterpart, and equally clean.  Where
+    two markers share a point, the junction check reports only that, on
+    both sides, so an unmarked junction's counterpart is that problem."""
+    got = full_audit(sticks, markers, spec, degrees)
+    ref = oracles.full_audit(sticks, markers, spec, degrees)
+    assert got.unmarked_junctions == ref.unmarked_junctions
+    assert got.violations == [v for v in ref.violations if v[0] != "endpoint_junction_unmarked"]
+    assert got.marker_problems == [m for m in ref.marker_problems if not m.endswith(REPEATED)]
+    assert (got.counts, got.reconstruction_ok, got.reconstruction_diff) == (
+        ref.counts,
+        ref.reconstruction_ok,
+        ref.reconstruction_diff,
+    )
+    assert got.clean == ref.clean
+    for kind, p in ref.violations:
+        if kind == "endpoint_junction_unmarked":
+            assert p in got.unmarked_junctions or got.marker_problems == [
+                "two vertex markers share one point"
+            ]
+    ends = endpoint_census(sticks)
+    for problem in ref.marker_problems:
+        if problem.endswith(REPEATED):
+            p = markers[problem.split()[1]]
+            leaving = defaultdict(list)
+            for i in ends[p]:
+                leaving[sticks[i].direction_from(p)].append(i)
+            i, j = next(group for group in leaving.values() if len(group) > 1)[:2]
+            overlap = contact(sticks[i], sticks[j])
+            assert overlap[0] == "overlap" and overlap in got.violations
+    return got, ref
+
+
+@st.composite
+def leaving(draw, p):
+    """A stick of length 1 to 3 with one end at ``p``."""
+    axis = draw(st.integers(0, 2))
+    step = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    return stick(p, tuple(c + step * (k == axis) for k, c in enumerate(p)))
+
+
+@st.composite
+def audit_cases(draw):
+    """Sticks, markers and degrees, drawing often the faults that two judges
+    once reported: points where three or more stick ends meet, marked or
+    not, duplicated sticks, and sticks leaving a marker along one already
+    there."""
+    sticks = draw(st.lists(grid_sticks(), min_size=1, max_size=10))
+    ends = sorted({p for s in sticks for p in s.ends()})
+    for _ in range(draw(st.integers(0, 3))):
+        sticks.append(draw(leaving(draw(st.sampled_from(ends)))))
+    for _ in range(draw(st.integers(0, 2))):
+        sticks.append(draw(st.sampled_from(sticks)))
+    ends = sorted({p for s in sticks for p in s.ends()})
+    # not unique: two markers on one point is a marker problem too
+    points = draw(st.lists(st.sampled_from(ends), max_size=3))
+    markers = {f"m{k}": p for k, p in enumerate(points)}
+    for p in points:
+        if draw(st.booleans()):
+            along = draw(st.sampled_from([s for s in sticks if s.has_end(p)])).direction_from(p)
+            length = draw(st.integers(1, 3))
+            sticks.append(stick(p, tuple(c + length * d for c, d in zip(p, along))))
+    sticks = draw(st.permutations(sticks))
+    census_ = endpoint_census(sticks)
+    degrees = {
+        label: draw(st.sampled_from([len(census_.get(p, [])), *range(1, 7)]))
+        for label, p in markers.items()
+    }
+    return sticks, markers, degrees
+
+
+LOOP_SPEC = SpatialGraphSpec((ComponentSpec("u", presentation([(1, 2), (1, 2)], {1: "v"})),))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=audit_cases())
+@example(case=([xs(0, 0, 0, 1), ys(1, 0, 0, 1), zs(1, 0, 0, 1)], {}, {}))
+@example(case=([xs(0, 0, 0, 1), xs(0, 0, 1, 2), xs(0, 0, 1, 3)], {"v": (1, 0, 0)}, {"v": 3}))
+@example(case=(RECT + RECT[:1], {"v": (0, 0, 0)}, {"v": 3}))
+@example(case=(RECT, {"v": (0, 0, 0)}, {"v": 2}))
+def test_audit_matches_oracle_audit(case):
+    """On drawn sticks, markers and degrees the audit equals the oracle
+    audit less the entries it reported twice, and is clean exactly when the
+    oracle is; also when the reconstruction, read from the same sticks by
+    the same walk, is taken as passed."""
+    sticks, markers, degrees = case
+    got, ref = assert_audit_matches_oracle(sticks, markers, LOOP_SPEC, degrees)
+    got.reconstruction_ok = ref.reconstruction_ok = True
+    assert got.clean == ref.clean
+
+
+FAULTS = {
+    "none": lambda emb, degrees: (list(emb.sticks), emb.markers),
+    "duplicate": lambda emb, degrees: ([*emb.sticks, emb.sticks[0]], emb.markers),
+    # the marker of a vertex of the highest degree dropped: an unmarked junction
+    "unmarked": lambda emb, degrees: (
+        list(emb.sticks),
+        {k: p for k, p in emb.markers.items() if k != max(degrees, key=degrees.get)},
+    ),
+    # a unit stick leaving a marker along one of its sticks
+    "repeated": lambda emb, degrees: (
+        [*emb.sticks, _along_first(emb.sticks, min(emb.markers.values()))],
+        emb.markers,
+    ),
+}
+
+
+def _along_first(sticks, p):
+    d = next(s for s in sticks if s.has_end(p)).direction_from(p)
+    return stick(p, tuple(c + e for c, e in zip(p, d)))
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize(
+    "doc",
+    [*DEMOS.values(), CHAIN, SPLIT_PAIR, LOOP_TREFOIL],
+    ids=[*DEMOS, "chain", "split", "loop-trefoil"],
+)
+def test_fixture_audits_match_oracle_audit(doc, fault):
+    """On every fixture's embedding, as built and with a fault of each kind
+    the two judges once shared, the audit matches the oracle audit and is
+    clean exactly when it is."""
+    spec = spec_from_document(doc)
+    degrees = census(spec).degrees
+    emb, _, _ = build_full(spec)
+    sticks, markers = FAULTS[fault](emb, degrees)
+    got, _ = assert_audit_matches_oracle(sticks, markers, spec, degrees)
+    assert got.clean == (fault == "none")
