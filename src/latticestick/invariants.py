@@ -13,7 +13,10 @@ wherever their heights differ.  So the sticks are checked for contacts first
 crossings of horizontal and vertical images.  Over/under data comes from the
 original z values.  The fidelity invariant is the knot determinant, taken by
 one sparse elimination of the coloring matrix modulo a Mersenne prime above
-twice its Hadamard bound.
+twice its Hadamard bound.  A presolve first removes the Gauss code's
+Reidemeister I kinks and II bigons: each is a unit-pivot elimination, exact
+for every code as long as crossing 0, whose row the minor deletes, stays;
+the deleted column needs no guard, since every row sums to 0.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotACycle, TooLarge
 from .geom import LatticeEmbedding, Vec3, stick
@@ -37,16 +41,14 @@ MERSENNE_EXPONENTS = (
 )
 
 
-@dataclass(frozen=True)
-class ProjSeg:
+class ProjSeg(NamedTuple):
     a: Vec2
     b: Vec2
     a3: Vec3
     b3: Vec3
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     over_seg: int
     under_seg: int
     at: Vec2
@@ -263,11 +265,70 @@ def _abs_det(rows: list[dict[int, int]]) -> int:
     return min(det, p - det)
 
 
+def _presolve(gauss: GaussData) -> GaussData:
+    """The code less its Reidemeister I kinks and II bigons, but those
+    through crossing 0 (see ``knot_determinant``), in one pass over a doubly
+    linked list of the visits: the worklist holds the crossings next to a
+    removal, the only ones that can newly form one.  The survivors keep
+    their order and their ids' order, so crossing 0 stays 0."""
+    visits = gauss.visits
+    n, m = gauss.n_crossings, len(visits)
+    nxt = [*range(1, m), 0]
+    prv = [m - 1, *range(m - 1)]
+    cid_at = [cid for cid, _ in visits]
+    under, over = [0] * n, [0] * n
+    for i, (cid, is_over) in enumerate(visits):
+        (over if is_over else under)[cid] = i
+    alive = [True] * m
+    work = list(range(n - 1, 0, -1))
+    while work:
+        c = work.pop()
+        u, o = under[c], over[c]
+        if not (c and alive[u]):
+            continue
+        left, right = prv[u], nxt[u]
+        drop = (u, o) if o == left or o == right else ()
+        # a bigon: d's underpass is next to u and d's overpass next to o
+        for v in () if drop else (left, right):
+            d = cid_at[v]
+            if d and under[d] == v and o in (prv[over[d]], nxt[over[d]]):
+                drop = (u, o, v, over[d])
+                break
+        for p in drop:
+            alive[p] = False
+            nxt[prv[p]] = nxt[p]
+            prv[nxt[p]] = prv[p]
+        for p in drop:
+            for q in (prv[p], nxt[p]):
+                if alive[q]:
+                    work.append(cid_at[q])
+    new_id = {cid: k for k, cid in enumerate(j for j in range(n) if alive[under[j]])}
+    kept = tuple((new_id[cid], is_over) for (cid, is_over), a in zip(visits, alive) if a)
+    return GaussData(kept, len(new_id))
+
+
 def knot_determinant(gauss: GaussData) -> int:
-    """|det| of the coloring matrix with its first row and column deleted."""
+    """|det| of the coloring matrix with its first row and column deleted.
+
+    The code is presolved first, exactly for any Gauss code, planar or not.
+    Crossing c's row is 2 x_over - x_in - x_out, so every row sums to 0:
+    each column is minus the sum of the others, and deleting any one column
+    gives the same |det|.  If c's visits are adjacent (Reidemeister I),
+    x_over is x_in or x_out, so the row is +-(x_in - x_out): a unit pivot
+    that merges two strands and deletes the row.  If the over-visits of c1
+    and c2 are adjacent and so are their under-visits (Reidemeister II), the
+    strand b1 between the under-visits is in no other row, with -1 in both;
+    subtracting row c1 from row c2 and pivoting on b1 leaves +-(b0 - b2),
+    another merge.  Merging strands is deleting the underpass between them,
+    so what is left is the reduced code's coloring matrix.  A pivot row may
+    not be the deleted one, so crossing 0 is never removed and keeps its id
+    (for a code that no plane diagram has, another row gives another |det|).
+    A pivot column needs no such guard: where it would be the deleted strand,
+    delete another column first.
+    """
     if gauss.n_crossings == 0:
         return 1
     return _abs_det([
         {strand - 1: v for strand, v in row.items() if strand}
-        for row in _coloring_rows(gauss)[1:]
+        for row in _coloring_rows(_presolve(gauss))[1:]
     ])

@@ -189,19 +189,19 @@ def audit_junctions(
     markers: dict[str, Vec3], degrees: dict[str, int], ends: dict[Vec3, list[int]]
 ) -> tuple[list[Vec3], list[str]]:
     """The sorted points where three or more stick ends meet without a
-    vertex marker, and the marker problems: two markers on one point, a
-    marker on no stick end, or one whose incidence differs from its degree.
+    vertex marker, and the marker problems: two markers on one point (then
+    the only problem listed), a marker on no stick end, or one whose
+    incidence differs from its degree.
 
     Two sticks leaving a marker in one direction overlap, so
     ``check_self_avoiding`` reports them.
     """
-    marker_points = {p: label for label, p in markers.items()}
-    if len(marker_points) != len(markers):
-        return [], ["two vertex markers share one point"]
-
-    unmarked = [
+    marker_points = set(markers.values())
+    unmarked = sorted(
         p for p, incident in ends.items() if len(incident) > 2 and p not in marker_points
-    ]
+    )
+    if len(marker_points) != len(markers):
+        return unmarked, ["two vertex markers share one point"]
     problems: list[str] = []
     for label, p in sorted(markers.items()):
         incident = ends.get(p, [])
@@ -211,7 +211,7 @@ def audit_junctions(
             problems.append(
                 f"marker {label} incidence {len(incident)} != degree {degrees.get(label)}"
             )
-    return sorted(unmarked), problems
+    return unmarked, problems
 
 
 def count_sticks(

@@ -1,5 +1,6 @@
 """Test-only reference implementations: the exhaustive coloring count, the
-dense coloring matrix, the algebraic agreement of the two stick bounds, the
+dense coloring matrix, the knot determinant eliminated with no Reidemeister
+presolve, the algebraic agreement of the two stick bounds, the
 binding-point law, stick construction and contact through tuple
 comprehensions, the side-slide trial that regenerates and checks the sticks
 where the build compares two column axes, the rigid map that carried local
@@ -58,7 +59,7 @@ from latticestick.graph import (
     build_cut_tree,
     census,
 )
-from latticestick.invariants import GaussData, _coloring_rows, _strand_structure
+from latticestick.invariants import GaussData, _abs_det, _coloring_rows, _strand_structure
 from latticestick.validate import (
     AuditReport,
     StickCounts,
@@ -95,6 +96,17 @@ def coloring_matrix(gauss: GaussData) -> list[list[int]]:
         for strand, v in row.items():
             dense[strand] = v
     return matrix
+
+
+def unreduced_knot_determinant(gauss: GaussData) -> int:
+    """|det| of the coloring matrix with its first row and column deleted,
+    eliminated as the code stands: no Reidemeister presolve."""
+    if gauss.n_crossings == 0:
+        return 1
+    return _abs_det([
+        {strand - 1: v for strand, v in row.items() if strand}
+        for row in _coloring_rows(gauss)[1:]
+    ])
 
 
 def p_coloring_count(gauss: GaussData, p: int) -> int:

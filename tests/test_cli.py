@@ -217,6 +217,24 @@ class TestValidate:
         assert lines[:2] == ["self-avoiding: True", "unmarked junctions: 1"]
         assert not any("violation" in line for line in lines)
 
+    def test_unmarked_junction_counted_beside_shared_marker(self, tmp_path, capsys):
+        """Marker v2 moved onto v1: the two markers share a point and v2's
+        junction is left unmarked; both are reported and validation fails."""
+        inp, out = demo_paths(tmp_path, "theta-planar")
+        assert run("build", "--input", str(inp), "--output", str(out)) == 0
+        doc = json.loads(out.read_text())
+        v1, v2 = doc["vertices"]
+        v2["position"] = v1["position"]
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("validate", "--embedding", str(out), "--input", str(inp)) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == [
+            "self-avoiding: True",
+            "unmarked junctions: 1",
+            "marker problems: ['two vertex markers share one point']",
+        ]
+
     def test_corrupted_stick(self, tmp_path):
         inp, out = demo_paths(tmp_path, "unknot")
         run("build", "--input", str(inp), "--output", str(out))

@@ -12,13 +12,14 @@ from latticestick.geom import LatticeEmbedding
 from latticestick.invariants import (
     GaussData,
     _abs_det,
+    _presolve,
     _strand_structure,
     extract_knot_cycle,
     knot_determinant,
     project_generic,
 )
 from latticestick.io import spec_from_document
-from oracles import coloring_matrix, p_coloring_count
+from oracles import coloring_matrix, p_coloring_count, unreduced_knot_determinant
 from test_golden import _bench_workloads
 
 # classic alternating three-crossing diagram
@@ -311,6 +312,97 @@ class TestPipelineKnotTypes:
     def test_missing_component_rejected(self):
         with pytest.raises(NotACycle):
             project_generic(built("unknot"), {"nope"})
+
+
+# --- the Reidemeister presolve against the unreduced elimination -------------
+
+@st.composite
+def reducible_codes(draw):
+    """Gauss codes, planar or not: any pairing of the visits with any
+    over/under, kinks and bigons inserted at random places, the crossing ids
+    shuffled and the cycle rotated, so that crossing 0 often sits in a kink
+    or a bigon and a bigon's middle strand is sometimes strand 0."""
+    n = draw(st.integers(0, 8))
+    visits = list(draw(st.permutations([(c, over) for c in range(n) for over in (True, False)])))
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, len(visits)))
+        if draw(st.booleans()):  # a kink
+            over = draw(st.booleans())
+            visits[i:i] = [(n, over), (n, not over)]
+            n += 1
+        else:  # a bigon: n and n + 1 pass over together, and under together
+            visits[i:i] = [(n, True), (n + 1, True)]
+            j = draw(st.integers(0, len(visits)))
+            visits[j:j] = [(n, False), (n + 1, False)][:: draw(st.sampled_from([1, -1]))]
+            n += 2
+    ids = draw(st.permutations(range(n)))
+    k = draw(st.integers(0, max(len(visits) - 1, 0)))
+    return GaussData(tuple((ids[c], over) for c, over in visits[k:] + visits[:k]), n)
+
+
+def assert_presolve_exact(gauss):
+    """The presolved determinant equals the unreduced one, and no crossing
+    but crossing 0 is left in a kink."""
+    assert knot_determinant(gauss) == unreduced_knot_determinant(gauss)
+    reduced = _presolve(gauss) if gauss.n_crossings else gauss
+    visits = reduced.visits
+    kinks = {c for (c, _), (d, _) in zip(visits, visits[1:] + visits[:1]) if c == d}
+    assert kinks <= {0}
+    if reduced.n_crossings == gauss.n_crossings:
+        assert reduced == gauss
+    return reduced
+
+
+def test_presolve_keeps_order_and_ids():
+    """The trefoil with a kink (crossing 1) and a bigon (3 and 5) whose
+    middle strand is strand 0, since its underpasses meet across the end of
+    the code: both are removed, and what is left is the trefoil's code with
+    the order of its visits and of its ids kept."""
+    code = GaussData(
+        (
+            (5, False), (1, True), (1, False), (0, True), (2, False), (4, True),
+            (3, True), (5, True), (0, False), (2, True), (4, False), (3, False),
+        ),
+        6,
+    )
+    assert _presolve(code) == TREFOIL_GAUSS
+    assert knot_determinant(code) == unreduced_knot_determinant(code) == 3
+
+
+@settings(max_examples=600, deadline=None)
+@given(gauss=reducible_codes())
+def test_presolve_matches_unreduced_elimination(gauss):
+    assert_presolve_exact(gauss)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    arcs=st.integers(4, 40),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.tuples(*[st.integers(-50, 50)] * 3),
+)
+def test_presolve_matches_unreduced_elimination_on_built_knots(arcs, seed, shift):
+    """Codes of built random knots, as built and translated."""
+    doc = _bench_workloads().knot_input(random.Random(seed), arcs)
+    emb, _, _ = build_full(spec_from_document(doc))
+    for move in ((0, 0, 0), shift):
+        traces = {
+            eid: [tuple(c + d for c, d in zip(p, move)) for p in line]
+            for eid, line in emb.traces.items()
+        }
+        gauss = extract_knot_cycle(project_generic(LatticeEmbedding((), {}, traces), {"k"}), "k")
+        assert_presolve_exact(gauss)
+
+
+def test_presolve_at_120_arcs():
+    """1,940 projection crossings, 1,500 of them left after the presolve
+    (a count of this presolve, not of the knot)."""
+    doc = _bench_workloads().knot_input(random.Random(120), 120)
+    emb, _, _ = build_full(spec_from_document(doc))
+    dia = project_generic(emb, {"k"})
+    gauss = extract_knot_cycle(dia, "k")
+    assert len(dia.crossings) == 1940
+    assert assert_presolve_exact(gauss).n_crossings == 1500
 
 
 # --- the rational shear projection, kept as the reference ---------------------

@@ -534,6 +534,18 @@ class TestJunctions:
         unmarked, _ = audit_junctions({}, {}, endpoint_census(sticks))
         assert unmarked == [(0, 0, 1)]
 
+    def test_shared_marker_keeps_unmarked_junctions(self):
+        """Two markers on one point are a marker problem, and an unmarked
+        three-way point elsewhere is still listed; the oracle, which returned
+        at the shared point, listed none."""
+        sticks = [xs(0, 0, 0, 1), ys(0, 0, 0, 1), zs(0, 0, 0, 1)]
+        ends = endpoint_census(sticks)
+        markers = {"m0": (1, 0, 0), "m1": (1, 0, 0)}
+        shared = ["two vertex markers share one point"]
+        assert audit_junctions(markers, {"m0": 1, "m1": 1}, ends) == ([(0, 0, 0)], shared)
+        assert oracles.audit_junctions(sticks, markers, {"m0": 1, "m1": 1}, ends) == ([], shared)
+        assert audit_junctions({"m0": (1, 0, 0)}, {"m0": 1}, ends) == ([(0, 0, 0)], [])
+
     def test_incidence_mismatch(self):
         _, problems = audit_junctions({"v": (0, 0, 0)}, {"v": 3}, endpoint_census(RECT))
         assert any("incidence 2 != degree 3" in p for p in problems)
@@ -639,11 +651,15 @@ def assert_audit_matches_oracle(sticks, markers, spec, degrees):
     junction once per pair as a violation too and two sticks leaving a
     marker in one direction as a marker problem too: equal but for those
     entries, each of which keeps its counterpart, and equally clean.  Where
-    two markers share a point, the junction check reports only that, on
-    both sides, so an unmarked junction's counterpart is that problem."""
+    two markers share a point, the oracle's junction check reports only
+    that; the audit reports it too and still lists the unmarked junctions,
+    which must then contain the oracle's (an empty list)."""
     got = full_audit(sticks, markers, spec, degrees)
     ref = oracles.full_audit(sticks, markers, spec, degrees)
-    assert got.unmarked_junctions == ref.unmarked_junctions
+    if len(set(markers.values())) != len(markers):
+        assert set(ref.unmarked_junctions) <= set(got.unmarked_junctions)
+    else:
+        assert got.unmarked_junctions == ref.unmarked_junctions
     assert got.violations == [v for v in ref.violations if v[0] != "endpoint_junction_unmarked"]
     assert got.marker_problems == [m for m in ref.marker_problems if not m.endswith(REPEATED)]
     assert (got.counts, got.reconstruction_ok, got.reconstruction_diff) == (
@@ -654,9 +670,7 @@ def assert_audit_matches_oracle(sticks, markers, spec, degrees):
     assert got.clean == ref.clean
     for kind, p in ref.violations:
         if kind == "endpoint_junction_unmarked":
-            assert p in got.unmarked_junctions or got.marker_problems == [
-                "two vertex markers share one point"
-            ]
+            assert p in got.unmarked_junctions
     ends = endpoint_census(sticks)
     for problem in ref.marker_problems:
         if problem.endswith(REPEATED):
