@@ -29,13 +29,6 @@ class Arc:
         if self.lo >= self.hi:
             raise ValueError(f"arc endpoints must satisfy lo < hi, got {self.lo}, {self.hi}")
 
-    def other_end(self, bp: int) -> int:
-        if bp == self.lo:
-            return self.hi
-        if bp == self.hi:
-            return self.lo
-        raise ValueError(f"binding point {bp} not on arc page {self.page}")
-
 
 @dataclass(frozen=True)
 class ArcPresentation:
@@ -51,7 +44,7 @@ class ArcPresentation:
         return len(self.arcs)
 
     @cached_property
-    def _incidence(self) -> dict[int, tuple[Arc, ...]]:
+    def incidence(self) -> dict[int, tuple[Arc, ...]]:
         """Binding point -> the arcs meeting it, in page order."""
         table: dict[int, list[Arc]] = {}
         for a in sorted(self.arcs, key=lambda arc: arc.page):
@@ -61,11 +54,11 @@ class ArcPresentation:
 
     @cached_property
     def beta(self) -> int:
-        beta = max(self._incidence, default=0)
+        beta = max(self.incidence, default=0)
         return max(beta, self.points) if self.points else beta
 
     def arcs_at(self, bp: int) -> tuple[Arc, ...]:
-        return self._incidence.get(bp, ())
+        return self.incidence.get(bp, ())
 
     def degree(self, bp: int) -> int:
         return len(self.arcs_at(bp))
@@ -96,7 +89,7 @@ def validate_presentation(pres: ArcPresentation) -> list[str]:
         if not (1 <= a.lo < a.hi <= beta):
             problems.append(f"arc page {a.page} endpoints {a.lo},{a.hi} out of range 1..{beta}")
     for bp in range(1, beta + 1):
-        d = pres.degree(bp)
+        d = len(pres.incidence.get(bp, ()))
         if d == 0:
             problems.append(f"binding point {bp} has no incident arc")
         elif bp not in pres.labels and d != 2:

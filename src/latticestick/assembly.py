@@ -636,20 +636,20 @@ def normalize(
 ) -> LatticeEmbedding:
     """Map each axis through the ranks of its distinct values, taken over
     the trace points (the fused sticks' ends) and the markers, and fuse each
-    trace into one stick per straight run.
+    trace into one ``Stick`` per straight run, its ends ordered: each kept
+    run has one nonzero sign step and the ranks are injective per axis.
 
     An order-preserving map of each axis is an ambient isotopy: every stick
     keeps its axis and two sticks meet exactly where they met before, since
     contact is interval overlap per axis, so every count and knot type is
-    kept.  Each output coordinate is below its axis's number of values.
-    """
+    kept.  Each output coordinate is below its axis's number of values."""
     points = [*chain.from_iterable(traces.values()), *markers.values()]
     rx, ry, rz = ({v: i for i, v in enumerate(sorted(set(axis)))} for axis in zip(*points))
     new_traces = {
         eid: [(rx[x], ry[y], rz[z]) for x, y, z in line] for eid, line in traces.items()
     }
     fused = tuple(
-        stick(a, b)
+        Stick(a, b) if a < b else Stick(b, a)
         for eid in sorted(new_traces)
         for a, b in zip(new_traces[eid], new_traces[eid][1:])
     )

@@ -17,7 +17,8 @@ one's y.  Lemma: whatever the two are, the sticks meet only at shared ends
 unless columns 1 and beta share an axis, as every other stick lies inside
 its fresh one and meets a moved column only at its own end.  So a slide is
 kept exactly when the axes differ, which after the first slide they always
-do.  ``assemble`` makes each stick once, at its final scale and offset.
+do.  ``assemble`` makes each stick once, at its final scale and offset, with
+``Stick`` and no check: ``ComponentBuild.sticks`` gives the proof.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .arcs import ArcPresentation, incident_levels
-from .geom import Stick, Vec3, stick
+from .geom import Stick, Vec3
 from .graph import ComponentClass, ComponentSpec
 from .validate import check_self_avoiding  # noqa: F401  (bench/test_bench.py wraps this name)
 
@@ -54,21 +55,26 @@ class ComponentBuild:
 
     def sticks(self, scale: int, origin: Vec3) -> list[Stick]:
         """The sticks of the current column positions, made once at ``scale *
-        local + origin``; a positive ``scale`` keeps each axis and end order."""
+        local + origin`` by ``Stick``: a positive ``scale`` keeps the order
+        construction fixes, ``x_start < hi`` and ``lo < y_end`` on an elbow and
+        ascending levels (pages, distinct in a valid presentation) on a column."""
         ox, oy, oz = origin
+        comp_id, first_x, last_y, beta = self.comp_id, self.first_x, self.last_y, self.pres.beta
         out: list[Stick] = []
         for a in self.pres.arcs:
-            x, y, z = scale * a.hi + ox, scale * a.lo + oy, scale * a.page + oz
-            x_start = self.column_axis(a.lo)[0]
-            y_end = self.column_axis(a.hi)[1]
-            if x_start < a.hi:
-                out.append(stick((scale * x_start + ox, y, z), (x, y, z), self.comp_id))
-            if y_end > a.lo:
-                out.append(stick((x, y, z), (x, scale * y_end + oy, z), self.comp_id))
-        for bp in range(1, self.pres.beta + 1):
-            x, y = (scale * c + o for c, o in zip(self.column_axis(bp), origin))
-            zs = [scale * z + oz for z in incident_levels(self.pres, bp)]
-            out.extend(stick((x, y, z1), (x, y, z2)) for z1, z2 in zip(zs, zs[1:]))
+            lo, hi = a.lo, a.hi
+            x, y, z = scale * hi + ox, scale * lo + oy, scale * a.page + oz
+            x_start = first_x if lo == 1 else lo
+            y_end = last_y if hi == beta else hi
+            if x_start < hi:
+                out.append(Stick((scale * x_start + ox, y, z), (x, y, z), comp_id))
+            if y_end > lo:
+                out.append(Stick((x, y, z), (x, scale * y_end + oy, z), comp_id))
+        for bp in range(1, beta + 1):
+            x = scale * (first_x if bp == 1 else bp) + ox
+            y = scale * (last_y if bp == beta else bp) + oy
+            zs = [scale * a.page + oz for a in self.pres.incidence.get(bp, ())]
+            out.extend(Stick((x, y, z1), (x, y, z2)) for z1, z2 in zip(zs, zs[1:]))
         return out
 
     def knot_corner(self) -> Vec3 | None:

@@ -1,11 +1,11 @@
 """Exact axis-parallel segment geometry on the integer lattice.
 
 Every coordinate is a Python ``int``, so there are no tolerances.  A stick
-is an immutable closed segment of positive length parallel to one axis.  Two
+is an immutable closed segment of positive length parallel to one axis, its
+ends in order along it (the stick contract, which the audit certifies).  Two
 sticks meet where their bounding boxes do: parallel ones only on one line,
 perpendicular ones only in the plane fixing their common third coordinate.
-``buckets`` names those keys of a stick; the audit's filing pass computes
-them by the same rule.
+``buckets`` names those keys of a stick for the merge stage's stick index.
 
 ``LatticeEmbedding`` is the finished embedding, as a build returns it and a
 document loads to it.
@@ -19,7 +19,8 @@ Vec3 = tuple[int, int, int]
 
 
 class Stick:
-    """Closed axis-parallel segment from ``a`` to ``b`` (ordered along its axis).
+    """Closed axis-parallel segment from ``a`` to ``b`` (ordered along its axis),
+    taken as given: unlike ``stick()``, it neither checks nor orders the ends.
 
     ``comp`` names the component whose arcs the stick realises: an elbow
     stick, the vertical stick that replaces a straightened arc, or a piece a

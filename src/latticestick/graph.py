@@ -124,30 +124,30 @@ class GraphCensus:
 
 
 def derive_edges(comp: ComponentSpec) -> list[EdgeTrace]:
-    """Recover edges by walking arcs through degree-2 unlabeled points."""
+    """Recover edges by walking the incidence table through degree-2 unlabeled points."""
     pres = comp.presentation
     labels = pres.labels
+    incidence = pres.incidence
     used: set[int] = set()
     edges: list[EdgeTrace] = []
 
-    def walk(start_bp: int, first_arc):
-        pages = [first_arc.page]
-        bp = first_arc.other_end(start_bp)
-        arc = first_arc
+    def walk(start_bp: int, arc):
+        pages = [arc.page]
+        bp = arc.hi if start_bp == arc.lo else arc.lo
         while bp not in labels:
-            nxt = [a for a in pres.arcs_at(bp) if a.page != arc.page]
+            nxt = [a for a in incidence[bp] if a.page != arc.page]
             if len(nxt) != 1:
                 raise UnlabeledEndpoint(
                     f"component {comp.id}: unlabeled binding point {bp} has "
-                    f"{pres.degree(bp)} incident arcs"
+                    f"{len(incidence[bp])} incident arcs"
                 )
             arc = nxt[0]
             pages.append(arc.page)
-            bp = arc.other_end(bp)
+            bp = arc.hi if bp == arc.lo else arc.lo
         return bp, pages
 
     for start_bp in sorted(labels):
-        for first_arc in pres.arcs_at(start_bp):
+        for first_arc in incidence.get(start_bp, ()):
             if first_arc.page in used:
                 continue
             end_bp, pages = walk(start_bp, first_arc)
@@ -172,8 +172,8 @@ def _component_connected(pres: ArcPresentation) -> bool:
     frontier = [pres.arcs[0].lo]
     while frontier:
         bp = frontier.pop()
-        for a in pres.arcs_at(bp):
-            o = a.other_end(bp)
+        for a in pres.incidence[bp]:
+            o = a.hi if bp == a.lo else a.lo
             if o not in seen:
                 seen.add(o)
                 frontier.append(o)
@@ -184,9 +184,9 @@ def total_degrees(spec: SpatialGraphSpec) -> dict[str, int]:
     """Vertex label -> total degree, summing arc ends over all components."""
     degrees: Counter[str] = Counter()
     for comp in spec.components:
-        pres = comp.presentation
-        for bp, label in pres.labels.items():
-            degrees[label] += pres.degree(bp)
+        incidence = comp.presentation.incidence
+        for bp, label in comp.presentation.labels.items():
+            degrees[label] += len(incidence.get(bp, ()))
     return dict(degrees)
 
 

@@ -156,39 +156,29 @@ def extract_knot_cycle(diagram: GraphDiagram, comp: str) -> GaussData:
     return GaussData(tuple(visits), len(counts))
 
 
-def _strand_structure(gauss: GaussData):
-    """Strand count plus (over, in, out) strand triple per crossing.
-
-    Strands are the maximal runs between consecutive underpasses; the run
-    ending at an underpass is that crossing's incoming strand.  So a visit
-    lies on strand (underpasses before it) mod n, the last run wrapping
-    round onto strand 0.
-    """
-    n_strands = sum(1 for _, over in gauss.visits if not over)
-    over_strand: dict[int, int] = {}
-    in_strand: dict[int, int] = {}
+def _minor_rows(gauss: GaussData) -> list[dict[int, int]]:
+    """The coloring matrix less crossing 0's row and strand 0's column, one
+    sparse row ``{strand - 1: value}`` per crossing 1..n-1, made once from
+    the visits: 2*over - in - out.  The strands are the n runs between
+    consecutive underpasses; the run ending at an underpass is its
+    crossing's incoming strand, so a visit lies on strand (underpasses
+    before it) mod n, the last run wrapping round onto strand 0."""
+    n = gauss.n_crossings
+    over_strand, in_strand = [0] * n, [0] * n
     under = 0
     for cid, over in gauss.visits:
         if over:
-            over_strand[cid] = under % n_strands
+            over_strand[cid] = under
         else:
             in_strand[cid] = under
             under += 1
-    triples = [
-        (over_strand[cid], in_strand[cid], (in_strand[cid] + 1) % n_strands)
-        for cid in range(gauss.n_crossings)
-    ]
-    return n_strands, triples
-
-
-def _coloring_rows(gauss: GaussData) -> list[dict[int, int]]:
-    """One sparse row ``{strand: value}`` per crossing: 2*over - in - out."""
-    _, triples = _strand_structure(gauss)
     rows = []
-    for over, into, out in triples:
+    for c in range(1, n):
+        into = in_strand[c]
         row: dict[int, int] = {}
-        for strand, v in ((over, 2), (into, -1), (out, -1)):
-            row[strand] = row.get(strand, 0) + v
+        for strand, v in ((over_strand[c] % n, 2), (into, -1), ((into + 1) % n, -1)):
+            if strand:
+                row[strand - 1] = row.get(strand - 1, 0) + v
         rows.append(row)
     return rows
 
@@ -328,7 +318,4 @@ def knot_determinant(gauss: GaussData) -> int:
     """
     if gauss.n_crossings == 0:
         return 1
-    return _abs_det([
-        {strand - 1: v for strand, v in row.items() if strand}
-        for row in _coloring_rows(_presolve(gauss))[1:]
-    ])
+    return _abs_det(_minor_rows(_presolve(gauss)))

@@ -11,10 +11,10 @@ golden digests in the tests pin those bytes.
 
 The readers take what ``json.load`` returns, so each value has an exact
 type: an integer is an ``int``, never a ``bool``, and a list is a ``list``.
-Each object is checked with one cheap test: its key set against module-level
-frozensets, a triple for three exact ``int``s, a stick's ends coordinate by
-coordinate.  Only an object that fails is examined again, to name its first
-fault.
+Each object is checked with one cheap test, inline for the spec's binding
+points and arcs: its key set against module-level frozensets, a triple for
+three exact ``int``s, a stick's ends coordinate by coordinate.  Only an
+object that fails is examined again, by a naming helper, to name its fault.
 """
 
 from __future__ import annotations
@@ -94,6 +94,7 @@ def _int_triple(value, where):
 
 def spec_from_document(doc) -> SpatialGraphSpec:
     _check_keys(doc, _SPEC)
+    (bp_required, bp_allowed), (arc_keys, _) = _BINDING_POINT, _ARC
     components = []
     for c in _list(doc["components"], "components"):
         _check_keys(c, _COMPONENT, "component")
@@ -101,33 +102,36 @@ def spec_from_document(doc) -> SpatialGraphSpec:
         labels = {}
         indices = set()
         for bp in _list(c["binding_points"], "binding_points"):
-            _check_keys(bp, _BINDING_POINT, "binding point")
+            if not (type(bp) is dict and bp_required <= bp.keys() <= bp_allowed):
+                _check_keys(bp, _BINDING_POINT, "binding point")
             index = bp["index"]
-            if not _is_int(index) or index < 1:
+            if type(index) is not int or index < 1:
                 raise DocumentError("binding point index must be a positive integer")
             if index in indices:
                 raise DocumentError(f"duplicate binding point index {index}")
             indices.add(index)
             if "vertex" in bp:
-                labels[index] = _label(bp["vertex"], "vertex label")
+                label = labels[index] = bp["vertex"]
+                if type(label) is not str or not label:
+                    _label(label, "vertex label")
+        n = len(indices)
         # distinct positive integers cover 1..n exactly when the largest is n
-        if indices and max(indices) != len(indices):
-            raise DocumentError(
-                f"component {comp_id}: binding points must cover 1..{len(indices)}"
-            )
+        if indices and max(indices) != n:
+            raise DocumentError(f"component {comp_id}: binding points must cover 1..{n}")
         arcs = []
         for a in _list(c["arcs"], "arcs"):
-            _check_keys(a, _ARC, "arc")
+            if not (type(a) is dict and a.keys() == arc_keys):
+                _check_keys(a, _ARC, "arc")
             page, lo, hi = a["page"], a["from"], a["to"]
             if not type(page) is type(lo) is type(hi) is int:
                 key = next(k for k in ("page", "from", "to") if not _is_int(a[k]))
                 raise DocumentError(f"arc {key} must be an integer")
             if lo == hi:
                 raise DocumentError("arc endpoints must differ")
-            if lo not in indices or hi not in indices:
+            if not (0 < lo <= n and 0 < hi <= n):  # the indices are 1..n
                 raise DocumentError(f"arc references unlisted binding point in {comp_id}")
             arcs.append(Arc(page, lo, hi) if lo < hi else Arc(page, hi, lo))
-        pres = ArcPresentation(tuple(arcs), labels, len(indices))
+        pres = ArcPresentation(tuple(arcs), labels, n)
         components.append(ComponentSpec(comp_id, pres))
     attachments = []
     for att in _list(doc.get("attachments", []), "attachments"):

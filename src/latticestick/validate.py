@@ -12,17 +12,18 @@ crossing, an overlap or a T-contact; a shared end point always passes it.
 need a vertex marker, and a marker's incidence must equal its degree.
 
 The full audit files the final sticks once, in ``file_sticks``: axes,
-endpoint census, and line and plane buckets by ``geom.buckets``' rule, read
-by the pair sweep, the run count, the junction check and the edge walk.  A
-build's trial checks only the pairs it names; a straightening trial finds
-them in one box scan, ``scan_changed``.  That decides the trial as the full
-check does when every other pair is as it was in a state that passed the
-same check.
+endpoint census and per-axis records, read by the pair sweep, the run
+count, the junction check and the edge walk.  Filing also certifies the
+stick contract, naming each stick that breaks it: ``Stick`` checks nothing,
+so sticks made in memory can, though no document can carry one.  A build's
+trial checks only the pairs it names; a straightening trial finds them in
+one box scan, ``scan_changed``.  That decides the trial as the full check
+does when every other pair is as it was in a state that passed it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from itertools import islice
 
 from .bounds import arc_index_upper, construction_count, crossing_stick_bound
 from .errors import BoundViolated, ReconstructionMismatch
-from .geom import OTHER_AXES, Stick, Vec3, contact
+from .geom import Stick, Vec3, contact
 from .graph import GraphCensus, SpatialGraphSpec
 
 
@@ -79,65 +80,72 @@ def endpoint_census(sticks: list[Stick]) -> dict[Vec3, list[int]]:
 
 
 def file_sticks(sticks: Sequence[Stick]):
-    """The filing pass: ``(axes, ends, lines, planes)``, the sticks' axes,
-    their ``endpoint_census``, and positions by line key and by plane key
-    and stick axis.  Each stick's end points are read once."""
+    """The filing pass, reading each stick's ends once: ``(axes, ends,
+    records, faults)``, the axes by ``Stick.axis``' rule, the
+    ``endpoint_census``, per axis the records ``(f, g, lo, hi, i)`` of stick
+    ``i``'s fixed coordinates and span, and ``(kind, a)`` for each stick
+    that breaks the contract (axis-parallel, positive length, ends in
+    order), which gets no record; its kind counts the coordinates that differ."""
+    kinds = ("zero_length", "ends_out_of_order", "not_axis_parallel", "not_axis_parallel")
     axes: list[int] = []
     ends: dict[Vec3, list[int]] = defaultdict(list)
-    lines: dict[tuple, list[int]] = defaultdict(list)
-    planes: dict[tuple, tuple[list[int], ...]] = defaultdict(lambda: ([], [], []))
+    records: tuple[list[tuple], ...] = ([], [], [])
+    faults: list[tuple[str, Vec3]] = []
     for i, s in enumerate(sticks):
         a, b = s.a, s.b
         (ax, ay, az), (bx, by, bz) = a, b
         if ax != bx:
-            axis, line, plane_u, plane_w = 0, (0, ay, az), (1, ay), (2, az)
+            axis, ok, record = 0, ax < bx and ay == by and az == bz, (ay, az, ax, bx, i)
         elif ay != by:
-            axis, line, plane_u, plane_w = 1, (1, ax, az), (0, ax), (2, az)
+            axis, ok, record = 1, ay < by and az == bz, (ax, az, ay, by, i)
         else:
-            axis, line, plane_u, plane_w = 2, (2, ax, ay), (0, ax), (1, ay)
+            axis, ok, record = 2, az < bz, (ax, ay, az, bz, i)
         axes.append(axis)
-        lines[line].append(i)
-        planes[plane_u][axis].append(i)
-        planes[plane_w][axis].append(i)
+        if ok:
+            records[axis].append(record)
+        else:
+            faults.append((kinds[(ax != bx) + (ay != by) + (az != bz)], a))
         ends[a].append(i)
         ends[b].append(i)
-    return axes, ends, lines, planes
+    return axes, ends, records, faults
 
 
 def touching_pairs(sticks: Sequence[Stick]) -> list[tuple[int, int]]:
-    """Every position pair ``(i, j)``, ``i < j``, of sticks that meet, sorted."""
-    return _sweep(sticks, *file_sticks(sticks)[2:])
+    """Every position pair ``(i, j)``, ``i < j``, of contract sticks that meet, sorted."""
+    return _sweep(file_sticks(sticks)[2])
 
 
-def _sweep(sticks: Sequence[Stick], lines: dict, planes: dict) -> list[tuple[int, int]]:
-    """The sorted pairs of filed sticks that meet.  Each line bucket is swept
-    in order of start.  In each plane bucket the sticks along the earlier
-    axis are sorted by their fixed coordinate on the later one, and each
-    stick along the later axis takes the range its span covers, which keeps
-    a vertical stick's range inside its own z-slab, where a horizontal stick
-    would take the columns of every stacked component above and below it.
-    """
+def _sweep(records) -> list[tuple[int, int]]:
+    """The sorted pairs of ``file_sticks``' ``records`` that meet.  One sort
+    per axis makes each line a run in order of start.  In a plane, a stick
+    along the later axis, as (normal, earlier coordinate, span, i), bisects
+    the earlier axis's records by (normal, later coordinate), re-sorting the
+    x-records by (z, y) for y-sticks, and walks them while in its span, so a
+    vertical stick's walk stays in its own z-slab of the stacked components."""
+    xs, ys, zs = runs = [sorted(r) for r in records]
     pairs: list[tuple[int, int]] = []
-    for (ax, _, _), line in lines.items():
-        if len(line) < 2:
-            continue
-        run = sorted([(sticks[i].a[ax], sticks[i].b[ax], i) for i in line])
-        for k, (_, end, i) in enumerate(run):
-            for start, _, j in islice(run, k + 1, None):
-                if start > end:
+    for run in runs:
+        for k, ((f, g, _, end, i), (f2, g2, start, _, _)) in enumerate(zip(run, run[1:]), 1):
+            if start > end or g2 != g or f2 != f:
+                continue
+            for f2, g2, start, _, j in islice(run, k, None):
+                if start > end or g2 != g or f2 != f:
                     break
                 pairs.append((i, j) if i < j else (j, i))
-    for (normal, _), by_axis in planes.items():
-        u, w = OTHER_AXES[normal]
-        if not (by_axis[u] and by_axis[w]):
-            continue
-        across = sorted([(sticks[j].a[w], j) for j in by_axis[u]])
-        keys = [key for key, _ in across]
-        for i in by_axis[w]:
-            s = sticks[i]
-            for _, j in across[bisect_left(keys, s.a[w]) : bisect_right(keys, s.b[w])]:
-                if sticks[j].a[u] <= s.a[u] <= sticks[j].b[u]:
+    xz = sorted([(z, y, lo, hi, i) for y, z, lo, hi, i in xs])
+    ys_in_z = [(z, x, lo, hi, i) for x, z, lo, hi, i in ys]
+    zs_in_y = [(y, x, lo, hi, i) for x, y, lo, hi, i in zs]
+    for later, earlier in ((ys_in_z, xz), (zs_in_y, xs), (zs, ys)):
+        n = len(earlier)
+        for f, c, lo, hi, i in later:
+            k = bisect_left(earlier, (f, lo))
+            while k < n:
+                g, h, clo, chi, j = earlier[k]
+                if g != f or h > hi:
+                    break
+                if clo <= c <= chi:
                     pairs.append((i, j) if i < j else (j, i))
+                k += 1
     pairs.sort()
     return pairs
 
@@ -178,7 +186,7 @@ def check_self_avoiding(
     ``pairs`` holds sorted key pairs ``(i, j)``, ``i < j``, into ``sticks``:
     positions in a list, or slots of a mapping from slot to stick.  For a
     list it defaults to ``touching_pairs(sticks)``, so the result is the one
-    an all-pairs loop over ``i < j`` gives, in that order.
+    an all-pairs loop over ``i < j`` of the contract sticks gives, in order.
     """
     if pairs is None:
         pairs = touching_pairs(sticks)
@@ -368,10 +376,11 @@ def full_audit(
     degrees: dict[str, int],
 ) -> AuditReport:
     """Every check of the final sticks, all reading one ``file_sticks``
-    pass taken here from the sticks alone."""
-    axes, ends, lines, planes = file_sticks(sticks)
+    pass taken here from the sticks alone; the contract faults lead the
+    violations, in stick order, before the contacts among the others."""
+    axes, ends, records, faults = file_sticks(sticks)
     report = AuditReport()
-    report.violations = check_self_avoiding(sticks, _sweep(sticks, lines, planes))
+    report.violations = faults + check_self_avoiding(sticks, _sweep(records))
     report.unmarked_junctions, report.marker_problems = audit_junctions(markers, degrees, ends)
     report.counts = count_sticks(axes, markers, ends)
     try:

@@ -1,28 +1,31 @@
 """Test-only reference implementations: the exhaustive coloring count, the
-dense coloring matrix, the knot determinant eliminated with no Reidemeister
-presolve, the algebraic agreement of the two stick bounds, the
-binding-point law, stick construction and contact through tuple
-comprehensions, the side-slide trial that regenerates and checks the sticks
-where the build compares two column axes, the rigid map that carried local
-sticks to their stacked place where the build makes them there, the
+dense coloring matrix, the coloring rows made through strand triples and two
+dicts per row where ``invariants`` makes each row once, the knot determinant
+eliminated with no Reidemeister presolve, the algebraic agreement of the two
+stick bounds, the binding-point law, stick construction and contact through
+tuple comprehensions, the side-slide trial that regenerates and checks the
+sticks where the build compares two column axes, the rigid map that carried
+local sticks to their stacked place where the build makes them there, the
 vertex-merging stage that scans every stick where the build reads its stick
-index, the stick keys through ``Stick.axis``, the trace simplification
-that takes two steps per point where the build takes each step once, the
-rank normalization through list indices where the build reads one map per
-axis, the gcd normalization and the whole build it ended before the rank map
-replaced it, the document readers that check every key list, integer
-and stick through generic helpers where ``io`` makes one test per object,
-the frozen-dataclass stick that the slotted ``geom.Stick`` replaced, the
+index, the stick keys through ``Stick.axis``, the trace simplification that
+takes two steps per point where the build takes each step once, the rank
+normalization through list indices where the build reads one map per axis,
+the gcd normalization and the whole build it ended before the rank map
+replaced it, the document readers that check every key list, integer and
+stick through generic helpers where ``io`` makes one test per object, the
+frozen-dataclass stick that the slotted ``geom.Stick`` replaced, the
 bucketed pair finder with its ``changed`` mode and the census at changed
 ends where a straightening trial makes one box scan, the run count through
-``collinear``'s two key lookups where the audit compares axes, the
-document writer that takes ``embedding_to_document``'s dict where ``io``
-writes straight from the embedding, and the judges that reported some
-faults twice, with the audit made of them: the contact check with its
-marker and census modes, which also flagged an unmarked junction once per
-pair; the box scan that also took the census at a trial's changed ends;
-and the junction check that also flagged two sticks leaving a marker in
-one direction, which always overlap.
+``collinear``'s two key lookups where the audit compares axes, the document
+writer that takes ``embedding_to_document``'s dict where ``io`` writes
+straight from the embedding, and the judges that reported some faults twice,
+with the audit made of them: the contact check with its marker and census
+modes, which also flagged an unmarked junction once per pair; the box scan
+that also took the census at a trial's changed ends; and the junction check
+that also flagged two sticks leaving a marker in one direction, which always
+overlap; and the audit's filing into line and plane dicts with their sweep,
+where the audit files by axis, sweeps one sorted run per axis and checks the
+stick contract.
 
 The package computes none of these; the tests check its results against
 them.  The module name keeps pytest from collecting it.
@@ -59,14 +62,12 @@ from latticestick.graph import (
     build_cut_tree,
     census,
 )
-from latticestick.invariants import GaussData, _abs_det, _coloring_rows, _strand_structure
+from latticestick.invariants import GaussData, _abs_det
 from latticestick.validate import (
     AuditReport,
     StickCounts,
-    _sweep,
     check_bound,
     count_sticks as axis_count_sticks,
-    file_sticks,
     reconstruct_graph,
 )
 
@@ -88,6 +89,53 @@ def bounds_agree(c: int, e: int, v: int, s: int, b: int, k: int) -> bool:
     ) == crossing_stick_bound(c, e, v, s, b, k)
 
 
+def _strand_structure(gauss: GaussData):
+    """Strand count plus (over, in, out) strand triple per crossing.
+
+    Strands are the maximal runs between consecutive underpasses; the run
+    ending at an underpass is that crossing's incoming strand.  So a visit
+    lies on strand (underpasses before it) mod n, the last run wrapping
+    round onto strand 0.
+    """
+    n_strands = sum(1 for _, over in gauss.visits if not over)
+    over_strand: dict[int, int] = {}
+    in_strand: dict[int, int] = {}
+    under = 0
+    for cid, over in gauss.visits:
+        if over:
+            over_strand[cid] = under % n_strands
+        else:
+            in_strand[cid] = under
+            under += 1
+    triples = [
+        (over_strand[cid], in_strand[cid], (in_strand[cid] + 1) % n_strands)
+        for cid in range(gauss.n_crossings)
+    ]
+    return n_strands, triples
+
+
+def _coloring_rows(gauss: GaussData) -> list[dict[int, int]]:
+    """One sparse row ``{strand: value}`` per crossing: 2*over - in - out."""
+    _, triples = _strand_structure(gauss)
+    rows = []
+    for over, into, out in triples:
+        row: dict[int, int] = {}
+        for strand, v in ((over, 2), (into, -1), (out, -1)):
+            row[strand] = row.get(strand, 0) + v
+        rows.append(row)
+    return rows
+
+
+def minor_rows(gauss: GaussData) -> list[dict[int, int]]:
+    """The coloring rows less crossing 0's row and strand 0's column, as
+    ``knot_determinant`` took them before its rows were made in one pass:
+    through the triples, a dict per row and a second dict per row."""
+    return [
+        {strand - 1: v for strand, v in row.items() if strand}
+        for row in _coloring_rows(gauss)[1:]
+    ]
+
+
 def coloring_matrix(gauss: GaussData) -> list[list[int]]:
     """One row per crossing over the strands: 2*over - in - out."""
     n_strands, _ = _strand_structure(gauss)
@@ -103,10 +151,7 @@ def unreduced_knot_determinant(gauss: GaussData) -> int:
     eliminated as the code stands: no Reidemeister presolve."""
     if gauss.n_crossings == 0:
         return 1
-    return _abs_det([
-        {strand - 1: v for strand, v in row.items() if strand}
-        for row in _coloring_rows(gauss)[1:]
-    ])
+    return _abs_det(minor_rows(gauss))
 
 
 def p_coloring_count(gauss: GaussData, p: int) -> int:
@@ -880,14 +925,75 @@ def audit_junctions(
     return sorted(unmarked), problems
 
 
+def file_sticks(sticks: Sequence[Stick]):
+    """The filing pass into dicts: ``(axes, ends, lines, planes)``, the
+    sticks' axes, their ``endpoint_census``, and positions by line key and
+    by plane key and stick axis.  Each stick's end points are read once,
+    and no stick is checked against the stick contract."""
+    axes: list[int] = []
+    ends: dict[Vec3, list[int]] = defaultdict(list)
+    lines: dict[tuple, list[int]] = defaultdict(list)
+    planes: dict[tuple, tuple[list[int], ...]] = defaultdict(lambda: ([], [], []))
+    for i, s in enumerate(sticks):
+        a, b = s.a, s.b
+        (ax, ay, az), (bx, by, bz) = a, b
+        if ax != bx:
+            axis, line, plane_u, plane_w = 0, (0, ay, az), (1, ay), (2, az)
+        elif ay != by:
+            axis, line, plane_u, plane_w = 1, (1, ax, az), (0, ax), (2, az)
+        else:
+            axis, line, plane_u, plane_w = 2, (2, ax, ay), (0, ax), (1, ay)
+        axes.append(axis)
+        lines[line].append(i)
+        planes[plane_u][axis].append(i)
+        planes[plane_w][axis].append(i)
+        ends[a].append(i)
+        ends[b].append(i)
+    return axes, ends, lines, planes
+
+
+def _sweep(sticks: Sequence[Stick], lines: dict, planes: dict) -> list[tuple[int, int]]:
+    """The sorted pairs of sticks filed by line and plane that meet.  Each
+    line bucket is swept in order of start.  In each plane bucket the sticks
+    along the earlier axis are sorted by their fixed coordinate on the later
+    one, and each stick along the later axis takes the range its span
+    covers.
+    """
+    pairs: list[tuple[int, int]] = []
+    for (ax, _, _), line in lines.items():
+        if len(line) < 2:
+            continue
+        run = sorted([(sticks[i].a[ax], sticks[i].b[ax], i) for i in line])
+        for k, (_, end, i) in enumerate(run):
+            for start, _, j in islice(run, k + 1, None):
+                if start > end:
+                    break
+                pairs.append((i, j) if i < j else (j, i))
+    for (normal, _), by_axis in planes.items():
+        u, w = OTHER_AXES[normal]
+        if not (by_axis[u] and by_axis[w]):
+            continue
+        across = sorted([(sticks[j].a[w], j) for j in by_axis[u]])
+        keys = [key for key, _ in across]
+        for i in by_axis[w]:
+            s = sticks[i]
+            for _, j in across[bisect_left(keys, s.a[w]) : bisect_right(keys, s.b[w])]:
+                if sticks[j].a[u] <= s.a[u] <= sticks[j].b[u]:
+                    pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return pairs
+
+
 def full_audit(
     sticks: list[Stick],
     markers: dict[str, Vec3],
     spec: SpatialGraphSpec,
     degrees: dict[str, int],
 ) -> AuditReport:
-    """``validate.full_audit`` through the two judges above: the check in
-    its census mode and the junction check with its direction test."""
+    """``validate.full_audit`` through the dict filing and sweep above and
+    the two judges above them: the check in its census mode and the
+    junction check with its direction test.  It checks no stick against the
+    stick contract."""
     axes, ends, lines, planes = file_sticks(sticks)
     report = AuditReport()
     report.violations = check_self_avoiding(sticks, markers, ends, _sweep(sticks, lines, planes))

@@ -12,14 +12,20 @@ from latticestick.geom import LatticeEmbedding
 from latticestick.invariants import (
     GaussData,
     _abs_det,
+    _minor_rows,
     _presolve,
-    _strand_structure,
     extract_knot_cycle,
     knot_determinant,
     project_generic,
 )
 from latticestick.io import spec_from_document
-from oracles import coloring_matrix, p_coloring_count, unreduced_knot_determinant
+from oracles import (
+    _strand_structure,
+    coloring_matrix,
+    minor_rows,
+    p_coloring_count,
+    unreduced_knot_determinant,
+)
 from test_golden import _bench_workloads
 
 # classic alternating three-crossing diagram
@@ -131,6 +137,14 @@ def gauss_codes(draw):
 @given(gauss=gauss_codes())
 def test_strand_structure_matches_oracle(gauss):
     assert _strand_structure(gauss) == oracle_strand_structure(gauss)
+
+
+@settings(max_examples=400, deadline=None)
+@given(gauss=gauss_codes())
+def test_minor_rows_match_oracle_rows(gauss):
+    """The rows made in one pass over the visits are the oracle's rows,
+    made through the triples and two dicts per row."""
+    assert _minor_rows(gauss) == minor_rows(gauss)
 
 
 class TestGaussInvariants:

@@ -218,9 +218,24 @@ TWO_BAD_ARC_INTS = {
 }
 
 
+# arcs that reach past the listed binding points 1..2, below and above
+UNLISTED_ENDS = [
+    {"components": [{
+        "id": "u",
+        "binding_points": [{"index": 1, "vertex": "v"}, {"index": 2}],
+        "arcs": [{"page": 1, "from": lo, "to": hi}],
+    }]}
+    for lo, hi in ((1, 0), (0, 2), (2, 3), (-1, 1))
+]
+
+
 @settings(max_examples=600, deadline=None)
 @given(case=mutated_documents())
 @example(case=("spec", TWO_BAD_ARC_INTS))
+@example(case=("spec", UNLISTED_ENDS[0]))
+@example(case=("spec", UNLISTED_ENDS[1]))
+@example(case=("spec", UNLISTED_ENDS[2]))
+@example(case=("spec", UNLISTED_ENDS[3]))
 def test_readers_match_oracle(case):
     """Each reader returns what its oracle returns, or raises
     ``DocumentError`` with the same message, on valid and mutated

@@ -8,27 +8,33 @@ bouquets and K4s (degree 3-4 vertices, so merging and the degree-3 markers
 are involved) must build the same way.  Wider shapes, with vertices of
 degree 5-6, must build the same way or fail with a named merge error, alone
 or as the branch of a small cut tree, where a degree out of range is
-rejected by name.
+rejected by name.  Every stick that stacking and normalization make, on
+these draws and on every golden input, keeps the stick contract.
 """
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticestick.arcs import Arc, ArcPresentation, presentation
-from latticestick.assembly import build_full
+from latticestick.assembly import assemble, build_full
+from latticestick.build import build_component
 from latticestick.bounds import construction_count
 from latticestick.errors import LatticeStickError, MergeCollision, NoFreeDirection
+from latticestick.geom import stick
 from latticestick.graph import (
     ComponentSpec,
     CutAttachment,
     SpatialGraphSpec,
+    build_cut_tree,
     census,
     validate_spec,
 )
 from latticestick.invariants import extract_knot_cycle, knot_determinant, project_generic
 from latticestick.io import embedding_from_document, embedding_to_document, spec_from_document
 from latticestick.validate import full_audit
+from test_golden import INPUTS as GOLDEN_INPUTS
 
 
 def assert_reloads_to_built(emb, counts, bounds):
@@ -215,3 +221,46 @@ THETA5 = {"components": [{
 
 def test_zero_length_merge_step_moves_to_the_next_plan():
     assert assert_builds_clean(spec_from_document(THETA5)) == (15, 17)
+
+
+def assert_made_sticks_keep_contract(spec):
+    """Stacking and normalization make their sticks with ``Stick`` itself:
+    each stick that ``assemble`` stacks and each fused stick of the built
+    embedding is the one ``stick`` makes from its ends, so axis-parallel,
+    of positive length and with its ends in order.  A spec that
+    ``validate_spec`` rejects is skipped, and a build that fails by name
+    is checked up to its stacked sticks."""
+    if validate_spec(spec):
+        return
+    cens = census(spec)
+    builds = {c.id: build_component(c, cens.classes[c.id]) for c in spec.components}
+    made = list(assemble(spec, build_cut_tree(spec, cens), builds).sticks)
+    try:
+        made += build_full(spec)[0].sticks
+    except LatticeStickError:
+        pass
+    for s in made:
+        assert s == stick(s.a, s.b, s.comp)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
+def test_golden_inputs_make_contract_sticks(name):
+    assert_made_sticks_keep_contract(spec_from_document(GOLDEN_INPUTS[name]))
+
+
+SHAPES = ["knot", "forest", "tree", "theta3", "k4", *WIDER_SHAPES]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), shape=st.sampled_from(SHAPES))
+def test_drawn_specs_make_contract_sticks(data, shape):
+    if shape == "knot":
+        spec = data.draw(knot_specs())
+    elif shape == "forest":
+        a, b = data.draw(knot_specs("a", 5)), data.draw(knot_specs("b", 5))
+        spec = SpatialGraphSpec(a.components + b.components)
+    elif shape == "tree":
+        spec = data.draw(wider_branch_trees(data.draw(st.sampled_from(WIDER_SHAPES))))
+    else:
+        spec = data.draw(graph_component_specs(shape))
+    assert_made_sticks_keep_contract(spec)

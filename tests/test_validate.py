@@ -10,7 +10,7 @@ from latticestick import assembly, build, validate
 from latticestick.assembly import build_full
 from latticestick.errors import ReconstructionMismatch
 from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
-from latticestick.geom import Stick, buckets, contact, stick
+from latticestick.geom import OTHER_AXES, Stick, buckets, contact, stick
 from latticestick.graph import ComponentSpec, SpatialGraphSpec, census
 from latticestick.arcs import presentation
 from latticestick.io import spec_from_document
@@ -210,17 +210,84 @@ def test_pairs_match_all_pairs_contacts(case, data):
     ]
     keys = [oracle_buckets(s) for s in sticks]
     assert [buckets(s) for s in sticks] == keys
-    axes, ends, lines, planes = file_sticks(sticks)
+    axes, ends, records, faults = file_sticks(sticks)
     assert axes == [k[0] for k in keys]
     assert ends == endpoint_census(sticks)
-    assert lines == {k[1]: [i for i, m in enumerate(keys) if m[1] == k[1]] for k in keys}
-    assert planes == {
-        plane: tuple(
-            [i for i, m in enumerate(keys) if m[0] == axis and plane in m[2:]] for axis in range(3)
-        )
-        for k in keys
-        for plane in k[2:]
-    }
+    assert faults == []
+    assert records == tuple(
+        [
+            (*(s.a[k] for k in OTHER_AXES[axis]), s.a[axis], s.b[axis], i)
+            for i, s in enumerate(sticks)
+            if keys[i][0] == axis
+        ]
+        for axis in range(3)
+    )
+    assert oracles._sweep(sticks, *oracles.file_sticks(sticks)[2:]) == meeting
+
+
+# sticks that break the stick contract, each with the kind the audit names
+BROKEN = [
+    (Stick((0, 0, 0), (1, 1, 0)), "not_axis_parallel"),
+    (Stick((2, 0, 3), (0, 1, 4)), "not_axis_parallel"),
+    (Stick((1, 2, 3), (1, 2, 3)), "zero_length"),
+    (Stick((3, 0, 0), (1, 0, 0)), "ends_out_of_order"),
+    (Stick((0, 3, 1), (0, 0, 1)), "ends_out_of_order"),
+    (Stick((2, 2, 3), (2, 2, 0)), "ends_out_of_order"),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=stick_sets(), data=st.data())
+def test_contract_faults_filed_apart(case, data):
+    """A stick that breaks the contract is named, at its ``a`` end and in
+    stick order, and goes into no sweep record: the pairs are all pairs'
+    meeting ones among the other sticks, and the audit's violations start
+    with the faults."""
+    sticks, markers, _ = case
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(sticks)))
+        sticks.insert(at, data.draw(st.sampled_from(BROKEN))[0])
+    kinds = dict(BROKEN)
+    axes, ends, records, faults = file_sticks(sticks)
+    assert faults == [(kinds[s], s.a) for s in sticks if s in kinds]
+    assert ends == endpoint_census(sticks)
+    filed = sorted(i for run in records for *_, i in run)
+    good = [i for i, s in enumerate(sticks) if s not in kinds]
+    assert filed == good
+    assert touching_pairs(sticks) == [
+        (i, j) for i in good for j in good if i < j and contact(sticks[i], sticks[j]) is not None
+    ]
+    spec = SpatialGraphSpec((ComponentSpec("u", presentation([(1, 2), (1, 2)], {1: "v"})),))
+    report = full_audit(sticks, markers, spec, {"v": 2})
+    assert report.violations[: len(faults)] == faults and not report.clean
+
+
+def test_diagonal_trefoil_fails_audit():
+    """The built trefoil with its z-stick (1,0,0)-(1,0,3) and x-stick
+    (1,0,3)-(2,0,3) replaced by one diagonal stick still walks to the
+    input graph, but the audit names the diagonal."""
+    spec = spec_from_document(DEMOS["trefoil"])
+    emb, _, _ = build_full(spec)
+    corner = [Stick((1, 0, 0), (1, 0, 3)), Stick((1, 0, 3), (2, 0, 3))]
+    assert all(s in emb.sticks for s in corner)
+    sticks = [s for s in emb.sticks if s not in corner] + [Stick((1, 0, 0), (2, 0, 3))]
+    report = full_audit(sticks, emb.markers, spec, census(spec).degrees)
+    assert report.reconstruction_ok and not report.unmarked_junctions
+    assert report.violations == [("not_axis_parallel", (1, 0, 0))]
+    assert not report.clean
+
+
+def test_zero_length_stick_named():
+    """A zero-length stick at a bend of a clean embedding is named, beside
+    the reconstruction difference it makes."""
+    spec = spec_from_document(DEMOS["trefoil"])
+    emb, _, _ = build_full(spec)
+    bend = emb.sticks[1].b
+    assert bend not in emb.markers.values()
+    sticks = [*emb.sticks, Stick(bend, bend)]
+    report = full_audit(sticks, emb.markers, spec, census(spec).degrees)
+    assert report.violations == [("zero_length", bend)]
+    assert not report.reconstruction_ok and not report.clean
 
 
 @settings(max_examples=400, deadline=None)
