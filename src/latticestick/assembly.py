@@ -6,7 +6,11 @@ its stem by one vertical connector collinear with both columns.  A vertex of
 degree d >= 4 then exists as d-2 degree-3 junctions along one vertical run;
 merging reroutes the junctions' horizontal sticks onto the pivot (the second
 attachment from the bottom) through offset verticals, one extra stick per
-merge, after which the run fuses and the pivot is the vertex.
+merge, after which the run fuses and the pivot is the vertex.  Stacking
+places every vertex once: a lone circle's marker on a bend of its knot, any
+other vertex's at the second level of its run, which is the pivot, with the
+run itself and each component's subtree z-slab.  Merging and straightening
+read a vertex's axis from its marker, and only straightening moves markers.
 
 All coordinates are integers on one grid per build.  Stacking sizes the
 subtrees bottom-up, scaling each stem up by 8*2^k rather than shrinking its
@@ -57,13 +61,17 @@ Axis2 = tuple[int, int]
 @dataclass
 class Assembly:
     sticks: list[Stick]
-    vertex_axis: dict[str, Axis2] = field(default_factory=dict)
-    # Stacked trees reuse local (x, y) coordinates, so every per-vertex scan
-    # is confined to the z-range of the vertex's own tree.
-    vertex_zrange: dict[str, tuple[int, int]] = field(default_factory=dict)
     # grid points per unit of each component's own arc diagram
     comp_scale: dict[str, int] = field(default_factory=dict)
-    comp_zspan: dict[str, tuple[int, int]] = field(default_factory=dict)
+    # each component's subtree z-slab: its own lowest level up to the top of
+    # everything stacked on it
+    slab: dict[str, tuple[int, int]] = field(default_factory=dict)
+    # each vertex of degree >= 3: its run, the lowest to the highest level of
+    # its arcs over all the components holding it
+    vertex_zrange: dict[str, tuple[int, int]] = field(default_factory=dict)
+    # every vertex's marker, placed once by ``assemble``; merging and
+    # straightening read a vertex's axis from it, and only straightening
+    # moves it
     markers: dict[str, Vec3] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     # the kept plans in merge order; their steps name slots of the merge
@@ -125,12 +133,18 @@ def _size_subtrees(builds: dict[str, ComponentBuild], tree: CutTree) -> tuple[di
 def assemble(
     spec: SpatialGraphSpec, tree: CutTree, builds: dict[str, ComponentBuild]
 ) -> Assembly:
-    """Stack every tree of the forest on one grid; roots get no connector.
+    """Stack every tree of the forest on one grid and place every vertex
+    once; roots get no connector.
 
     ``_size_subtrees`` sizes each tree bottom-up.  Then one pass over
     ``tree.order`` composes each component's final scale and offset from its
     stem's, makes the component's sticks there, each once, and joins a branch
-    to its stem by its connector.
+    to its stem by its connector.  A lone circle's marker sits on its knot
+    corner, and no other component holds its vertex.  Any other vertex's
+    holders are a chain of branches at that vertex, each stacked above the
+    last, so its levels come in ascending order: its run spans them, its
+    marker takes the second, the pivot of its merge, and each connector
+    joins the top level so far to the branch's lowest.
     """
     sized, placed = _size_subtrees(builds, tree)
     unit = 12 * max(sized[root][0] for root in tree.roots)
@@ -139,42 +153,42 @@ def assemble(
     # per component: final grid points per point of its subtree's grid, and
     # that grid's origin, which is also the component's own
     grid: dict[str, tuple[int, Vec3]] = {}
+    axes: dict[str, Axis2] = {}
+    levels: dict[str, list[int]] = {}
     top = 0
     for cid in tree.order:
         b = builds[cid]
-        if cid in tree.parent:
-            stem_id, cut_vertex = tree.parent[cid]
+        stem_id, cut_vertex = tree.parent.get(cid, (None, None))
+        if stem_id is not None:
             g, o = grid[stem_id]
             u, f, off = placed[cid]
             g, o = g * f, tuple(g * c + oc for c, oc in zip(off, o))
         else:  # a root: every tree of the forest spans its own z-range
             u, ztop, _ = sized[cid]
             g, o = unit // u, (0, 0, top)
-            span = (top + unit, top + g * ztop)
-            top = span[1]
+            top += g * ztop
         grid[cid] = (g, o)
         scale = asm.comp_scale[cid] = g * u
-        asm.comp_zspan[cid] = (scale + o[2], scale * max(1, b.pres.alpha) + o[2])
+        asm.slab[cid] = (scale + o[2], g * sized[cid][1] + o[2])
         asm.sticks.extend(b.sticks(scale, o))
-        for bp, label in b.pres.labels.items():
-            ax, ay = b.column_axis(bp)
-            axis = (scale * ax + o[0], scale * ay + o[1])
-            if asm.vertex_axis.setdefault(label, axis) != axis:
-                raise AssemblyCollision(f"cut vertex {label} columns failed to align")
-            asm.vertex_zrange[label] = span
-        if cid in tree.parent:  # the connector: stem column top to branch column foot
-            stem = builds[stem_id]
-            below = stem.column_zrange(stem.vertex_bp(cut_vertex))[1]
-            above = b.column_zrange(b.vertex_bp(cut_vertex))[0]
-            ax, ay = asm.vertex_axis[cut_vertex]
-            asm.sticks.append(stick(
-                (ax, ay, asm.comp_scale[stem_id] * below + grid[stem_id][1][2]),
-                (ax, ay, scale * above + o[2]),
-            ))
         corner = b.knot_corner()
         if corner is not None:  # a lone circle: its vertex sits on a bend
             label = next(iter(b.pres.labels.values()))
             asm.markers[label] = tuple(scale * c + oc for c, oc in zip(corner, o))
+            continue
+        for bp, label in b.pres.labels.items():
+            ax, ay = b.column_axis(bp)
+            axis = (scale * ax + o[0], scale * ay + o[1])
+            if axes.setdefault(label, axis) != axis:
+                raise AssemblyCollision(f"cut vertex {label} columns failed to align")
+            zs = [scale * a.page + o[2] for a in b.pres.incidence[bp]]
+            run = levels.setdefault(label, [])
+            if label == cut_vertex:  # the connector: stem column top to branch column foot
+                asm.sticks.append(Stick((*axis, run[-1]), (*axis, zs[0])))
+            run += zs
+    for label, run in levels.items():
+        asm.vertex_zrange[label] = (run[0], run[-1])
+        asm.markers[label] = (*axes[label], run[1])
     return asm
 
 
@@ -442,28 +456,28 @@ def _apply_vertex_plan(index: StickIndex, plan: VertexPlan) -> bool:
 
 
 def apply_merges(cens: GraphCensus, asm: Assembly) -> Assembly:
-    """Merge every vertex of degree >= 4, then place the markers of the
-    degree-3 vertices (``assemble`` placed those of lone circles).
+    """Merge every vertex of degree >= 4 at the pivot ``assemble`` marked.
 
     One ``StickIndex`` serves the whole stage, built only when some vertex
-    has degree 3 or more.  Each vertex keeps its first candidate plan that
+    has degree 4 or more.  Each vertex keeps its first candidate plan that
     leaves no stick of zero length and whose trial, checked against its new
     sticks' buckets only, stays intersection-free; that trial is committed
     and its plan goes to ``asm.merge_plans``.  Exhausting all of them raises
     MergeCollision.  A vertex's merge offsets divide the finest unit among
-    the components holding it.
+    the components holding it.  No marker moves: each plan fuses the run
+    into two sticks meeting at the pivot, which stays where it was marked.
     """
     degrees = cens.degrees
-    if all(d < 3 for d in degrees.values()):
+    merged = sorted(label for label, d in degrees.items() if d >= 4)
+    if not merged:
         return asm
     index = StickIndex(asm.sticks)
-    for label in sorted(degrees):
-        if degrees[label] < 4:
-            continue
+    for label in merged:
+        x, y, _ = asm.markers[label]
         for plan in _vertex_plans(
             index,
             label,
-            asm.vertex_axis[label],
+            (x, y),
             asm.vertex_zrange[label],
             degrees[label],
             min(asm.comp_scale[c] for c in cens.points[label]),
@@ -476,17 +490,7 @@ def apply_merges(cens: GraphCensus, asm: Assembly) -> Assembly:
         else:
             raise MergeCollision(f"all merge moves collide at vertex {label}")
         asm.merge_plans.append(plan)
-        asm.markers[label] = (plan.axis[0], plan.axis[1], plan.pivot_level)
     asm.sticks = index.state()
-
-    for label, d in sorted(degrees.items()):
-        if d != 3:
-            continue
-        att = index.attachments(asm.vertex_axis[label], asm.vertex_zrange[label])
-        if len(att) != 3:
-            raise MergeCollision(f"vertex {label}: expected 3 attachments, got {len(att)}")
-        ax, ay = asm.vertex_axis[label]
-        asm.markers[label] = (ax, ay, att[1][0])
     return asm
 
 
@@ -512,8 +516,10 @@ def straighten_arcs(
     it and the unmoved sticks spanning the slab are checked, by
     ``scan_changed``, whose precondition holds: the branch moves rigidly in
     x and y, and every other unmoved stick has both ends outside the slab.
-    Components realising more than one arc stay untouched (they may be
-    knotted); every skip is reported.
+    The near and far axes are read from the two vertices' markers, the
+    slabs from ``asm.slab``, and the markers inside the branch's slab move
+    with it.  Components realising more than one arc stay untouched (they
+    may be knotted); every skip is reported.
     """
     for comp_id in tree.order:
         b = builds[comp_id]
@@ -530,12 +536,10 @@ def straighten_arcs(
         if len(children) != 1 or children[0][1] != v_far:
             asm.warnings.append(f"{comp_id}: unexpected branch layout, not straightened")
             continue
-        subtree = tree.subtree(children[0][0])
-        z_lo = min(asm.comp_zspan[c][0] for c in subtree)
-        z_hi = max(asm.comp_zspan[c][1] for c in subtree)
-        z_arc = asm.comp_zspan[comp_id][0]
-        nx, ny = asm.vertex_axis[v_near]
-        fx, fy = asm.vertex_axis[v_far]
+        z_lo, z_hi = asm.slab[children[0][0]]
+        z_arc = asm.slab[comp_id][0]
+        nx, ny, _ = asm.markers[v_near]
+        fx, fy, _ = asm.markers[v_far]
         dx, dy = nx - fx, ny - fy
         near, far = (nx, ny, z_arc), (fx, fy, z_arc)
 
@@ -578,23 +582,21 @@ def straighten_arcs(
             label: ((p[0] + dx, p[1] + dy, p[2]) if z_lo <= p[2] <= z_hi else p)
             for label, p in asm.markers.items()
         }
-        for label in {lab for c in subtree for lab in builds[c].pres.labels.values()}:
-            ax, ay = asm.vertex_axis[label]
-            asm.vertex_axis[label] = (ax + dx, ay + dy)
     return asm
 
 
 # --- traces and normalization ---------------------------------------------
 
-def _simplify(polyline: list[Vec3], marker_points: set[Vec3]) -> list[Vec3]:
+def _simplify(polyline: list[Vec3]) -> list[Vec3]:
     """The polyline's ends and each interior point where the sign step (-1,
-    0 or 1 per axis) changes or a marker sits; each segment's step is taken once."""
+    0 or 1 per axis) changes; each segment's step is taken once.  A walked
+    polyline ends at its first marker, so no interior point is one."""
     steps = [
         ((bx > ax) - (bx < ax), (by > ay) - (by < ay), (bz > az) - (bz < az))
         for (ax, ay, az), (bx, by, bz) in zip(polyline, polyline[1:])
     ]
     kept = zip(polyline[1:], steps, steps[1:])
-    return [polyline[0], *(p for p, s, t in kept if s != t or p in marker_points), polyline[-1]]
+    return [polyline[0], *(p for p, s, t in kept if s != t), polyline[-1]]
 
 
 def derive_traces(
@@ -614,7 +616,6 @@ def derive_traces(
         for tr in edges:
             key = (comp_id, tuple(sorted((tr.v_start, tr.v_end))))
             pools.setdefault(key, []).append(tr.edge_id)
-    marker_points = set(markers.values())
     traces: dict[str, list[Vec3]] = {}
     for va, vb, polyline, indices in walked:
         comps = {sticks[i].comp for i in indices if sticks[i].comp}
@@ -625,7 +626,7 @@ def derive_traces(
         key = (comps.pop(), tuple(sorted((va, vb))))
         if not pools.get(key):
             raise ReconstructionMismatch("edge path matches no input edge", [str(key)])
-        traces[pools[key].pop(0)] = _simplify(polyline, marker_points)
+        traces[pools[key].pop(0)] = _simplify(polyline)
     return traces
 
 

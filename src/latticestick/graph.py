@@ -88,19 +88,6 @@ class CutTree:
     def children(self, comp_id: str) -> list[tuple[str, str]]:
         return [(b, v) for b, (s, v) in self.parent.items() if s == comp_id]
 
-    def subtree(self, comp_id: str) -> list[str]:
-        i = self.order.index(comp_id)
-        out = [comp_id]
-        descendants = {comp_id}
-        for other in self.order[i + 1:]:
-            p = self.parent.get(other)
-            if p and p[0] in descendants:
-                out.append(other)
-                descendants.add(other)
-            else:
-                break
-        return out
-
 
 @dataclass(frozen=True)
 class GraphCensus:

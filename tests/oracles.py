@@ -7,7 +7,10 @@ tuple comprehensions, the side-slide trial that regenerates and checks the
 sticks where the build compares two column axes, the rigid map that carried
 local sticks to their stacked place where the build makes them there, the
 vertex-merging stage that scans every stick where the build reads its stick
-index, the stick keys through ``Stick.axis``, the trace simplification that
+index, with the earlier stacking records it read (each vertex's axis and
+its tree's z-range, each component's own z-span, scanned per subtree) and
+its marker writes and degree-3 pass where stacking places every vertex once,
+the stick keys through ``Stick.axis``, the trace simplification that
 takes two steps per point where the build takes each step once, the rank
 normalization through list indices where the build reads one map per axis,
 the gcd normalization and the whole build it ended before the rank map
@@ -34,7 +37,7 @@ them.  The module name keeps pytest from collecting it.
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from collections.abc import Collection, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import islice, product
 from json.encoder import encode_basestring_ascii
 from math import gcd
@@ -247,6 +250,88 @@ def transform(s, scale, offset):
 
 def transform_point(p, scale, offset):
     return tuple(scale * c + o for c, o in zip(p, offset))
+
+
+# --- vertex placement as stacking, merging and straightening kept it -------
+
+@dataclass
+class StackingRecords:
+    """The stacked state with the records each stage kept of the vertices:
+    every vertex's axis, each vertex's tree's z-range, each component's own
+    z-span and the lone circles' markers, which merging completed."""
+
+    sticks: list
+    vertex_axis: dict = field(default_factory=dict)
+    vertex_zrange: dict = field(default_factory=dict)
+    comp_scale: dict = field(default_factory=dict)
+    comp_zspan: dict = field(default_factory=dict)
+    markers: dict = field(default_factory=dict)
+    warnings: list = field(default_factory=list)
+    merge_plans: list = field(default_factory=list)
+
+
+def assemble(spec, tree, builds):
+    """``assembly.assemble`` as it was before it placed every vertex: the
+    same sticks in the same order, a marker for lone circles only, and the
+    records ``StackingRecords`` names."""
+    sized, placed = assembly._size_subtrees(builds, tree)
+    unit = 12 * max(sized[root][0] for root in tree.roots)
+    warnings = [w for comp in spec.components for w in builds[comp.id].warnings]
+    asm = StackingRecords(sticks=[], warnings=warnings)
+    grid = {}
+    top = 0
+    for cid in tree.order:
+        b = builds[cid]
+        if cid in tree.parent:
+            stem_id, cut_vertex = tree.parent[cid]
+            g, o = grid[stem_id]
+            u, f, off = placed[cid]
+            g, o = g * f, tuple(g * c + oc for c, oc in zip(off, o))
+        else:
+            u, ztop, _ = sized[cid]
+            g, o = unit // u, (0, 0, top)
+            span = (top + unit, top + g * ztop)
+            top = span[1]
+        grid[cid] = (g, o)
+        scale = asm.comp_scale[cid] = g * u
+        asm.comp_zspan[cid] = (scale + o[2], scale * max(1, b.pres.alpha) + o[2])
+        asm.sticks.extend(b.sticks(scale, o))
+        for bp, label in b.pres.labels.items():
+            ax, ay = b.column_axis(bp)
+            axis = (scale * ax + o[0], scale * ay + o[1])
+            if asm.vertex_axis.setdefault(label, axis) != axis:
+                raise AssemblyCollision(f"cut vertex {label} columns failed to align")
+            asm.vertex_zrange[label] = span
+        if cid in tree.parent:
+            stem = builds[stem_id]
+            below = stem.column_zrange(stem.vertex_bp(cut_vertex))[1]
+            above = b.column_zrange(b.vertex_bp(cut_vertex))[0]
+            ax, ay = asm.vertex_axis[cut_vertex]
+            asm.sticks.append(stick(
+                (ax, ay, asm.comp_scale[stem_id] * below + grid[stem_id][1][2]),
+                (ax, ay, scale * above + o[2]),
+            ))
+        corner = b.knot_corner()
+        if corner is not None:
+            label = next(iter(b.pres.labels.values()))
+            asm.markers[label] = transform_point(corner, scale, o)
+    return asm
+
+
+def subtree(tree, comp_id):
+    """``comp_id`` and every component stacked on it, by a scan of
+    ``tree.order`` from it."""
+    i = tree.order.index(comp_id)
+    out = [comp_id]
+    descendants = {comp_id}
+    for other in tree.order[i + 1:]:
+        p = tree.parent.get(other)
+        if p and p[0] in descendants:
+            out.append(other)
+            descendants.add(other)
+        else:
+            break
+    return out
 
 
 # --- vertex merging by scans over every stick --------------------------------

@@ -135,15 +135,15 @@ def test_criterion_6_composite():
     builds = {c.id: build_component(c, cens.classes[c.id]) for c in spec2.components}
     asm = assemble(spec2, tree, builds)
     # connectors are the stacked sticks no component's build produced, so
-    # each one leaves its stem's z-slab for its branch's
+    # each one leaves its stem's levels for its branch's subtree slab
     connectors = [
         s
         for s in asm.sticks
-        if not any(lo <= s.a[2] and s.b[2] <= hi for lo, hi in asm.comp_zspan.values())
+        if any((lo <= s.a[2] <= hi) != (lo <= s.b[2] <= hi) for lo, hi in asm.slab.values())
     ]
     assert len(connectors) == 1
     assert connectors[0].axis == 2
-    assert (connectors[0].a[0], connectors[0].a[1]) == asm.vertex_axis["v2"]
+    assert (connectors[0].a[0], connectors[0].a[1]) == asm.markers["v2"][:2]
     assert elapsed < 1.0
     announce(
         6,

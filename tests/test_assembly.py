@@ -25,6 +25,7 @@ from latticestick.build import build_component
 from latticestick.errors import (
     AssemblyCollision,
     BoundViolated,
+    InvalidSpec,
     LatticeStickError,
     MergeCollision,
     NoFreeDirection,
@@ -48,22 +49,31 @@ from latticestick.validate import (
     file_sticks,
     full_audit,
     scan_changed,
+    walk_edges,
 )
 import oracles
 from oracles import attachments as oracle_attachments, transform, transform_point
 from test_build import presentations
 from test_golden import INPUTS as GOLDEN_INPUTS, _bench_workloads, chain
-from test_properties import THETA5, graph_component_specs, knot_specs
+from test_properties import (
+    THETA5,
+    WIDER_SHAPES,
+    graph_component_specs,
+    knot_specs,
+    wider_branch_trees,
+)
 from test_validate import GRID, _all_pairs_self_avoiding, assert_audit_matches_oracle, grid_sticks
 
 
 def connectors(asm):
-    """Stacked sticks no component's build produced: each one leaves the
-    z-slab of its stem for the slab of its branch."""
+    """Stacked sticks no component's build produced: each one leaves its
+    stem's levels for its branch's, so its branch's subtree slab holds one
+    of its ends only, where a component's stick lies in the same slabs at
+    both ends."""
     return [
         s
         for s in asm.sticks
-        if not any(lo <= s.a[2] and s.b[2] <= hi for lo, hi in asm.comp_zspan.values())
+        if any((lo <= s.a[2] <= hi) != (lo <= s.b[2] <= hi) for lo, hi in asm.slab.values())
     ]
 
 
@@ -80,12 +90,14 @@ def fractions_made(monkeypatch):
     return made
 
 
-def stages(doc):
+def stages(doc, stack=assemble):
+    """The build's stages up to stacking, by ``stack``: ``assemble`` or the
+    earlier ``oracles.assemble``."""
     spec = spec_from_document(doc)
     cens = census(spec)
     tree = build_cut_tree(spec, cens)
     builds = {c.id: build_component(c, cens.classes[c.id]) for c in spec.components}
-    asm = assemble(spec, tree, builds)
+    asm = stack(spec, tree, builds)
     return spec, cens, tree, builds, asm
 
 
@@ -104,20 +116,32 @@ class TestAssemble:
         spec, cens, tree, builds, asm = stages(DEMOS["theta-composite"])
         (c,) = connectors(asm)
         assert c.axis == 2 and c.comp == ""
-        assert (c.a[0], c.a[1]) == asm.vertex_axis["v2"]
+        assert (c.a[0], c.a[1]) == asm.markers["v2"][:2]
 
     def test_disjoint_component_slabs(self):
+        """Each component's own levels, from the bottom of its slab at its
+        scale, lie below the next one's in stacking order, and each branch's
+        slab lies inside its stem's."""
         spec, cens, tree, builds, asm = stages(CHAIN)
-        spans = [asm.comp_zspan[cid] for cid in tree.order]
+        lows = [asm.slab[cid][0] for cid in tree.order]
+        spans = [
+            (lo, lo + asm.comp_scale[cid] * (builds[cid].pres.alpha - 1))
+            for lo, cid in zip(lows, tree.order)
+        ]
         for (lo1, hi1), (lo2, hi2) in zip(spans, spans[1:]):
             assert hi1 < lo2
+        for cid, (stem_id, _) in tree.parent.items():
+            (lo, hi), (stem_lo, stem_hi) = asm.slab[cid], asm.slab[stem_id]
+            assert stem_lo < lo <= hi <= stem_hi
 
     def test_split_forest_has_no_connector(self):
         spec, cens, tree, builds, asm = stages(SPLIT_PAIR)
         assert connectors(asm) == []
-        (lo1, hi1) = asm.vertex_zrange["v1"]
-        (lo2, hi2) = asm.vertex_zrange["w"]
+        # each tree of the forest has its own slab; the lone circle's vertex
+        # w gets no run
+        (lo1, hi1), (lo2, hi2) = (asm.slab[root] for root in tree.roots)
         assert hi1 < lo2 or hi2 < lo1
+        assert sorted(asm.vertex_zrange) == ["v1", "v2"]
 
     def test_branch_scales_nest(self):
         spec, cens, tree, builds, asm = stages(CHAIN)
@@ -251,15 +275,110 @@ STACKING_GROUPS = {
 }
 
 
+def placements_of(ref, tree, degrees):
+    """The slabs, runs and markers that the old records ``ref`` give: a
+    slab spans the own z-spans of a component and of everything stacked on
+    it; the attachments on a vertex's axis inside its tree's z-range give
+    its run, first to last, and its marker at the second, where merging and
+    the degree-3 pass put it; a lone circle keeps its marker."""
+    slabs = {}
+    for cid in tree.order:
+        spans = [ref.comp_zspan[c] for c in oracles.subtree(tree, cid)]
+        slabs[cid] = (min(lo for lo, _ in spans), max(hi for _, hi in spans))
+    runs, markers = {}, dict(ref.markers)
+    for label, degree in degrees.items():
+        if label in ref.markers:
+            continue
+        att = oracles.attachments(ref.sticks, ref.vertex_axis[label], ref.vertex_zrange[label])
+        assert len(att) == degree, label
+        runs[label] = (att[0][0], att[-1][0])
+        markers[label] = (*ref.vertex_axis[label], att[1][0])
+    return slabs, runs, markers
+
+
 @pytest.mark.parametrize("group", sorted(STACKING_GROUPS))
 def test_stacking_matches_oracle(group):
     for i, doc in enumerate(STACKING_GROUPS[group]()):
         spec, cens, tree, builds, asm = stages(doc)
         ref = oracle_assemble(spec, tree, builds)
-        for key in ("comp_scale", "comp_zspan", "vertex_axis", "vertex_zrange", "markers",
-                    "warnings"):
+        for key in ("comp_scale", "warnings"):
             assert getattr(asm, key) == getattr(ref, key), (group, i, key)
+        placed = (asm.slab, asm.vertex_zrange, asm.markers)
+        assert placed == placements_of(ref, tree, cens.degrees), (group, i)
         assert Counter(asm.sticks) == Counter(ref.sticks), (group, i)
+
+
+def placed_as_before(spec):
+    """Whether ``spec`` merges, after checking that ``assemble`` stacks the
+    sticks of ``oracles.assemble`` in its order and places the slabs, runs
+    and markers its records give (``placements_of``), that merging moves no
+    marker, and that the markers after merging, and after straightening
+    with their axes, are those of ``oracles.apply_merges`` and
+    ``oracle_straighten``, or that both merge stages raise alike."""
+    cens = census(spec)
+    tree = build_cut_tree(spec, cens)
+    builds = {c.id: build_component(c, cens.classes[c.id]) for c in spec.components}
+    asm = assemble(spec, tree, builds)
+    ref = oracles.assemble(spec, tree, builds)
+    assert asm.sticks == ref.sticks
+    assert (asm.slab, asm.vertex_zrange, asm.markers) == placements_of(ref, tree, cens.degrees)
+    placed = dict(asm.markers)
+    try:
+        ref = oracles.apply_merges(cens, ref)
+    except LatticeStickError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            apply_merges(cens, asm)
+        return False
+    asm = apply_merges(cens, asm)
+    assert asm.markers == ref.markers == placed
+    ref = oracle_straighten(spec, tree, builds, ref)
+    asm = straighten_arcs(spec, tree, builds, asm)
+    assert asm.markers == ref.markers
+    assert {v: asm.markers[v][:2] for v in asm.vertex_zrange} == {
+        v: ref.vertex_axis[v] for v in asm.vertex_zrange
+    }
+    return True
+
+
+PLACEMENT_GROUPS = {
+    "fixtures": lambda: [
+        *GOLDEN_INPUTS.values(), *DEMOS.values(), CHAIN, SPLIT_PAIR, LOOP_TREFOIL, THETA5
+    ],
+    "chains": lambda: [chain(n) for n in range(2, 11)]
+    + [_bench_workloads().chain_input(n) for n in (4, 6, 12)],
+    "trees": lambda: [_bench_workloads().tree_input(random.Random(s)) for s in range(300)],
+}
+
+
+@pytest.mark.parametrize("group", sorted(PLACEMENT_GROUPS))
+def test_vertices_placed_as_the_old_stages_placed(group):
+    merged = [placed_as_before(spec_from_document(doc)) for doc in PLACEMENT_GROUPS[group]()]
+    assert any(merged), group
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), source=st.sampled_from(["knot", "graph", "wide", "branch", "tree"]))
+def test_drawn_vertices_placed_as_the_old_stages_placed(data, source):
+    """``placed_as_before`` on knots, 3- and 4-edge thetas, 2-loop bouquets,
+    K4s, the wider shapes alone and as cut-tree branches, and random cut
+    trees beyond the pinned seeds; a draw ``census`` rejects is skipped."""
+    if source == "knot":
+        spec = data.draw(knot_specs())
+    elif source == "graph":
+        shape = data.draw(st.sampled_from(["theta3", "theta4", "bouquet2", "k4"]))
+        spec = data.draw(graph_component_specs(shape))
+    elif source == "wide":
+        spec = data.draw(graph_component_specs(data.draw(st.sampled_from(WIDER_SHAPES))))
+    elif source == "branch":
+        spec = data.draw(wider_branch_trees(data.draw(st.sampled_from(WIDER_SHAPES))))
+    else:
+        seed = data.draw(st.integers(min_value=300, max_value=2**32 - 1))
+        spec = spec_from_document(_bench_workloads().tree_input(random.Random(seed)))
+    try:
+        census(spec)
+    except InvalidSpec:
+        return
+    placed_as_before(spec)
 
 
 def test_each_stacked_stick_constructed_once(monkeypatch):
@@ -538,18 +657,6 @@ class TestApplyMerges:
         after = _counts(merged.sticks, merged.markers).total
         assert after - before == n_merges
 
-    @pytest.mark.parametrize("change,got", [("added", 4), ("removed", 2)])
-    def test_degree3_attachment_count_guard(self, change, got):
-        """A degree-3 vertex whose column does not hold exactly three
-        attachments gets no marker."""
-        index = edited_column([(1, 0), (1, 0), (0, 1)], change)
-        asm = assembly.Assembly(
-            sticks=index.state(), vertex_axis={"v": (0, 0)}, vertex_zrange={"v": (0, 99)}
-        )
-        cens = SimpleNamespace(degrees={"v": 3})
-        with pytest.raises(MergeCollision, match=f"^vertex v: expected 3 attachments, got {got}$"):
-            apply_merges(cens, asm)
-
     def test_pivot_marker_incidence(self):
         spec, cens, tree, builds, asm = stages(DEMOS["bouquet3"])
         merged = apply_merges(cens, asm)
@@ -772,9 +879,22 @@ def axis_walks(draw):
 @given(walk=axis_walks())
 def test_simplify_matches_two_steps_per_point(walk):
     """One sign step per segment keeps the points that two steps per
-    interior point keep."""
+    interior point keep, with every marker that is not an interior point:
+    a walked polyline ends at its first marker."""
     line, markers = walk
-    assert assembly._simplify(line, markers) == oracles.simplify(line, markers)
+    assert assembly._simplify(line) == oracles.simplify(line, markers - set(line[1:-1]))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
+def test_walked_polylines_have_no_interior_marker(name):
+    """The walk ends each polyline at its first marker, so ``_simplify``
+    needs no marker test."""
+    spec, cens, tree, builds, asm = stages(GOLDEN_INPUTS[name])
+    asm = straighten_arcs(spec, tree, builds, apply_merges(cens, asm))
+    walked, problems = walk_edges(asm.sticks, asm.markers, endpoint_census(asm.sticks))
+    markers = set(asm.markers.values())
+    assert walked and not problems
+    assert not any(markers & set(line[1:-1]) for _, _, line, _ in walked)
 
 
 def _parallel_edges_doc(n):
@@ -1120,6 +1240,68 @@ def test_stacking_fault_never_certified(monkeypatch, doc, fault):
         build_full(spec_from_document(doc))
 
 
+def _edit_degree3_column(asm, degrees, change):
+    """Add a short stick at the marker of the first degree-3 vertex, along
+    an outward direction none of its attachments takes, or remove the top
+    attachment of its run."""
+    label = min(v for v, d in degrees.items() if d == 3)
+    x, y, z = asm.markers[label]
+    top = asm.vertex_zrange[label][1]
+    horizontal = [s for s in asm.sticks if s.axis != 2]
+    if change == "added":
+        taken = {s.direction_from((x, y, z)) for s in horizontal if s.has_end((x, y, z))}
+        dx, dy = next(d for d in [(1, 0), (-1, 0), (0, 1), (0, -1)] if (*d, 0) not in taken)
+        asm.sticks.append(stick((x, y, z), (x + dx, y + dy, z)))
+    else:
+        (s,) = [s for s in horizontal if s.has_end((x, y, top))]
+        asm.sticks.remove(s)
+
+
+DEGREE3_DOCS = {
+    name: doc
+    for name, doc in {**DEMOS, "chain": CHAIN, "loop-trefoil": LOOP_TREFOIL}.items()
+    if 3 in census(spec_from_document(doc)).degrees.values()
+}
+
+
+@pytest.mark.parametrize("change", ["added", "removed"])
+@pytest.mark.parametrize("name", sorted(DEGREE3_DOCS))
+def test_degree3_column_fault_never_certified(monkeypatch, name, change):
+    """A degree-3 column with a stick added at its marker or its top
+    attachment removed, as stacking hands it on, ends the build in a named
+    ``LatticeStickError``, judged by the trace walk or the audit, and no
+    embedding is returned."""
+    original = assembly.assemble
+    spec = spec_from_document(DEGREE3_DOCS[name])
+
+    def faulty(spec, tree, builds):
+        asm = original(spec, tree, builds)
+        _edit_degree3_column(asm, census(spec).degrees, change)
+        return asm
+
+    monkeypatch.setattr(assembly, "assemble", faulty)
+    with pytest.raises(LatticeStickError) as raised:
+        build_full(spec)
+    assert type(raised.value) is not LatticeStickError and str(raised.value)
+
+
+def test_no_index_below_degree_four(monkeypatch):
+    """A theta's two vertices have degree 3: nothing merges, so its build
+    indexes no sticks."""
+    built = []
+
+    class Counted(StickIndex):
+        def __init__(self, sticks):
+            built.append(len(sticks))
+            super().__init__(sticks)
+
+    monkeypatch.setattr(assembly, "StickIndex", Counted)
+    spec = spec_from_document(DEMOS["theta-planar"])
+    assert sorted(census(spec).degrees.values()) == [3, 3]
+    build_full(spec)
+    assert built == []
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
 def test_stacked_and_merged_states_are_clean(name):
     """The bases of the first merge trial and of the first straightening
@@ -1221,7 +1403,7 @@ def oracle_straighten(spec, tree, builds, asm):
             asm.warnings.append(f"{comp_id}: rerouted by merging, not straightened")
             continue
 
-        subtree = tree.subtree(branch_id)
+        subtree = oracles.subtree(tree, branch_id)
         z_lo = min(asm.comp_zspan[c][0] for c in subtree)
         z_hi = max(asm.comp_zspan[c][1] for c in subtree)
         removed = {ix, iy}
@@ -1283,10 +1465,27 @@ def oracle_straighten(spec, tree, builds, asm):
     return asm
 
 
+def old_straightened(spec, tree, builds):
+    """The old stages through straightening: its stacking, which kept
+    the vertex axes, the trees' z-ranges and the components' own z-spans,
+    ``oracles.apply_merges`` and ``oracle_straighten``."""
+    merged = oracles.apply_merges(census(spec), oracles.assemble(spec, tree, builds))
+    return oracle_straighten(spec, tree, builds, merged)
+
+
+def assert_straightened_as_before(out, ref, where):
+    """The same sticks in the same order, markers and warnings, and each
+    run's marker on the old stages' vertex axis."""
+    for key in ("sticks", "markers", "warnings"):
+        assert getattr(out, key) == getattr(ref, key), (where, key)
+    axes = {v: out.markers[v][:2] for v in out.vertex_zrange}
+    assert axes == {v: ref.vertex_axis[v] for v in out.vertex_zrange}, where
+
+
 @pytest.mark.parametrize("group", sorted(STACKING_GROUPS))
 def test_straightening_matches_oracle(group):
-    """Every input that merges straightens exactly as the old stage did:
-    the same sticks in the same order, markers, axes and warnings."""
+    """Every input that merges straightens exactly as the old stages
+    did: the same sticks in the same order, markers, axes and warnings."""
     reached = 0
     for i, doc in enumerate(STACKING_GROUPS[group]()):
         spec, cens, tree, builds, asm = stages(doc)
@@ -1295,10 +1494,9 @@ def test_straightening_matches_oracle(group):
         except (NoFreeDirection, MergeCollision):
             continue
         reached += 1
-        ref = oracle_straighten(spec, tree, builds, copy.deepcopy(asm))
+        ref = old_straightened(spec, tree, builds)
         out = straighten_arcs(spec, tree, builds, asm)
-        for key in ("sticks", "markers", "vertex_axis", "warnings"):
-            assert getattr(out, key) == getattr(ref, key), (group, i, key)
+        assert_straightened_as_before(out, ref, (group, i))
     assert reached, group
 
 
@@ -1343,9 +1541,7 @@ def _chain_link():
     and an x clear of every stick before and after the slide."""
     spec, cens, tree, builds, asm = stages(CHAIN)
     asm = apply_merges(cens, asm)
-    subtree = tree.subtree("th2")
-    z_lo = min(asm.comp_zspan[c][0] for c in subtree)
-    z_hi = max(asm.comp_zspan[c][1] for c in subtree)
+    z_lo, z_hi = asm.slab["th2"]
     xs = [p[0] for s in asm.sticks for p in s.ends()]
     return spec, tree, builds, asm, (z_lo, z_hi), 2 * max(xs) - min(xs) + 1
 
@@ -1374,8 +1570,8 @@ def test_straighten_splits_sticks_by_their_ends(reach):
 def test_straighten_without_branch_run():
     """With the far-axis run under the branch gone, nothing replaces it."""
     spec, tree, builds, asm, (z_lo, _), _ = _chain_link()
-    fx, fy = asm.vertex_axis["v3"]
-    z_arc = asm.comp_zspan["mid"][0]
+    fx, fy, _ = asm.markers["v3"]
+    z_arc = asm.slab["mid"][0]
     run = [
         s for s in asm.sticks
         if s.axis == 2 and (s.a[0], s.a[1]) == (fx, fy) and z_arc <= s.a[2] < z_lo
@@ -1489,12 +1685,12 @@ def _list_states(sticks, plans):
         sticks = oracles.apply_vertex_plan(sticks, plan)
 
 
-def _merge_outcome(merge, states, doc):
-    """``merge(cens, asm)`` on the stacked ``doc``: its plans with each
+def _merge_outcome(stack, merge, states, doc):
+    """``merge(cens, asm)`` on ``doc`` stacked by ``stack``: its plans with each
     step's stick numbers read as the sticks they name in ``states`` (the
     states the plans were applied to), the sticks in order and the markers,
     or the class and message of what it raised."""
-    spec, cens, tree, builds, asm = stages(doc)
+    spec, cens, tree, builds, asm = stages(doc, stack)
     stacked = list(asm.sticks)
     try:
         out = merge(cens, asm)
@@ -1527,8 +1723,9 @@ def test_merge_stage_matches_scanning_oracle(group):
     error."""
     outcomes = Counter()
     for i, doc in enumerate(MERGE_GROUPS[group]()):
-        got = _merge_outcome(apply_merges, _index_states, doc)
-        assert got == _merge_outcome(oracles.apply_merges, _list_states, doc), (group, i)
+        got = _merge_outcome(assemble, apply_merges, _index_states, doc)
+        ref = _merge_outcome(oracles.assemble, oracles.apply_merges, _list_states, doc)
+        assert got == ref, (group, i)
         outcomes[got[0] if isinstance(got[0], type) else "merged"] += 1
     assert outcomes["merged"], outcomes
 
@@ -1540,8 +1737,8 @@ def test_fresh_random_trees(seed):
     index gives what scanning every stick gives, and the build returns a
     certified embedding or raises one of the named build failures."""
     doc = _bench_workloads().tree_input(random.Random(seed))
-    got = _merge_outcome(apply_merges, _index_states, doc)
-    assert got == _merge_outcome(oracles.apply_merges, _list_states, doc)
+    got = _merge_outcome(assemble, apply_merges, _index_states, doc)
+    assert got == _merge_outcome(oracles.assemble, oracles.apply_merges, _list_states, doc)
     try:
         _, counts, bounds = build_full(spec_from_document(doc))
     except (NoFreeDirection, BoundViolated, MergeCollision):
@@ -1579,10 +1776,9 @@ def test_straightening_needs_no_census(monkeypatch):
     trials, audits = [], []
 
     def compared(spec, tree, builds, asm):
-        ref = oracle_straighten(spec, tree, builds, copy.deepcopy(asm))
+        ref = old_straightened(spec, tree, builds)
         out = straighten(spec, tree, builds, asm)
-        for key in ("sticks", "markers", "vertex_axis", "warnings"):
-            assert getattr(out, key) == getattr(ref, key), key
+        assert_straightened_as_before(out, ref, "build")
         return out
 
     def scanned(sticks, changed):
