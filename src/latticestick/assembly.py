@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Collection
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, product
 
 from .build import ComponentBuild, build_component
@@ -42,7 +42,7 @@ from .errors import (
     NoFreeDirection,
     ReconstructionMismatch,
 )
-from .geom import OTHER_AXES, LatticeEmbedding, Stick, Vec3, buckets, stick
+from .geom import LatticeEmbedding, Stick, Vec3, stick
 from .graph import ComponentClass, CutTree, GraphCensus, SpatialGraphSpec, build_cut_tree, census
 from .validate import (
     BoundReport,
@@ -207,16 +207,16 @@ class StickIndex:
     some slots removed and new sticks appended.  ``commit`` makes the staged
     trial the state; a trial never committed leaves the index as it was.
 
-    Buckets hold slots: ``lines`` by ``buckets``' line key, ``planes`` by
-    plane key and then by stick axis, ``ends`` by end point, and
+    Buckets hold slots under flat keys: ``lines`` by (axis, its two fixed
+    coordinates), ``planes`` by (normal axis, coordinate, stick axis) and
     ``columns`` the horizontal sticks by the (x, y) of each of their ends.
+    ``ending_at`` finds the sticks ending at a point in ``lines``.
     """
 
     def __init__(self, sticks: list[Stick]):
         self.sticks: dict[int, Stick] = dict(enumerate(sticks))
         self.lines: dict[tuple, set[int]] = defaultdict(set)
-        self.planes: dict[tuple, tuple[set[int], ...]] = defaultdict(lambda: (set(), set(), set()))
-        self.ends: dict[Vec3, set[int]] = defaultdict(set)
+        self.planes: dict[tuple, set[int]] = defaultdict(set)
         self.columns: dict[tuple[int, int], set[int]] = defaultdict(set)
         # the staged trial by slot, then its replaced sticks, removed slots
         # and appended slots
@@ -230,30 +230,44 @@ class StickIndex:
         """File slot ``k`` under each key of its stick; with
         ``bucket=set.discard``, take it out of them."""
         s = self.sticks[k]
-        ax, line, plane_u, plane_w = buckets(s)
+        (ax, ay, az), (bx, by, bz) = s.a, s.b
+        if ax != bx:
+            line, plane_u, plane_w = (0, ay, az), (1, ay, 0), (2, az, 0)
+        elif ay != by:
+            line, plane_u, plane_w = (1, ax, az), (0, ax, 1), (2, az, 1)
+        else:
+            line, plane_u, plane_w = (2, ax, ay), (0, ax, 2), (1, ay, 2)
         bucket(self.lines[line], k)
-        bucket(self.planes[plane_u][ax], k)
-        bucket(self.planes[plane_w][ax], k)
-        for p in s.ends():
-            bucket(self.ends[p], k)
-            if ax != 2:
-                bucket(self.columns[p[0], p[1]], k)
+        bucket(self.planes[plane_u], k)
+        bucket(self.planes[plane_w], k)
+        if az == bz:
+            bucket(self.columns[ax, ay], k)
+            bucket(self.columns[bx, by], k)
 
     def state(self) -> list[Stick]:
         return list(self.sticks.values())
 
+    def ending_at(self, p: Vec3) -> list[int]:
+        """The slots of the sticks with an end at ``p``, which all lie on the
+        three lines through it."""
+        x, y, z = p
+        sticks, lines = self.sticks, self.lines
+        through = chain(lines.get((0, y, z), ()), lines.get((1, x, z), ()), lines.get((2, x, y), ()))
+        return [k for k in through if sticks[k].a == p or sticks[k].b == p]
+
     def attachments(self, axis: tuple[int, int], zrange: tuple[int, int]):
         """Horizontal sticks with an end on the vertical line through
         ``axis`` inside ``zrange``, bottom to top: (level, slot, outward 2d
-        direction)."""
+        direction).  A stick leaves its ``a`` end forward along its axis and
+        its ``b`` end backward, since the contract orders the ends."""
         zlo, zhi = zrange
         found = []
         for k in self.columns.get(axis, ()):
             s = self.sticks[k]
-            p = s.a if (s.a[0], s.a[1]) == axis else s.b
+            a, b = s.a, s.b
+            p, sign = (a, 1) if (a[0], a[1]) == axis else (b, -1)
             if zlo <= p[2] <= zhi:
-                d = s.direction_from(p)
-                found.append((p[2], k, (d[0], d[1])))
+                found.append((p[2], k, (sign, 0) if a[0] != b[0] else (0, sign)))
         return sorted(found)
 
     def stage(
@@ -285,28 +299,26 @@ class StickIndex:
     def touching_pairs(self) -> list[tuple[int, int]]:
         """The ``pairs`` a check of ``trial`` takes: every slot pair holding
         a new stick whose sticks meet, sorted, from each new stick's line,
-        its two planes' perpendicular sticks and the other new sticks."""
+        the perpendicular sticks of its two planes and the other new sticks."""
         replaced, removed, added = self._staged
-        trial = self.trial
+        trial, lines, planes = self.trial, self.lines, self.planes
         changed = [*sorted(replaced), *added]
         pairs: list[tuple[int, int]] = []
         for n, i in enumerate(changed):
             s = trial[i]
-            ax, line, plane_u, plane_w = buckets(s)
-            u, w = OTHER_AXES[ax]
-            for k in chain(
-                self.lines.get(line, ()),
-                self.planes.get(plane_u, _NO_SLOTS)[w],
-                self.planes.get(plane_w, _NO_SLOTS)[u],
-            ):
+            (ax, ay, az), (bx, by, bz) = s.a, s.b
+            if ax != bx:
+                line, cross_u, cross_w = (0, ay, az), (1, ay, 2), (2, az, 1)
+            elif ay != by:
+                line, cross_u, cross_w = (1, ax, az), (0, ax, 2), (2, az, 0)
+            else:
+                line, cross_u, cross_w = (2, ax, ay), (0, ax, 1), (1, ay, 0)
+            for k in chain(lines.get(line, ()), planes.get(cross_u, ()), planes.get(cross_w, ())):
                 if k not in replaced and k not in removed and _meet(s, self.sticks[k]):
                     pairs.append((i, k) if i < k else (k, i))
             pairs.extend((i, j) for j in changed[n + 1 :] if _meet(s, trial[j]))
         pairs.sort()
         return pairs
-
-
-_NO_SLOTS: tuple[tuple[int, ...], ...] = ((), (), ())
 
 
 def _meet(s: Stick, t: Stick) -> bool:
@@ -340,28 +352,23 @@ class VertexPlan:
     steps: tuple[MergeStep, ...]
 
 
-def _far_end(s: Stick, axis: Axis2, level: int) -> Vec3:
-    """The end of an attachment stick away from the column through ``axis``."""
-    return s.b if s.a == (axis[0], axis[1], level) else s.a
-
-
-def _candidate_moves(index, axis, attachment, is_top) -> list[MergeStep]:
-    """Options for merging one attachment, in preference order: drop;
-    translate perpendicular, "+" before "-", when the far end has a single
-    partner lying along that perpendicular to absorb the shift; and for the
-    top stick, extend the opposite way.  Steps name sticks by slot in
-    ``index``.  Epsilon is left 0: it depends on the step's place in the
-    plan."""
+def _candidate_moves(index, axis, attachment, is_top) -> list[tuple]:
+    """Options for merging one attachment, in preference order, as
+    ``(level, direction, move, slot, partner)``: drop; translate
+    perpendicular, "+" before "-", when the far end has a single partner
+    lying along that perpendicular to absorb the shift; and for the top
+    stick, extend the opposite way.  Slots are those of ``index``.  The plan
+    sets each step's epsilon, which depends on its place there."""
     level, k, d = attachment
-    options = [MergeStep(level, d, "drop", 0, k)]
-    partners = index.ends[_far_end(index.sticks[k], axis, level)] - {k}
-    if len(partners) == 1:
-        (j,) = partners
-        if index.sticks[j].axis == (1 if d[0] else 0):
-            perps = [(0, 1), (0, -1)] if d[0] else [(1, 0), (-1, 0)]
-            options += [MergeStep(level, w, "translate", 0, k, j) for w in perps]
+    s = index.sticks[k]
+    far = s.b if s.a == (axis[0], axis[1], level) else s.a
+    partners = [j for j in index.ending_at(far) if j != k]
+    options = [(level, d, "drop", k, None)]
+    if len(partners) == 1 and index.sticks[partners[0]].axis == (1 if d[0] else 0):
+        perps = [(0, 1), (0, -1)] if d[0] else [(1, 0), (-1, 0)]
+        options += [(level, w, "translate", k, partners[0]) for w in perps]
     if is_top:
-        options.append(MergeStep(level, (-d[0], -d[1]), "extend", 0, k))
+        options.append((level, (-d[0], -d[1]), "extend", k, None))
     return options
 
 
@@ -380,9 +387,7 @@ def _vertex_plans(index: StickIndex, vertex, axis, zrange, degree, unit):
     """
     att = index.attachments(axis, zrange)
     if len(att) != degree:
-        raise MergeCollision(
-            f"vertex {vertex}: found {len(att)} attachments, expected {degree}"
-        )
+        raise MergeCollision(f"vertex {vertex}: found {len(att)} attachments, expected {degree}")
     pivot_level, _, pivot_dir = att[1]
     *earlier, last = (_candidate_moves(index, axis, a, False) for a in att[2:-1])
     # the last slot also holds the swap: keep that stick, merge the top one
@@ -392,11 +397,14 @@ def _vertex_plans(index: StickIndex, vertex, axis, zrange, degree, unit):
     produced = False
     for chosen in product(*earlier, last):
         # the pivot's and the merged sticks' directions must all differ
-        if len({pivot_dir, *(c.direction for c in chosen)}) < n:
+        if len({pivot_dir, *(c[1] for c in chosen)}) < n:
             continue
         produced = True
-        steps = tuple(replace(c, epsilon=m * unit // n) for m, c in enumerate(chosen, start=1))
-        swapped = chosen[-1].index == att[-1][1]
+        steps = tuple(
+            MergeStep(level, d, move, m * unit // n, k, j)
+            for m, (level, d, move, k, j) in enumerate(chosen, start=1)
+        )
+        swapped = chosen[-1][3] == att[-1][1]
         new_top = att[-2][0] if swapped else att[-1][0]
         yield VertexPlan(
             vertex, axis, pivot_level, pivot_dir, att[0][0], att[-1][0], new_top, steps
@@ -423,7 +431,7 @@ def _apply_vertex_plan(index: StickIndex, plan: VertexPlan) -> bool:
     appended: list[Stick] = []
     for step in plan.steps:
         s = index.sticks[step.index]
-        far = _far_end(s, plan.axis, step.level)
+        far = s.b if s.a == (ax, ay, step.level) else s.a
         wx, wy = step.direction
         bx, by = ax + step.epsilon * wx, ay + step.epsilon * wy
         break_pt = (bx, by, step.level)
@@ -444,11 +452,8 @@ def _apply_vertex_plan(index: StickIndex, plan: VertexPlan) -> bool:
         appended.append(stick(arm_end, break_pt, s.comp))
         appended.append(stick((ax, ay, plan.pivot_level), arm_end, s.comp))
 
-    run = {
-        k
-        for k in index.lines.get((2, ax, ay), ())
-        if index.sticks[k].a[2] >= plan.column_base and index.sticks[k].b[2] <= plan.old_top
-    }
+    column = [(k, index.sticks[k]) for k in index.lines.get((2, ax, ay), ())]
+    run = {k for k, s in column if s.a[2] >= plan.column_base and s.b[2] <= plan.old_top}
     appended.append(stick((ax, ay, plan.column_base), (ax, ay, plan.pivot_level)))
     appended.append(stick((ax, ay, plan.pivot_level), (ax, ay, plan.new_top)))
     index.stage(replaced, run, appended)
@@ -474,14 +479,9 @@ def apply_merges(cens: GraphCensus, asm: Assembly) -> Assembly:
     index = StickIndex(asm.sticks)
     for label in merged:
         x, y, _ = asm.markers[label]
-        for plan in _vertex_plans(
-            index,
-            label,
-            (x, y),
-            asm.vertex_zrange[label],
-            degrees[label],
-            min(asm.comp_scale[c] for c in cens.points[label]),
-        ):
+        unit = min(asm.comp_scale[c] for c in cens.points[label])
+        plans = _vertex_plans(index, label, (x, y), asm.vertex_zrange[label], degrees[label], unit)
+        for plan in plans:
             if _apply_vertex_plan(index, plan) and not check_self_avoiding(
                 index.trial, pairs=index.touching_pairs()
             ):

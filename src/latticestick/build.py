@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .arcs import ArcPresentation, incident_levels
+from .arcs import ArcPresentation
 from .geom import Stick, Vec3
 from .graph import ComponentClass, ComponentSpec
 from .validate import check_self_avoiding  # noqa: F401  (bench/test_bench.py wraps this name)
@@ -45,10 +45,6 @@ class ComponentBuild:
 
     def column_axis(self, bp: int) -> tuple[int, int]:
         return (self.first_x if bp == 1 else bp, self.last_y if bp == self.pres.beta else bp)
-
-    def column_zrange(self, bp: int) -> tuple[int, int]:
-        levels = incident_levels(self.pres, bp)
-        return (levels[0], levels[-1])
 
     def vertex_bp(self, label: str) -> int:
         return {lab: bp for bp, lab in self.pres.labels.items()}[label]

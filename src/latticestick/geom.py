@@ -5,7 +5,6 @@ is an immutable closed segment of positive length parallel to one axis, its
 ends in order along it (the stick contract, which the audit certifies).  Two
 sticks meet where their bounding boxes do: parallel ones only on one line,
 perpendicular ones only in the plane fixing their common third coordinate.
-``buckets`` names those keys of a stick for the merge stage's stick index.
 
 ``LatticeEmbedding`` is the finished embedding, as a build returns it and a
 document loads to it.
@@ -93,22 +92,6 @@ def stick(a: Vec3, b: Vec3, comp: str = "") -> Stick:
     if a > b:
         a, b = b, a
     return Stick(a, b, comp)
-
-
-# the two axes other than 0, 1 and 2, in order
-OTHER_AXES = ((1, 2), (0, 2), (0, 1))
-
-
-def buckets(s: Stick):
-    """``s``'s axis, its line and the two planes holding it: the line key
-    is (axis, its two fixed coordinates), a plane key (normal axis,
-    coordinate).  The end points are read once, with ``Stick.axis``'s rule."""
-    (ax, ay, az), (bx, by, bz) = s.a, s.b
-    if ax != bx:
-        return 0, (0, ay, az), (1, ay), (2, az)
-    if ay != by:
-        return 1, (1, ax, az), (0, ax), (2, az)
-    return 2, (2, ax, ay), (0, ax), (1, ay)
 
 
 def contact(s: Stick, t: Stick):

@@ -78,15 +78,23 @@ class CutTree:
     ``order`` lists every component so that each stem precedes its branches
     and every subtree is contiguous.  ``parent`` maps a branch to its
     (stem id, cut vertex) pair in ``order``; roots are absent from it.  So
-    ``children`` lists a stem's branches in ``order`` too.
+    ``children`` lists a stem's branches in ``order`` too, from a table
+    built on first use.
     """
 
     order: tuple[str, ...]
     parent: dict[str, tuple[str, str]]
     roots: tuple[str, ...]
 
-    def children(self, comp_id: str) -> list[tuple[str, str]]:
-        return [(b, v) for b, (s, v) in self.parent.items() if s == comp_id]
+    @cached_property
+    def _branches(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        table: dict[str, list[tuple[str, str]]] = {}
+        for b, (s, v) in self.parent.items():
+            table.setdefault(s, []).append((b, v))
+        return {s: tuple(branches) for s, branches in table.items()}
+
+    def children(self, comp_id: str) -> tuple[tuple[str, str], ...]:
+        return self._branches.get(comp_id, ())
 
 
 @dataclass(frozen=True)

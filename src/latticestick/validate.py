@@ -13,12 +13,15 @@ need a vertex marker, and a marker's incidence must equal its degree.
 
 The full audit files the final sticks once, in ``file_sticks``: axes,
 endpoint census and per-axis records, read by the pair sweep, the run
-count, the junction check and the edge walk.  Filing also certifies the
-stick contract, naming each stick that breaks it: ``Stick`` checks nothing,
-so sticks made in memory can, though no document can carry one.  A build's
-trial checks only the pairs it names; a straightening trial finds them in
-one box scan, ``scan_changed``.  That decides the trial as the full check
-does when every other pair is as it was in a state that passed it.
+count, the junction check and the edge walk.  The sweep settles each pair
+whose only contact is one shared end point, which the contact check always
+passes, so it names only pairs that check can fault.  Filing also
+certifies the stick contract, naming each stick that breaks it: ``Stick``
+checks nothing, so sticks made in memory can, though no document can
+carry one.  A build's trial checks only the pairs it names; a
+straightening trial finds them in one box scan, ``scan_changed``.  That
+decides the trial as the full check does when every other pair is as it
+was in a state that passed it.
 """
 
 from __future__ import annotations
@@ -111,25 +114,30 @@ def file_sticks(sticks: Sequence[Stick]):
 
 
 def touching_pairs(sticks: Sequence[Stick]) -> list[tuple[int, int]]:
-    """Every position pair ``(i, j)``, ``i < j``, of contract sticks that meet, sorted."""
+    """Every position pair ``(i, j)``, ``i < j``, of contract sticks that
+    meet other than at one shared end point, sorted."""
     return _sweep(file_sticks(sticks)[2])
 
 
 def _sweep(records) -> list[tuple[int, int]]:
-    """The sorted pairs of ``file_sticks``' ``records`` that meet.  One sort
-    per axis makes each line a run in order of start.  In a plane, a stick
-    along the later axis, as (normal, earlier coordinate, span, i), bisects
-    the earlier axis's records by (normal, later coordinate), re-sorting the
-    x-records by (z, y) for y-sticks, and walks them while in its span, so a
-    vertical stick's walk stays in its own z-slab of the stacked components."""
+    """The sorted pairs of ``file_sticks``' ``records`` that meet other than
+    at one point that is an end of both, which ``contact`` would call
+    ``"endpoint"``.  One sort per axis makes each line a run in order of
+    start, and a stick's walk along it ends at a start that is not before
+    its own end.  In a plane, a stick along the later axis, as (normal,
+    earlier coordinate, span, i), bisects the earlier axis's records by
+    (normal, later coordinate), re-sorting the x-records by (z, y) for
+    y-sticks, and walks them while in its span, so a vertical stick's walk
+    stays in its own z-slab of the stacked components; a pair meeting at an
+    end of each is settled there."""
     xs, ys, zs = runs = [sorted(r) for r in records]
     pairs: list[tuple[int, int]] = []
     for run in runs:
         for k, ((f, g, _, end, i), (f2, g2, start, _, _)) in enumerate(zip(run, run[1:]), 1):
-            if start > end or g2 != g or f2 != f:
+            if start >= end or g2 != g or f2 != f:
                 continue
             for f2, g2, start, _, j in islice(run, k, None):
-                if start > end or g2 != g or f2 != f:
+                if start >= end or g2 != g or f2 != f:
                     break
                 pairs.append((i, j) if i < j else (j, i))
     xz = sorted([(z, y, lo, hi, i) for y, z, lo, hi, i in xs])
@@ -143,7 +151,7 @@ def _sweep(records) -> list[tuple[int, int]]:
                 g, h, clo, chi, j = earlier[k]
                 if g != f or h > hi:
                     break
-                if clo <= c <= chi:
+                if clo < c < chi or ((c == clo or c == chi) and lo < h < hi):
                     pairs.append((i, j) if i < j else (j, i))
                 k += 1
     pairs.sort()
@@ -185,8 +193,9 @@ def check_self_avoiding(
 
     ``pairs`` holds sorted key pairs ``(i, j)``, ``i < j``, into ``sticks``:
     positions in a list, or slots of a mapping from slot to stick.  For a
-    list it defaults to ``touching_pairs(sticks)``, so the result is the one
-    an all-pairs loop over ``i < j`` of the contract sticks gives, in order.
+    list it defaults to ``touching_pairs(sticks)``, which leaves out only
+    pairs meeting at one shared end point, so the result is the one an
+    all-pairs loop over ``i < j`` of the contract sticks gives, in order.
     """
     if pairs is None:
         pairs = touching_pairs(sticks)

@@ -8,10 +8,12 @@ sticks where the build compares two column axes, the rigid map that carried
 local sticks to their stacked place where the build makes them there, the
 vertex-merging stage that scans every stick where the build reads its stick
 index, with the earlier stacking records it read (each vertex's axis and
-its tree's z-range, each component's own z-span, scanned per subtree) and
-its marker writes and degree-3 pass where stacking places every vertex once,
-the stick keys through ``Stick.axis``, the trace simplification that
-takes two steps per point where the build takes each step once, the rank
+its tree's z-range, each component's own z-span, scanned per subtree, and
+each binding column's z-range) and its marker writes and degree-3 pass
+where stacking places every vertex once, the stick keys through
+``Stick.axis`` that the stick index's flat keys must match, the trace
+simplification that takes two steps per point where the build takes each
+step once, the rank
 normalization through list indices where the build reads one map per axis,
 the gcd normalization and the whole build it ended before the rank map
 replaced it, the document readers that check every key list, integer and
@@ -27,8 +29,8 @@ modes, which also flagged an unmarked junction once per pair; the box scan
 that also took the census at a trial's changed ends; and the junction check
 that also flagged two sticks leaving a marker in one direction, which always
 overlap; and the audit's filing into line and plane dicts with their sweep,
-where the audit files by axis, sweeps one sorted run per axis and checks the
-stick contract.
+which names every meeting pair, where the audit files by axis, sweeps one
+sorted run per axis, settles shared ends and checks the stick contract.
 
 The package computes none of these; the tests check its results against
 them.  The module name keeps pytest from collecting it.
@@ -42,9 +44,9 @@ from itertools import islice, product
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
-from latticestick.arcs import Arc, ArcPresentation
+from latticestick.arcs import Arc, ArcPresentation, incident_levels
 from latticestick import assembly
-from latticestick.assembly import MergeStep, VertexPlan, _far_end
+from latticestick.assembly import MergeStep, VertexPlan
 from latticestick.bounds import arc_index_upper, construction_count, crossing_stick_bound
 from latticestick.build import build_component
 from latticestick.errors import (
@@ -56,7 +58,7 @@ from latticestick.errors import (
     ReconstructionMismatch,
     TooLarge,
 )
-from latticestick.geom import OTHER_AXES, LatticeEmbedding, Stick, Vec3, stick
+from latticestick.geom import LatticeEmbedding, Stick, Vec3, stick
 from latticestick.geom import contact as geom_contact
 from latticestick.graph import (
     ComponentSpec,
@@ -219,8 +221,14 @@ def contact(s, t):
     return ("cross", p)
 
 
+# the two axes other than 0, 1 and 2, in order
+OTHER_AXES = ((1, 2), (0, 2), (0, 1))
+
+
 def buckets(s):
-    """``geom.buckets`` through ``Stick.axis``."""
+    """A stick's axis, its line and the two planes holding it, through
+    ``Stick.axis``: the line key is (axis, its two fixed coordinates), a
+    plane key (normal axis, coordinate)."""
     ax = s.axis
     u, w = OTHER_AXES[ax]
     return ax, (ax, s.a[u], s.a[w]), (u, s.a[u]), (w, s.a[w])
@@ -304,8 +312,8 @@ def assemble(spec, tree, builds):
             asm.vertex_zrange[label] = span
         if cid in tree.parent:
             stem = builds[stem_id]
-            below = stem.column_zrange(stem.vertex_bp(cut_vertex))[1]
-            above = b.column_zrange(b.vertex_bp(cut_vertex))[0]
+            below = column_zrange(stem, stem.vertex_bp(cut_vertex))[1]
+            above = column_zrange(b, b.vertex_bp(cut_vertex))[0]
             ax, ay = asm.vertex_axis[cut_vertex]
             asm.sticks.append(stick(
                 (ax, ay, asm.comp_scale[stem_id] * below + grid[stem_id][1][2]),
@@ -316,6 +324,12 @@ def assemble(spec, tree, builds):
             label = next(iter(b.pres.labels.values()))
             asm.markers[label] = transform_point(corner, scale, o)
     return asm
+
+
+def column_zrange(build, bp):
+    """The lowest and highest level of binding column ``bp`` of ``build``."""
+    levels = incident_levels(build.pres, bp)
+    return (levels[0], levels[-1])
 
 
 def subtree(tree, comp_id):
@@ -335,6 +349,11 @@ def subtree(tree, comp_id):
 
 
 # --- vertex merging by scans over every stick --------------------------------
+
+def _far_end(s, axis, level):
+    """The end of an attachment stick away from the column through ``axis``."""
+    return s.b if s.a == (axis[0], axis[1], level) else s.a
+
 
 def attachments(sticks, axis, zrange):
     """Horizontal sticks with an end on the vertical line through ``axis``

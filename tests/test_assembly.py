@@ -2,7 +2,7 @@ import copy
 import random
 import re
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -202,7 +202,7 @@ def _oracle_realize(comp_id, builds, tree):
         cx, cy = (u * c for c in cb.column_axis(cbp))
         extent = max(max(abs(p[0] - cx), abs(p[1] - cy)) for s in sub.sticks for p in s.ends())
         width = 1 << (max(u, extent) - 1).bit_length()
-        subs.append((sub, cut_vertex, (cx, cy, u * cb.column_zrange(cbp)[0]), width))
+        subs.append((sub, cut_vertex, (cx, cy, u * oracles.column_zrange(cb, cbp)[0]), width))
     unit = max((8 * width for *_, width in subs), default=1)
     out = _OracleRealized(
         sticks=[transform(s, unit, (0, 0, 0)) for s in b.sticks(1, (0, 0, 0))],
@@ -220,7 +220,7 @@ def _oracle_realize(comp_id, builds, tree):
         for cid in sub.scale:
             out.scale[cid] = f * sub.scale[cid]
             out.offset[cid] = transform_point(sub.offset[cid], f, off)
-        pbar_z = unit * b.column_zrange(bp)[1]
+        pbar_z = unit * oracles.column_zrange(b, bp)[1]
         out.sticks.append(stick((ax, ay, pbar_z), (ax, ay, f * cz + top)))
         top += f * sub.zmax
     out.zmax = top
@@ -1598,15 +1598,55 @@ def _canonical(index):
     return (
         index.state(),
         {key: positions(slots) for key, slots in index.lines.items() if slots},
-        {
-            (key, axis): positions(slots)
-            for key, by_axis in index.planes.items()
-            for axis, slots in enumerate(by_axis)
-            if slots
-        },
-        {p: positions(slots) for p, slots in index.ends.items() if slots},
+        {key: positions(slots) for key, slots in index.planes.items() if slots},
         {axis: positions(slots) for axis, slots in index.columns.items() if slots},
     )
+
+
+def _oracle_layout(sticks):
+    """``_canonical``'s layout of an index of ``sticks``, filed from the
+    oracle's keys: each line, each plane by the axis of its sticks, and the
+    (x, y) of each horizontal stick's ends."""
+    lines, planes, columns = defaultdict(list), defaultdict(list), defaultdict(list)
+    for i, s in enumerate(sticks):
+        ax, line, *in_planes = oracles.buckets(s)
+        lines[line].append(i)
+        for normal, c in in_planes:
+            planes[normal, c, ax].append(i)
+        if ax != 2:
+            for p in (s.a[:2], s.b[:2]):
+                columns[p].append(i)
+    return list(sticks), dict(lines), dict(planes), dict(columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_index_ends_match_far_partners(data):
+    """Over random committed edits, the index files each stick under the
+    oracle's keys, and the sticks it finds ending at each attachment's far
+    end, from the three line buckets through it, are ``oracles.far_partners``';
+    at every other end point they are the endpoint census's."""
+    index = StickIndex(data.draw(st.lists(grid_sticks(), min_size=1, max_size=12)))
+    for _ in range(data.draw(st.integers(1, 4))):
+        live = list(index.sticks)
+        picked = data.draw(st.lists(st.sampled_from(live), unique=True)) if live else []
+        replaced = {k: data.draw(grid_sticks()) for k in picked if data.draw(st.booleans())}
+        removed = [k for k in picked if k not in replaced]
+        index.stage(replaced, removed, data.draw(st.lists(grid_sticks(), max_size=3)))
+        index.commit()
+        trial = index.state()
+        assert _canonical(index) == _oracle_layout(trial)
+        position = {k: i for i, k in enumerate(index.sticks)}
+
+        def ending_at(p):
+            return sorted(position[k] for k in index.ending_at(p))
+
+        census = endpoint_census(trial)
+        assert {p: ending_at(p) for p in census} == {p: sorted(js) for p, js in census.items()}
+        for axis in {p[:2] for p in census}:
+            targets = oracle_attachments(trial, axis, (min(GRID), max(GRID)))
+            far = oracles.far_partners(trial, axis, targets)
+            assert {p: ending_at(p) for p in far} == far
 
 
 @settings(max_examples=300, deadline=None)

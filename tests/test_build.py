@@ -187,7 +187,7 @@ def assert_slide_verdict(b):
     verdict = build._slide_ok(b)
     assert all(verdict == oracles.slide_ok(b, bp) for bp in (1, beta))
     clean = _all_pairs_self_avoiding(b.sticks(1, (0, 0, 0)), interior_only=True) == []
-    (lo1, hi1), (lo2, hi2) = b.column_zrange(1), b.column_zrange(beta)
+    (lo1, hi1), (lo2, hi2) = oracles.column_zrange(b, 1), oracles.column_zrange(b, beta)
     assert clean == (verdict or min(hi1, hi2) <= max(lo1, lo2))
 
 
