@@ -22,16 +22,17 @@ distinct values, so the output coordinates are small whatever the grid.
 
 Merging works on one ``StickIndex`` of the stacked sticks and names every
 stick by its slot there: the planner, each plan's steps and run, each
-trial's staging and pairs, and the kept trial's commit all read or update
-it.  ``validate.check_self_avoiding`` only judges the contacts of the pairs
-a trial names.  Straightening finds its trial's pairs with
-``validate.scan_changed``; the final audit finds its own.
+trial, staged in place over the index, and its pairs, and the kept trial's
+commit all read or update it.  ``validate.check_self_avoiding`` only judges
+the contacts of the pairs a trial names.  Straightening finds its trial's
+pairs with ``validate.scan_changed``; the final audit finds its own.  All
+three settle pairs meeting only at one shared end, which always pass.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Collection
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 from itertools import chain, product
 
@@ -51,6 +52,7 @@ from .validate import (
     check_self_avoiding,
     endpoint_census,
     full_audit,
+    only_shared_end,
     scan_changed,
     walk_edges,
 )
@@ -196,21 +198,18 @@ def assemble(
 
 class StickIndex:
     """One build state's sticks by slot, bucketed for the merge planner and
-    for the pairs each trial's check compares, and updated by each
+    for the pairs each trial's check compares, and updated in place by each
     committed trial.
 
-    A slot names a stick for as long as the index holds it: a replaced
-    stick keeps its slot, a removed slot is never reused and an appended
-    stick takes the next unused slot.  So ``sticks``, a dict from slot to
-    stick, runs in the state's order, and slot order is position order in
-    ``state()``.  ``stage`` proposes a trial: some slots' sticks replaced,
-    some slots removed and new sticks appended.  ``commit`` makes the staged
-    trial the state; a trial never committed leaves the index as it was.
-
-    Buckets hold slots under flat keys: ``lines`` by (axis, its two fixed
-    coordinates), ``planes`` by (normal axis, coordinate, stick axis) and
-    ``columns`` the horizontal sticks by the (x, y) of each of their ends.
-    ``ending_at`` finds the sticks ending at a point in ``lines``.
+    A slot names a stick while the index holds it: a replaced stick keeps
+    its slot, a removed slot is never reused and an appended stick takes the
+    next unused one, so ``sticks``, a dict from slot to stick, runs in state
+    order.  ``stage`` lays a ``Trial`` over ``sticks``, copying nothing;
+    ``commit`` applies it in place, and a trial never committed changes
+    nothing.  Buckets hold slots under flat ``_keys``: ``lines`` by (axis,
+    its two fixed coordinates), ``planes`` by (normal axis, coordinate,
+    stick axis) and ``columns`` the horizontal sticks by the (x, y) of each
+    end.  ``ending_at`` finds the sticks ending at a point in ``lines``.
     """
 
     def __init__(self, sticks: list[Stick]):
@@ -218,31 +217,22 @@ class StickIndex:
         self.lines: dict[tuple, set[int]] = defaultdict(set)
         self.planes: dict[tuple, set[int]] = defaultdict(set)
         self.columns: dict[tuple[int, int], set[int]] = defaultdict(set)
-        # the staged trial by slot, then its replaced sticks, removed slots
-        # and appended slots
-        self.trial: dict[int, Stick] | None = None
-        self._staged: tuple[dict[int, Stick], Collection[int], range] | None = None
+        self.trial: Trial | None = None
         self._next = len(sticks)  # the next unused slot
-        for k in self.sticks:
-            self._file(k)
+        self._file(self.sticks.items())
 
-    def _file(self, k: int, bucket=set.add) -> None:
-        """File slot ``k`` under each key of its stick; with
-        ``bucket=set.discard``, take it out of them."""
-        s = self.sticks[k]
-        (ax, ay, az), (bx, by, bz) = s.a, s.b
-        if ax != bx:
-            line, plane_u, plane_w = (0, ay, az), (1, ay, 0), (2, az, 0)
-        elif ay != by:
-            line, plane_u, plane_w = (1, ax, az), (0, ax, 1), (2, az, 1)
-        else:
-            line, plane_u, plane_w = (2, ax, ay), (0, ax, 2), (1, ay, 2)
-        bucket(self.lines[line], k)
-        bucket(self.planes[plane_u], k)
-        bucket(self.planes[plane_w], k)
-        if az == bz:
-            bucket(self.columns[ax, ay], k)
-            bucket(self.columns[bx, by], k)
+    def _file(self, items, bucket=set.add) -> None:
+        """File each ``(slot, stick)`` of ``items`` under its ``_keys``;
+        with ``bucket=set.discard``, take it out of them."""
+        lines, planes, columns = self.lines, self.planes, self.columns
+        for k, s in items:
+            line, plane_u, plane_w, end_a, end_b = _keys(s)
+            bucket(lines[line], k)
+            bucket(planes[plane_u], k)
+            bucket(planes[plane_w], k)
+            if end_a:
+                bucket(columns[end_a], k)
+                bucket(columns[end_b], k)
 
     def state(self) -> list[Stick]:
         return list(self.sticks.values())
@@ -276,58 +266,110 @@ class StickIndex:
         """Stage a trial as ``trial``: the state with the sticks of
         ``replaced`` in their slots, the ``removed`` slots dropped and
         ``appended`` after the rest, in the next unused slots."""
-        trial = dict(self.sticks)
-        trial.update(replaced)
-        for k in removed:
-            del trial[k]
-        added = range(self._next, self._next + len(appended))
-        trial.update(zip(added, appended))
-        self.trial = trial
-        self._staged = (replaced, removed, added)
+        new = dict(replaced)
+        new.update(zip(range(self._next, self._next + len(appended)), appended))
+        self.trial = Trial(self.sticks, new, removed)
 
     def commit(self) -> None:
-        """Make the staged trial the indexed state."""
-        replaced, removed, added = self._staged
-        for k in (*replaced, *removed):
-            self._file(k, set.discard)
-        self.sticks = self.trial
-        for k in (*replaced, *added):
-            self._file(k)
-        self._next = added.stop
-        self.trial = self._staged = None
+        """Apply the staged trial in place.  A replaced slot moves only
+        between the keys that differ, all discards first, since a kept end's
+        column may change place: a drop or extend keeps its line and planes,
+        so only the moved end's column key changes."""
+        new, sticks = self.trial.new, self.sticks
+        self._file([(k, sticks.pop(k)) for k in self.trial.removed], set.discard)
+        buckets = (self.lines, self.planes, self.planes, self.columns, self.columns)
+        appended = []
+        for k, s in new.items():
+            if k not in sticks:
+                appended.append((k, s))
+                continue
+            moved = [
+                (bucket, was, now)
+                for bucket, was, now in zip(buckets, _keys(sticks[k]), _keys(s))
+                if was != now
+            ]
+            for bucket, was, _ in moved:
+                if was:
+                    bucket[was].discard(k)
+            for bucket, _, now in moved:
+                if now:
+                    bucket[now].add(k)
+        self._file(appended)
+        sticks.update(new)  # replaced slots keep their place, appended ones follow
+        self._next += len(appended)
+        self.trial = None
 
     def touching_pairs(self) -> list[tuple[int, int]]:
-        """The ``pairs`` a check of ``trial`` takes: every slot pair holding
-        a new stick whose sticks meet, sorted, from each new stick's line,
-        the perpendicular sticks of its two planes and the other new sticks."""
-        replaced, removed, added = self._staged
-        trial, lines, planes = self.trial, self.lines, self.planes
-        changed = [*sorted(replaced), *added]
+        """The ``pairs`` a check of ``trial`` takes, by the audit sweep's
+        contract: each slot pair holding a new stick whose sticks meet other
+        than at one point that is an end of both, sorted.  A new stick along
+        ``u`` meets the sticks of its line that overlap it, the sticks along
+        ``p`` of its plane fixing ``q`` that meet it inside one of the two,
+        and the other new sticks whose boxes meet unless ``only_shared_end``."""
+        new, removed = self.trial.new, self.trial.removed
+        sticks, lines, planes = self.sticks, self.lines, self.planes
         pairs: list[tuple[int, int]] = []
-        for n, i in enumerate(changed):
-            s = trial[i]
-            (ax, ay, az), (bx, by, bz) = s.a, s.b
-            if ax != bx:
-                line, cross_u, cross_w = (0, ay, az), (1, ay, 2), (2, az, 1)
-            elif ay != by:
-                line, cross_u, cross_w = (1, ax, az), (0, ax, 2), (2, az, 0)
-            else:
-                line, cross_u, cross_w = (2, ax, ay), (0, ax, 1), (1, ay, 0)
-            for k in chain(lines.get(line, ()), planes.get(cross_u, ()), planes.get(cross_w, ())):
-                if k not in replaced and k not in removed and _meet(s, self.sticks[k]):
-                    pairs.append((i, k) if i < k else (k, i))
-            pairs.extend((i, j) for j in changed[n + 1 :] if _meet(s, trial[j]))
+        seen: list[tuple[int, Stick, Vec3, Vec3]] = []
+        for i, s in new.items():
+            a, b = s.a, s.b
+            u, v, w = (0, 1, 2) if a[0] != b[0] else (1, 0, 2) if a[1] != b[1] else (2, 0, 1)
+            lo, hi = a[u], b[u]
+            for k in lines.get((u, a[v], a[w]), ()):
+                if k not in new and k not in removed:
+                    t = sticks[k]
+                    if t.a[u] < hi and lo < t.b[u]:
+                        pairs.append((i, k) if i < k else (k, i))
+            for p, q in ((v, w), (w, v)):
+                h = a[p]
+                for k in planes.get((q, a[q], p), ()):
+                    if k not in new and k not in removed:
+                        t = sticks[k]
+                        c, tlo, thi = t.a[u], t.a[p], t.b[p]
+                        if lo <= c <= hi and tlo <= h <= thi and (lo < c < hi or tlo < h < thi):
+                            pairs.append((i, k) if i < k else (k, i))
+            (sax, say, saz), (sbx, sby, sbz) = a, b
+            for j, t, (tax, tay, taz), (tbx, tby, tbz) in seen:
+                if (
+                    sax <= tbx and tax <= sbx and say <= tby and tay <= sby and saz <= tbz
+                    and taz <= sbz and not only_shared_end(s, t)
+                ):
+                    pairs.append((i, j) if i < j else (j, i))
+            seen.append((i, s, a, b))
         pairs.sort()
         return pairs
 
 
-def _meet(s: Stick, t: Stick) -> bool:
-    """Whether two sticks meet: whether their bounding boxes intersect."""
-    (sax, say, saz), (sbx, sby, sbz) = s.a, s.b
-    (tax, tay, taz), (tbx, tby, tbz) = t.a, t.b
-    return (
-        sax <= tbx and tax <= sbx and say <= tby and tay <= sby and saz <= tbz and taz <= sbz
-    )
+def _keys(s: Stick) -> tuple:
+    """Stick ``s``'s keys in the index's line, two plane and two column
+    buckets, a vertical stick's column keys ``None``."""
+    (ax, ay, az), (bx, by, bz) = s.a, s.b
+    if ax != bx:
+        return (0, ay, az), (1, ay, 0), (2, az, 0), (ax, ay), (bx, by)
+    if ay != by:
+        return (1, ax, az), (0, ax, 1), (2, az, 1), (ax, ay), (bx, by)
+    return (2, ax, ay), (0, ax, 2), (1, ay, 2), None, None
+
+
+class Trial(Mapping):
+    """A trial laid over an index's ``sticks``, which it leaves as they are:
+    ``new`` maps each replaced and appended slot to its stick, ``removed``
+    holds the dropped slots.  As a mapping it is the trial state by slot, in
+    state order."""
+
+    def __init__(self, sticks: dict[int, Stick], new: dict[int, Stick], removed: Collection[int]):
+        self.sticks, self.new, self.removed = sticks, new, removed
+
+    def __getitem__(self, k: int) -> Stick:
+        if k in self.removed:
+            raise KeyError(k)
+        return self.new[k] if k in self.new else self.sticks[k]
+
+    def __iter__(self):
+        yield from (k for k in self.sticks if k not in self.removed)
+        yield from (k for k in self.new if k not in self.sticks)
+
+    def __len__(self) -> int:
+        return len(self.sticks) - len(self.removed) + sum(k not in self.sticks for k in self.new)
 
 
 @dataclass(frozen=True)
@@ -449,13 +491,14 @@ def _apply_vertex_plan(index: StickIndex, plan: VertexPlan) -> bool:
                 return False
             replaced[step.index] = stick(break_pt, moved_far, s.comp)
             replaced[step.partner] = stick(keep, moved_far, partner.comp)
-        appended.append(stick(arm_end, break_pt, s.comp))
+        appended.append(Stick(arm_end, break_pt, s.comp))  # targets sit above the pivot
         appended.append(stick((ax, ay, plan.pivot_level), arm_end, s.comp))
 
     column = [(k, index.sticks[k]) for k in index.lines.get((2, ax, ay), ())]
     run = {k for k, s in column if s.a[2] >= plan.column_base and s.b[2] <= plan.old_top}
-    appended.append(stick((ax, ay, plan.column_base), (ax, ay, plan.pivot_level)))
-    appended.append(stick((ax, ay, plan.pivot_level), (ax, ay, plan.new_top)))
+    # attachment levels ascend: the column base, the pivot, then the new top
+    appended.append(Stick((ax, ay, plan.column_base), (ax, ay, plan.pivot_level)))
+    appended.append(Stick((ax, ay, plan.pivot_level), (ax, ay, plan.new_top)))
     index.stage(replaced, run, appended)
     return True
 

@@ -31,7 +31,7 @@ from latticestick.errors import (
     NoFreeDirection,
 )
 from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
-from latticestick.geom import Stick, stick
+from latticestick.geom import Stick, contact, stick
 from latticestick.graph import (
     ComponentClass,
     ComponentSpec,
@@ -62,7 +62,16 @@ from test_properties import (
     knot_specs,
     wider_branch_trees,
 )
-from test_validate import GRID, _all_pairs_self_avoiding, assert_audit_matches_oracle, grid_sticks
+from test_validate import (
+    GRID,
+    _all_pairs_self_avoiding,
+    _faultable_pairs,
+    assert_audit_matches_oracle,
+    grid_sticks,
+    xs,
+    ys,
+    zs,
+)
 
 
 def connectors(asm):
@@ -1652,10 +1661,13 @@ def test_index_ends_match_far_partners(data):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_index_check_matches_bucketed_and_all_pairs(data):
-    """Over random edits that replace, remove and append sticks, the check
-    through the index finds what the bucketed check and the all-pairs
-    oracle find.  A committed edit leaves the index equal to a fresh index
-    of the trial; an edit never committed leaves it as it was."""
+    """Over random edits that replace, remove and append sticks, the index
+    names, read through the trial's state-order view, the pairs the scan
+    and the all-pairs contract name, and its check finds what the bucketed
+    check and the all-pairs oracle find; the census-mode oracle on the
+    bucketed pairs finds the same less what only a shared end judges.  A
+    committed edit leaves the index equal to a fresh index of the trial; an
+    edit never committed leaves it as it was."""
     index = StickIndex(data.draw(st.lists(grid_sticks(), min_size=1, max_size=12)))
     used = set(index.sticks)  # every slot the state has held
     for _ in range(data.draw(st.integers(1, 4))):
@@ -1688,13 +1700,21 @@ def test_index_check_matches_bucketed_and_all_pairs(data):
             st.lists(st.sampled_from(points), max_size=2, unique=True) if points else st.just([])
         )
         markers = {f"m{n}": p for n, p in enumerate(marked)}
+        # the index and the scan name the pairs that meet other than at one
+        # shared end, which the oracle's bucketed pairs keep
         index_pairs, scanned = index.touching_pairs(), scan_changed(trial, changed)
+        position = {k: i for i, k in enumerate(slots)}
+        assert [(position[i], position[j]) for i, j in index_pairs] == scanned
+        assert scanned == _faultable_pairs(trial, set(changed))
+        kept = oracles.touching_pairs(trial, set(changed))
         indexed = check_self_avoiding(index.trial, index_pairs)
-        assert indexed == check_self_avoiding(trial, scanned)
+        assert indexed == check_self_avoiding(trial, kept)
         assert indexed == _all_pairs_self_avoiding(trial, interior_only=True, changed=set(changed))
-        judged = oracles.check_self_avoiding(index.trial, markers, ends, index_pairs)
-        assert judged == oracles.check_self_avoiding(trial, markers, ends, scanned)
+        judged = oracles.check_self_avoiding(trial, markers, ends, kept)
         assert judged == _all_pairs_self_avoiding(trial, markers, ends is None, set(changed))
+        assert oracles.check_self_avoiding(index.trial, markers, ends, index_pairs) == [
+            v for v in judged if v[0] != "endpoint_junction_unmarked"
+        ]
         assert _canonical(index) == before
         if data.draw(st.booleans()):
             index.commit()
@@ -1707,6 +1727,121 @@ def test_index_check_matches_bucketed_and_all_pairs(data):
                 assert [
                     (z, position[k], d) for z, k, d in index.attachments(axis, zrange)
                 ] == oracle_attachments(trial, axis, zrange)
+
+
+# Trials whose contacts drawn edits can miss, as (base, replaced, removed,
+# appended, the slot pairs the trial's check is given): a shared end of
+# collinear sticks meeting end to start, or of perpendicular sticks, is
+# settled; collinear sticks sharing a start or an end overlap and an end
+# inside another stick is a T-contact, so they are named, for kept and new
+# sticks alike.
+INDEX_CASES = {
+    "collinear end to start": ([xs(0, 0, 0, 2)], {}, [], [xs(0, 0, 2, 5)], []),
+    "collinear start to end": ([xs(0, 0, 2, 5)], {}, [], [xs(0, 0, 0, 2)], []),
+    "collinear equal starts": ([xs(0, 0, 0, 2)], {}, [], [xs(0, 0, 0, 3)], [(0, 1)]),
+    "collinear equal ends": ([xs(0, 0, 1, 3)], {}, [], [xs(0, 0, 0, 3)], [(0, 1)]),
+    "perpendicular shared end": ([xs(0, 0, 0, 2)], {}, [], [ys(2, 0, 0, 3), zs(2, 0, 0, 4)], []),
+    "perpendicular shared start": ([xs(0, 0, 0, 2)], {}, [], [ys(0, 0, 0, 3)], []),
+    "T-contact inside the kept stick": ([xs(0, 0, 0, 4)], {}, [], [ys(2, 0, 0, 3)], [(0, 1)]),
+    "T-contact inside the new stick": ([ys(2, 0, 0, 3)], {}, [], [xs(0, 0, 0, 4)], [(0, 1)]),
+    "new sticks sharing an end": ([zs(6, 6, 0, 1)], {}, [], [xs(0, 0, 0, 2), ys(2, 0, 0, 3)], []),
+    "new sticks overlapping": (
+        [zs(6, 6, 0, 1)], {}, [], [xs(0, 0, 0, 2), xs(0, 0, 1, 3)], [(1, 2)]
+    ),
+    "replaced into a T-contact": (
+        [xs(0, 0, 0, 2), ys(2, 0, 0, 3)], {0: xs(0, 0, 0, 4)}, [], [], [(0, 1)]
+    ),
+    "removed stick unpaired": ([xs(0, 0, 0, 4), zs(1, 0, 0, 3)], {}, [0], [ys(1, 0, 0, 2)], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INDEX_CASES))
+def test_index_names_contacts_beyond_a_shared_end(case):
+    """The index names each contact of a trial but a shared end, as the box
+    scan of the same trial and the all-pairs contract do, and the check
+    reports each named contact."""
+    base, replaced, removed, appended, named = INDEX_CASES[case]
+    index = StickIndex(base)
+    index.stage(replaced, removed, appended)
+    assert index.touching_pairs() == named
+    position = {k: i for i, k in enumerate(index.trial)}
+    trial, changed = list(index.trial.values()), {position[k] for k in index.trial.new}
+    assert scan_changed(trial, changed) == [(position[i], position[j]) for i, j in named]
+    assert scan_changed(trial, changed) == _faultable_pairs(trial, changed)
+    contacts = [contact(index.trial[i], index.trial[j]) for i, j in named]
+    assert check_self_avoiding(index.trial, named) == contacts
+
+
+def _merge_stage_spies(monkeypatch):
+    """Spies on the merge stage: the number of pairs each trial's check is
+    given, and each ``contact`` call made while ``apply_merges`` runs."""
+    named, contacts, merging = [], [], []
+    pairs, judge, merge = StickIndex.touching_pairs, validate.contact, assembly.apply_merges
+
+    def counted_pairs(index):
+        found = pairs(index)
+        named.append(len(found))
+        return found
+
+    def counted_contact(s, t):
+        if merging:
+            contacts.append((s, t))
+        return judge(s, t)
+
+    def watched(cens, asm):
+        merging.append(True)
+        try:
+            return merge(cens, asm)
+        finally:
+            merging.clear()
+
+    monkeypatch.setattr(StickIndex, "touching_pairs", counted_pairs)
+    monkeypatch.setattr(validate, "contact", counted_contact)
+    monkeypatch.setattr(assembly, "apply_merges", watched)
+    return named, contacts
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_chain_merge_trials_name_no_pair(monkeypatch, n):
+    """A theta chain's merge trials meet the state only at shared ends, so
+    their checks are given no pair and the merge stage calls no
+    ``contact``; random 6-theta chains do the same."""
+    named, contacts = _merge_stage_spies(monkeypatch)
+    workloads = _bench_workloads()
+    for doc in [workloads.chain_input(n), workloads.chain_input(6, random.Random(n))]:
+        trials = len(named)
+        build_full(spec_from_document(doc))
+        assert len(named) > trials
+    assert not any(named) and contacts == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_staging_copies_nothing(data):
+    """Staging a drawn edit writes nothing to the index: its slot dict and
+    every bucket stay as they were and the trial reads each kept stick
+    through them.  A trial never committed leaves the index's canonical
+    form as it was; a committed one leaves the index equal to a fresh index
+    of its state."""
+    index = StickIndex(data.draw(st.lists(grid_sticks(), min_size=1, max_size=12)))
+    for _ in range(data.draw(st.integers(1, 4))):
+        live = list(index.sticks)
+        picked = data.draw(st.lists(st.sampled_from(live), unique=True)) if live else []
+        replaced = {k: data.draw(grid_sticks()) for k in picked if data.draw(st.booleans())}
+        removed = [k for k in picked if k not in replaced]
+        sticks, before = index.sticks, _canonical(index)
+        held = dict(sticks), copy.deepcopy((index.lines, index.planes, index.columns))
+        index.stage(replaced, removed, data.draw(st.lists(grid_sticks(), max_size=3)))
+        index.touching_pairs()
+        assert index.sticks is sticks and index.sticks == held[0]
+        assert all(index.sticks[k] is s for k, s in held[0].items())
+        assert (index.lines, index.planes, index.columns) == held[1]
+        kept = [k for k in index.trial if k not in index.trial.new]
+        assert all(index.trial[k] is sticks[k] for k in kept)
+        assert _canonical(index) == before
+        if data.draw(st.booleans()):
+            index.commit()
+            assert _canonical(index) == _canonical(StickIndex(index.state()))
 
 
 def _index_states(sticks, plans):

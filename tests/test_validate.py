@@ -145,6 +145,20 @@ def _all_pairs_self_avoiding(sticks, markers=None, interior_only=False, changed=
     return violations
 
 
+def _faultable_pairs(sticks, changed=None):
+    """The reference pair contract: every pair ``i < j`` whose ``contact`` is
+    neither ``None`` nor ``("endpoint", p)``; with ``changed``, every such
+    pair that holds a changed stick."""
+    return [
+        (i, j)
+        for i in range(len(sticks))
+        for j in range(i + 1, len(sticks))
+        if (changed is None or i in changed or j in changed)
+        and (c := contact(sticks[i], sticks[j])) is not None
+        and c[0] != "endpoint"
+    ]
+
+
 # A small uneven grid makes overlaps, T-contacts, crossings and shared ends
 # common among a handful of sticks.
 GRID = [0, 1, 2, 3, 4, 6]
@@ -194,10 +208,9 @@ def test_matches_all_pairs_oracle(case):
 def test_pairs_match_all_pairs_contacts(case, data):
     """The pair lists themselves, not only their violations: the sweep's
     are the pairs whose sticks meet other than at one shared end point,
-    the scan of ``changed`` gives every meeting pair holding a changed
-    stick, clean shared ends included, as the oracle sweep gives every
-    meeting pair; and each stick's filed axis and record are the ones
-    ``Stick.axis`` gives."""
+    the scan of ``changed`` gives those holding a changed stick, as the
+    oracle sweep gives every meeting pair; and each stick's filed axis and
+    record are the ones ``Stick.axis`` gives."""
     sticks, _, _ = case
     meeting = [
         (i, j)
@@ -205,12 +218,11 @@ def test_pairs_match_all_pairs_contacts(case, data):
         for j in range(i + 1, len(sticks))
         if contact(sticks[i], sticks[j]) is not None
     ]
-    assert touching_pairs(sticks) == [
-        (i, j) for i, j in meeting if contact(sticks[i], sticks[j])[0] != "endpoint"
-    ]
+    faultable = [(i, j) for i, j in meeting if contact(sticks[i], sticks[j])[0] != "endpoint"]
+    assert touching_pairs(sticks) == faultable
     changed = data.draw(st.sets(st.integers(0, len(sticks) - 1)))
     assert scan_changed(sticks, changed) == [
-        (i, j) for i, j in meeting if i in changed or j in changed
+        (i, j) for i, j in faultable if i in changed or j in changed
     ]
     keys = [oracle_buckets(s) for s in sticks]
     axes, ends, records, faults = file_sticks(sticks)
@@ -327,12 +339,15 @@ def test_zero_length_stick_named():
 @given(case=stick_sets(), data=st.data())
 def test_scan_matches_oracle(case, data):
     """A trial's box scan gives the bucketed oracle's pairs of its changed
-    sticks; the census-taking scan oracle gives them too, with the oracle
-    census at their end points."""
+    sticks that meet other than at one shared end point; the census-taking
+    scan oracle gives all of the oracle's pairs, with the oracle census at
+    their end points."""
     sticks, _, _ = case
     changed = data.draw(st.sets(st.integers(0, len(sticks) - 1)))
     pairs = oracles.touching_pairs(sticks, changed)
-    assert scan_changed(sticks, changed) == pairs
+    assert scan_changed(sticks, changed) == [
+        (i, j) for i, j in pairs if contact(sticks[i], sticks[j])[0] != "endpoint"
+    ]
     assert oracles.scan_changed(sticks, changed) == (
         pairs,
         oracles.endpoint_census_at(sticks, changed),
@@ -476,7 +491,8 @@ def test_restricted_check_matches_oracle(case):
     """Restricted to the changed sticks, the check returns the oracle's
     contacts among the pairs holding one; as the base was clean, it finds
     some exactly when the full oracle does.  The census-mode oracle check
-    does the same with shared ends judged."""
+    does the same with shared ends judged, on the scan oracle's pairs,
+    which keep the shared ends that the scan settles."""
     sticks, markers, interior_only, changed = case
     pairs = scan_changed(sticks, changed)
     restricted = check_self_avoiding(sticks, pairs)
@@ -484,7 +500,8 @@ def test_restricted_check_matches_oracle(case):
     full = _all_pairs_self_avoiding(sticks, interior_only=True)
     assert (restricted == []) == (full == [])
     ends = None if interior_only else endpoint_census(sticks)
-    judged = oracles.check_self_avoiding(sticks, markers, ends, pairs)
+    kept_ends = oracles.scan_changed(sticks, changed)[0]
+    judged = oracles.check_self_avoiding(sticks, markers, ends, kept_ends)
     assert judged == _all_pairs_self_avoiding(sticks, markers, interior_only, changed)
     full = _all_pairs_self_avoiding(sticks, markers, interior_only)
     assert (judged == []) == (full == [])
@@ -511,8 +528,10 @@ def test_restricted_check_needs_no_census(case):
 
 def test_pipeline_checks_match_oracle(monkeypatch):
     """Every self-avoidance decision of a build agrees with the full oracle,
-    trial checks on the pairs of their changed sticks included; only the
-    audit checks every pair."""
+    trial checks on the pairs of their changed sticks included, and every
+    check is given exactly the pairs, in order, of the sticks it compares
+    that meet other than at one shared end point; only the audit checks
+    every pair."""
     original = validate.check_self_avoiding
     index_pairs = assembly.StickIndex.touching_pairs
     found = {}  # what the last trial's pairs were found for
@@ -530,15 +549,20 @@ def test_pipeline_checks_match_oracle(monkeypatch):
         result = original(sticks, pairs)
         changed = None  # the audit's check, on every pair that meets
         if "index" in found:
-            # a merge trial: its new sticks are those no slot of the state holds
+            # a merge trial, read through its state-order view: its new
+            # sticks are those no slot of the state holds
             index = found.pop("index")
             assert sticks is index.trial
+            position = {k: i for i, k in enumerate(index.trial)}
             staged = enumerate(index.trial.items())
             changed = {i for i, (k, s) in staged if index.sticks.get(k) is not s}
             sticks = list(index.trial.values())
+            pairs = [(position[i], position[j]) for i, j in pairs]
         elif "changed" in found:
             listed, changed = found.pop("changed")
             assert listed is sticks
+        faultable = _faultable_pairs(sticks, changed)
+        assert (touching_pairs(sticks) if pairs is None else pairs) == faultable
         assert result == _all_pairs_self_avoiding(sticks, interior_only=True, changed=changed)
         full = _all_pairs_self_avoiding(sticks, interior_only=True)
         assert (result == []) == (full == [])
