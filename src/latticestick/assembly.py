@@ -24,17 +24,19 @@ Merging works on one ``StickIndex`` of the stacked sticks and names every
 stick by its slot there: the planner, each plan's steps and run, each
 trial, staged in place over the index, and its pairs, and the kept trial's
 commit all read or update it.  ``validate.check_self_avoiding`` only judges
-the contacts of the pairs a trial names.  Straightening finds its trial's
-pairs with ``validate.scan_changed``; the final audit finds its own.  All
-three settle pairs meeting only at one shared end, which always pass.
+the contacts of the pairs a trial names; the index and the final audit
+both settle pairs meeting only at one shared end, which always pass.
+Straightening needs no trial: a lemma shows that its moves make no contact.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
-from itertools import chain, product
+from functools import cache
+from itertools import accumulate, chain, product
 
 from .build import ComponentBuild, build_component
 from .errors import (
@@ -53,7 +55,6 @@ from .validate import (
     endpoint_census,
     full_audit,
     only_shared_end,
-    scan_changed,
     walk_edges,
 )
 
@@ -432,12 +433,18 @@ def _vertex_plans(index: StickIndex, vertex, axis, zrange, degree, unit):
         raise MergeCollision(f"vertex {vertex}: found {len(att)} attachments, expected {degree}")
     pivot_level, _, pivot_dir = att[1]
     *earlier, last = (_candidate_moves(index, axis, a, False) for a in att[2:-1])
-    # the last slot also holds the swap: keep that stick, merge the top one
-    last += _candidate_moves(index, axis, att[-1], True)
+    top: list[tuple] = []  # the top stick's options, found once the search reaches them
+
+    def finals():  # the last slot also holds the swap: keep that stick, merge the top one
+        yield from last
+        if not top:
+            top.extend(_candidate_moves(index, axis, att[-1], True))
+        yield from top
+
     # degree - 2 directions meet at the pivot; it divides ``unit`` (a multiple of 12)
     n = degree - 2
     produced = False
-    for chosen in product(*earlier, last):
+    for chosen in ((*prefix, final) for prefix in product(*earlier) for final in finals()):
         # the pivot's and the merged sticks' directions must all differ
         if len({pivot_dir, *(c[1] for c in chosen)}) < n:
             continue
@@ -545,86 +552,109 @@ def straighten_arcs(
     builds: dict[str, ComponentBuild],
     asm: Assembly,
 ) -> Assembly:
-    """Replace each single-arc component's elbow by one vertical stick,
-    sliding its branch subtree sideways over the stem's cut-vertex column.
+    """Replace each single-arc link's elbow by one vertical stick on its
+    stem's cut-vertex column, sliding the link's branch subtree over it.
 
-    One pass over the sticks per link sorts each stick into one group: the
-    elbow (the link's sticks at its page level, one ending on the near
-    column and one on the far, either way round; a merge that rerouted one
-    leaves the link as it is); the far-axis run from the elbow to the
-    bottom of the branch's z-slab (the connector, or the fused run a merge
-    rebuilt); the sticks inside the slab, moved onto the near column;
-    straddlers, with one end in the slab; and the rest, which stay.  The
-    elbow and the run give way to one vertical stick on the near axis.  Only
-    it and the unmoved sticks spanning the slab are checked, by
-    ``scan_changed``, whose precondition holds: the branch moves rigidly in
-    x and y, and every other unmoved stick has both ends outside the slab.
-    The near and far axes are read from the two vertices' markers, the
-    slabs from ``asm.slab``, and the markers inside the branch's slab move
-    with it.  Components realising more than one arc stay untouched (they
-    may be knotted); every skip is reported.
+    A link stays, noted in tree order, if it has more than one arc (it may
+    be knotted), if its one branch does not hang at its far vertex, if a
+    merge rerouted a stick of its elbow (its sticks at its page level ending
+    on the near and far columns, found by ``comp`` tag), or if its far-axis
+    run (the connector, or the fused run a merge rebuilt, from the elbow to
+    the branch's slab, found by column) is gone.  Each other link shifts its
+    branch's slab by near minus far.  Slabs nest or are disjoint, so a
+    prefix sum over their sorted ends gives each height's shift, and every
+    kept stick and marker moves once by it; the new sticks follow in tree
+    order.  A kept stick with one end in a slab is a fault, and raises.
+
+    Lemma, in place of a trial: the moves make no contact.  Each subtree
+    reaches at most 1/8 of its stem's unit from the column it hangs over, so
+    the branch lies within a quarter of a stem unit of the near column
+    before and after the move, which is rigid inside the slab.  A stick
+    crossing the heights from the link's page level to its branch's top is
+    a connector, fused run or merge offset of a vertex held below and above
+    them, so at some stem of the link (its own or an enclosing one) it lies
+    on another column than the one the link's side hangs over: no holder of
+    the near vertex lies above the link, as siblings never share a cut
+    vertex and the branch hangs at the far vertex.  Columns are a whole
+    stem unit apart and offsets at most the finest holder's unit, at most
+    1/8 of the stem's, so each such stick is at least 7/8 of a stem unit
+    away, beyond the branch's reach.  The new stick meets others only at its
+    ends, where the elbow and the run it replaces ended: the top end of the
+    near vertex's run, and the moved branch where the run's top was, so
+    every point keeps its count of ends.
     """
+    notes: dict[str, str] = {}
+    links = {}  # in tree order: v_near, z_arc, the branch's slab, near and far (x, y)
+    by_far = defaultdict(list)  # the links on each far column
     for comp_id in tree.order:
         b = builds[comp_id]
         if b.cls is not ComponentClass.ARC:
             continue
         if b.pres.alpha != 1:
-            asm.warnings.append(
-                f"{comp_id}: arc component with {b.pres.alpha} arcs left unstraightened"
-            )
+            alpha = b.pres.alpha
+            notes[comp_id] = f"{comp_id}: arc component with {alpha} arcs left unstraightened"
             continue
         v_near = tree.parent[comp_id][1]  # trees are rooted at non-arc components
         v_far = next(iter(set(b.pres.labels.values()) - {v_near}))
         children = tree.children(comp_id)
         if len(children) != 1 or children[0][1] != v_far:
-            asm.warnings.append(f"{comp_id}: unexpected branch layout, not straightened")
+            notes[comp_id] = f"{comp_id}: unexpected branch layout, not straightened"
             continue
-        z_lo, z_hi = asm.slab[children[0][0]]
-        z_arc = asm.slab[comp_id][0]
+        z_arc, (z_lo, z_hi) = asm.slab[comp_id][0], asm.slab[children[0][0]]
+        far = asm.markers[v_far][:2]
+        links[comp_id] = (v_near, z_arc, z_lo, z_hi, asm.markers[v_near][:2], far)
+        by_far[far].append((comp_id, z_arc, z_lo))
+    parts = {c: ([], [], []) for c in links}  # positions: elbow sticks ending near, far; the run
+    for i, s in enumerate(asm.sticks):
+        (ax, ay, az), (bx, by, bz) = s.a, s.b
+        if az == bz and s.comp in links:
+            _, z_arc, _, _, near, far = links[s.comp]
+            ends = ((ax, ay), (bx, by))
+            if az == z_arc and (near in ends or far in ends):
+                parts[s.comp][far in ends].append(i)
+        elif (ax, ay) == (bx, by):
+            for c, z_arc, z_lo in by_far.get((ax, ay), ()):
+                if z_arc <= az < z_lo:
+                    parts[c][2].append(i)
+    for c, (near, far, run) in parts.items():
+        if (len(near), len(far)) != (1, 1):
+            notes[c] = f"{c}: rerouted by merging, not straightened"
+        elif not run:
+            notes[c] = f"{c}: no branch run found, not straightened"
+    asm.warnings += [notes[c] for c in tree.order if c in notes]
+    straightened = {c: link for c, link in links.items() if c not in notes}
+    if not straightened:
+        return asm
+
+    # a shift starts at its slab's bottom, (z, 0), and stops past its top, (z, 1)
+    events = sorted(
+        (z, top, sign * (nx - fx), sign * (ny - fy))
+        for _, _, z_lo, z_hi, (nx, ny), (fx, fy) in straightened.values()
+        for z, top, sign in ((z_lo, 0, 1), (z_hi, 1, -1))
+    )
+    keys = [e[:2] for e in events]
+    sums = list(accumulate(events, lambda p, e: (p[0] + e[2], p[1] + e[3]), initial=(0, 0)))
+    shift = cache(lambda z: sums[bisect_left(keys, (z, 1))])  # bottoms at or below z, tops below
+    removed = {i for c in straightened for i in chain(*parts[c])}
+    moved = []
+    for i, s in enumerate(asm.sticks):
+        if i in removed:
+            continue
+        (ax, ay, az), (bx, by, bz) = s.a, s.b
+        dx, dy = shift(az)
+        if shift(bz) != (dx, dy):  # one end in a slab, which only a fault makes
+            slabs = ((c, lo, hi) for c, (_, _, lo, hi, _, _) in straightened.items())
+            torn = next(c for c, lo, hi in slabs if az < lo <= bz or az <= hi < bz)
+            raise AssemblyCollision(f"straightening {torn} would tear {s} at its slab")
+        if dx or dy:
+            s = Stick((ax + dx, ay + dy, az), (bx + dx, by + dy, bz), s.comp)
+        moved.append(s)
+    asm.markers = {k: (x + shift(z)[0], y + shift(z)[1], z) for k, (x, y, z) in asm.markers.items()}
+    for c, (v_near, z_arc, *_) in straightened.items():
         nx, ny, _ = asm.markers[v_near]
-        fx, fy, _ = asm.markers[v_far]
-        dx, dy = nx - fx, ny - fy
-        near, far = (nx, ny, z_arc), (fx, fy, z_arc)
-
-        elbow = [0, 0]  # link sticks at z_arc ending at near, and at far
-        run_top = None
-        straddles = False
-        moved: list[Stick] = []
-        changed: set[int] = set()
-        for s in asm.sticks:
-            (ax, ay, az), (bx, by, bz) = s.a, s.b
-            if s.comp == comp_id and az == bz and (s.has_end(near) or s.has_end(far)):
-                elbow[s.has_end(far)] += 1
-            elif z_arc <= az < z_lo and (ax, ay) == (bx, by) == (fx, fy):
-                run_top = bz if run_top is None else max(run_top, bz)
-            elif z_lo <= az and bz <= z_hi:
-                moved.append(Stick((ax + dx, ay + dy, az), (bx + dx, by + dy, bz), s.comp))
-            elif z_lo <= az <= z_hi or z_lo <= bz <= z_hi:
-                straddles = True
-            else:
-                if az < z_lo and bz > z_hi:
-                    changed.add(len(moved))
-                moved.append(s)
-        if elbow != [1, 1]:
-            asm.warnings.append(f"{comp_id}: rerouted by merging, not straightened")
-            continue
-        if run_top is None:
-            asm.warnings.append(f"{comp_id}: no branch run found, not straightened")
-            continue
-        if straddles:
-            asm.warnings.append(f"{comp_id}: branch subtree not separable, not straightened")
-            continue
-        changed.add(len(moved))
-        moved.append(stick(near, (nx, ny, run_top), comp_id))
-        if check_self_avoiding(moved, scan_changed(moved, changed)):
-            asm.warnings.append(f"{comp_id}: straightening collides, skipped")
-            continue
-
-        asm.sticks = moved
-        asm.markers = {
-            label: ((p[0] + dx, p[1] + dy, p[2]) if z_lo <= p[2] <= z_hi else p)
-            for label, p in asm.markers.items()
-        }
+        top = max(asm.sticks[i].b[2] for i in parts[c][2])
+        moved.append(Stick((nx, ny, z_arc), (nx, ny, top), c))
+    asm.sticks = moved
     return asm
 
 

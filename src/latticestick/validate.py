@@ -18,18 +18,16 @@ whose only contact is one shared end point, which the contact check always
 passes, so it names only pairs that check can fault.  Filing also
 certifies the stick contract, naming each stick that breaks it: ``Stick``
 checks nothing, so sticks made in memory can, though no document can
-carry one.  A build's trial checks only the pairs it names, settled by
-the same rule, ``only_shared_end``; a straightening trial finds them in
-one box scan, ``scan_changed``.  That
-decides the trial as the full check does when every other pair is as it
-was in a state that passed it.
+carry one.  A merge trial checks only the pairs it names, settled by the
+same rule, ``only_shared_end``.  That decides the trial as the full check
+does when every other pair is as it was in a state that passed it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from collections.abc import Collection, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -159,40 +157,13 @@ def _sweep(records) -> list[tuple[int, int]]:
     return pairs
 
 
-def scan_changed(sticks: Sequence[Stick], changed: Collection[int]) -> list[tuple[int, int]]:
-    """The sorted position pairs ``(i, j)``, ``i < j``, holding a ``changed``
-    stick whose sticks meet other than at one point that is an end of both,
-    found by comparing every stick's bounding box with each changed one's
-    and settling shared ends by ``only_shared_end``.
-
-    A straightening trial takes no census at the changed sticks' ends: every
-    stick it moves has both ends inside the branch's slab and every stick it
-    keeps has both ends outside, so the move makes no end point newly
-    shared, and the new vertical stick takes over the ends of the elbow and
-    the run it replaces one for one.  Each point keeps its count of ends.
-    """
-    boxes = [(i, sticks[i], *sticks[i].a, *sticks[i].b) for i in sorted(changed)]
-    pairs: list[tuple[int, int]] = []
-    for j, t in enumerate(sticks):
-        (tax, tay, taz), (tbx, tby, tbz) = t.a, t.b
-        for i, s, sax, say, saz, sbx, sby, sbz in boxes:
-            if (
-                sax <= tbx and tax <= sbx and say <= tby and tay <= sby and saz <= tbz
-                and taz <= sbz and i != j and (i < j or j not in changed)
-                and not only_shared_end(s, t)
-            ):
-                pairs.append((i, j) if i < j else (j, i))
-    pairs.sort()
-    return pairs
-
-
 def only_shared_end(s: Stick, t: Stick) -> bool:
     """Whether contract sticks ``s`` and ``t``, whose boxes meet, meet only
     at one point that is an end of both, where ``contact`` gives
-    ``"endpoint"``: the pairs that the sweep, the box scan and a merge
-    trial settle.  Sticks meeting end to start meet only there; sticks
-    sharing a start or an end meet beyond it only when collinear, and then
-    their other ends differ in at most one coordinate."""
+    ``"endpoint"``: the pairs that the sweep and a merge trial settle.
+    Sticks meeting end to start meet only there; sticks sharing a start or
+    an end meet beyond it only when collinear, and then their other ends
+    differ in at most one coordinate."""
     sa, sb, ta, tb = s.a, s.b, t.a, t.b
     if sb == ta or sa == tb:
         return True

@@ -20,8 +20,9 @@ replaced it, the document readers that check every key list, integer and
 stick through generic helpers where ``io`` makes one test per object, the
 frozen-dataclass stick that the slotted ``geom.Stick`` replaced, the
 bucketed pair finder with its ``changed`` mode and the census at changed
-ends where a straightening trial makes one box scan, the run count through
-``collinear``'s two key lookups where the audit compares axes, the document
+ends where straightening, proven safe by a lemma, makes no trial, the run
+count through ``collinear``'s two key lookups where the audit compares
+axes, the document
 writer that takes ``embedding_to_document``'s dict where ``io`` writes
 straight from the embedding, and the judges that reported some faults twice,
 with the audit made of them: the contact check with its marker and census
@@ -975,10 +976,11 @@ def check_self_avoiding(
 def scan_changed(
     sticks: Sequence[Stick], changed: Collection[int]
 ) -> tuple[list[tuple[int, int]], dict[Vec3, list[int]]]:
-    """``validate.scan_changed`` with its census: a trial's ``(pairs,
-    ends)``, the pairs from the box scan and the ``endpoint_census`` at the
-    changed sticks' end points, the only points where such a pair can share
-    an end."""
+    """The box scan a straightening trial made before its lemma replaced
+    it, with its census: a trial's ``(pairs, ends)``, the pairs whose boxes
+    meet a changed stick's and the ``endpoint_census`` at the changed
+    sticks' end points, the only points where such a pair can share an
+    end."""
     boxes = [(i, *sticks[i].a, *sticks[i].b) for i in sorted(changed)]
     ends: dict[Vec3, list[int]] = {p: [] for i in changed for p in sticks[i].ends()}
     pairs: list[tuple[int, int]] = []

@@ -29,6 +29,7 @@ from latticestick.errors import (
     LatticeStickError,
     MergeCollision,
     NoFreeDirection,
+    ReconstructionMismatch,
 )
 from latticestick.fixtures import CHAIN, DEMOS, LOOP_TREFOIL, SPLIT_PAIR
 from latticestick.geom import Stick, contact, stick
@@ -48,7 +49,6 @@ from latticestick.validate import (
     endpoint_census,
     file_sticks,
     full_audit,
-    scan_changed,
     walk_edges,
 )
 import oracles
@@ -1183,9 +1183,10 @@ class TestBuildFull:
         assert made == []
 
     def test_self_avoidance_checked_where_it_decides(self, monkeypatch):
-        """Merge and straightening trials and the audit check self-avoidance;
-        slides, decided from the column axes, stacking and the finished
-        component builds do not."""
+        """Merge trials and the audit check self-avoidance; slides, decided
+        from the column axes, straightening, decided by the lemma of
+        ``straighten_arcs``, stacking and the finished component builds do
+        not."""
         deciders = {
             "side_slide", "build_component", "assemble", "apply_merges",
             "straighten_arcs", "full_audit",
@@ -1204,7 +1205,7 @@ class TestBuildFull:
             monkeypatch.setattr(module, "check_self_avoiding", counted)
         expected = {
             "trefoil": (DEMOS["trefoil"], 1),
-            "chain": (CHAIN, 4),
+            "chain": (CHAIN, 3),
             "split": (SPLIT_PAIR, 1),
         }
         for name, (doc, total) in expected.items():
@@ -1213,6 +1214,7 @@ class TestBuildFull:
             assert sum(calls.values()) == total, (name, calls)
             assert calls["full_audit"] == 1, name
             assert calls["assemble"] == calls["side_slide"] == calls["build_component"] == 0, name
+            assert calls["straighten_arcs"] == 0, name
 
 
 def _crossing(s):
@@ -1343,10 +1345,13 @@ def test_merge_trial_fault_rejected(monkeypatch, doc):
 
 
 @pytest.mark.parametrize("aim", ["moved", "new"])
-def test_straighten_trial_fault_rejected(aim):
+def test_straighten_trial_fault_rejected(monkeypatch, aim):
     """A stick clear of everything before the move that meets a moved stick
     after it (an unmoved stick crossing the branch's slab), or that meets the
-    new vertical stick, makes the trial skipped."""
+    new vertical stick, is kept by straightening, which makes no trial: the
+    full check of the straightened sticks finds the contact, and a build
+    handed the stick after merging is never certified.  The stick is on no
+    edge, so the edge trace rejects it before the audit would."""
     spec, cens, tree, builds, asm = stages(CHAIN)
     asm = apply_merges(cens, asm)
     before = list(asm.sticks)
@@ -1367,13 +1372,25 @@ def test_straighten_trial_fault_rejected(aim):
     fault = next(f for f in faults() if not _violations(before + [f], asm.markers))
     asm.sticks = before + [fault]
     out = straighten_arcs(spec, tree, builds, asm)
-    assert out.sticks == before + [fault]
-    assert out.warnings[-1] == "mid: straightening collides, skipped"
+    assert fault in out.sticks and out.warnings == straight.warnings
+    assert check_self_avoiding(out.sticks)
+    merge = assembly.apply_merges
+
+    def faulty(cens, asm):
+        asm = merge(cens, asm)
+        asm.sticks.append(fault)
+        return asm
+
+    monkeypatch.setattr(assembly, "apply_merges", faulty)
+    with pytest.raises(ReconstructionMismatch, match="cannot trace edges"):
+        build_full(spec)
 
 
-def oracle_straighten(spec, tree, builds, asm):
+def oracle_straighten(spec, tree, builds, asm, verdicts=None):
     """The old straightening: per link, two elbow scans, a run scan and a
-    slab split over all sticks, moving the branch through ``transform``."""
+    slab split over all sticks, moving the branch through ``transform``,
+    and a trial judged with the full endpoint census and the trial's
+    markers, its violations appended to ``verdicts`` if given."""
     for comp_id in tree.order:
         b = builds[comp_id]
         if b.cls is not ComponentClass.ARC:
@@ -1462,7 +1479,10 @@ def oracle_straighten(spec, tree, builds, asm):
             for label, p in asm.markers.items()
         }
         pairs = oracles.touching_pairs(moved, set(changed))
-        if oracles.check_self_avoiding(moved, new_markers, endpoint_census(moved), pairs):
+        verdict = oracles.check_self_avoiding(moved, new_markers, endpoint_census(moved), pairs)
+        if verdicts is not None:
+            verdicts.append(verdict)
+        if verdict:
             asm.warnings.append(f"{comp_id}: straightening collides, skipped")
             continue
 
@@ -1474,12 +1494,12 @@ def oracle_straighten(spec, tree, builds, asm):
     return asm
 
 
-def old_straightened(spec, tree, builds):
+def old_straightened(spec, tree, builds, verdicts=None):
     """The old stages through straightening: its stacking, which kept
     the vertex axes, the trees' z-ranges and the components' own z-spans,
     ``oracles.apply_merges`` and ``oracle_straighten``."""
     merged = oracles.apply_merges(census(spec), oracles.assemble(spec, tree, builds))
-    return oracle_straighten(spec, tree, builds, merged)
+    return oracle_straighten(spec, tree, builds, merged, verdicts)
 
 
 def assert_straightened_as_before(out, ref, where):
@@ -1558,8 +1578,9 @@ def _chain_link():
 @pytest.mark.parametrize("reach", ["into", "across"])
 def test_straighten_splits_sticks_by_their_ends(reach):
     """A stick clear of everything with one end inside the branch's slab and
-    one below it would be torn by the slide, so the link stays as it is; one
-    spanning the whole slab stays put while the link straightens."""
+    one below it would be torn by the slide, which only a fault makes, so
+    straightening raises, naming the link; one spanning the whole slab
+    stays put while the link straightens."""
     spec, tree, builds, asm, (z_lo, z_hi), x = _chain_link()
     top = z_lo + 1 if reach == "into" else z_hi + 1
     extra = stick((x, 0, z_lo - 1), (x, 0, top))
@@ -1567,11 +1588,11 @@ def test_straighten_splits_sticks_by_their_ends(reach):
     asm.sticks = asm.sticks + [extra]
     before = list(asm.sticks)
     warnings = list(asm.warnings)
-    out = straighten_arcs(spec, tree, builds, asm)
     if reach == "into":
-        assert out.sticks == before
-        assert out.warnings == warnings + ["mid: branch subtree not separable, not straightened"]
+        with pytest.raises(AssemblyCollision, match="^straightening mid would tear"):
+            straighten_arcs(spec, tree, builds, asm)
     else:
+        out = straighten_arcs(spec, tree, builds, asm)
         assert out.sticks != before and extra in out.sticks
         assert out.warnings == warnings
 
@@ -1662,8 +1683,8 @@ def test_index_ends_match_far_partners(data):
 @given(data=st.data())
 def test_index_check_matches_bucketed_and_all_pairs(data):
     """Over random edits that replace, remove and append sticks, the index
-    names, read through the trial's state-order view, the pairs the scan
-    and the all-pairs contract name, and its check finds what the bucketed
+    names, read through the trial's state-order view, the pairs the
+    all-pairs contract names, and its check finds what the bucketed
     check and the all-pairs oracle find; the census-mode oracle on the
     bucketed pairs finds the same less what only a shared end judges.  A
     committed edit leaves the index equal to a fresh index of the trial; an
@@ -1700,12 +1721,12 @@ def test_index_check_matches_bucketed_and_all_pairs(data):
             st.lists(st.sampled_from(points), max_size=2, unique=True) if points else st.just([])
         )
         markers = {f"m{n}": p for n, p in enumerate(marked)}
-        # the index and the scan name the pairs that meet other than at one
-        # shared end, which the oracle's bucketed pairs keep
-        index_pairs, scanned = index.touching_pairs(), scan_changed(trial, changed)
+        # the index names the pairs that meet other than at one shared end,
+        # which the oracle's bucketed pairs keep
+        index_pairs = index.touching_pairs()
         position = {k: i for i, k in enumerate(slots)}
-        assert [(position[i], position[j]) for i, j in index_pairs] == scanned
-        assert scanned == _faultable_pairs(trial, set(changed))
+        named = [(position[i], position[j]) for i, j in index_pairs]
+        assert named == _faultable_pairs(trial, set(changed))
         kept = oracles.touching_pairs(trial, set(changed))
         indexed = check_self_avoiding(index.trial, index_pairs)
         assert indexed == check_self_avoiding(trial, kept)
@@ -1757,17 +1778,16 @@ INDEX_CASES = {
 
 @pytest.mark.parametrize("case", sorted(INDEX_CASES))
 def test_index_names_contacts_beyond_a_shared_end(case):
-    """The index names each contact of a trial but a shared end, as the box
-    scan of the same trial and the all-pairs contract do, and the check
-    reports each named contact."""
+    """The index names each contact of a trial but a shared end, as the
+    all-pairs contract of the same trial does, and the check reports each
+    named contact."""
     base, replaced, removed, appended, named = INDEX_CASES[case]
     index = StickIndex(base)
     index.stage(replaced, removed, appended)
     assert index.touching_pairs() == named
     position = {k: i for i, k in enumerate(index.trial)}
     trial, changed = list(index.trial.values()), {position[k] for k in index.trial.new}
-    assert scan_changed(trial, changed) == [(position[i], position[j]) for i, j in named]
-    assert scan_changed(trial, changed) == _faultable_pairs(trial, changed)
+    assert [(position[i], position[j]) for i, j in named] == _faultable_pairs(trial, changed)
     contacts = [contact(index.trial[i], index.trial[j]) for i, j in named]
     assert check_self_avoiding(index.trial, named) == contacts
 
@@ -1943,23 +1963,21 @@ def test_index_only_where_a_vertex_has_degree_three(monkeypatch):
 
 
 def test_straightening_needs_no_census(monkeypatch):
-    """Each straightening trial, judged on contacts alone, decides as the
-    oracle stage that judged it with the full endpoint census and the
-    trial's markers, and none collides; every audit a build reaches matches
-    the oracle audit and is clean."""
-    straighten, scan = assembly.straighten_arcs, assembly.scan_changed
-    trials, audits = [], []
+    """The lemma of ``straighten_arcs``, which replaced its trial: on the
+    fixtures, chains of 2-24 thetas and tree seeds 0-299, every input that
+    merges straightens exactly as the old per-link stage, each of whose
+    trials, judged with the full endpoint census and the trial's markers,
+    finds no contact, and the full check finds none in what it returns;
+    every audit a build reaches matches the oracle audit and is clean."""
+    straighten = assembly.straighten_arcs
+    verdicts, audits = [], []
 
     def compared(spec, tree, builds, asm):
-        ref = old_straightened(spec, tree, builds)
+        ref = old_straightened(spec, tree, builds, verdicts)
         out = straighten(spec, tree, builds, asm)
         assert_straightened_as_before(out, ref, "build")
+        assert check_self_avoiding(out.sticks) == []
         return out
-
-    def scanned(sticks, changed):
-        pairs = scan(sticks, changed)
-        trials.append(check_self_avoiding(sticks, pairs))
-        return pairs
 
     def audited(sticks, markers, spec, degrees):
         report, _ = assert_audit_matches_oracle(sticks, markers, spec, degrees)
@@ -1967,16 +1985,56 @@ def test_straightening_needs_no_census(monkeypatch):
         return report
 
     monkeypatch.setattr(assembly, "straighten_arcs", compared)
-    monkeypatch.setattr(assembly, "scan_changed", scanned)
     monkeypatch.setattr(assembly, "full_audit", audited)
     workloads = _bench_workloads()
     docs = [*DEMOS.values(), CHAIN, SPLIT_PAIR, LOOP_TREFOIL]
-    docs += [workloads.chain_input(n) for n in (4, 5, 6)]
+    docs += [workloads.chain_input(n) for n in range(2, 25)]
     docs += [workloads.tree_input(random.Random(s)) for s in range(300)]
     for doc in docs:
         try:
             build_full(spec_from_document(doc))
         except (NoFreeDirection, MergeCollision, BoundViolated):
             continue
-    assert len(trials) > 40 and not any(trials)
+    assert len(verdicts) > 300 and not any(verdicts)
     assert len(audits) > 40 and all(audits)
+
+
+@pytest.mark.parametrize("shape", WIDER_SHAPES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_drawn_trees_straighten_with_no_trial(shape, data):
+    """The lemma on drawn wider-shape trees, hung from their root through a
+    link or not: each that merges straightens as the old per-link stage,
+    whose trial finds no contact, and the full check of the result finds
+    none."""
+    spec = data.draw(wider_branch_trees(shape))
+    try:
+        cens = census(spec)
+    except InvalidSpec:
+        return
+    tree = build_cut_tree(spec, cens)
+    builds = {c.id: build_component(c, cens.classes[c.id]) for c in spec.components}
+    try:
+        asm = apply_merges(cens, assemble(spec, tree, builds))
+    except (NoFreeDirection, MergeCollision):
+        return
+    verdicts = []
+    out = straighten_arcs(spec, tree, builds, asm)
+    assert_straightened_as_before(out, old_straightened(spec, tree, builds, verdicts), shape)
+    assert not any(verdicts) and check_self_avoiding(out.sticks) == []
+
+
+def test_straightening_makes_each_stick_once(monkeypatch):
+    """Straightening ``chain_input(48)`` makes at most one stick per stacked
+    stick, each moved once, and one per link, so its work is linear: the
+    old stage made each slab stick again for each link enclosing it."""
+    spec, cens, tree, builds, asm = stages(_bench_workloads().chain_input(48))
+    asm = apply_merges(cens, asm)
+    links = sum(b.cls is ComponentClass.ARC for b in builds.values())
+    stacked, made = len(asm.sticks), []
+    for name in ("Stick", "stick"):
+        make = getattr(assembly, name)
+        monkeypatch.setattr(assembly, name, lambda *a, make=make: made.append(a) or make(*a))
+    out = straighten_arcs(spec, tree, builds, asm)
+    assert links == 47 and not [w for w in out.warnings if "straighten" in w]
+    assert 0 < len(made) <= stacked + links

@@ -9,7 +9,7 @@ from latticestick.geom import stick
 from latticestick.graph import ComponentClass, ComponentSpec, census
 from latticestick.io import spec_from_document
 from latticestick.fixtures import CHAIN, DEMOS
-from latticestick.validate import check_self_avoiding, scan_changed
+from latticestick.validate import check_self_avoiding
 import oracles
 from test_validate import _all_pairs_self_avoiding
 
@@ -283,7 +283,7 @@ def oracle_slide_ok(b, moved_bp):
     axis = b.column_axis(moved_bp)
     sticks = b.sticks()
     changed = {i for i, s in enumerate(sticks) if any(p[:2] == axis for p in s.ends())}
-    return not check_self_avoiding(sticks, pairs=scan_changed(sticks, changed))
+    return not check_self_avoiding(sticks, pairs=oracles.scan_changed(sticks, changed)[0])
 
 
 def oracle_side_slide(b):

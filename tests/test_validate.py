@@ -22,7 +22,6 @@ from latticestick.validate import (
     file_sticks,
     full_audit,
     reconstruct_graph,
-    scan_changed,
     touching_pairs,
     walk_edges,
 )
@@ -204,13 +203,12 @@ def test_matches_all_pairs_oracle(case):
 
 
 @settings(max_examples=400, deadline=None)
-@given(case=stick_sets(), data=st.data())
-def test_pairs_match_all_pairs_contacts(case, data):
+@given(case=stick_sets())
+def test_pairs_match_all_pairs_contacts(case):
     """The pair lists themselves, not only their violations: the sweep's
-    are the pairs whose sticks meet other than at one shared end point,
-    the scan of ``changed`` gives those holding a changed stick, as the
-    oracle sweep gives every meeting pair; and each stick's filed axis and
-    record are the ones ``Stick.axis`` gives."""
+    are the pairs whose sticks meet other than at one shared end point, as
+    the oracle sweep gives every meeting pair; and each stick's filed axis
+    and record are the ones ``Stick.axis`` gives."""
     sticks, _, _ = case
     meeting = [
         (i, j)
@@ -220,10 +218,6 @@ def test_pairs_match_all_pairs_contacts(case, data):
     ]
     faultable = [(i, j) for i, j in meeting if contact(sticks[i], sticks[j])[0] != "endpoint"]
     assert touching_pairs(sticks) == faultable
-    changed = data.draw(st.sets(st.integers(0, len(sticks) - 1)))
-    assert scan_changed(sticks, changed) == [
-        (i, j) for i, j in faultable if i in changed or j in changed
-    ]
     keys = [oracle_buckets(s) for s in sticks]
     axes, ends, records, faults = file_sticks(sticks)
     assert axes == [k[0] for k in keys]
@@ -338,16 +332,12 @@ def test_zero_length_stick_named():
 @settings(max_examples=400, deadline=None)
 @given(case=stick_sets(), data=st.data())
 def test_scan_matches_oracle(case, data):
-    """A trial's box scan gives the bucketed oracle's pairs of its changed
-    sticks that meet other than at one shared end point; the census-taking
-    scan oracle gives all of the oracle's pairs, with the oracle census at
-    their end points."""
+    """The census-taking box scan oracle gives the bucketed oracle's pairs
+    of a trial's changed sticks, with the oracle census at their end
+    points."""
     sticks, _, _ = case
     changed = data.draw(st.sets(st.integers(0, len(sticks) - 1)))
     pairs = oracles.touching_pairs(sticks, changed)
-    assert scan_changed(sticks, changed) == [
-        (i, j) for i, j in pairs if contact(sticks[i], sticks[j])[0] != "endpoint"
-    ]
     assert oracles.scan_changed(sticks, changed) == (
         pairs,
         oracles.endpoint_census_at(sticks, changed),
@@ -489,19 +479,17 @@ def trials(draw):
 @given(case=trials())
 def test_restricted_check_matches_oracle(case):
     """Restricted to the changed sticks, the check returns the oracle's
-    contacts among the pairs holding one; as the base was clean, it finds
-    some exactly when the full oracle does.  The census-mode oracle check
-    does the same with shared ends judged, on the scan oracle's pairs,
-    which keep the shared ends that the scan settles."""
+    contacts among the pairs holding one, on the scan oracle's pairs; as
+    the base was clean, it finds some exactly when the full oracle does.
+    The census-mode oracle check does the same with shared ends judged."""
     sticks, markers, interior_only, changed = case
-    pairs = scan_changed(sticks, changed)
+    pairs = oracles.scan_changed(sticks, changed)[0]
     restricted = check_self_avoiding(sticks, pairs)
     assert restricted == _all_pairs_self_avoiding(sticks, interior_only=True, changed=changed)
     full = _all_pairs_self_avoiding(sticks, interior_only=True)
     assert (restricted == []) == (full == [])
     ends = None if interior_only else endpoint_census(sticks)
-    kept_ends = oracles.scan_changed(sticks, changed)[0]
-    judged = oracles.check_self_avoiding(sticks, markers, ends, kept_ends)
+    judged = oracles.check_self_avoiding(sticks, markers, ends, pairs)
     assert judged == _all_pairs_self_avoiding(sticks, markers, interior_only, changed)
     full = _all_pairs_self_avoiding(sticks, markers, interior_only)
     assert (judged == []) == (full == [])
@@ -528,10 +516,10 @@ def test_restricted_check_needs_no_census(case):
 
 def test_pipeline_checks_match_oracle(monkeypatch):
     """Every self-avoidance decision of a build agrees with the full oracle,
-    trial checks on the pairs of their changed sticks included, and every
-    check is given exactly the pairs, in order, of the sticks it compares
-    that meet other than at one shared end point; only the audit checks
-    every pair."""
+    merge trial checks on the pairs of their changed sticks included, and
+    every check is given exactly the pairs, in order, of the sticks it
+    compares that meet other than at one shared end point; only the audit
+    checks every pair."""
     original = validate.check_self_avoiding
     index_pairs = assembly.StickIndex.touching_pairs
     found = {}  # what the last trial's pairs were found for
@@ -540,10 +528,6 @@ def test_pipeline_checks_match_oracle(monkeypatch):
     def merge_pairs(index):
         found["index"] = index
         return index_pairs(index)
-
-    def straighten_scan(sticks, changed):
-        found["changed"] = (sticks, changed)
-        return scan_changed(sticks, changed)
 
     def compared(sticks, pairs=None):
         result = original(sticks, pairs)
@@ -558,9 +542,6 @@ def test_pipeline_checks_match_oracle(monkeypatch):
             changed = {i for i, (k, s) in staged if index.sticks.get(k) is not s}
             sticks = list(index.trial.values())
             pairs = [(position[i], position[j]) for i, j in pairs]
-        elif "changed" in found:
-            listed, changed = found.pop("changed")
-            assert listed is sticks
         faultable = _faultable_pairs(sticks, changed)
         assert (touching_pairs(sticks) if pairs is None else pairs) == faultable
         assert result == _all_pairs_self_avoiding(sticks, interior_only=True, changed=changed)
@@ -572,7 +553,6 @@ def test_pipeline_checks_match_oracle(monkeypatch):
     for module in (validate, build, assembly):
         monkeypatch.setattr(module, "check_self_avoiding", compared)
     monkeypatch.setattr(assembly.StickIndex, "touching_pairs", merge_pairs)
-    monkeypatch.setattr(assembly, "scan_changed", straighten_scan)
     docs = [*DEMOS.values(), CHAIN, SPLIT_PAIR, LOOP_TREFOIL, chain(8)]
     for doc in docs:
         build_full(spec_from_document(doc))
